@@ -1,34 +1,31 @@
-"""Benchmark of the two feasibility kernels on identical inputs.
+"""Benchmark of the feasibility kernel against the dense reference simplex.
 
-Runs the pure Python kernel and the compiled kernel over the same batch
-of randomly generated row systems, checks that their answers agree
-exactly, and reports wall times per backend.  Also times an end-to-end
-verification of a corpus program in a subprocess per backend, because
-callers feel kernel speed only through the polyhedra layer on top.
+Runs kernel.simplex_feasible and the dense m x (m+n) reference simplex
+from tests/oracles.py over the same batches of row systems, checks that
+their answers are identical, and reports the wall time of each.  Two
+shapes: random systems of up to --cols columns and --rows rows, and
+tall, narrow systems of 2 columns and 60-90 rows, like the entailment
+checks that prune a hull.
 
-Usage: python3 benchmarks/bench_simplex.py [--trials N] [--seed S]
+Usage: PYTHONPATH=src python3 benchmarks/bench_simplex.py [--trials N] [--seed S]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from hornsafe.lra import _simplex_py
-from hornsafe.lra._simplex_py import REL_EQ, REL_LE, REL_LT
+from hornsafe.lra import kernel
+from hornsafe.lra.kernel import REL_EQ, REL_LE, REL_LT
 
-try:
-    from hornsafe.lra import _simplex_cy
-except ImportError:
-    _simplex_cy = None
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from gen import tall_narrow_system  # noqa: E402
+from oracles import dense_simplex_reference  # noqa: E402
 
 
 def random_system(rng: random.Random, ncols: int, nrows: int):
@@ -43,22 +40,10 @@ def random_system(rng: random.Random, ncols: int, nrows: int):
     return ncols, rows
 
 
-def bench_kernel(mod, systems):
+def bench(fn, systems):
     t0 = time.perf_counter()
-    results = [mod.simplex_feasible(ncols, rows) for ncols, rows in systems]
+    results = [fn(ncols, rows) for ncols, rows in systems]
     return time.perf_counter() - t0, results
-
-
-def bench_end_to_end(backend: str, chc: pathlib.Path) -> float:
-    env = dict(os.environ, HORNSAFE_KERNEL=backend)
-    t0 = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-m", "hornsafe", "verify", str(chc)],
-        capture_output=True,
-        env=env,
-        check=True,
-    )
-    return time.perf_counter() - t0
 
 
 def main() -> int:
@@ -70,33 +55,24 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    systems = [
-        random_system(rng, rng.randint(2, args.cols), rng.randint(2, args.rows))
-        for _ in range(args.trials)
-    ]
-
-    t_py, r_py = bench_kernel(_simplex_py, systems)
-    print(f"pure     kernel: {args.trials} systems in {t_py * 1000:8.1f} ms")
-
-    if _simplex_cy is None:
-        print("compiled kernel: not built (install with Cython available)")
-        return 0
-
-    t_cy, r_cy = bench_kernel(_simplex_cy, systems)
-    print(f"compiled kernel: {args.trials} systems in {t_cy * 1000:8.1f} ms")
-    if r_py != r_cy:
-        print("MISMATCH: backends disagree on at least one system")
-        return 1
-    print(f"identical results on all systems; speedup {t_py / t_cy:.1f}x")
-
-    chc = REPO / "corpus" / "fib.chc"
-    if chc.exists():
-        e_py = bench_end_to_end("pure", chc)
-        e_cy = bench_end_to_end("compiled", chc)
+    shapes = {
+        "random": [
+            random_system(rng, rng.randint(2, args.cols), rng.randint(2, args.rows))
+            for _ in range(args.trials)
+        ],
+        "tall-narrow": [tall_narrow_system(rng) for _ in range(args.trials // 4)],
+    }
+    for name, systems in shapes.items():
+        t_ref, r_ref = bench(dense_simplex_reference, systems)
+        t_new, r_new = bench(kernel.simplex_feasible, systems)
         print(
-            f"end-to-end {chc.name}: pure {e_py * 1000:.0f} ms, "
-            f"compiled {e_cy * 1000:.0f} ms, speedup {e_py / e_cy:.1f}x"
+            f"{name:11s} {len(systems):4d} systems: kernel {t_new * 1000:8.1f} ms, "
+            f"dense reference {t_ref * 1000:8.1f} ms, ratio {t_ref / t_new:.1f}x"
         )
+        if r_new != r_ref:
+            print(f"MISMATCH: kernel and reference disagree on a {name} system")
+            return 1
+    print("identical results on all systems")
     return 0
 
 

@@ -31,6 +31,7 @@ printing again is a fixpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -188,9 +189,6 @@ class LinConstraint:
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinConstraint":
         return LinConstraint(tuple(row.rename(mapping) for row in self.rows))
 
-    def is_trivially_true(self) -> bool:
-        return not self.rows
-
     def pretty(self) -> str:
         if not self.rows:
             return "true"
@@ -281,20 +279,25 @@ class Program:
 
     clauses: tuple[Clause, ...]
     arities: Mapping[str, int] = field(default_factory=dict)
+    _by_id: dict[str, Clause] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.arities:
             object.__setattr__(self, "arities", _collect_arities(self.clauses))
+        by_id: dict[str, Clause] = {}
+        for clause in self.clauses:
+            by_id.setdefault(clause.cid, clause)
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def predicates(self) -> set[str]:
         return set(self.arities)
 
     def clause_by_id(self, cid: str) -> Clause:
-        for clause in self.clauses:
-            if clause.cid == cid:
-                return clause
-        raise KeyError(f"no clause with id {cid!r}")
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise KeyError(f"no clause with id {cid!r}") from None
 
     def clauses_with_head(self, pred: str) -> list[Clause]:
         return [c for c in self.clauses if c.head.pred == pred]
@@ -657,20 +660,25 @@ def parse_constraint(text: str) -> LinConstraint:
 
 
 def strict_to_nonstrict(program: Program) -> Program:
-    """Tighten every strict row t < b into t =< b - 1.
+    """Tighten every strict row t < b into t =< ceil(b) - 1, after
+    scaling t to coprime integer coefficients.
 
-    Sound only for integer-valued programs, where the two forms have
-    the same solutions; over the rationals this shrinks the clause
-    semantics.  Offered because polyhedral analyses tend to behave
-    better on closed constraints.
+    Sound only for integer-valued programs: there the scaled t takes
+    integer values, so both forms have the same solutions.  Over the
+    rationals this shrinks the clause semantics.  Offered because
+    polyhedral analyses tend to behave better on closed constraints.
     """
+    from hornsafe.lra.solver import gcd_fractions
+
+    def tighten_row(row: Row) -> Row:
+        if row.rel != REL_LT:
+            return row
+        scale = 1 / gcd_fractions(c for _, c in row.terms) if row.terms else Fraction(1)
+        terms = tuple((v, c * scale) for v, c in row.terms)
+        return Row(terms, REL_LE, Fraction(math.ceil(row.rhs * scale) - 1))
 
     def tighten(constraint: LinConstraint) -> LinConstraint:
-        rows = tuple(
-            Row(row.terms, REL_LE, row.rhs - 1) if row.rel == REL_LT else row
-            for row in constraint.rows
-        )
-        return LinConstraint(rows)
+        return LinConstraint(tuple(tighten_row(row) for row in constraint.rows))
 
     return Program(
         tuple(

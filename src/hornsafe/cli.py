@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--strict-to-nonstrict",
         action="store_true",
-        help="rewrite t < b into t =< b-1 first (integer-valued inputs)",
+        help="rewrite t < b into t =< ceil(b)-1 over coprime integer "
+        "coefficients first (integer-valued inputs)",
     )
     pv.add_argument("--stats-json", metavar="PATH", help="write run statistics")
     pv.add_argument(

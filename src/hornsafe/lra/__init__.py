@@ -1,7 +1,6 @@
 """Exact linear rational arithmetic: satisfiability, projection,
 convex hulls, widening, and Craig interpolation."""
 
-from hornsafe.lra.kernel import backend_name
 from hornsafe.lra.solver import (
     DeltaRational,
     JointlySatisfiableError,
@@ -22,7 +21,6 @@ __all__ = [
     "JointlySatisfiableError",
     "Polyhedron",
     "Witness",
-    "backend_name",
     "entails",
     "equivalent",
     "hull",

@@ -1,7 +1,7 @@
 """Decision procedures over conjunctions of linear rational constraints.
 
 Everything is exact.  Satisfiability goes through the simplex kernel
-(see kernel.py for backend selection); strict inequalities are handled
+in kernel.py; strict inequalities are handled
 with delta-rationals, so witnesses assign each variable a pair
 (main, delta coefficient) meaning main + delta * d for an arbitrarily
 small positive d.

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variable
 from hornsafe.fta import TreeAutomaton
+from hornsafe.lra import kernel
 
 VARS = [Variable(n) for n in ("U", "V", "W", "X", "Y", "Z")]
 
@@ -36,6 +37,69 @@ def random_constraint(
     return LinConstraint(
         tuple(random_row(rng, nvars, allow_eq=allow_eq) for _ in range(nrows))
     )
+
+
+def tall_narrow_system(rng: random.Random):
+    """The shape of an entailment check after a hull: 2 columns and
+    60-90 rows bounding a polygon away from the origin, plus one negated
+    row that may or may not cut the polygon off.  Returns (ncols, rows)
+    as kernel.simplex_feasible takes them."""
+    cx = Fraction(rng.randint(-20, 20), rng.randint(1, 3))
+    cy = Fraction(rng.randint(-20, 20), rng.randint(1, 3))
+    rows = []
+    for _ in range(rng.randint(60, 90)):
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+        b = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+        margin = Fraction(rng.randint(0, 8), rng.randint(1, 3))
+        rel = rng.choice((kernel.REL_LE, kernel.REL_LE, kernel.REL_LE, kernel.REL_LT))
+        if rel == kernel.REL_LT and margin == 0:
+            margin = Fraction(1)
+        rows.append(([a, b], rel, a * cx + b * cy + margin))
+    if rng.random() < 0.1:
+        rows.append(([Fraction(1), Fraction(-1)], kernel.REL_EQ, cx - cy))
+    a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
+    rows.append(([-a, -b], kernel.REL_LT, -(a * cx + b * cy) - rng.randint(-4, 12)))
+    return 2, rows
+
+
+def farkas_system(rng: random.Random):
+    """The shape of a Farkas multiplier system: one column per row of a
+    random infeasibility question over a few variables, cancellation
+    equalities, nonnegative multipliers, a few pinned to zero, and a
+    budget on the combined right-hand side.  Returns (ncols, rows) as
+    kernel.simplex_feasible takes them."""
+    nvars = rng.randint(3, 6)
+    m = rng.randint(26, 32)
+    # rows through a common point have no refutation, so no multipliers
+    point = [Fraction(rng.randint(-3, 3)) for _ in range(nvars)]
+    feasible = rng.random() < 0.5
+    split = []
+    for _ in range(m):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nvars)]
+        if feasible:
+            rhs = sum(c * x for c, x in zip(coeffs, point)) + rng.randint(1, 4)
+        else:
+            rhs = Fraction(rng.randint(-6, 8))
+        split.append((coeffs, rng.random() < 0.3, rhs))
+    rows = []
+    for v in range(nvars):
+        rows.append(([split[i][0][v] for i in range(m)], kernel.REL_EQ, Fraction(0)))
+    for i in range(m):
+        dense = [Fraction(0)] * m
+        dense[i] = Fraction(-1)
+        rows.append((dense, kernel.REL_LE, Fraction(0)))
+    for i in rng.sample(range(m), rng.randint(0, 3)):
+        dense = [Fraction(0)] * m
+        dense[i] = Fraction(1)
+        rows.append((dense, kernel.REL_EQ, Fraction(0)))
+    rhs_dense = [split[i][2] for i in range(m)]
+    if rng.random() < 0.5:
+        rows.append((rhs_dense, kernel.REL_LE, Fraction(-1)))
+    else:
+        rows.append((rhs_dense, kernel.REL_LE, Fraction(0)))
+        strict = [Fraction(-1) if split[i][1] else Fraction(0) for i in range(m)]
+        rows.append((strict, kernel.REL_LE, Fraction(-1)))
+    return m, rows
 
 
 def random_automaton(

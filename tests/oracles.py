@@ -1,10 +1,11 @@
-"""Independent brute-force decision procedures used only by the tests.
+"""Independent decision procedures and references used only by the tests.
 
-Nothing here imports the solver kernel or reuses its projection code:
+Nothing here reuses the solver's simplex or projection code:
 satisfiability is decided by textbook variable elimination (Gaussian
 substitution for equalities, Fourier-Motzkin for inequalities), so the
 shipped simplex and this oracle can disagree only if one of them is
-wrong.
+wrong.  The dense simplex reference takes only the relation codes from
+the kernel module.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from math import gcd
 
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint
 from hornsafe.fta import TraceTerm, TreeAutomaton
+from hornsafe.lra import kernel
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Inequality rows are (coeffs tuple, strict flag, rhs); equalities are
 # substituted away before Fourier-Motzkin runs.
@@ -146,6 +149,164 @@ def fm_satisfiable(constraint: LinConstraint) -> bool:
                 if not _insert(table, coeffs, ps or ns, rhs):
                     return False
     return True
+
+
+# Dense simplex reference: the same bound-form simplex and Bland's rule
+# as kernel.simplex_feasible, on a tableau that keeps every variable as a
+# column, m x (m+n).  Both pick the same pivots, so their witnesses must
+# be identical, not merely both valid.
+
+
+def dense_simplex_reference(ncols, rows):
+    """Decide satisfiability of dense rows over ncols columns.
+
+    rows: sequence of (coeffs, rel, rhs) with coeffs a length-ncols
+    sequence of Fraction, rel one of the kernel.REL_* codes, and rhs
+    a Fraction.
+    """
+    nrows = len(rows)
+    total = ncols + nrows
+
+    # Tableau: mat[r] expresses basic[r] over the nonbasic variables.
+    mat = []
+    basic = []
+    rowof = [-1] * total
+    has_lo = [False] * total
+    has_up = [False] * total
+    lo_m = [_ZERO] * total
+    lo_d = [_ZERO] * total
+    up_m = [_ZERO] * total
+    up_d = [_ZERO] * total
+    # Current assignment, all zeros initially.
+    vm = [_ZERO] * total
+    vd = [_ZERO] * total
+
+    for i in range(nrows):
+        coeffs, rel, rhs = rows[i]
+        s = ncols + i
+        row = list(coeffs) + [_ZERO] * nrows
+        mat.append(row)
+        basic.append(s)
+        rowof[s] = i
+        if rel == kernel.REL_LE:
+            has_up[s] = True
+            up_m[s] = rhs
+            up_d[s] = _ZERO
+        elif rel == kernel.REL_LT:
+            has_up[s] = True
+            up_m[s] = rhs
+            up_d[s] = Fraction(-1)
+        else:
+            has_lo[s] = True
+            has_up[s] = True
+            lo_m[s] = rhs
+            lo_d[s] = _ZERO
+            up_m[s] = rhs
+            up_d[s] = _ZERO
+
+    while True:
+        # Smallest basic variable out of bounds (Bland).
+        xi = -1
+        below = False
+        for v in range(total):
+            if rowof[v] < 0:
+                continue
+            if has_lo[v] and (vm[v] < lo_m[v] or (vm[v] == lo_m[v] and vd[v] < lo_d[v])):
+                xi = v
+                below = True
+                break
+            if has_up[v] and (vm[v] > up_m[v] or (vm[v] == up_m[v] and vd[v] > up_d[v])):
+                xi = v
+                below = False
+                break
+        if xi < 0:
+            return [(vm[j], vd[j]) for j in range(ncols)]
+
+        r = rowof[xi]
+        row = mat[r]
+        xj = -1
+        if below:
+            for v in range(total):
+                if rowof[v] >= 0:
+                    continue
+                a = row[v]
+                if a == 0:
+                    continue
+                if a > 0:
+                    if not has_up[v] or vm[v] < up_m[v] or (vm[v] == up_m[v] and vd[v] < up_d[v]):
+                        xj = v
+                        break
+                else:
+                    if not has_lo[v] or vm[v] > lo_m[v] or (vm[v] == lo_m[v] and vd[v] > lo_d[v]):
+                        xj = v
+                        break
+            if xj < 0:
+                return None
+            tm = lo_m[xi]
+            td = lo_d[xi]
+        else:
+            for v in range(total):
+                if rowof[v] >= 0:
+                    continue
+                a = row[v]
+                if a == 0:
+                    continue
+                if a < 0:
+                    if not has_up[v] or vm[v] < up_m[v] or (vm[v] == up_m[v] and vd[v] < up_d[v]):
+                        xj = v
+                        break
+                else:
+                    if not has_lo[v] or vm[v] > lo_m[v] or (vm[v] == lo_m[v] and vd[v] > lo_d[v]):
+                        xj = v
+                        break
+            if xj < 0:
+                return None
+            tm = up_m[xi]
+            td = up_d[xi]
+
+        # pivotAndUpdate(xi, xj, target): move xi to its bound, shift xj
+        # by theta, propagate through the other basic values, then swap
+        # xi out of the basis in favour of xj.
+        a = row[xj]
+        thm = (tm - vm[xi]) / a
+        thd = (td - vd[xi]) / a
+        vm[xi] = tm
+        vd[xi] = td
+        vm[xj] = vm[xj] + thm
+        vd[xj] = vd[xj] + thd
+        for r2 in range(nrows):
+            if r2 == r:
+                continue
+            c = mat[r2][xj]
+            if c != 0:
+                b = basic[r2]
+                vm[b] = vm[b] + c * thm
+                vd[b] = vd[b] + c * thd
+
+        inv = _ONE / a
+        newrow = [_ZERO] * total
+        for k in range(total):
+            if k == xj:
+                continue
+            ck = row[k]
+            if ck != 0:
+                newrow[k] = -ck * inv
+        newrow[xi] = inv
+        mat[r] = newrow
+        basic[r] = xj
+        rowof[xj] = r
+        rowof[xi] = -1
+        for r2 in range(nrows):
+            if r2 == r:
+                continue
+            row2 = mat[r2]
+            c = row2[xj]
+            if c != 0:
+                row2[xj] = _ZERO
+                for k in range(total):
+                    nk = newrow[k]
+                    if nk != 0:
+                        row2[k] = row2[k] + c * nk
 
 
 # Tree automaton oracles: evaluation by direct recursion over the

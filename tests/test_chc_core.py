@@ -13,6 +13,7 @@ from hornsafe.chc_core import (
     Variable,
     parse_constraint,
     parse_program,
+    strict_to_nonstrict,
 )
 
 FIB = """\
@@ -146,3 +147,36 @@ class TestRoundTrip:
     def test_constraint_order_is_preserved(self):
         c = parse_constraint("X =< 1, Y >= 2, X < Y")
         assert parse_constraint(c.pretty()).rows == c.rows
+
+
+class TestProgram:
+    def test_clause_by_id_unknown_id(self):
+        prog = parse_program(FIB)
+        with pytest.raises(KeyError, match="no clause with id 'c9'"):
+            prog.clause_by_id("c9")
+
+
+class TestStrictToNonstrict:
+    @staticmethod
+    def rewritten(text):
+        (clause,) = strict_to_nonstrict(parse_program(text)).clauses
+        return clause.constraint.rows
+
+    def test_scales_to_coprime_integers_and_takes_ceiling(self):
+        # 1/2*X < 1 holds for the integers X =< 1, not X =< 0
+        (row,) = self.rewritten("p(X) :- 1/2*X < 1.")
+        assert row == Row.make({Variable("X"): 1}, REL_LE, 1)
+
+    def test_fractional_rhs(self):
+        # 2X + 4Y < 3  <=>  X + 2Y < 3/2  <=>  X + 2Y =< 1 over the integers
+        (row,) = self.rewritten("p(X,Y) :- 2*X + 4*Y < 3.")
+        assert row == Row.make({Variable("X"): 1, Variable("Y"): 2}, REL_LE, 1)
+
+    def test_integral_rows_lose_one(self):
+        (row,) = self.rewritten("p(X) :- X > 0.")
+        assert row == Row.make({Variable("X"): -1}, REL_LE, -1)
+
+    def test_non_strict_rows_unchanged(self):
+        (le, eq) = self.rewritten("p(X,Y) :- 1/2*X =< 1, 2*X = 3*Y.")
+        assert (le.rel, eq.rel) == (REL_LE, REL_EQ)
+        assert le.coeff(Variable("X")) == Fraction(1, 2)

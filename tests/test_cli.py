@@ -82,6 +82,11 @@ class TestStrictToNonstrict:
         capsys.readouterr()
         assert main(["verify", chc(text), "--strict-to-nonstrict"]) == 0
 
+    def test_rewrite_keeps_unsafe_program_unsafe(self, chc, capsys):
+        # X = 1 satisfies 1/2*X < 1; the rewrite must keep that model
+        text = "p(X) :- X=1.\nfalse :- 1/2*X < 1, p(X).\n"
+        assert main(["verify", chc(text), "--strict-to-nonstrict"]) == 1
+
 
 class TestArtifacts:
     def test_stats_json(self, chc, tmp_path, capsys):

@@ -1,33 +1,18 @@
-"""The simplex kernel against an independent Fourier-Motzkin oracle.
+"""The simplex kernel against an independent Fourier-Motzkin oracle and
+against the dense reference simplex.
 
-Both backends (pure Python and, when built, the compiled twin) must
-agree with the oracle on satisfiability and must return genuine
-witnesses: every row is checked against the delta-rational assignment.
+The kernel must agree with the oracle on satisfiability and must return
+genuine witnesses: every row is checked against the delta-rational
+assignment.  Against the dense reference, which pivots by the same rule
+on the full m x (m+n) tableau, it must return the very same witnesses.
 """
 
-import importlib
 import random
 from fractions import Fraction
 
-import pytest
-
 import oracles
-from gen import random_constraint
-from hornsafe.chc_core import REL_EQ, REL_LT
+from gen import farkas_system, random_constraint, tall_narrow_system
 from hornsafe.lra import kernel
-from hornsafe.lra import _simplex_py
-
-
-def _backends():
-    mods = [pytest.param(_simplex_py, id="pure")]
-    try:
-        cy = importlib.import_module("hornsafe.lra._simplex_cy")
-        mods.append(pytest.param(cy, id="compiled"))
-    except ImportError:
-        mods.append(
-            pytest.param(None, id="compiled", marks=pytest.mark.skip("not built"))
-        )
-    return mods
 
 
 def _to_rows(constraint):
@@ -58,76 +43,97 @@ def _satisfies(rows, assignment) -> bool:
     return True
 
 
-@pytest.mark.parametrize("backend", _backends())
-def test_agrees_with_oracle_on_random_systems(backend):
+def test_agrees_with_oracle_on_random_systems():
     rng = random.Random(20260822)
     for _ in range(400):
         c = random_constraint(rng)
         ncols, rows = _to_rows(c)
-        result = backend.simplex_feasible(ncols, rows)
+        result = kernel.simplex_feasible(ncols, rows)
         expected = oracles.fm_satisfiable(c)
         assert (result is not None) == expected, c.pretty()
         if result is not None:
             assert _satisfies(rows, result), c.pretty()
 
 
-@pytest.mark.parametrize("backend", _backends())
 class TestGoldens:
-    def test_empty_system(self, backend):
-        assert backend.simplex_feasible(0, []) == []
+    def test_empty_system(self):
+        assert kernel.simplex_feasible(0, []) == []
 
-    def test_strict_cycle_infeasible(self, backend):
+    def test_strict_cycle_infeasible(self):
         # X < Y together with Y < X
         rows = [
             ([Fraction(1), Fraction(-1)], kernel.REL_LT, Fraction(0)),
             ([Fraction(-1), Fraction(1)], kernel.REL_LT, Fraction(0)),
         ]
-        assert backend.simplex_feasible(2, rows) is None
+        assert kernel.simplex_feasible(2, rows) is None
 
-    def test_strict_bound_needs_delta(self, backend):
+    def test_strict_bound_needs_delta(self):
         # 0 < X and X < 1 has no integer-style corner witness
         rows = [
             ([Fraction(-1)], kernel.REL_LT, Fraction(0)),
             ([Fraction(1)], kernel.REL_LT, Fraction(1)),
         ]
-        result = backend.simplex_feasible(1, rows)
+        result = kernel.simplex_feasible(1, rows)
         assert result is not None
         assert _satisfies(rows, result)
 
-    def test_tight_sandwich_forces_value(self, backend):
+    def test_tight_sandwich_forces_value(self):
         rows = [
             ([Fraction(2)], kernel.REL_EQ, Fraction(5)),
         ]
-        (value,) = backend.simplex_feasible(1, rows)
+        (value,) = kernel.simplex_feasible(1, rows)
         assert value[0] == Fraction(5, 2)
         assert value[1] == 0
 
-    def test_contradictory_equalities(self, backend):
+    def test_contradictory_equalities(self):
         rows = [
             ([Fraction(1), Fraction(1)], kernel.REL_EQ, Fraction(3)),
             ([Fraction(1), Fraction(1)], kernel.REL_EQ, Fraction(4)),
         ]
-        assert backend.simplex_feasible(2, rows) is None
+        assert kernel.simplex_feasible(2, rows) is None
 
-    def test_unconstrained_column(self, backend):
+    def test_unconstrained_column(self):
         rows = [([Fraction(0), Fraction(1)], kernel.REL_LT, Fraction(2))]
-        result = backend.simplex_feasible(2, rows)
+        result = kernel.simplex_feasible(2, rows)
         assert result is not None and _satisfies(rows, result)
 
+    def test_does_not_modify_input_rows(self):
+        rows = [
+            ([Fraction(1), Fraction(2)], kernel.REL_LE, Fraction(-3)),
+            ([Fraction(-1), Fraction(1)], kernel.REL_EQ, Fraction(1)),
+        ]
+        before = [(list(c), rel, b) for c, rel, b in rows]
+        assert kernel.simplex_feasible(2, rows) is not None
+        assert rows == before
 
-class TestBackendSelection:
-    def test_env_forces_pure(self, monkeypatch):
-        monkeypatch.setenv("HORNSAFE_KERNEL", "pure")
-        mod = importlib.reload(kernel)
-        try:
-            assert mod.backend_name() == "pure"
-        finally:
-            monkeypatch.delenv("HORNSAFE_KERNEL")
-            importlib.reload(kernel)
 
-    def test_env_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv("HORNSAFE_KERNEL", "gpu")
-        with pytest.raises(ValueError):
-            importlib.reload(kernel)
-        monkeypatch.delenv("HORNSAFE_KERNEL")
-        importlib.reload(kernel)
+# Witness identity with the dense reference --------------------------------
+
+
+def _random_gen_system(rng: random.Random):
+    return _to_rows(random_constraint(rng))
+
+
+def _assert_identical(make, seed: int, count: int):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(count):
+        ncols, rows = make(rng)
+        expected = oracles.dense_simplex_reference(ncols, rows)
+        got = kernel.simplex_feasible(ncols, rows)
+        assert got == expected, rows
+        outcomes.add(got is None)
+    # each set exercises both verdicts
+    assert outcomes == {True, False}
+
+
+def test_same_witnesses_as_dense_reference_on_random_systems():
+    _assert_identical(_random_gen_system, 7321, 400)
+
+
+def test_same_witnesses_as_dense_reference_on_tall_narrow_systems():
+    _assert_identical(tall_narrow_system, 7322, 60)
+
+
+def test_same_witnesses_as_dense_reference_on_farkas_systems():
+    _assert_identical(farkas_system, 7323, 30)
