@@ -2,10 +2,11 @@
 
 Runs kernel.simplex_feasible and the dense m x (m+n) reference simplex
 from tests/oracles.py over the same batches of row systems, checks that
-their answers are identical, and reports the wall time of each.  Two
-shapes: random systems of up to --cols columns and --rows rows, and
-tall, narrow systems of 2 columns and 60-90 rows, like the entailment
-checks that prune a hull.
+their answers are identical, and reports the wall time of each.  Three
+shapes: random systems of up to --cols columns and --rows rows; tall,
+narrow systems of 2 columns and 60-90 rows, like the entailment checks
+that prune a hull; and Farkas multiplier systems of 26-32 columns and
+about 40 rows, like the interpolation queries.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_simplex.py [--trials N] [--seed S]
 """
@@ -24,7 +25,7 @@ from hornsafe.lra.kernel import REL_EQ, REL_LE, REL_LT
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-from gen import tall_narrow_system  # noqa: E402
+from gen import farkas_system, tall_narrow_system  # noqa: E402
 from oracles import dense_simplex_reference  # noqa: E402
 
 
@@ -61,6 +62,7 @@ def main() -> int:
             for _ in range(args.trials)
         ],
         "tall-narrow": [tall_narrow_system(rng) for _ in range(args.trials // 4)],
+        "farkas": [farkas_system(rng) for _ in range(args.trials // 8)],
     }
     for name, systems in shapes.items():
         t_ref, r_ref = bench(dense_simplex_reference, systems)

@@ -26,22 +26,47 @@ entailment checks that prune a hull ask about 2 columns and up to 90
 rows), so a pivot rewrites m*n coefficients where a tableau that also
 kept the basic columns would rewrite m*(m+n).
 
-A satisfying assignment for the original columns is returned as a list
-of (main, delta_coefficient) pairs, or None when the rows are
+The arithmetic is fraction-free, after Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination" (Math. Comp.
+1968): no Fraction is built inside the pivot loop.
+
+* Each input row is multiplied by L, the lcm of its denominators, so
+  its slack is L*s over integer coefficients, with the integer bound
+  L*b and, for a strict row, the delta bound -L.  Scaling a variable by
+  a positive constant changes neither the sign of any coefficient nor
+  which bounds are violated, so Bland's rule picks the very same pivots
+  and the original columns take the very same values: the witnesses
+  are bit for bit those of a simplex over Fractions.
+* A tableau row is a list of ints N over one positive int D, meaning
+  ``D * basic = sum(N[p] * colvar[p])``.  The basic variable's value is
+  kept as int numerators (main and delta) over the same D.  Nonbasic
+  original columns sit at 0 and nonbasic slacks at their integer bound,
+  so every numerator stays an integer.
+* After a pivot, each row it touched is divided by the gcd of D, N and
+  its two value numerators.
+* An equality slack that leaves the basis can never enter again and its
+  value stays put, so its column is zeroed instead of kept.  A row then
+  omits that slack's constant contribution to its basic variable; the
+  values are updated by each step's change and never recomputed from
+  the row, and the gcd covers the value numerators, which keeps them
+  integral.
+
+Only the returned witness is built from Fractions: a satisfying
+assignment for the original columns as a list of
+(main, delta_coefficient) pairs, or None when the rows are
 unsatisfiable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 REL_LE = 0
 REL_LT = 1
 REL_EQ = 2
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 def simplex_feasible(ncols, rows):
@@ -56,37 +81,45 @@ def simplex_feasible(ncols, rows):
 
     # Only slacks have bounds.  Every slack has the upper bound
     # (up_m, up_d); an equality slack also has it as its lower bound.
-    up_m = [_ZERO] * total
-    up_d = [_ZERO] * total
+    # A nonbasic slack sits at that bound, a nonbasic column at 0.
+    up_m = [0] * total
+    up_d = [0] * total
     pinned = [False] * total
-    # tab[r] expresses basic[r] over the nonbasic variables: its entry at
-    # position p is the coefficient of colvar[p].
+    # den[r] * basic[r] = sum(tab[r][p] * colvar[p]); the value of
+    # basic[r] is (num_m[r] / den[r], num_d[r] / den[r]).
     tab = []
+    den = [1] * nrows
+    num_m = [0] * nrows
+    num_d = [0] * nrows
     basic = []
     colvar = list(range(ncols))
     rowof = [-1] * total
-    # Current assignment, all zeros initially.
-    vm = [_ZERO] * total
-    vd = [_ZERO] * total
     # Basic variables out of bounds, mapped to True when below.
     viol = {}
 
     for i in range(nrows):
         coeffs, rel, rhs = rows[i]
+        dens = [c.denominator for c in coeffs]
+        scale = lcm(rhs.denominator, *dens)
+        if scale == 1:
+            tab.append([c.numerator for c in coeffs])
+            bound = rhs.numerator
+        else:
+            tab.append([c.numerator * (scale // q) for c, q in zip(coeffs, dens)])
+            bound = rhs.numerator * (scale // rhs.denominator)
         s = ncols + i
-        tab.append(list(coeffs))
         basic.append(s)
         rowof[s] = i
-        up_m[s] = rhs
+        up_m[s] = bound
         if rel == REL_LT:
-            up_d[s] = _MINUS_ONE
-            if rhs <= 0:
+            up_d[s] = -scale
+            if bound <= 0:
                 viol[s] = False
         else:
             pinned[s] = rel == REL_EQ
-            if rhs < 0:
+            if bound < 0:
                 viol[s] = False
-            elif rhs > 0 and pinned[s]:
+            elif bound > 0 and pinned[s]:
                 viol[s] = True
 
     while viol:
@@ -111,54 +144,97 @@ def simplex_feasible(ncols, rows):
             return None
 
         # Move xi to its violated bound (an equality slack's lower bound
-        # is its upper bound) by shifting xj by theta, and propagate
-        # theta to the other basic variables; then swap xi out of the
-        # basis in favour of xj, into xj's column.
+        # is its upper bound) by shifting xj, then solve row r for xj,
+        #   |a| * xj = +-(d * xi - sum(row[p] * colvar[p], p != k)),
+        # signed like a, and swap xi out of the basis in favour of xj,
+        # into xj's column.
         a = row[k]
-        thm = (up_m[xi] - vm[xi]) / a
-        thd = (up_d[xi] - vd[xi]) / a
-        vm[xi] = up_m[xi]
-        vd[xi] = up_d[xi]
-        vm[xj] += thm
-        vd[xj] += thd
-
-        inv = _ONE / a
-        neg_inv = -inv
-        newrow = [c * neg_inv if c else c for c in row]
+        d = den[r]
+        xj_m = up_m[xj]
+        xj_d = up_d[xj]
+        # a * (xj's step) = d * (xi's step)
+        xi_m = up_m[xi] * d - num_m[r]
+        xi_d = up_d[xi] * d - num_d[r]
+        if a > 0:
+            pden = a
+            prow = [-c for c in row]
+            prow[k] = d
+            pm = xj_m * pden + xi_m
+            pd = xj_d * pden + xi_d
+        else:
+            pden = -a
+            prow = row[:]
+            prow[k] = -d
+            pm = xj_m * pden - xi_m
+            pd = xj_d * pden - xi_d
         # An equality slack leaving the basis can never enter again and
         # its value stays put, so its column is zeroed instead of kept.
-        keep = not pinned[xi]
-        newrow[k] = inv if keep else _ZERO
-        rest = [(p, newrow[p]) for p in range(ncols) if p != k and newrow[p]]
+        if pinned[xi]:
+            prow[k] = 0
+        g = gcd(pden, pm, pd, *prow)
+        if g > 1:
+            prow = [c // g for c in prow]
+            pden //= g
+            pm //= g
+            pd //= g
+        # xj's step, as numerators over pden.
+        step_m = pm - xj_m * pden
+        step_d = pd - xj_d * pden
+        rest = [(p, prow[p]) for p in range(ncols) if p != k and prow[p]]
+        colk = prow[k]
 
         for r2 in range(nrows):
             row2 = tab[r2]
             c = row2[k]
             if not c or r2 == r:
                 continue
+            # den[r2] * b = c * xj + ... ; substitute pden * xj = prow . x
+            if pden != 1:
+                row2 = [x * pden for x in row2]
             for p, q in rest:
                 row2[p] += c * q
-            row2[k] = c * inv if keep else _ZERO
+            row2[k] = c * colk
+            d2 = den[r2] * pden
+            m2 = num_m[r2] * pden + c * step_m
+            dd2 = num_d[r2] * pden + c * step_d
+            if d2 > 1:
+                g = gcd(d2, m2, dd2, *row2)
+                if g > 1:
+                    row2 = [x // g for x in row2]
+                    d2 //= g
+                    m2 //= g
+                    dd2 //= g
+            tab[r2] = row2
+            den[r2] = d2
+            num_m[r2] = m2
+            num_d[r2] = dd2
             b = basic[r2]
-            if thm:
-                vm[b] += c * thm
-            if thd:
-                vd[b] += c * thd
             if b >= ncols:
-                m, d, um, ud = vm[b], vd[b], up_m[b], up_d[b]
-                if m > um or (m == um and d > ud):
+                um = up_m[b] * d2
+                ud = up_d[b] * d2
+                if m2 > um or (m2 == um and dd2 > ud):
                     viol[b] = False
-                elif pinned[b] and (m < um or (m == um and d < ud)):
+                elif pinned[b] and (m2 < um or (m2 == um and dd2 < ud)):
                     viol[b] = True
                 else:
                     viol.pop(b, None)
 
         # xj moved from within its bounds in a direction it may move, so
         # it enters the basis satisfied.
-        tab[r] = newrow
+        tab[r] = prow
+        den[r] = pden
+        num_m[r] = pm
+        num_d[r] = pd
         basic[r] = xj
         rowof[xj] = r
         rowof[xi] = -1
         colvar[k] = xi
 
-    return [(vm[j], vd[j]) for j in range(ncols)]
+    witness = []
+    for j in range(ncols):
+        r = rowof[j]
+        if r < 0:
+            witness.append((_ZERO, _ZERO))
+        else:
+            witness.append((Fraction(num_m[r], den[r]), Fraction(num_d[r], den[r])))
+    return witness

@@ -102,6 +102,56 @@ def farkas_system(rng: random.Random):
     return m, rows
 
 
+def _large_prime(rng: random.Random) -> int:
+    while True:
+        n = rng.randint(100_000, 1_000_000) | 1
+        if all(n % f for f in range(3, 1001, 2)):
+            return n
+
+
+def large_denominator_system(rng: random.Random):
+    """Rows over 2-4 columns whose coefficients and right-hand sides
+    have large prime denominators (up to 10^6) and numerators up to
+    10^9, so each row scales by a large lcm.  About half of the systems
+    keep a random point feasible.  Returns (ncols, rows) as
+    kernel.simplex_feasible takes them."""
+    ncols = rng.randint(2, 4)
+    point = [Fraction(rng.randint(-10**6, 10**6), _large_prime(rng)) for _ in range(ncols)]
+    feasible = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(3, 8)):
+        coeffs = [
+            Fraction(rng.randint(-10**9, 10**9), _large_prime(rng)) for _ in range(ncols)
+        ]
+        rel = rng.choice((kernel.REL_LE, kernel.REL_LE, kernel.REL_LT, kernel.REL_EQ))
+        at_point = sum(c * x for c, x in zip(coeffs, point))
+        margin = Fraction(rng.randint(0, 10**9), _large_prime(rng))
+        if rel == kernel.REL_EQ:
+            rhs = at_point
+        elif feasible:
+            rhs = at_point + margin + (rel == kernel.REL_LT)
+        else:
+            rhs = at_point - margin
+        rows.append((coeffs, rel, rhs))
+    return ncols, rows
+
+
+def zero_row_system(rng: random.Random):
+    """0-3 columns, random rows mixed with all-zero rows ``0 rel b``;
+    with 0 columns every row is all-zero.  Returns (ncols, rows) as
+    kernel.simplex_feasible takes them."""
+    ncols = rng.randint(0, 3)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if ncols and rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        else:
+            coeffs = [Fraction(0)] * ncols
+        rel = rng.choice((kernel.REL_LE, kernel.REL_LT, kernel.REL_EQ))
+        rows.append((coeffs, rel, Fraction(rng.randint(-2, 6), rng.randint(1, 3))))
+    return ncols, rows
+
+
 def random_automaton(
     rng: random.Random,
     *,

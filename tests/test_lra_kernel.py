@@ -11,7 +11,13 @@ import random
 from fractions import Fraction
 
 import oracles
-from gen import farkas_system, random_constraint, tall_narrow_system
+from gen import (
+    farkas_system,
+    large_denominator_system,
+    random_constraint,
+    tall_narrow_system,
+    zero_row_system,
+)
 from hornsafe.lra import kernel
 
 
@@ -122,6 +128,9 @@ def _assert_identical(make, seed: int, count: int):
         expected = oracles.dense_simplex_reference(ncols, rows)
         got = kernel.simplex_feasible(ncols, rows)
         assert got == expected, rows
+        if got is not None:
+            # the witness is exact rationals, never bare ints
+            assert all(type(x) is Fraction for pair in got for x in pair), got
         outcomes.add(got is None)
     # each set exercises both verdicts
     assert outcomes == {True, False}
@@ -137,3 +146,11 @@ def test_same_witnesses_as_dense_reference_on_tall_narrow_systems():
 
 def test_same_witnesses_as_dense_reference_on_farkas_systems():
     _assert_identical(farkas_system, 7323, 30)
+
+
+def test_same_witnesses_as_dense_reference_on_large_denominators():
+    _assert_identical(large_denominator_system, 7324, 60)
+
+
+def test_same_witnesses_as_dense_reference_with_zero_rows_and_columns():
+    _assert_identical(zero_row_system, 7325, 200)
