@@ -20,9 +20,7 @@ def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
     """Abstract consequence of one clause: conjoin the interpreted body
     atoms with the clause constraint, project onto the head tuple, and
     rename onto canonical arguments."""
-    conj = clause.constraint.conjoin(
-        *(state.fact(a.pred, a.args) for a in clause.body)
-    )
+    conj = state.body_constraint(clause)
     head_args = clause.head.args
     poly = Polyhedron.of(project(conj, head_args))
     if poly.empty:
@@ -76,7 +74,3 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         pred = clause.head.pred
         narrowed[pred] = hull(narrowed.get(pred, Polyhedron.bottom()), post)
     return InterpretationModel(narrowed)
-
-
-def has_false(model: InterpretationModel) -> bool:
-    return model.has_false

@@ -167,10 +167,6 @@ class LinConstraint:
 
     rows: tuple[Row, ...] = ()
 
-    @staticmethod
-    def of(*rows: Row) -> "LinConstraint":
-        return LinConstraint(tuple(rows))
-
     def vars(self) -> set[Variable]:
         out: set[Variable] = set()
         for row in self.rows:
@@ -286,7 +282,8 @@ class Program:
             object.__setattr__(self, "arities", _collect_arities(self.clauses))
         by_id: dict[str, Clause] = {}
         for clause in self.clauses:
-            by_id.setdefault(clause.cid, clause)
+            if by_id.setdefault(clause.cid, clause) is not clause:
+                raise ProgramError(f"clause id {clause.cid!r} used twice")
         object.__setattr__(self, "_by_id", by_id)
 
     @property

@@ -123,17 +123,6 @@ def formula(tree: AndTree) -> LinConstraint:
     return TRUE.conjoin(*(n.constraint for n in tree))
 
 
-def subtree_formula(tree: AndTree, i: int) -> LinConstraint:
-    return TRUE.conjoin(*(tree.node(j).constraint for j in tree.subtree_indices(i)))
-
-
-def context_formula(tree: AndTree, i: int) -> LinConstraint:
-    inside = set(tree.subtree_indices(i))
-    return TRUE.conjoin(
-        *(n.constraint for n in tree if n.index not in inside)
-    )
-
-
 def feasible(program: Program, trace: TraceTerm) -> Witness | None:
     """A witness for the trace's derivation, or None when infeasible."""
     return is_sat(formula(and_tree(program, trace)))

@@ -21,17 +21,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from hornsafe.absint import analyze, has_false
+from hornsafe.absint import analyze
 from hornsafe.chc_core import Program, Variable
 from hornsafe.derivations import and_tree, feasible, formula
 from hornsafe.fta import (
     TraceTerm,
-    determinise,
     difference,
     find_accepted,
     model_fta,
     singleton_fta,
 )
+from hornsafe.lra import is_sat
 from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 
@@ -114,7 +114,7 @@ def verify(
             stats.iterations = iteration
             model = timed("analyze", analyze, current, widen_delay)
             dump(f"iter{iteration}.model.txt", model.pretty(current.arities))
-            if not has_false(model):
+            if not model.has_false:
                 return Verdict("safe", stats)
 
             mfta = timed("model_fta", model_fta, current, model)
@@ -135,13 +135,13 @@ def verify(
                 original = trace
                 for generated in reversed(programs[1:]):
                     original = erase_trace(generated, original)
-                replay = feasible(program, original)
+                conj = formula(and_tree(program, original))
+                replay = is_sat(conj)
                 if replay is None:
                     return Verdict(
                         "unknown", stats, reason="internal", trace=original
                     )
-                tree = and_tree(program, original)
-                point = replay.concretise(formula(tree))
+                point = replay.concretise(conj)
                 return Verdict("unsafe", stats, trace=original, witness=point)
 
             if iteration == max_iter:
@@ -161,10 +161,10 @@ def verify(
             sizes["remover_states"] = len(remover.states)
             sizes["remover_transitions"] = len(remover.transitions)
 
-            def subtract():
-                return determinise(difference(mfta, remover))
-
-            kept = timed("difference", subtract)
+            # the model automaton has one transition per clause id, so
+            # it and its product with the determinised remover are
+            # deterministic, as clause generation needs
+            kept = timed("difference", difference, mfta, remover)
             sizes["difference_states"] = len(kept.states)
             sizes["difference_transitions"] = len(kept.transitions)
             current = timed("clausegen", generate_clauses, current, kept)

@@ -5,22 +5,20 @@ arity is the clause's body length, and a trace rooted at an integrity
 clause describes one candidate derivation of false.  The automata here
 recognise trace sets and support the operations the refinement loop
 needs: construction from a program, a single trace, or an
-interpretation; determinisation; language difference; emptiness with a
-witness; and bounded enumeration for the tests.
+interpretation; determinisation; language difference; and emptiness
+with a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from hornsafe.chc_core import FALSE_PRED, Program
 from hornsafe.lra import is_sat
 from hornsafe.model import InterpretationModel
-
-ENUM_DEPTH_BOUND = 6
 
 
 class AutomatonError(Exception):
@@ -45,34 +43,6 @@ class TraceTerm:
 
     def __str__(self) -> str:
         return self.pretty()
-
-    @staticmethod
-    def parse(text: str) -> "TraceTerm":
-        pos = 0
-
-        def node() -> TraceTerm:
-            nonlocal pos
-            m = re.match(r"\s*([A-Za-z0-9_]+)\s*", text[pos:])
-            if not m:
-                raise AutomatonError(f"bad trace term at offset {pos}")
-            sym = m.group(1)
-            pos += m.end()
-            kids = []
-            if pos < len(text) and text[pos] == "(":
-                pos += 1
-                kids.append(node())
-                while pos < len(text) and text[pos] == ",":
-                    pos += 1
-                    kids.append(node())
-                if pos >= len(text) or text[pos] != ")":
-                    raise AutomatonError("unbalanced parentheses in trace term")
-                pos += 1
-            return TraceTerm(sym, tuple(kids))
-
-        t = node()
-        if text[pos:].strip():
-            raise AutomatonError("trailing input after trace term")
-        return t
 
 
 Transition = tuple[str, tuple[str, ...], str]
@@ -160,11 +130,7 @@ def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     base = trace_fta(program)
     kept = set()
     for cid, args, target in base.transitions:
-        clause = program.clause_by_id(cid)
-        body = clause.constraint.conjoin(
-            *(model.fact(a.pred, a.args) for a in clause.body)
-        )
-        if is_sat(body) is not None:
+        if is_sat(model.body_constraint(program.clause_by_id(cid))) is not None:
             kept.add((cid, args, target))
     return TreeAutomaton(base.states, base.finals, base.alphabet, frozenset(kept))
 
@@ -214,7 +180,9 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
 
 def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     """Recognises L(a) minus L(b): the product of a with the completed
-    determinisation of b, accepting where a accepts and b does not."""
+    determinisation of b, accepting where a accepts and b does not.
+    Every state is reachable, and the result is deterministic when a
+    is."""
     for sym, arity in b.alphabet.items():
         if sym in a.alphabet and a.alphabet[sym] != arity:
             raise AutomatonError(f"alphabets disagree on {sym!r}")
@@ -309,23 +277,3 @@ def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
     target_depth = min(depth[q] for q in reachable_finals)
     roots = [build(q) for q in reachable_finals if depth[q] == target_depth]
     return min(roots, key=key)
-
-
-def enumerate_terms(
-    a: TreeAutomaton, maxdepth: int, *, bound: int = ENUM_DEPTH_BOUND
-) -> set[TraceTerm]:
-    """Exactly the accepted terms of depth at most maxdepth.  Purely a
-    test oracle; refuses depths beyond the bound to keep runtimes sane."""
-    if maxdepth > bound:
-        raise AutomatonError(f"enumeration depth {maxdepth} exceeds bound {bound}")
-    reach: dict[str, set[TraceTerm]] = {q: set() for q in a.states}
-    for _ in range(max(maxdepth, 0)):
-        nxt = {q: set(ts) for q, ts in reach.items()}
-        for sym, args, target in a.transitions:
-            for combo in itertools.product(*(reach[q] for q in args)):
-                nxt[target].add(TraceTerm(sym, combo))
-        reach = nxt
-    out: set[TraceTerm] = set()
-    for q in a.finals:
-        out |= reach[q]
-    return out

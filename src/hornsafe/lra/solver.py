@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from hornsafe.chc_core import (
     REL_EQ,
@@ -86,17 +86,6 @@ class Witness:
                 m += c * val.main
                 d += c * val.delta
         return m, d
-
-    def satisfies_row(self, row: Row) -> bool:
-        m, d = self.value_of(row)
-        if row.rel == REL_LE:
-            return (m, d) <= (row.rhs, 0)
-        if row.rel == REL_LT:
-            return (m, d) < (row.rhs, 0)
-        return m == row.rhs and d == 0
-
-    def satisfies(self, constraint: LinConstraint) -> bool:
-        return all(self.satisfies_row(row) for row in constraint.rows)
 
     def concretise(self, constraint: LinConstraint) -> dict[Variable, Fraction]:
         """Pick a small positive rational for delta that keeps every row

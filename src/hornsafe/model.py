@@ -18,9 +18,8 @@ from hornsafe.chc_core import (
     LinConstraint,
     Program,
     Variable,
-    parse_program,
 )
-from hornsafe.lra import Polyhedron, entails, is_sat, project
+from hornsafe.lra import Polyhedron, entails, is_sat
 
 
 def canonical_args(n: int) -> tuple[Variable, ...]:
@@ -52,6 +51,13 @@ class InterpretationModel:
         mapping = dict(zip(canonical_args(len(args)), args))
         return poly.constraint.rename(mapping)
 
+    def body_constraint(self, clause: Clause) -> LinConstraint:
+        """The clause constraint conjoined with the interpreted facts of
+        its body atoms, in body order."""
+        return clause.constraint.conjoin(
+            *(self.fact(a.pred, a.args) for a in clause.body)
+        )
+
     @property
     def has_false(self) -> bool:
         return FALSE_PRED in self.entries
@@ -79,36 +85,9 @@ def is_model(program: Program, model: InterpretationModel) -> bool:
     needs `not model.has_false`.
     """
     for clause in program:
-        body = clause.constraint.conjoin(
-            *(model.fact(a.pred, a.args) for a in clause.body)
-        )
+        body = model.body_constraint(clause)
         if is_sat(body) is None:
             continue
         if not entails(body, model.fact(clause.head.pred, clause.head.args)):
             return False
     return True
-
-
-def load_model(text: str) -> InterpretationModel:
-    """Parse a dump produced by InterpretationModel.pretty."""
-    prog = parse_program(text)
-    entries: dict[str, Polyhedron] = {}
-    for clause in prog:
-        if clause.body:
-            raise ValueError("model entries cannot contain body atoms")
-        if clause.head.pred in entries:
-            raise ValueError(f"duplicate entry for {clause.head.pred}")
-        args = clause.head.args
-        canon = canonical_args(len(args))
-        constraint = clause.constraint
-        # auxiliary variables that collide with the canonical names would
-        # be captured by the renaming; move them out of the way first
-        clashes = (constraint.vars() & set(canon)) - set(args)
-        if clashes:
-            fresh = {v: Variable(v.name + "__aux") for v in clashes}
-            constraint = constraint.rename(fresh)
-        constraint = constraint.rename(dict(zip(args, canon)))
-        if not constraint.vars() <= set(canon):
-            constraint = project(constraint, canon)
-        entries[clause.head.pred] = Polyhedron.of(constraint)
-    return InterpretationModel(entries)

@@ -36,10 +36,9 @@ from hornsafe.chc_core import (
     Variable,
 )
 from hornsafe.derivations import AndTree, formula
-from hornsafe.fta import TreeAutomaton, enumerate_terms, trace_fta
-from hornsafe.lra import Polyhedron, entails, interpolate, is_sat, project
-from hornsafe.model import InterpretationModel, canonical_args
-from hornsafe.derivations import feasible as trace_feasible
+from hornsafe.fta import TreeAutomaton, trace_fta
+from hornsafe.lra import entails, interpolate, is_sat, project
+from hornsafe.model import canonical_args
 
 
 class FeasibleTreeError(ValueError):
@@ -115,41 +114,6 @@ def check_tree_interpolant(tree: AndTree, ti: TreeInterpolant) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InterpolantMapping:
-    """Per-node labels keyed by (predicate, node index)."""
-
-    entries: tuple[tuple[Atom, int, LinConstraint], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def interpolant_mapping(ti: TreeInterpolant) -> InterpolantMapping:
-    return InterpolantMapping(
-        tuple(
-            (ti.atom(i), i, ti.label(i)) for i in range(1, len(ti) + 1)
-        )
-    )
-
-
-def conjunctive_mapping(ti: TreeInterpolant) -> InterpretationModel:
-    """One entry per predicate: the conjunction of all its node labels,
-    renamed onto the canonical tuple.  Unsatisfiable conjunctions
-    (the root's in particular) yield no entry."""
-    conj: dict[str, LinConstraint] = {}
-    for atom, i, label in interpolant_mapping(ti):
-        canon = canonical_args(len(atom.args))
-        renamed = label.rename(dict(zip(atom.args, canon)))
-        conj[atom.pred] = conj.get(atom.pred, TRUE) & renamed
-    return InterpretationModel(
-        {pred: Polyhedron.of(c) for pred, c in conj.items()}
-    )
-
-
 ERROR_STATE = "error"
 
 
@@ -217,13 +181,4 @@ def interpolant_automaton(
                     )
     return TreeAutomaton(
         frozenset(states), frozenset(finals), dict(base.alphabet), frozenset(transitions)
-    )
-
-
-def check_soundness(program: Program, automaton: TreeAutomaton, depth: int) -> bool:
-    """Does the automaton accept only infeasible traces, up to the
-    given enumeration depth?"""
-    return all(
-        trace_feasible(program, t) is None
-        for t in enumerate_terms(automaton, depth)
     )

@@ -160,10 +160,12 @@ def random_automaton(
     symbols: int = 3,
     alphabet: dict[str, int] | None = None,
     max_transitions: int | None = None,
+    deterministic: bool = False,
 ) -> TreeAutomaton:
     """Small random tree automaton; at least one nullary symbol so the
     language has a chance of being nonempty.  Pass alphabet to share it
-    between two automata."""
+    between two automata; deterministic keeps at most one target per
+    symbol and argument tuple."""
     states = [f"q{i}" for i in range(rng.randint(1, max_states))]
     if alphabet is None:
         alphabet = {"a0": 0}
@@ -174,7 +176,7 @@ def random_automaton(
         for combo in itertools.product(states, repeat=arity):
             if rng.random() < 0.4:
                 transitions.add((sym, combo, rng.choice(states)))
-            if rng.random() < 0.15:
+            if not deterministic and rng.random() < 0.15:
                 transitions.add((sym, combo, rng.choice(states)))
     if max_transitions is not None and len(transitions) > max_transitions:
         transitions = set(

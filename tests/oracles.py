@@ -1,22 +1,41 @@
 """Independent decision procedures and references used only by the tests.
 
-Nothing here reuses the solver's simplex or projection code:
-satisfiability is decided by textbook variable elimination (Gaussian
-substitution for equalities, Fourier-Motzkin for inequalities), so the
-shipped simplex and this oracle can disagree only if one of them is
-wrong.  The dense simplex reference takes only the relation codes from
-the kernel module.
+Nothing in the first three sections reuses the solver's simplex or
+projection code: satisfiability is decided by textbook variable
+elimination (Gaussian substitution for equalities, Fourier-Motzkin for
+inequalities), so the shipped simplex and this oracle can disagree only
+if one of them is wrong.  The dense simplex reference takes only the
+relation codes from the kernel module.
+
+The last section holds test-only helpers that the verifier never runs:
+trace parsing, bounded enumeration, model loading, subtree and context
+formulas, and label mappings.  Those do call the package's solver.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint
-from hornsafe.fta import TraceTerm, TreeAutomaton
-from hornsafe.lra import kernel
+from hornsafe.chc_core import (
+    REL_EQ,
+    REL_LT,
+    TRUE,
+    Atom,
+    LinConstraint,
+    Program,
+    Variable,
+    parse_program,
+)
+from hornsafe.derivations import AndTree
+from hornsafe.derivations import feasible as trace_feasible
+from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
+from hornsafe.lra import Polyhedron, kernel, project
+from hornsafe.model import InterpretationModel, canonical_args
+from hornsafe.tree_interpolation import TreeInterpolant
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -341,3 +360,137 @@ def all_terms(alphabet, maxdepth: int) -> set[TraceTerm]:
                 nxt.add(TraceTerm(sym, combo))
         prev = nxt
     return prev
+
+
+# Test-only helpers.  They run on the package's own data types and
+# solver; the verifier itself calls none of them.
+
+ENUM_DEPTH_BOUND = 6
+
+
+def parse_trace(text: str) -> TraceTerm:
+    pos = 0
+
+    def node() -> TraceTerm:
+        nonlocal pos
+        m = re.match(r"\s*([A-Za-z0-9_]+)\s*", text[pos:])
+        if not m:
+            raise AutomatonError(f"bad trace term at offset {pos}")
+        sym = m.group(1)
+        pos += m.end()
+        kids = []
+        if pos < len(text) and text[pos] == "(":
+            pos += 1
+            kids.append(node())
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                kids.append(node())
+            if pos >= len(text) or text[pos] != ")":
+                raise AutomatonError("unbalanced parentheses in trace term")
+            pos += 1
+        return TraceTerm(sym, tuple(kids))
+
+    t = node()
+    if text[pos:].strip():
+        raise AutomatonError("trailing input after trace term")
+    return t
+
+
+def enumerate_terms(
+    a: TreeAutomaton, maxdepth: int, *, bound: int = ENUM_DEPTH_BOUND
+) -> set[TraceTerm]:
+    """Exactly the accepted terms of depth at most maxdepth.  Purely a
+    test oracle; refuses depths beyond the bound to keep runtimes sane."""
+    if maxdepth > bound:
+        raise AutomatonError(f"enumeration depth {maxdepth} exceeds bound {bound}")
+    reach: dict[str, set[TraceTerm]] = {q: set() for q in a.states}
+    for _ in range(max(maxdepth, 0)):
+        nxt = {q: set(ts) for q, ts in reach.items()}
+        for sym, args, target in a.transitions:
+            for combo in itertools.product(*(reach[q] for q in args)):
+                nxt[target].add(TraceTerm(sym, combo))
+        reach = nxt
+    out: set[TraceTerm] = set()
+    for q in a.finals:
+        out |= reach[q]
+    return out
+
+
+def check_soundness(program: Program, automaton: TreeAutomaton, depth: int) -> bool:
+    """Does the automaton accept only infeasible traces, up to the
+    given enumeration depth?"""
+    return all(
+        trace_feasible(program, t) is None
+        for t in enumerate_terms(automaton, depth)
+    )
+
+
+def load_model(text: str) -> InterpretationModel:
+    """Parse a dump produced by InterpretationModel.pretty."""
+    prog = parse_program(text)
+    entries: dict[str, Polyhedron] = {}
+    for clause in prog:
+        if clause.body:
+            raise ValueError("model entries cannot contain body atoms")
+        if clause.head.pred in entries:
+            raise ValueError(f"duplicate entry for {clause.head.pred}")
+        args = clause.head.args
+        canon = canonical_args(len(args))
+        constraint = clause.constraint
+        # auxiliary variables that collide with the canonical names would
+        # be captured by the renaming; move them out of the way first
+        clashes = (constraint.vars() & set(canon)) - set(args)
+        if clashes:
+            fresh = {v: Variable(v.name + "__aux") for v in clashes}
+            constraint = constraint.rename(fresh)
+        constraint = constraint.rename(dict(zip(args, canon)))
+        if not constraint.vars() <= set(canon):
+            constraint = project(constraint, canon)
+        entries[clause.head.pred] = Polyhedron.of(constraint)
+    return InterpretationModel(entries)
+
+
+def subtree_formula(tree: AndTree, i: int) -> LinConstraint:
+    return TRUE.conjoin(*(tree.node(j).constraint for j in tree.subtree_indices(i)))
+
+
+def context_formula(tree: AndTree, i: int) -> LinConstraint:
+    inside = set(tree.subtree_indices(i))
+    return TRUE.conjoin(
+        *(n.constraint for n in tree if n.index not in inside)
+    )
+
+
+@dataclass(frozen=True)
+class InterpolantMapping:
+    """Per-node labels keyed by (predicate, node index)."""
+
+    entries: tuple[tuple[Atom, int, LinConstraint], ...]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def interpolant_mapping(ti: TreeInterpolant) -> InterpolantMapping:
+    return InterpolantMapping(
+        tuple(
+            (ti.atom(i), i, ti.label(i)) for i in range(1, len(ti) + 1)
+        )
+    )
+
+
+def conjunctive_mapping(ti: TreeInterpolant) -> InterpretationModel:
+    """One entry per predicate: the conjunction of all its node labels,
+    renamed onto the canonical tuple.  Unsatisfiable conjunctions
+    (the root's in particular) yield no entry."""
+    conj: dict[str, LinConstraint] = {}
+    for atom, i, label in interpolant_mapping(ti):
+        canon = canonical_args(len(atom.args))
+        renamed = label.rename(dict(zip(atom.args, canon)))
+        conj[atom.pred] = conj.get(atom.pred, TRUE) & renamed
+    return InterpretationModel(
+        {pred: Polyhedron.of(c) for pred, c in conj.items()}
+    )

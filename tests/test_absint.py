@@ -2,10 +2,11 @@
 
 import pytest
 
-from hornsafe.absint import analyze, clause_post, has_false
+from hornsafe.absint import analyze, clause_post
 from hornsafe.chc_core import FALSE_PRED, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, entails
-from hornsafe.model import InterpretationModel, is_model, load_model
+from hornsafe.model import InterpretationModel, is_model
+from oracles import load_model
 from programs import (
     COUNT_UP,
     DECREMENT,
@@ -55,14 +56,14 @@ class TestAnalyze:
         prog = parse_program(text)
         m = analyze(prog)
         assert is_model(prog, m)
-        assert not has_false(m)
+        assert not m.has_false
 
     @pytest.mark.parametrize("text", UNSAFE)
     def test_unsafe_programs_flag_false(self, text):
         prog = parse_program(text)
         m = analyze(prog)
         assert is_model(prog, m)
-        assert has_false(m)
+        assert m.has_false
 
     def test_fib_tighter_than_handwritten_model(self):
         prog = parse_program(FIB)
@@ -85,7 +86,7 @@ class TestAnalyze:
         # band [1,2] looks reachable and false gets an entry
         prog = parse_program(SPLIT_RANGE)
         m = analyze(prog)
-        assert has_false(m)
+        assert m.has_false
         assert entails(parse_constraint("X1 >= 0, X1 =< 3"), m.entries["p"].constraint)
 
     def test_widen_delay_zero_still_model(self):

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import oracles
+from oracles import conjunctive_mapping, enumerate_terms, parse_trace
 from gen import random_automaton, random_constraint, random_program_text
 from programs import (
     COUNT_UP,
@@ -26,16 +27,14 @@ from programs import (
     UNSAFE_SIMPLE,
 )
 
-from hornsafe.absint import analyze, has_false
+from hornsafe.absint import analyze
 from hornsafe.chc_core import FALSE_PRED, parse_program
 from hornsafe.cli import main as cli_main
 from hornsafe.derivations import and_tree, feasible, formula
 from hornsafe.driver import verify
 from hornsafe.fta import (
-    TraceTerm,
     determinise,
     difference,
-    enumerate_terms,
     find_accepted,
     model_fta,
     singleton_fta,
@@ -47,13 +46,12 @@ from hornsafe.refinement import erase_trace, generate_clauses
 from hornsafe.tree_interpolation import (
     ERROR_STATE,
     check_tree_interpolant,
-    conjunctive_mapping,
     interpolant_automaton,
     tree_interpolant,
 )
 from test_tree_interpolation import handwritten_fib_labels
 
-T = TraceTerm.parse
+T = parse_trace
 FIB_TRACE = T("c3(c2(c1,c1))")
 FIB_CHC = Path(__file__).resolve().parents[1] / "corpus" / "fib.chc"
 
@@ -88,7 +86,7 @@ def first_refuted(text: str):
     None when the pipeline decides without ever refuting one."""
     prog = parse_program(text)
     model = analyze(prog)
-    if not has_false(model):
+    if not model.has_false:
         return None
     trace = find_accepted(model_fta(prog, model))
     if trace is None or feasible(prog, trace) is not None:
@@ -103,7 +101,7 @@ def refinement_steps(text: str, engine: str, limit: int):
     steps = []
     for _ in range(limit):
         model = analyze(current)
-        if not has_false(model):
+        if not model.has_false:
             break
         mfta = model_fta(current, model)
         trace = find_accepted(mfta)
@@ -155,7 +153,7 @@ def test_criterion_01_fib_safe_without_refinement():
         assert cli_main(["verify", str(FIB_CHC)]) == 0
     elapsed = time.perf_counter() - start
     model = analyze(prog)
-    assert not has_false(model)
+    assert not model.has_false
     assert "fib" in model.predicates()
     assert is_model(prog, model)
     assert elapsed < 5.0, f"{elapsed:.1f}s"

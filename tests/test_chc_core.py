@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 
 from hornsafe.chc_core import (
@@ -8,6 +9,7 @@ from hornsafe.chc_core import (
     REL_LT,
     LinConstraint,
     ParseError,
+    Program,
     ProgramError,
     Row,
     Variable,
@@ -154,6 +156,17 @@ class TestProgram:
         prog = parse_program(FIB)
         with pytest.raises(KeyError, match="no clause with id 'c9'"):
             prog.clause_by_id("c9")
+
+    def test_repeated_clause_id_rejected(self):
+        # keeping only the first of two c1 clauses would hide the
+        # derivation through X=10 and make this unsafe program look safe
+        prog = parse_program(
+            "p(X) :- X=0.\nfalse :- X>5, p(X).\np(X) :- X=10.\n"
+        )
+        first, second, third = prog.clauses
+        renamed = replace(third, cid="c1")
+        with pytest.raises(ProgramError, match="clause id 'c1' used twice"):
+            Program((first, second, renamed))
 
 
 class TestStrictToNonstrict:

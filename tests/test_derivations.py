@@ -9,17 +9,21 @@ from hornsafe.derivations import (
     AndTree,
     DerivationError,
     and_tree,
-    context_formula,
     feasible,
     formula,
+)
+from hornsafe.fta import trace_fta
+from hornsafe.lra import equivalent
+from oracles import (
+    context_formula,
+    enumerate_terms,
+    fm_satisfiable,
+    parse_trace,
     subtree_formula,
 )
-from hornsafe.fta import TraceTerm, enumerate_terms, trace_fta
-from hornsafe.lra import equivalent
-from oracles import fm_satisfiable
 from programs import FIB, UNSAFE_LOOP, UNSAFE_SIMPLE
 
-T = TraceTerm.parse
+T = parse_trace
 FIB_TRACE = T("c3(c2(c1,c1))")
 
 

@@ -8,7 +8,6 @@ import pytest
 from hornsafe.chc_core import Variable, parse_program
 from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import ENGINES, Verdict, verify
-from hornsafe.fta import TraceTerm
 from programs import (
     COUNT_UP,
     DECREMENT,
@@ -17,8 +16,9 @@ from programs import (
     UNSAFE_LOOP,
     UNSAFE_SIMPLE,
 )
+from oracles import parse_trace
 
-T = TraceTerm.parse
+T = parse_trace
 
 
 def satisfies(constraint, point) -> bool:

@@ -1,6 +1,7 @@
 """Tree automata: constructions, determinisation, difference, emptiness."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,20 +14,20 @@ from hornsafe.fta import (
     TreeAutomaton,
     determinise,
     difference,
-    enumerate_terms,
     find_accepted,
     model_fta,
     singleton_fta,
     trace_fta,
 )
-from hornsafe.model import InterpretationModel, load_model
+from hornsafe.model import InterpretationModel
 from gen import random_automaton
-from oracles import accepts, all_terms
+from oracles import accepts, all_terms, enumerate_terms, load_model, parse_trace
 from programs import COUNT_UP, FIB, FIB_MODEL, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
-T = TraceTerm.parse
+T = parse_trace
 
 CORPUS = [FIB, UNSAFE_SIMPLE, SPLIT_RANGE, COUNT_UP, UNSAFE_LOOP]
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
 class TestTraceTerm:
@@ -219,6 +220,50 @@ class TestDifference:
         )
         with pytest.raises(AutomatonError):
             difference(a, b)
+
+
+class TestDifferenceOfDeterministic:
+    """The refinement loop hands difference(a, b) to clause generation
+    as it stands: with a deterministic, the product is deterministic
+    already, and determinising it only renames each state S to {S}."""
+
+    @staticmethod
+    def check(a, b):
+        assert a.is_deterministic()
+        diff = difference(a, b)
+        assert diff.is_deterministic()
+        d = determinise(diff)
+        assert len(d.states) == len(diff.states)
+        assert len(d.transitions) == len(diff.transitions)
+        braced = {q: "{" + q + "}" for q in diff.states}
+        assert d.finals == {braced[q] for q in diff.finals}
+        assert d.transitions == {
+            (sym, tuple(braced[q] for q in args), braced[target])
+            for sym, args, target in diff.transitions
+        }
+        # clause generation numbers states in sorted order
+        assert [braced[q] for q in sorted(diff.states)] == sorted(d.states)
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS_DIR.glob("*.chc")), ids=lambda p: p.stem
+    )
+    def test_corpus_trace_automata(self, path):
+        prog = parse_program(path.read_text())
+        a = trace_fta(prog)
+        self.check(a, singleton_fta(find_accepted(a)))
+        rng = random.Random(25)
+        for _ in range(5):
+            self.check(a, random_automaton(rng, alphabet=dict(a.alphabet)))
+
+    def test_random_deterministic(self):
+        rng = random.Random(26)
+        nontrivial = 0
+        for _ in range(100):
+            a = random_automaton(rng, deterministic=True, symbols=4)
+            b = random_automaton(rng, alphabet=dict(a.alphabet))
+            self.check(a, b)
+            nontrivial += len(difference(a, b).transitions) >= 3
+        assert nontrivial >= 10
 
 
 class TestFindAccepted:

@@ -6,7 +6,8 @@ import pytest
 
 from hornsafe.chc_core import FALSE, FALSE_PRED, Variable, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, equivalent, is_sat
-from hornsafe.model import InterpretationModel, canonical_args, is_model, load_model
+from hornsafe.model import InterpretationModel, canonical_args, is_model
+from oracles import load_model
 from programs import FIB, FIB_MODEL, UNSAFE_SIMPLE
 
 

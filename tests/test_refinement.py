@@ -8,7 +8,6 @@ from hornsafe.fta import (
     TraceTerm,
     determinise,
     difference,
-    enumerate_terms,
     singleton_fta,
     trace_fta,
 )
@@ -20,9 +19,10 @@ from hornsafe.refinement import (
     origin_map,
 )
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
+from oracles import enumerate_terms, parse_trace
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
-T = TraceTerm.parse
+T = parse_trace
 
 
 def fib_minus(trace: str):

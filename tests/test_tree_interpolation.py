@@ -4,24 +4,28 @@ import pytest
 
 from hornsafe.chc_core import FALSE, FALSE_PRED, TRUE, parse_constraint, parse_program
 from hornsafe.derivations import and_tree, feasible
-from hornsafe.fta import TraceTerm, enumerate_terms, trace_fta
+from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
 from hornsafe.lra import equivalent, is_sat
 from hornsafe.tree_interpolation import (
     ERROR_STATE,
     FeasibleTreeError,
     TreeInterpolant,
-    check_soundness,
     check_tree_interpolant,
-    conjunctive_mapping,
     interpolant_automaton,
-    interpolant_mapping,
     tree_interpolant,
 )
-from oracles import accepts
+from oracles import (
+    accepts,
+    check_soundness,
+    conjunctive_mapping,
+    enumerate_terms,
+    interpolant_mapping,
+    parse_trace,
+)
 from programs import DECREMENT, FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
-T = TraceTerm.parse
+T = parse_trace
 FIB_TRACE = T("c3(c2(c1,c1))")
 
 
