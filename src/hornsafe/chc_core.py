@@ -296,12 +296,6 @@ class Program:
         except KeyError:
             raise KeyError(f"no clause with id {cid!r}") from None
 
-    def clauses_with_head(self, pred: str) -> list[Clause]:
-        return [c for c in self.clauses if c.head.pred == pred]
-
-    def integrity_clauses(self) -> list[Clause]:
-        return self.clauses_with_head(FALSE_PRED)
-
     def clause_ids(self) -> list[str]:
         return [c.cid for c in self.clauses]
 

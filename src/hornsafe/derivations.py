@@ -14,7 +14,6 @@ from typing import Iterator
 
 from hornsafe.chc_core import TRUE, Atom, LinConstraint, Program, Variable
 from hornsafe.fta import TraceTerm
-from hornsafe.lra import Witness, is_sat
 
 
 class DerivationError(Exception):
@@ -49,10 +48,6 @@ class AndTree:
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self.nodes)
-
-    def subtree_indices(self, i: int) -> range:
-        n = self.node(i)
-        return range(n.index, n.index + n.size)
 
     def pretty(self) -> str:
         depths = {0: -1}
@@ -121,8 +116,3 @@ def and_tree(program: Program, trace: TraceTerm, *, integrity_root: bool = True)
 
 def formula(tree: AndTree) -> LinConstraint:
     return TRUE.conjoin(*(n.constraint for n in tree))
-
-
-def feasible(program: Program, trace: TraceTerm) -> Witness | None:
-    """A witness for the trace's derivation, or None when infeasible."""
-    return is_sat(formula(and_tree(program, trace)))

@@ -12,6 +12,10 @@ strictly smaller, verification problem.
 Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
+
+The polyhedral operations keep a memo table while verify runs (see
+lra.solver); verify empties it on entry and on exit, and reports its
+hit and miss counts in Stats.memo.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable
 
 from hornsafe.absint import analyze
 from hornsafe.chc_core import Program, Variable
-from hornsafe.derivations import and_tree, feasible, formula
+from hornsafe.derivations import and_tree, formula
 from hornsafe.fta import (
     TraceTerm,
     difference,
@@ -31,7 +35,7 @@ from hornsafe.fta import (
     model_fta,
     singleton_fta,
 )
-from hornsafe.lra import is_sat
+from hornsafe.lra import is_sat, memo
 from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 
@@ -50,6 +54,7 @@ class Stats:
     iterations: int = 0
     times_ms: dict[str, float] = field(default_factory=dict)
     automata: list[dict[str, int]] = field(default_factory=list)
+    memo: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -57,6 +62,7 @@ class Stats:
             "iterations": self.iterations,
             "times_ms": {k: round(v, 3) for k, v in self.times_ms.items()},
             "automata": self.automata,
+            "memo": self.memo,
         }
 
 
@@ -106,10 +112,16 @@ def verify(
         if dump_sink is not None:
             dump_sink(name, text)
 
+    def check_trace(trace: TraceTerm):
+        # rahit interpolates this same tree when the trace is spurious
+        tree = and_tree(current, trace)
+        return tree, is_sat(formula(tree))
+
     programs = [program]
     current = program
-    dump("iter0.program.chc", current.pretty())
+    memo.clear()
     try:
+        dump("iter0.program.chc", current.pretty())
         for iteration in range(max_iter + 1):
             stats.iterations = iteration
             model = timed("analyze", analyze, current, widen_delay)
@@ -130,7 +142,7 @@ def verify(
                 # transitions; no candidate trace remains
                 return Verdict("safe", stats)
 
-            witness = timed("feasibility", feasible, current, trace)
+            tree, witness = timed("feasibility", check_trace, trace)
             if witness is not None:
                 original = trace
                 for generated in reversed(programs[1:]):
@@ -151,7 +163,6 @@ def verify(
                 remover = timed("remover", singleton_fta, trace)
             else:
                 def build_remover():
-                    tree = and_tree(current, trace)
                     return interpolant_automaton(
                         current, tree, tree_interpolant(tree)
                     )
@@ -174,3 +185,6 @@ def verify(
         raise AssertionError("unreachable")
     except _Timeout:
         return Verdict("unknown", stats, reason="timeout")
+    finally:
+        stats.memo = memo.counts()
+        memo.clear()

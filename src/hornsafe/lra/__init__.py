@@ -11,6 +11,7 @@ from hornsafe.lra.solver import (
     hull,
     interpolate,
     is_sat,
+    memo,
     minimise,
     project,
     widen,
@@ -26,6 +27,7 @@ __all__ = [
     "hull",
     "interpolate",
     "is_sat",
+    "memo",
     "minimise",
     "project",
     "widen",

@@ -25,10 +25,24 @@ negative combined right-hand side or a zero one that uses a strict row
 interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
 phi1-part of the cancellation equals minus the phi2-part.
+
+The four coarse polyhedral operations, project, Polyhedron.of, hull and
+widen, are pure functions of immutable arguments, and the refinement
+loop asks for the same ones again and again: every round reanalyses a
+regenerated program whose clauses carry the previous round's
+constraints unchanged.  Their results are therefore kept in one memo
+table, keyed on the arguments (project's keep as a frozenset, since
+only membership matters).  driver.verify empties it on entry and on
+exit, so no result crosses two verify calls; a caller that uses these
+operations outside verify can empty it with memo.clear().  is_sat,
+entails, minimise, interpolate and the kernel are not memoised: their
+keys are large, the entailment queries of minimise rarely repeat, and
+hashing the rows of a query costs more than the repeats would save.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -151,6 +165,52 @@ def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
     return entails(c1, c2) and entails(c2, c1)
 
 
+# Memo -----------------------------------------------------------------------
+
+
+class Memo:
+    """Results of the pure polyhedral operations, one table per
+    operation keyed on its arguments, with hit and miss counts."""
+
+    OPS = ("project", "Polyhedron.of", "hull", "widen")
+
+    def __init__(self) -> None:
+        self.tables: dict[str, dict] = {op: {} for op in self.OPS}
+        self.hits = dict.fromkeys(self.OPS, 0)
+        self.misses = dict.fromkeys(self.OPS, 0)
+
+    def cached(self, op: str):
+        """Decorator: look each argument tuple up before computing."""
+        table = self.tables[op]
+
+        def decorate(fn):
+            @functools.wraps(fn)
+            def lookup(*args):
+                out = table.get(args)
+                if out is None:
+                    self.misses[op] += 1
+                    out = table[args] = fn(*args)
+                else:
+                    self.hits[op] += 1
+                return out
+
+            return lookup
+
+        return decorate
+
+    def clear(self) -> None:
+        """Drop every result and zero the counts."""
+        for op in self.OPS:
+            self.tables[op].clear()
+            self.hits[op] = self.misses[op] = 0
+
+    def counts(self) -> dict[str, dict[str, int]]:
+        return {op: {"hits": self.hits[op], "misses": self.misses[op]} for op in self.OPS}
+
+
+memo = Memo()
+
+
 # Projection -----------------------------------------------------------------
 
 
@@ -179,8 +239,12 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     The result mentions only keep variables and is satisfiable exactly
     when the input is.
     """
-    keep_set = set(keep)
-    drop = {v for v in constraint.vars() if v not in keep_set}
+    return _project(constraint, frozenset(keep))
+
+
+@memo.cached("project")
+def _project(constraint: LinConstraint, keep: frozenset[Variable]) -> LinConstraint:
+    drop = {v for v in constraint.vars() if v not in keep}
     eqs: list[tuple[dict[Variable, Fraction], Fraction]] = []
     ineqs: list[tuple[dict[Variable, Fraction], bool, Fraction]] = []
     for row in constraint.rows:
@@ -303,6 +367,7 @@ class Polyhedron:
         return Polyhedron(TRUE)
 
     @staticmethod
+    @memo.cached("Polyhedron.of")
     def of(constraint: LinConstraint) -> "Polyhedron":
         if is_sat(constraint) is None:
             return Polyhedron.bottom()
@@ -359,6 +424,11 @@ def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
         return p1
     if p1.is_top() or p2.is_top():
         return Polyhedron.top()
+    return _lifted_hull(p1, p2)
+
+
+@memo.cached("hull")
+def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     xs = sorted(p1.vars() | p2.vars(), key=lambda v: v.name)
     used = {v.name for v in xs}
     copies = []
@@ -389,6 +459,11 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
         return p2
     if p2.empty:
         return p1
+    return _select_rows(p1, p2)
+
+
+@memo.cached("widen")
+def _select_rows(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     kept = tuple(
         row
         for row in p1.constraint.rows

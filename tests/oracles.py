@@ -8,8 +8,9 @@ if one of them is wrong.  The dense simplex reference takes only the
 relation codes from the kernel module.
 
 The last section holds test-only helpers that the verifier never runs:
-trace parsing, bounded enumeration, model loading, subtree and context
-formulas, and label mappings.  Those do call the package's solver.
+trace parsing, bounded enumeration, trace feasibility, clause selection,
+model loading, subtree and context formulas, and label mappings.  Those
+do call the package's solver.
 """
 
 from __future__ import annotations
@@ -21,19 +22,20 @@ from fractions import Fraction
 from math import gcd
 
 from hornsafe.chc_core import (
+    FALSE_PRED,
     REL_EQ,
     REL_LT,
     TRUE,
     Atom,
+    Clause,
     LinConstraint,
     Program,
     Variable,
     parse_program,
 )
-from hornsafe.derivations import AndTree
-from hornsafe.derivations import feasible as trace_feasible
+from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
-from hornsafe.lra import Polyhedron, kernel, project
+from hornsafe.lra import Polyhedron, Witness, is_sat, kernel, project
 from hornsafe.model import InterpretationModel, canonical_args
 from hornsafe.tree_interpolation import TreeInterpolant
 
@@ -420,7 +422,7 @@ def check_soundness(program: Program, automaton: TreeAutomaton, depth: int) -> b
     """Does the automaton accept only infeasible traces, up to the
     given enumeration depth?"""
     return all(
-        trace_feasible(program, t) is None
+        feasible(program, t) is None
         for t in enumerate_terms(automaton, depth)
     )
 
@@ -450,12 +452,30 @@ def load_model(text: str) -> InterpretationModel:
     return InterpretationModel(entries)
 
 
+def feasible(program: Program, trace: TraceTerm) -> Witness | None:
+    """A witness for the trace's derivation, or None when infeasible."""
+    return is_sat(formula(and_tree(program, trace)))
+
+
+def clauses_with_head(program: Program, pred: str) -> list[Clause]:
+    return [c for c in program.clauses if c.head.pred == pred]
+
+
+def integrity_clauses(program: Program) -> list[Clause]:
+    return clauses_with_head(program, FALSE_PRED)
+
+
+def subtree_indices(tree: AndTree, i: int) -> range:
+    n = tree.node(i)
+    return range(n.index, n.index + n.size)
+
+
 def subtree_formula(tree: AndTree, i: int) -> LinConstraint:
-    return TRUE.conjoin(*(tree.node(j).constraint for j in tree.subtree_indices(i)))
+    return TRUE.conjoin(*(tree.node(j).constraint for j in subtree_indices(tree, i)))
 
 
 def context_formula(tree: AndTree, i: int) -> LinConstraint:
-    inside = set(tree.subtree_indices(i))
+    inside = set(subtree_indices(tree, i))
     return TRUE.conjoin(
         *(n.constraint for n in tree if n.index not in inside)
     )

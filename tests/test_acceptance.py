@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import oracles
-from oracles import conjunctive_mapping, enumerate_terms, parse_trace
+from oracles import conjunctive_mapping, enumerate_terms, feasible, parse_trace
 from gen import random_automaton, random_constraint, random_program_text
 from programs import (
     COUNT_UP,
@@ -30,7 +30,7 @@ from programs import (
 from hornsafe.absint import analyze
 from hornsafe.chc_core import FALSE_PRED, parse_program
 from hornsafe.cli import main as cli_main
-from hornsafe.derivations import and_tree, feasible, formula
+from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import verify
 from hornsafe.fta import (
     determinise,

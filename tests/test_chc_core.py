@@ -17,6 +17,7 @@ from hornsafe.chc_core import (
     parse_program,
     strict_to_nonstrict,
 )
+from oracles import integrity_clauses
 
 FIB = """\
 % Fibonacci with an unreachable error state.
@@ -68,7 +69,7 @@ class TestParser:
 
     def test_integrity_clause(self):
         prog = parse_program(FIB)
-        (ic,) = prog.integrity_clauses()
+        (ic,) = integrity_clauses(prog)
         assert ic.cid == "c3"
         assert ic.head.is_false
 

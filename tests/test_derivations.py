@@ -9,7 +9,6 @@ from hornsafe.derivations import (
     AndTree,
     DerivationError,
     and_tree,
-    feasible,
     formula,
 )
 from hornsafe.fta import trace_fta
@@ -17,9 +16,11 @@ from hornsafe.lra import equivalent
 from oracles import (
     context_formula,
     enumerate_terms,
+    feasible,
     fm_satisfiable,
     parse_trace,
     subtree_formula,
+    subtree_indices,
 )
 from programs import FIB, UNSAFE_LOOP, UNSAFE_SIMPLE
 
@@ -43,12 +44,12 @@ class TestAndTree:
 
     def test_subtree_ranges_contiguous(self):
         tree = fib_tree()
-        assert list(tree.subtree_indices(2)) == [2, 3, 4]
+        assert list(subtree_indices(tree, 2)) == [2, 3, 4]
         for node in tree:
             covered = {node.index}
             for c in node.children:
-                covered |= set(tree.subtree_indices(c))
-            assert covered == set(tree.subtree_indices(node.index))
+                covered |= set(subtree_indices(tree, c))
+            assert covered == set(subtree_indices(tree, node.index))
 
     def test_head_tuple_identified_with_parent_occurrence(self):
         tree = fib_tree()

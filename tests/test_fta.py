@@ -7,7 +7,6 @@ import pytest
 
 from hornsafe.absint import analyze
 from hornsafe.chc_core import FALSE_PRED, parse_program
-from hornsafe.derivations import feasible
 from hornsafe.fta import (
     AutomatonError,
     TraceTerm,
@@ -21,7 +20,7 @@ from hornsafe.fta import (
 )
 from hornsafe.model import InterpretationModel
 from gen import random_automaton
-from oracles import accepts, all_terms, enumerate_terms, load_model, parse_trace
+from oracles import accepts, all_terms, enumerate_terms, feasible, load_model, parse_trace
 from programs import COUNT_UP, FIB, FIB_MODEL, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 T = parse_trace

@@ -3,7 +3,7 @@
 import pytest
 
 from hornsafe.chc_core import FALSE, FALSE_PRED, TRUE, parse_constraint, parse_program
-from hornsafe.derivations import and_tree, feasible
+from hornsafe.derivations import and_tree
 from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
 from hornsafe.lra import equivalent, is_sat
@@ -20,6 +20,7 @@ from oracles import (
     check_soundness,
     conjunctive_mapping,
     enumerate_terms,
+    feasible,
     interpolant_mapping,
     parse_trace,
 )
