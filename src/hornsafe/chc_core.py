@@ -116,12 +116,6 @@ class Row:
             rhs = -rhs
         return Row(terms, rel, rhs)
 
-    def coeff(self, var: Variable) -> Fraction:
-        for v, c in self.terms:
-            if v == var:
-                return c
-        return Fraction(0)
-
     def coeffs(self) -> dict[Variable, Fraction]:
         return dict(self.terms)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 
@@ -16,10 +18,34 @@ EXIT_INPUT_ERROR = 3
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors, which collides with the
     # "unknown" verdict; route everything wrong about the invocation
-    # or the input to 3 instead
+    # or the input to 3 instead, with a one-line message (-h shows the
+    # usage)
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        )
+    return value
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:  # NaN too, which would never time out
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}"
+        )
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="counterexample remover: interpolant automaton (rahit) or "
         "single trace (rahft)",
     )
-    pv.add_argument("--max-iter", type=int, default=20, metavar="N")
-    pv.add_argument("--timeout", type=float, default=300.0, metavar="SECS")
-    pv.add_argument("--widen-delay", type=int, default=3, metavar="K")
+    pv.add_argument("--max-iter", type=_count, default=20, metavar="N")
+    pv.add_argument("--timeout", type=_seconds, default=300.0, metavar="SECS")
+    pv.add_argument("--widen-delay", type=_count, default=3, metavar="K")
     pv.add_argument(
         "--strict-to-nonstrict",
         action="store_true",
@@ -108,9 +134,22 @@ def main(argv=None) -> int:
     if args.strict_to_nonstrict:
         program = strict_to_nonstrict(program)
 
+    # both outputs are opened before verify runs, so a bad path is an
+    # input error rather than a failure after the verdict
+    try:
+        if args.dump_dir:
+            os.makedirs(args.dump_dir, exist_ok=True)
+        stats_out = (
+            open(args.stats_json, "w", encoding="utf-8")
+            if args.stats_json
+            else contextlib.nullcontext()
+        )
+    except OSError as exc:
+        print(f"hornsafe: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
     dump_sink = None
     if args.dump_dir:
-        os.makedirs(args.dump_dir, exist_ok=True)
 
         def dump_sink(name: str, content: str):
             with open(
@@ -118,19 +157,19 @@ def main(argv=None) -> int:
             ) as handle:
                 handle.write(content)
 
-    verdict = verify(
-        program,
-        engine=args.engine,
-        max_iter=args.max_iter,
-        widen_delay=args.widen_delay,
-        timeout=args.timeout,
-        dump_sink=dump_sink,
-    )
-    print(_report(verdict))
-    if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as handle:
-            json.dump(_stats_payload(verdict), handle, indent=2)
-            handle.write("\n")
+    with stats_out:
+        verdict = verify(
+            program,
+            engine=args.engine,
+            max_iter=args.max_iter,
+            widen_delay=args.widen_delay,
+            timeout=args.timeout,
+            dump_sink=dump_sink,
+        )
+        print(_report(verdict))
+        if args.stats_json:
+            json.dump(_stats_payload(verdict), stats_out, indent=2)
+            stats_out.write("\n")
     return verdict.exit_code
 
 

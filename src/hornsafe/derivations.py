@@ -49,18 +49,8 @@ class AndTree:
     def __iter__(self) -> Iterator[Node]:
         return iter(self.nodes)
 
-    def pretty(self) -> str:
-        depths = {0: -1}
-        lines = []
-        for node in self.nodes:
-            depths[node.index] = depths[node.parent] + 1
-            indent = "  " * depths[node.index]
-            body = node.constraint.pretty() or "true"
-            lines.append(f"{indent}{node.index}. {node.atom} [{node.cid}] {body}")
-        return "\n".join(lines) + "\n"
 
-
-def and_tree(program: Program, trace: TraceTerm, *, integrity_root: bool = True) -> AndTree:
+def and_tree(program: Program, trace: TraceTerm) -> AndTree:
     """Build the derivation tree for a trace.
 
     Clause variables get a per-node suffix _n<i>, then the head tuple is
@@ -80,7 +70,7 @@ def and_tree(program: Program, trace: TraceTerm, *, integrity_root: bool = True)
                 f"{term.sym} has {len(term.children)} subterms, clause body has {len(clause.body)} atoms"
             )
         if inherited is None:
-            if integrity_root and not clause.head.is_false:
+            if not clause.head.is_false:
                 raise DerivationError("trace root must be an integrity clause")
             inherited = clause.head
         elif clause.head.pred != inherited.pred:

@@ -13,8 +13,8 @@ Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
-The polyhedral operations keep a memo table while verify runs (see
-lra.solver); verify empties it on entry and on exit, and reports its
+verify opens a Memo of the polyhedral operations (see lra.solver) for
+exactly its own call, so no result crosses two calls, and reports its
 hit and miss counts in Stats.memo.
 """
 
@@ -35,7 +35,7 @@ from hornsafe.fta import (
     model_fta,
     singleton_fta,
 )
-from hornsafe.lra import is_sat, memo
+from hornsafe.lra import Memo, is_sat
 from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 
@@ -119,72 +119,71 @@ def verify(
 
     programs = [program]
     current = program
-    memo.clear()
-    try:
-        dump("iter0.program.chc", current.pretty())
-        for iteration in range(max_iter + 1):
-            stats.iterations = iteration
-            model = timed("analyze", analyze, current, widen_delay)
-            dump(f"iter{iteration}.model.txt", model.pretty(current.arities))
-            if not model.has_false:
-                return Verdict("safe", stats)
+    with Memo() as memo:
+        try:
+            dump("iter0.program.chc", current.pretty())
+            for iteration in range(max_iter + 1):
+                stats.iterations = iteration
+                model = timed("analyze", analyze, current, widen_delay)
+                dump(f"iter{iteration}.model.txt", model.pretty(current.arities))
+                if not model.has_false:
+                    return Verdict("safe", stats)
 
-            mfta = timed("model_fta", model_fta, current, model)
-            dump(f"iter{iteration}.model_fta.txt", mfta.dump())
-            sizes = {
-                "model_states": len(mfta.states),
-                "model_transitions": len(mfta.transitions),
-            }
-            stats.automata.append(sizes)
-            trace = timed("counterexample", find_accepted, mfta)
-            if trace is None:
-                # abstraction kept false reachable only through pruned
-                # transitions; no candidate trace remains
-                return Verdict("safe", stats)
+                mfta = timed("model_fta", model_fta, current, model)
+                dump(f"iter{iteration}.model_fta.txt", mfta.dump())
+                sizes = {
+                    "model_states": len(mfta.states),
+                    "model_transitions": len(mfta.transitions),
+                }
+                stats.automata.append(sizes)
+                trace = timed("counterexample", find_accepted, mfta)
+                if trace is None:
+                    # abstraction kept false reachable only through pruned
+                    # transitions; no candidate trace remains
+                    return Verdict("safe", stats)
 
-            tree, witness = timed("feasibility", check_trace, trace)
-            if witness is not None:
-                original = trace
-                for generated in reversed(programs[1:]):
-                    original = erase_trace(generated, original)
-                conj = formula(and_tree(program, original))
-                replay = is_sat(conj)
-                if replay is None:
-                    return Verdict(
-                        "unknown", stats, reason="internal", trace=original
-                    )
-                point = replay.concretise(conj)
-                return Verdict("unsafe", stats, trace=original, witness=point)
+                tree, witness = timed("feasibility", check_trace, trace)
+                if witness is not None:
+                    original = trace
+                    for generated in reversed(programs[1:]):
+                        original = erase_trace(generated, original)
+                    conj = formula(and_tree(program, original))
+                    replay = is_sat(conj)
+                    if replay is None:
+                        return Verdict(
+                            "unknown", stats, reason="internal", trace=original
+                        )
+                    point = replay.concretise(conj)
+                    return Verdict("unsafe", stats, trace=original, witness=point)
 
-            if iteration == max_iter:
-                return Verdict("unknown", stats, reason="iteration-limit")
+                if iteration == max_iter:
+                    return Verdict("unknown", stats, reason="iteration-limit")
 
-            if engine == "rahft":
-                remover = timed("remover", singleton_fta, trace)
-            else:
-                def build_remover():
-                    return interpolant_automaton(
-                        current, tree, tree_interpolant(tree)
-                    )
+                if engine == "rahft":
+                    remover = timed("remover", singleton_fta, trace)
+                else:
+                    def build_remover():
+                        return interpolant_automaton(
+                            current, tree, tree_interpolant(tree)
+                        )
 
-                remover = timed("remover", build_remover)
-            dump(f"iter{iteration}.remover.txt", remover.dump())
-            sizes["remover_states"] = len(remover.states)
-            sizes["remover_transitions"] = len(remover.transitions)
+                    remover = timed("remover", build_remover)
+                dump(f"iter{iteration}.remover.txt", remover.dump())
+                sizes["remover_states"] = len(remover.states)
+                sizes["remover_transitions"] = len(remover.transitions)
 
-            # the model automaton has one transition per clause id, so
-            # it and its product with the determinised remover are
-            # deterministic, as clause generation needs
-            kept = timed("difference", difference, mfta, remover)
-            sizes["difference_states"] = len(kept.states)
-            sizes["difference_transitions"] = len(kept.transitions)
-            current = timed("clausegen", generate_clauses, current, kept)
-            programs.append(current)
-            dump(f"iter{iteration + 1}.program.chc", current.pretty())
-            dump(f"iter{iteration + 1}.idmap.txt", origin_lines(current))
-        raise AssertionError("unreachable")
-    except _Timeout:
-        return Verdict("unknown", stats, reason="timeout")
-    finally:
-        stats.memo = memo.counts()
-        memo.clear()
+                # the model automaton has one transition per clause id,
+                # so its product with the remover's subset construction
+                # is deterministic, as clause generation needs
+                kept = timed("difference", difference, mfta, remover)
+                sizes["difference_states"] = len(kept.states)
+                sizes["difference_transitions"] = len(kept.transitions)
+                current = timed("clausegen", generate_clauses, current, kept)
+                programs.append(current)
+                dump(f"iter{iteration + 1}.program.chc", current.pretty())
+                dump(f"iter{iteration + 1}.idmap.txt", origin_lines(current))
+            raise AssertionError("unreachable")
+        except _Timeout:
+            return Verdict("unknown", stats, reason="timeout")
+        finally:
+            stats.memo = memo.counts()

@@ -5,8 +5,8 @@ arity is the clause's body length, and a trace rooted at an integrity
 clause describes one candidate derivation of false.  The automata here
 recognise trace sets and support the operations the refinement loop
 needs: construction from a program, a single trace, or an
-interpretation; determinisation; language difference; and emptiness
-with a witness.
+interpretation; language difference, which determinises the remover
+only as far as the product reaches; and emptiness with a witness.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from hornsafe.chc_core import FALSE_PRED, Program
 from hornsafe.lra import is_sat
@@ -31,10 +31,6 @@ class TraceTerm:
 
     sym: str
     children: tuple["TraceTerm", ...] = ()
-
-    @property
-    def depth(self) -> int:
-        return 1 + max((c.depth for c in self.children), default=0)
 
     def pretty(self) -> str:
         if not self.children:
@@ -135,99 +131,67 @@ def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     return TreeAutomaton(base.states, base.finals, base.alphabet, frozenset(kept))
 
 
-def _set_state(members: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(set(members))) + "}"
-
-
-_EMPTY_SET_STATE = "{}"
-
-
-def determinise(a: TreeAutomaton) -> TreeAutomaton:
-    """Reachable subset construction.  The result is bottom-up
-    deterministic and language-equal; only nonempty, reachable member
-    sets become states, so completion is left to the caller."""
-    by_sym: dict[str, list[tuple[tuple[str, ...], str]]] = {s: [] for s in a.alphabet}
-    for sym, args, target in a.transitions:
-        by_sym[sym].append((args, target))
-
-    discovered: dict[frozenset[str], str] = {}
-    transitions: set[Transition] = set()
-    changed = True
-    while changed:
-        changed = False
-        for sym, arity in a.alphabet.items():
-            for combo in itertools.product(list(discovered), repeat=arity):
-                members = frozenset(
-                    target
-                    for args, target in by_sym[sym]
-                    if all(q in s for q, s in zip(args, combo))
-                )
-                if not members:
-                    continue
-                if members not in discovered:
-                    discovered[members] = _set_state(members)
-                    changed = True
-                tr = (sym, tuple(discovered[s] for s in combo), discovered[members])
-                if tr not in transitions:
-                    transitions.add(tr)
-                    changed = True
-    states = frozenset(discovered.values())
-    finals = frozenset(
-        name for members, name in discovered.items() if members & a.finals
-    )
-    return TreeAutomaton(states, finals, dict(a.alphabet), transitions)
+def _set_state(members: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(members)) + "}"
 
 
 def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     """Recognises L(a) minus L(b): the product of a with the completed
-    determinisation of b, accepting where a accepts and b does not.
-    Every state is reachable, and the result is deterministic when a
-    is."""
+    subset construction of b, accepting where a accepts and b does not.
+
+    Each b-side subset is computed from b's transitions when the
+    product first reaches it, so only the subsets the product uses are
+    built; the empty subset is the sink that completes b.  A product
+    state is named (qa,{q1,...,qn}) after the a-state and the sorted
+    b-subset.  Every state is reachable, and the result is
+    deterministic when a is."""
     for sym, arity in b.alphabet.items():
         if sym in a.alphabet and a.alphabet[sym] != arity:
             raise AutomatonError(f"alphabets disagree on {sym!r}")
-    db = determinise(b)
-    db_target: dict[tuple[str, tuple[str, ...]], str] = {}
-    for sym, args, target in db.transitions:
-        db_target[(sym, args)] = target
-
-    by_sym: dict[str, list[tuple[tuple[str, ...], str]]] = {s: [] for s in a.alphabet}
+    a_moves: dict[str, list[tuple[tuple[str, ...], str]]] = {}
     for sym, args, target in a.transitions:
-        by_sym[sym].append((args, target))
+        a_moves.setdefault(sym, []).append((args, target))
+    b_moves: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+    for sym, args, target in b.transitions:
+        b_moves.setdefault(sym, []).append((args, target))
 
-    def pname(qa: str, qb: str) -> str:
-        return f"({qa},{qb})"
-
-    discovered: set[tuple[str, str]] = set()
+    # the b-subsets paired with each a-state so far, and product names
+    sides: dict[str, set[frozenset[str]]] = {}
+    names: dict[tuple[str, frozenset[str]], str] = {}
     transitions: set[Transition] = set()
     changed = True
     while changed:
+        # a round that pairs no new subset has made every transition
         changed = False
-        for sym, arity in a.alphabet.items():
-            for args, target in by_sym[sym]:
-                bsides = [
-                    [qb for (qa, qb) in discovered if qa == q] for q in args
-                ]
-                for combo in itertools.product(*bsides):
-                    # the sink absorbs every tuple with no b-side move
-                    bt = db_target.get((sym, combo), _EMPTY_SET_STATE)
-                    pair = (target, bt)
-                    tr = (
-                        sym,
-                        tuple(pname(q, qb) for q, qb in zip(args, combo)),
-                        pname(*pair),
+        for sym, moves in a_moves.items():
+            b_sym = b_moves.get(sym, ())
+            for args, target in moves:
+                for combo in itertools.product(*(sides.get(q, ()) for q in args)):
+                    members = frozenset(
+                        t
+                        for b_args, t in b_sym
+                        if all(q in s for q, s in zip(b_args, combo))
                     )
-                    if pair not in discovered:
-                        discovered.add(pair)
+                    pair = (target, members)
+                    if pair not in names:
+                        names[pair] = f"({target},{_set_state(members)})"
+                        sides.setdefault(target, set()).add(members)
                         changed = True
-                    if tr not in transitions:
-                        transitions.add(tr)
-                        changed = True
-    states = frozenset(pname(*p) for p in discovered)
+                    transitions.add(
+                        (
+                            sym,
+                            tuple(names[q, s] for q, s in zip(args, combo)),
+                            names[pair],
+                        )
+                    )
     finals = frozenset(
-        pname(qa, qb) for qa, qb in discovered if qa in a.finals and qb not in db.finals
+        name
+        for (qa, members), name in names.items()
+        if qa in a.finals and not members & b.finals
     )
-    return TreeAutomaton(states, finals, dict(a.alphabet), transitions)
+    return TreeAutomaton(
+        frozenset(names.values()), finals, dict(a.alphabet), transitions
+    )
 
 
 def _id_index(sym: str) -> tuple[int, str]:

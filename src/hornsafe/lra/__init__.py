@@ -4,6 +4,7 @@ convex hulls, widening, and Craig interpolation."""
 from hornsafe.lra.solver import (
     DeltaRational,
     JointlySatisfiableError,
+    Memo,
     Polyhedron,
     Witness,
     entails,
@@ -11,7 +12,6 @@ from hornsafe.lra.solver import (
     hull,
     interpolate,
     is_sat,
-    memo,
     minimise,
     project,
     widen,
@@ -20,6 +20,7 @@ from hornsafe.lra.solver import (
 __all__ = [
     "DeltaRational",
     "JointlySatisfiableError",
+    "Memo",
     "Polyhedron",
     "Witness",
     "entails",
@@ -27,7 +28,6 @@ __all__ = [
     "hull",
     "interpolate",
     "is_sat",
-    "memo",
     "minimise",
     "project",
     "widen",

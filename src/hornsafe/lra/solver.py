@@ -26,23 +26,24 @@ interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
 phi1-part of the cancellation equals minus the phi2-part.
 
-The four coarse polyhedral operations, project, Polyhedron.of, hull and
-widen, are pure functions of immutable arguments, and the refinement
+The three coarse polyhedral operations, project, Polyhedron.of and
+hull, are pure functions of immutable arguments, and the refinement
 loop asks for the same ones again and again: every round reanalyses a
 regenerated program whose clauses carry the previous round's
-constraints unchanged.  Their results are therefore kept in one memo
-table, keyed on the arguments (project's keep as a frozenset, since
-only membership matters).  driver.verify empties it on entry and on
-exit, so no result crosses two verify calls; a caller that uses these
-operations outside verify can empty it with memo.clear().  is_sat,
-entails, minimise, interpolate and the kernel are not memoised: their
-keys are large, the entailment queries of minimise rarely repeat, and
-hashing the rows of a query costs more than the repeats would save.
+constraints unchanged.  While a Memo is current (driver.verify opens
+one for exactly its own call) their results are kept in it, one table
+per operation keyed on the arguments (project's keep as a frozenset,
+since only membership matters); outside it they compute directly and
+keep nothing.  widen, is_sat, entails, minimise, interpolate and the
+kernel are not memoised: widen's repeats are rare and cheap, the
+entailment queries of minimise rarely repeat, and hashing the rows of
+a query costs more than the repeats would save.
 """
 
 from __future__ import annotations
 
 import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -170,45 +171,52 @@ def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
 
 class Memo:
     """Results of the pure polyhedral operations, one table per
-    operation keyed on its arguments, with hit and miss counts."""
+    operation keyed on its arguments, with hit and miss counts.  The
+    operations consult it only while it is entered (with Memo() as m)."""
 
-    OPS = ("project", "Polyhedron.of", "hull", "widen")
+    OPS = ("project", "Polyhedron.of", "hull")
 
     def __init__(self) -> None:
         self.tables: dict[str, dict] = {op: {} for op in self.OPS}
         self.hits = dict.fromkeys(self.OPS, 0)
         self.misses = dict.fromkeys(self.OPS, 0)
 
-    def cached(self, op: str):
-        """Decorator: look each argument tuple up before computing."""
-        table = self.tables[op]
+    def __enter__(self) -> "Memo":
+        self._token = _current_memo.set(self)
+        return self
 
-        def decorate(fn):
-            @functools.wraps(fn)
-            def lookup(*args):
-                out = table.get(args)
-                if out is None:
-                    self.misses[op] += 1
-                    out = table[args] = fn(*args)
-                else:
-                    self.hits[op] += 1
-                return out
-
-            return lookup
-
-        return decorate
-
-    def clear(self) -> None:
-        """Drop every result and zero the counts."""
-        for op in self.OPS:
-            self.tables[op].clear()
-            self.hits[op] = self.misses[op] = 0
+    def __exit__(self, *exc) -> None:
+        _current_memo.reset(self._token)
 
     def counts(self) -> dict[str, dict[str, int]]:
         return {op: {"hits": self.hits[op], "misses": self.misses[op]} for op in self.OPS}
 
 
-memo = Memo()
+_current_memo: ContextVar[Memo | None] = ContextVar("hornsafe_memo", default=None)
+
+
+def _memoised(op: str):
+    """Decorator: look each argument tuple up in the current memo, if
+    there is one, before computing."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def lookup(*args):
+            memo = _current_memo.get()
+            if memo is None:
+                return fn(*args)
+            table = memo.tables[op]
+            out = table.get(args)
+            if out is None:
+                memo.misses[op] += 1
+                out = table[args] = fn(*args)
+            else:
+                memo.hits[op] += 1
+            return out
+
+        return lookup
+
+    return decorate
 
 
 # Projection -----------------------------------------------------------------
@@ -242,7 +250,7 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     return _project(constraint, frozenset(keep))
 
 
-@memo.cached("project")
+@_memoised("project")
 def _project(constraint: LinConstraint, keep: frozenset[Variable]) -> LinConstraint:
     drop = {v for v in constraint.vars() if v not in keep}
     eqs: list[tuple[dict[Variable, Fraction], Fraction]] = []
@@ -367,7 +375,7 @@ class Polyhedron:
         return Polyhedron(TRUE)
 
     @staticmethod
-    @memo.cached("Polyhedron.of")
+    @_memoised("Polyhedron.of")
     def of(constraint: LinConstraint) -> "Polyhedron":
         if is_sat(constraint) is None:
             return Polyhedron.bottom()
@@ -427,7 +435,7 @@ def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     return _lifted_hull(p1, p2)
 
 
-@memo.cached("hull")
+@_memoised("hull")
 def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     xs = sorted(p1.vars() | p2.vars(), key=lambda v: v.name)
     used = {v.name for v in xs}
@@ -459,11 +467,6 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
         return p2
     if p2.empty:
         return p1
-    return _select_rows(p1, p2)
-
-
-@memo.cached("widen")
-def _select_rows(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     kept = tuple(
         row
         for row in p1.constraint.rows

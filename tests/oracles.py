@@ -364,10 +364,113 @@ def all_terms(alphabet, maxdepth: int) -> set[TraceTerm]:
     return prev
 
 
+# Reference subset construction: the whole determinisation of the
+# remover first, then its completed product with the other automaton.
+# fta.difference builds only the subsets its product reaches, and must
+# give exactly the automaton this reference gives.
+
+
+def _set_state(members) -> str:
+    return "{" + ",".join(sorted(set(members))) + "}"
+
+
+_EMPTY_SET_STATE = "{}"
+
+
+def determinise(a: TreeAutomaton) -> TreeAutomaton:
+    """Reachable subset construction.  The result is bottom-up
+    deterministic and language-equal; only nonempty, reachable member
+    sets become states, so completion is left to the caller."""
+    by_sym: dict[str, list[tuple[tuple[str, ...], str]]] = {s: [] for s in a.alphabet}
+    for sym, args, target in a.transitions:
+        by_sym[sym].append((args, target))
+
+    discovered: dict[frozenset[str], str] = {}
+    transitions: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for sym, arity in a.alphabet.items():
+            for combo in itertools.product(list(discovered), repeat=arity):
+                members = frozenset(
+                    target
+                    for args, target in by_sym[sym]
+                    if all(q in s for q, s in zip(args, combo))
+                )
+                if not members:
+                    continue
+                if members not in discovered:
+                    discovered[members] = _set_state(members)
+                    changed = True
+                tr = (sym, tuple(discovered[s] for s in combo), discovered[members])
+                if tr not in transitions:
+                    transitions.add(tr)
+                    changed = True
+    states = frozenset(discovered.values())
+    finals = frozenset(
+        name for members, name in discovered.items() if members & a.finals
+    )
+    return TreeAutomaton(states, finals, dict(a.alphabet), transitions)
+
+
+def difference_reference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
+    """L(a) minus L(b) as the product of a with determinise(b),
+    completed by the empty-set sink."""
+    for sym, arity in b.alphabet.items():
+        if sym in a.alphabet and a.alphabet[sym] != arity:
+            raise AutomatonError(f"alphabets disagree on {sym!r}")
+    db = determinise(b)
+    db_target: dict[tuple[str, tuple[str, ...]], str] = {}
+    for sym, args, target in db.transitions:
+        db_target[(sym, args)] = target
+
+    by_sym: dict[str, list[tuple[tuple[str, ...], str]]] = {s: [] for s in a.alphabet}
+    for sym, args, target in a.transitions:
+        by_sym[sym].append((args, target))
+
+    def pname(qa: str, qb: str) -> str:
+        return f"({qa},{qb})"
+
+    discovered: set[tuple[str, str]] = set()
+    transitions: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for sym, arity in a.alphabet.items():
+            for args, target in by_sym[sym]:
+                bsides = [
+                    [qb for (qa, qb) in discovered if qa == q] for q in args
+                ]
+                for combo in itertools.product(*bsides):
+                    # the sink absorbs every tuple with no b-side move
+                    bt = db_target.get((sym, combo), _EMPTY_SET_STATE)
+                    pair = (target, bt)
+                    tr = (
+                        sym,
+                        tuple(pname(q, qb) for q, qb in zip(args, combo)),
+                        pname(*pair),
+                    )
+                    if pair not in discovered:
+                        discovered.add(pair)
+                        changed = True
+                    if tr not in transitions:
+                        transitions.add(tr)
+                        changed = True
+    states = frozenset(pname(*p) for p in discovered)
+    finals = frozenset(
+        pname(qa, qb) for qa, qb in discovered if qa in a.finals and qb not in db.finals
+    )
+    return TreeAutomaton(states, finals, dict(a.alphabet), transitions)
+
+
 # Test-only helpers.  They run on the package's own data types and
 # solver; the verifier itself calls none of them.
 
 ENUM_DEPTH_BOUND = 6
+
+
+def term_depth(term: TraceTerm) -> int:
+    return 1 + max((term_depth(c) for c in term.children), default=0)
 
 
 def parse_trace(text: str) -> TraceTerm:
@@ -463,6 +566,19 @@ def clauses_with_head(program: Program, pred: str) -> list[Clause]:
 
 def integrity_clauses(program: Program) -> list[Clause]:
     return clauses_with_head(program, FALSE_PRED)
+
+
+def tree_pretty(tree: AndTree) -> str:
+    """One line per node, indented by depth: index, atom, clause id and
+    the node's constraint."""
+    depths = {0: -1}
+    lines = []
+    for node in tree:
+        depths[node.index] = depths[node.parent] + 1
+        indent = "  " * depths[node.index]
+        body = node.constraint.pretty() or "true"
+        lines.append(f"{indent}{node.index}. {node.atom} [{node.cid}] {body}")
+    return "\n".join(lines) + "\n"
 
 
 def subtree_indices(tree: AndTree, i: int) -> range:

@@ -193,4 +193,4 @@ class TestStrictToNonstrict:
     def test_non_strict_rows_unchanged(self):
         (le, eq) = self.rewritten("p(X,Y) :- 1/2*X =< 1, 2*X = 3*Y.")
         assert (le.rel, eq.rel) == (REL_LE, REL_EQ)
-        assert le.coeff(Variable("X")) == Fraction(1, 2)
+        assert le.coeffs()[Variable("X")] == Fraction(1, 2)

@@ -52,6 +52,51 @@ class TestExitCodes:
         assert exc.value.code == 3
 
 
+class TestBadArguments:
+    """Invalid option values and unwritable outputs are input errors:
+    exit 3 with a one-line message, before any verdict."""
+
+    @staticmethod
+    def rejected(capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        return captured.err
+
+    def test_negative_max_iter(self, chc, capsys):
+        err = self.rejected(capsys, ["verify", chc(FIB), "--max-iter", "-1"])
+        assert "--max-iter" in err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_timeout_must_be_positive(self, chc, capsys, value):
+        err = self.rejected(capsys, ["verify", chc(FIB), "--timeout", value])
+        assert "--timeout" in err
+
+    def test_negative_widen_delay(self, chc, capsys):
+        err = self.rejected(capsys, ["verify", chc(FIB), "--widen-delay", "-1"])
+        assert "--widen-delay" in err
+
+    def test_dump_dir_is_a_file(self, chc, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["verify", chc(FIB), "--dump-dir", str(taken)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hornsafe: cannot write {taken}: File exists\n"
+
+    def test_stats_json_in_missing_directory(self, chc, tmp_path, capsys):
+        path = tmp_path / "missing" / "stats.json"
+        assert main(["verify", chc(FIB), "--stats-json", str(path)]) == 3
+        captured = capsys.readouterr()
+        # refused before verify runs, so no verdict is printed
+        assert captured.out == ""
+        assert captured.err.startswith(f"hornsafe: cannot write {path}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestReport:
     def test_unsafe_report_fields(self, chc, capsys):
         main(["verify", chc(UNSAFE_LOOP)])
@@ -69,7 +114,7 @@ class TestReport:
         assert "engine: rahft" in capsys.readouterr().out
 
     def test_timeout_reason(self, chc, capsys):
-        assert main(["verify", chc(FIB), "--timeout", "0"]) == 2
+        assert main(["verify", chc(FIB), "--timeout", "1e-9"]) == 2
         assert "reason: timeout" in capsys.readouterr().out
 
 

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import hornsafe.driver as driver
 from hornsafe.absint import analyze
 from hornsafe.chc_core import FALSE_PRED, parse_program
+from hornsafe.driver import ENGINES, verify
 from hornsafe.fta import (
     AutomatonError,
     TraceTerm,
     TreeAutomaton,
-    determinise,
     difference,
     find_accepted,
     model_fta,
@@ -20,7 +21,17 @@ from hornsafe.fta import (
 )
 from hornsafe.model import InterpretationModel
 from gen import random_automaton
-from oracles import accepts, all_terms, enumerate_terms, feasible, load_model, parse_trace
+from oracles import (
+    accepts,
+    all_terms,
+    determinise,
+    difference_reference,
+    enumerate_terms,
+    feasible,
+    load_model,
+    parse_trace,
+    term_depth,
+)
 from programs import COUNT_UP, FIB, FIB_MODEL, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 T = parse_trace
@@ -34,11 +45,11 @@ class TestTraceTerm:
         t = T("c3(c2(c1,c1))")
         assert t.pretty() == "c3(c2(c1,c1))"
         assert str(t) == t.pretty()
-        assert t.depth == 3
+        assert term_depth(t) == 3
 
     def test_nullary(self):
         assert T("c1") == TraceTerm("c1")
-        assert T("c1").depth == 1
+        assert term_depth(T("c1")) == 1
 
     def test_whitespace(self):
         assert T(" c3 ( c1 ) ") == T("c3(c1)")
@@ -135,7 +146,7 @@ class TestSingletonFta:
 
     def test_language_is_singleton(self):
         t = T("c3(c2(c1,c1))")
-        assert enumerate_terms(singleton_fta(t), t.depth + 2) == {t}
+        assert enumerate_terms(singleton_fta(t), term_depth(t) + 2) == {t}
 
     def test_arity_conflict(self):
         with pytest.raises(AutomatonError):
@@ -265,6 +276,58 @@ class TestDifferenceOfDeterministic:
         assert nontrivial >= 10
 
 
+class TestDifferenceMatchesReference:
+    """difference builds only the remover subsets its product reaches;
+    the result must be exactly the product with the whole completed
+    determinisation, state for state and transition for transition."""
+
+    @staticmethod
+    def check(a, b):
+        got = difference(a, b)
+        want = difference_reference(a, b)
+        assert got.states == want.states
+        assert got.finals == want.finals
+        assert got.transitions == want.transitions
+        assert got == want
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS_DIR.glob("*.chc")), ids=lambda p: p.stem
+    )
+    def test_corpus_removers(self, monkeypatch, path, engine):
+        # every remover the refinement loop builds, against the trace
+        # automaton of the program it refines and its model automaton
+        traced = []
+        pairs = []
+        real_model_fta, real_difference = driver.model_fta, driver.difference
+
+        def recording_model_fta(program, model):
+            traced.append(trace_fta(program))
+            return real_model_fta(program, model)
+
+        def recording_difference(a, b):
+            pairs.append((traced[-1], a, b))
+            return real_difference(a, b)
+
+        monkeypatch.setattr(driver, "model_fta", recording_model_fta)
+        monkeypatch.setattr(driver, "difference", recording_difference)
+        verify(parse_program(path.read_text()), engine=engine)
+        for full, mfta, remover in pairs:
+            self.check(full, remover)
+            self.check(mfta, remover)
+
+    def test_random_nondeterministic(self):
+        rng = random.Random(27)
+        nondeterministic_removers = 0
+        for _ in range(200):
+            a = random_automaton(rng, max_states=5)
+            b = random_automaton(rng, max_states=5, alphabet=dict(a.alphabet))
+            for x, y in ((a, b), (b, a)):
+                self.check(x, y)
+                nondeterministic_removers += not y.is_deterministic()
+        assert nondeterministic_removers >= 100, nondeterministic_removers
+
+
 class TestFindAccepted:
     def test_fib_minimal_counterexample(self):
         assert find_accepted(trace_fta(parse_program(FIB))) == T("c3(c1)")
@@ -298,8 +361,8 @@ class TestFindAccepted:
                 assert enumerate_terms(a, 4) == set()
             else:
                 assert accepts(a, r)
-                assert r not in enumerate_terms(a, r.depth - 1)
-                assert r in enumerate_terms(a, r.depth)
+                assert r not in enumerate_terms(a, term_depth(r) - 1)
+                assert r in enumerate_terms(a, term_depth(r))
 
     def test_reproducible(self):
         rng = random.Random(23)

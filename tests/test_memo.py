@@ -1,5 +1,6 @@
-"""The memo table of the polyhedral operations: scoped to one verify
-call, invisible in what the verifier decides, equal to recomputation."""
+"""The memo of the polyhedral operations: current for exactly one
+verify call, invisible in what the verifier decides, equal to
+recomputation, and absent everywhere else."""
 
 import random
 import time
@@ -7,32 +8,48 @@ import time
 import pytest
 
 import hornsafe.driver as driver
-from hornsafe.chc_core import parse_program
+from hornsafe.chc_core import FALSE, parse_program
 from hornsafe.cli import _report
 from hornsafe.driver import ENGINES, verify
-from hornsafe.lra import Polyhedron, hull, kernel, memo, project, widen
+from hornsafe.lra import Memo, Polyhedron, hull, kernel, project
+from hornsafe.lra.solver import _current_memo
 from gen import random_constraint
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
 
-def entries() -> int:
-    return sum(len(table) for table in memo.tables.values())
+def current_entries() -> int | None:
+    """Entries in the current memo, or None when no memo is current."""
+    memo = _current_memo.get()
+    return None if memo is None else sum(len(t) for t in memo.tables.values())
 
 
 @pytest.fixture
 def memo_size_after_analyze(monkeypatch):
-    """Run the real analysis and record how full the table is after it,
-    so each path test also shows the table was in use."""
+    """Run the real analysis and record how full the current memo is
+    after it, so each path test also shows the memo was in use."""
     sizes = []
     real = driver.analyze
 
     def analyze(*args):
         model = real(*args)
-        sizes.append(entries())
+        sizes.append(current_entries())
         return model
 
     monkeypatch.setattr(driver, "analyze", analyze)
     return sizes
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = [0]
+    real = kernel.simplex_feasible
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "simplex_feasible", counting)
+    return calls
 
 
 class TestScope:
@@ -40,19 +57,19 @@ class TestScope:
     def test_empty_after_safe(self, engine, memo_size_after_analyze):
         assert verify(parse_program(FIB), engine=engine).status == "safe"
         assert memo_size_after_analyze[0] > 0
-        assert entries() == 0
+        assert current_entries() is None
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_after_unsafe(self, engine, memo_size_after_analyze):
         assert verify(parse_program(UNSAFE_LOOP), engine=engine).status == "unsafe"
         assert min(memo_size_after_analyze) > 0
-        assert entries() == 0
+        assert current_entries() is None
 
     def test_empty_after_iteration_limit(self, memo_size_after_analyze):
         v = verify(parse_program(UNSAFE_LOOP), max_iter=1)
         assert (v.status, v.reason) == ("unknown", "iteration-limit")
         assert min(memo_size_after_analyze) > 0
-        assert entries() == 0
+        assert current_entries() is None
 
     def test_empty_after_timeout(self, monkeypatch, memo_size_after_analyze):
         real = driver.analyze
@@ -66,7 +83,7 @@ class TestScope:
         v = verify(parse_program(UNSAFE_LOOP), timeout=0.2)
         assert (v.status, v.reason) == ("unknown", "timeout")
         assert memo_size_after_analyze[0] > 0
-        assert entries() == 0
+        assert current_entries() is None
 
     def test_empty_after_exception_in_a_phase(self, monkeypatch, memo_size_after_analyze):
         def failing_model_fta(*args):
@@ -76,14 +93,46 @@ class TestScope:
         with pytest.raises(RuntimeError, match="phase failed"):
             verify(parse_program(UNSAFE_LOOP))
         assert memo_size_after_analyze[0] > 0
-        assert entries() == 0
+        assert current_entries() is None
 
     def test_entries_made_before_verify_are_dropped(self):
-        Polyhedron.of(random_constraint(random.Random(1)))
-        assert entries() > 0
-        v = verify(parse_program(FIB))
+        # verify opens its own memo inside a caller's and restores the
+        # caller's on return, leaving it as it was
+        with Memo() as outer:
+            Polyhedron.of(random_constraint(random.Random(1)))
+            before = outer.counts()
+            v = verify(parse_program(FIB))
+            assert _current_memo.get() is outer
+        assert outer.counts() == before
+        assert sum(len(t) for t in outer.tables.values()) == 1
+        assert v.stats.memo == verify(parse_program(FIB)).stats.memo
         assert v.stats.memo["Polyhedron.of"]["misses"] > 0
-        assert entries() == 0
+        assert current_entries() is None
+
+
+def test_nothing_kept_outside_verify(kernel_calls):
+    rng = random.Random(3)
+    checked = dict.fromkeys(Memo.OPS, 0)
+    for _ in range(60):
+        c1 = random_constraint(rng, max_vars=4, max_rows=5)
+        c2 = random_constraint(rng, max_vars=4, max_rows=5)
+        keep = rng.sample(sorted(c1.vars(), key=str), rng.randint(0, len(c1.vars())))
+        first = project(c1, keep)
+        if first is not FALSE:
+            assert project(c1, keep) is not first
+            checked["project"] += 1
+        for op, compute in (
+            ("Polyhedron.of", lambda: Polyhedron.of(c1)),
+            ("hull", lambda: hull(Polyhedron.of(c1), Polyhedron.of(c2))),
+        ):
+            start = kernel_calls[0]
+            compute()
+            once = kernel_calls[0] - start
+            compute()
+            assert kernel_calls[0] - start == 2 * once
+            checked[op] += once > 0
+        assert current_entries() is None
+    assert min(checked.values()) >= 30, checked
 
 
 def _report_without_times(verdict) -> str:
@@ -94,65 +143,51 @@ def _report_without_times(verdict) -> str:
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("text", [SPLIT_RANGE, UNSAFE_LOOP], ids=["split_range", "unsafe_loop"])
-def test_back_to_back_calls_share_nothing(monkeypatch, engine, text):
-    calls = [0]
-    real = kernel.simplex_feasible
-
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(kernel, "simplex_feasible", counting)
+def test_back_to_back_calls_share_nothing(kernel_calls, engine, text):
     program = parse_program(text)
     first = verify(program, engine=engine)
-    first_calls = calls[0]
+    first_calls = kernel_calls[0]
     second = verify(program, engine=engine)
     assert first.stats.iterations > 0
-    assert calls[0] - first_calls == first_calls > 0
+    assert kernel_calls[0] - first_calls == first_calls > 0
     assert _report_without_times(second) == _report_without_times(first)
     assert second.stats.memo == first.stats.memo
+    assert set(first.stats.memo) == {"project", "Polyhedron.of", "hull"}
     assert sum(c["hits"] for c in first.stats.memo.values()) > 0
 
 
 def test_hits_equal_fresh_computation():
     rng = random.Random(5)
-    checked = dict.fromkeys(memo.OPS, 0)
+    checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(200):
         c1 = random_constraint(rng, max_vars=4, max_rows=5)
         c2 = random_constraint(rng, max_vars=4, max_rows=5)
         keep = rng.sample(sorted(c1.vars(), key=str), rng.randint(0, len(c1.vars())))
-        memo.clear()
         p1, p2 = Polyhedron.of(c1), Polyhedron.of(c2)
         results = {
             "project": lambda: project(c1, keep),
             "Polyhedron.of": lambda: Polyhedron.of(c1),
             "hull": lambda: hull(p1, p2),
-            "widen": lambda: widen(p1, p2),
         }
         for op, compute in results.items():
-            compute()
-            hits = memo.hits[op]
-            cached = compute()
-            if memo.hits[op] == hits:
+            with Memo() as memo:
+                compute()
+                cached = compute()
+            if memo.hits[op] == 0:
                 # an empty or whole-space argument is answered before
                 # the table is consulted
-                trivial = p1.empty or p2.empty
-                if op == "hull":
-                    trivial = trivial or p1.is_top() or p2.is_top()
-                assert trivial, op
+                assert op == "hull"
+                assert p1.empty or p2.empty or p1.is_top() or p2.is_top()
                 continue
-            memo.clear()
             assert cached == compute()
             checked[op] += 1
-    memo.clear()
     assert min(checked.values()) >= 50, checked
 
 
 def test_project_keep_is_a_set():
     c = random_constraint(random.Random(9), max_vars=4, max_rows=6)
     keep = sorted(c.vars(), key=str)[:2]
-    memo.clear()
-    first = project(c, keep)
-    assert project(c, set(reversed(keep))) is first
+    with Memo() as memo:
+        first = project(c, keep)
+        assert project(c, set(reversed(keep))) is first
     assert memo.counts()["project"] == {"hits": 1, "misses": 1}
-    memo.clear()

@@ -6,7 +6,6 @@ from hornsafe.chc_core import FALSE_PRED, parse_program
 from hornsafe.derivations import and_tree
 from hornsafe.fta import (
     TraceTerm,
-    determinise,
     difference,
     singleton_fta,
     trace_fta,
@@ -19,7 +18,7 @@ from hornsafe.refinement import (
     origin_map,
 )
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
-from oracles import enumerate_terms, feasible, parse_trace
+from oracles import determinise, enumerate_terms, feasible, parse_trace
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
 T = parse_trace
