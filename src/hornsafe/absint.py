@@ -7,21 +7,28 @@ each predicate after a configurable number of joins so ascending
 chains stop, then runs one descending pass to claw back some of the
 precision widening threw away.  The result is always a pre-fixpoint:
 every clause's abstract post is contained in its head's entry.
+
+A clause's post is the step the refinement loop repeats most, so it is
+memoised (see lra.solver) on its body constraint and head tuple.
 """
 
 from __future__ import annotations
 
-from hornsafe.chc_core import Clause, Program
-from hornsafe.lra import Polyhedron, hull, project, widen
+from hornsafe.chc_core import Clause, LinConstraint, Program, Variable
+from hornsafe.lra import Polyhedron, hull, memoised, project, widen
 from hornsafe.model import InterpretationModel, canonical_args
 
 
 def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
     """Abstract consequence of one clause: conjoin the interpreted body
     atoms with the clause constraint, project onto the head tuple, and
-    rename onto canonical arguments."""
-    conj = state.body_constraint(clause)
-    head_args = clause.head.args
+    rename onto canonical arguments.  Empty exactly when the
+    interpreted body is unsatisfiable."""
+    return _post(state.body_constraint(clause), clause.head.args)
+
+
+@memoised("clause_post")
+def _post(conj: LinConstraint, head_args: tuple[Variable, ...]) -> Polyhedron:
     poly = Polyhedron.of(project(conj, head_args))
     if poly.empty:
         return poly

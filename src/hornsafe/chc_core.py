@@ -130,26 +130,22 @@ class Row:
         return Row.make(merged, self.rel, self.rhs)
 
     def pretty(self) -> str:
-        if not self.terms:
-            lhs = "0"
-            rel = self.rel
-        else:
-            # Flip for display when the leading coefficient is negative,
-            # so rows parsed from "A >= 0" print as "A >= 0" again.
-            terms, rel, rhs = self.terms, self.rel, self.rhs
-            if terms[0][1] < 0:
-                terms = tuple((v, -c) for v, c in terms)
-                rhs = -rhs
-                rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
-            parts = [_format_coeff_var(terms[0][1], terms[0][0])]
-            for v, c in terms[1:]:
-                if c < 0:
-                    parts.append(f" - {_format_coeff_var(-c, v)}")
-                else:
-                    parts.append(f" + {_format_coeff_var(c, v)}")
-            lhs = "".join(parts)
-            return f"{lhs} {rel} {rhs}"
-        return f"{lhs} {rel} {self.rhs}"
+        terms, rel, rhs = self.terms, self.rel, self.rhs
+        if not terms:
+            return f"0 {rel} {rhs}"
+        # Flip for display when the leading coefficient is negative,
+        # so rows parsed from "A >= 0" print as "A >= 0" again.
+        if terms[0][1] < 0:
+            terms = tuple((v, -c) for v, c in terms)
+            rhs = -rhs
+            rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
+        parts = [_format_coeff_var(terms[0][1], terms[0][0])]
+        for v, c in terms[1:]:
+            if c < 0:
+                parts.append(f" - {_format_coeff_var(-c, v)}")
+            else:
+                parts.append(f" + {_format_coeff_var(c, v)}")
+        return f"{''.join(parts)} {rel} {rhs}"
 
     def __str__(self) -> str:
         return self.pretty()
@@ -224,9 +220,6 @@ class Atom:
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-FALSE_ATOM = Atom(FALSE_PRED, ())
 
 
 @dataclass(frozen=True)
@@ -400,6 +393,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Parser ---------------------------------------------------------------------
 
+# Deepest parenthesis nesting accepted; each level takes three frames
+# of the recursive descent, so this keeps far below the stack limit.
+MAX_NESTING = 100
+
 
 class _LinExpr:
     """Parse-time linear expression: coefficient map plus constant."""
@@ -431,6 +428,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # token plumbing
 
@@ -503,13 +501,7 @@ class _Parser:
         return Row.make(diff.coeffs, str(tok.value), -diff.const)
 
     def parse_expr(self) -> _LinExpr:
-        negate = False
-        if self.at_punct("-"):
-            self.next()
-            negate = True
         expr = self.parse_addend()
-        if negate:
-            expr = expr.scale(Fraction(-1))
         while self.at_punct("+") or self.at_punct("-"):
             sign = 1 if self.next().value == "+" else -1
             expr = expr.add(self.parse_addend(), sign)
@@ -528,19 +520,27 @@ class _Parser:
         return expr
 
     def parse_primary(self) -> _LinExpr:
+        # unary minus in a loop, so a long run of signs needs no stack
         tok = self.next()
+        negate = False
+        while tok.kind == "punct" and tok.value == "-":
+            negate = not negate
+            tok = self.next()
         if tok.kind == "var":
-            return _LinExpr({Variable(str(tok.value)): Fraction(1)})
-        if tok.kind == "number":
+            expr = _LinExpr({Variable(str(tok.value)): Fraction(1)})
+        elif tok.kind == "number":
             assert isinstance(tok.value, Fraction)
-            return _LinExpr(const=tok.value)
-        if tok.kind == "punct" and tok.value == "-":
-            return self.parse_primary().scale(Fraction(-1))
-        if tok.kind == "punct" and tok.value == "(":
+            expr = _LinExpr(const=tok.value)
+        elif tok.kind == "punct" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
+            self.depth += 1
             expr = self.parse_expr()
+            self.depth -= 1
             self.expect_punct(")")
-            return expr
-        raise ParseError("expected a variable, number or '('", tok.line, tok.col)
+        else:
+            raise ParseError("expected a variable, number or '('", tok.line, tok.col)
+        return expr.scale(Fraction(-1)) if negate else expr
 
 
 @dataclass

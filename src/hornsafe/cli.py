@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"hornsafe: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -13,13 +13,14 @@ Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
-verify opens a Memo of the polyhedral operations (see lra.solver) for
+verify opens a Memo of clause posts and hulls (see lra.solver) for
 exactly its own call, so no result crosses two calls, and reports its
 hit and miss counts in Stats.memo.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,16 +92,15 @@ def verify(
         raise ValueError(f"unknown engine {engine!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, not NaN")
 
     stats = Stats(engine=engine)
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def check_time():
+    def timed(phase: str, fn, *args):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
-
-    def timed(phase: str, fn, *args):
-        check_time()
         start = time.perf_counter()
         result = fn(*args)
         stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (
@@ -108,9 +108,10 @@ def verify(
         ) * 1000.0
         return result
 
-    def dump(name: str, text: str):
+    def dump(name: str, render, *args):
+        # rendering costs time, so only a set sink pays for it
         if dump_sink is not None:
-            dump_sink(name, text)
+            dump_sink(name, render(*args))
 
     def check_trace(trace: TraceTerm):
         # rahit interpolates this same tree when the trace is spurious
@@ -121,16 +122,16 @@ def verify(
     current = program
     with Memo() as memo:
         try:
-            dump("iter0.program.chc", current.pretty())
+            dump("iter0.program.chc", current.pretty)
             for iteration in range(max_iter + 1):
                 stats.iterations = iteration
                 model = timed("analyze", analyze, current, widen_delay)
-                dump(f"iter{iteration}.model.txt", model.pretty(current.arities))
+                dump(f"iter{iteration}.model.txt", model.pretty, current.arities)
                 if not model.has_false:
                     return Verdict("safe", stats)
 
                 mfta = timed("model_fta", model_fta, current, model)
-                dump(f"iter{iteration}.model_fta.txt", mfta.dump())
+                dump(f"iter{iteration}.model_fta.txt", mfta.dump)
                 sizes = {
                     "model_states": len(mfta.states),
                     "model_transitions": len(mfta.transitions),
@@ -168,7 +169,7 @@ def verify(
                         )
 
                     remover = timed("remover", build_remover)
-                dump(f"iter{iteration}.remover.txt", remover.dump())
+                dump(f"iter{iteration}.remover.txt", remover.dump)
                 sizes["remover_states"] = len(remover.states)
                 sizes["remover_transitions"] = len(remover.transitions)
 
@@ -180,8 +181,8 @@ def verify(
                 sizes["difference_transitions"] = len(kept.transitions)
                 current = timed("clausegen", generate_clauses, current, kept)
                 programs.append(current)
-                dump(f"iter{iteration + 1}.program.chc", current.pretty())
-                dump(f"iter{iteration + 1}.idmap.txt", origin_lines(current))
+                dump(f"iter{iteration + 1}.program.chc", current.pretty)
+                dump(f"iter{iteration + 1}.idmap.txt", origin_lines, current)
             raise AssertionError("unreachable")
         except _Timeout:
             return Verdict("unknown", stats, reason="timeout")

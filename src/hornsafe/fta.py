@@ -5,19 +5,22 @@ arity is the clause's body length, and a trace rooted at an integrity
 clause describes one candidate derivation of false.  The automata here
 recognise trace sets and support the operations the refinement loop
 needs: construction from a program, a single trace, or an
-interpretation; language difference, which determinises the remover
-only as far as the product reaches; and emptiness with a witness.
+interpretation (filtered by absint.clause_post, so this module makes
+no satisfiability call of its own); language difference, which
+determinises the remover only as far as the product reaches; and
+emptiness with a witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from typing import Mapping
 
+from hornsafe.absint import clause_post
 from hornsafe.chc_core import FALSE_PRED, Program
-from hornsafe.lra import is_sat
 from hornsafe.model import InterpretationModel
 
 
@@ -122,11 +125,13 @@ def singleton_fta(term: TraceTerm) -> TreeAutomaton:
 def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     """The trace automaton filtered by an interpretation: a clause's
     transition survives only if its constraint is satisfiable together
-    with the interpreted facts for its body atoms."""
+    with the interpreted facts for its body atoms, that is, if its
+    abstract post is not empty.  Inside verify that post goes through
+    the memo the analysis fills."""
     base = trace_fta(program)
     kept = set()
     for cid, args, target in base.transitions:
-        if is_sat(model.body_constraint(program.clause_by_id(cid))) is not None:
+        if not clause_post(program.clause_by_id(cid), model).empty:
             kept.add((cid, args, target))
     return TreeAutomaton(base.states, base.finals, base.alphabet, frozenset(kept))
 
@@ -155,6 +160,16 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     for sym, args, target in b.transitions:
         b_moves.setdefault(sym, []).append((args, target))
 
+    @functools.cache
+    def subset(sym: str, combo: tuple[frozenset[str], ...]) -> frozenset[str]:
+        # the b-states sym reaches from one subset per argument; the
+        # fixpoint below asks again for every combination every round
+        return frozenset(
+            t
+            for b_args, t in b_moves.get(sym, ())
+            if all(q in s for q, s in zip(b_args, combo))
+        )
+
     # the b-subsets paired with each a-state so far, and product names
     sides: dict[str, set[frozenset[str]]] = {}
     names: dict[tuple[str, frozenset[str]], str] = {}
@@ -164,14 +179,9 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
         # a round that pairs no new subset has made every transition
         changed = False
         for sym, moves in a_moves.items():
-            b_sym = b_moves.get(sym, ())
             for args, target in moves:
                 for combo in itertools.product(*(sides.get(q, ()) for q in args)):
-                    members = frozenset(
-                        t
-                        for b_args, t in b_sym
-                        if all(q in s for q, s in zip(b_args, combo))
-                    )
+                    members = subset(sym, combo)
                     pair = (target, members)
                     if pair not in names:
                         names[pair] = f"({target},{_set_state(members)})"

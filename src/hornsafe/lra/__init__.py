@@ -12,6 +12,7 @@ from hornsafe.lra.solver import (
     hull,
     interpolate,
     is_sat,
+    memoised,
     minimise,
     project,
     widen,
@@ -28,6 +29,7 @@ __all__ = [
     "hull",
     "interpolate",
     "is_sat",
+    "memoised",
     "minimise",
     "project",
     "widen",

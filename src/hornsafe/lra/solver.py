@@ -26,18 +26,17 @@ interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
 phi1-part of the cancellation equals minus the phi2-part.
 
-The three coarse polyhedral operations, project, Polyhedron.of and
-hull, are pure functions of immutable arguments, and the refinement
-loop asks for the same ones again and again: every round reanalyses a
-regenerated program whose clauses carry the previous round's
-constraints unchanged.  While a Memo is current (driver.verify opens
-one for exactly its own call) their results are kept in it, one table
-per operation keyed on the arguments (project's keep as a frozenset,
-since only membership matters); outside it they compute directly and
-keep nothing.  widen, is_sat, entails, minimise, interpolate and the
-kernel are not memoised: widen's repeats are rare and cheap, the
-entailment queries of minimise rarely repeat, and hashing the rows of
-a query costs more than the repeats would save.
+The refinement loop reanalyses a regenerated program every round, and
+its clauses carry the previous round's constraints unchanged, so two
+coarse steps repeat: a clause's abstract post (absint.clause_post,
+which fta.model_fta asks too) and hull.  While a Memo is current
+(driver.verify opens one for exactly its own call) their results are
+kept in it, one table per step keyed on its arguments; outside it they
+compute directly and keep nothing.  The parts of a post, project and
+Polyhedron.of, are not memoised on their own: the post's memo already
+answers their repeats, and inside hull they do not repeat.  Nor are
+widen, is_sat, entails, minimise, interpolate and the kernel, whose
+repeats would save less than hashing the rows of every query costs.
 """
 
 from __future__ import annotations
@@ -170,11 +169,11 @@ def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
 
 
 class Memo:
-    """Results of the pure polyhedral operations, one table per
-    operation keyed on its arguments, with hit and miss counts.  The
-    operations consult it only while it is entered (with Memo() as m)."""
+    """Results of the memoised steps, one table per step keyed on its
+    arguments, with hit and miss counts.  The steps consult it only
+    while it is entered (with Memo() as m)."""
 
-    OPS = ("project", "Polyhedron.of", "hull")
+    OPS = ("clause_post", "hull")
 
     def __init__(self) -> None:
         self.tables: dict[str, dict] = {op: {} for op in self.OPS}
@@ -195,7 +194,7 @@ class Memo:
 _current_memo: ContextVar[Memo | None] = ContextVar("hornsafe_memo", default=None)
 
 
-def _memoised(op: str):
+def memoised(op: str):
     """Decorator: look each argument tuple up in the current memo, if
     there is one, before computing."""
 
@@ -247,12 +246,7 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     The result mentions only keep variables and is satisfiable exactly
     when the input is.
     """
-    return _project(constraint, frozenset(keep))
-
-
-@_memoised("project")
-def _project(constraint: LinConstraint, keep: frozenset[Variable]) -> LinConstraint:
-    drop = {v for v in constraint.vars() if v not in keep}
+    drop = constraint.vars() - set(keep)
     eqs: list[tuple[dict[Variable, Fraction], Fraction]] = []
     ineqs: list[tuple[dict[Variable, Fraction], bool, Fraction]] = []
     for row in constraint.rows:
@@ -375,7 +369,6 @@ class Polyhedron:
         return Polyhedron(TRUE)
 
     @staticmethod
-    @_memoised("Polyhedron.of")
     def of(constraint: LinConstraint) -> "Polyhedron":
         if is_sat(constraint) is None:
             return Polyhedron.bottom()
@@ -435,7 +428,7 @@ def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     return _lifted_hull(p1, p2)
 
 
-@_memoised("hull")
+@memoised("hull")
 def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     xs = sorted(p1.vars() | p2.vars(), key=lambda v: v.name)
     used = {v.name for v in xs}

@@ -23,6 +23,7 @@ justified and fail the root condition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -151,13 +152,7 @@ def interpolant_automaton(
     finals = {_state_name(ti.atom(1).pred, rep[1])}
     base = trace_fta(program)
     transitions = set()
-    cache: dict[tuple[int, tuple[Variable, ...]], LinConstraint] = {}
-
-    def inst(i: int, args: tuple[Variable, ...]) -> LinConstraint:
-        key = (i, args)
-        if key not in cache:
-            cache[key] = ti.instantiated(i, args)
-        return cache[key]
+    inst = functools.cache(ti.instantiated)
 
     for clause in program:
         head_nodes = by_pred.get(clause.head.pred, ())

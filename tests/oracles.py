@@ -34,7 +34,7 @@ from hornsafe.chc_core import (
     parse_program,
 )
 from hornsafe.derivations import AndTree, and_tree, formula
-from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
+from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
 from hornsafe.lra import Polyhedron, Witness, is_sat, kernel, project
 from hornsafe.model import InterpretationModel, canonical_args
 from hornsafe.tree_interpolation import TreeInterpolant
@@ -411,6 +411,19 @@ def determinise(a: TreeAutomaton) -> TreeAutomaton:
         name for members, name in discovered.items() if members & a.finals
     )
     return TreeAutomaton(states, finals, dict(a.alphabet), transitions)
+
+
+def model_fta_reference(program: Program, model: InterpretationModel) -> TreeAutomaton:
+    """fta.model_fta as a direct satisfiability filter: a transition
+    survives iff its clause's interpreted body constraint is
+    satisfiable."""
+    base = trace_fta(program)
+    kept = {
+        t
+        for t in base.transitions
+        if is_sat(model.body_constraint(program.clause_by_id(t[0]))) is not None
+    }
+    return TreeAutomaton(base.states, base.finals, base.alphabet, kept)
 
 
 def difference_reference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:

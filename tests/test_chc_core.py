@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hornsafe.chc_core import (
     FALSE_PRED,
+    MAX_NESTING,
     REL_EQ,
     REL_LE,
     REL_LT,
@@ -127,6 +128,23 @@ class TestParser:
     def test_lone_colon_rejected(self):
         with pytest.raises(ParseError):
             parse_program("p(X) : X=<0.\n")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        depth = 400
+        with pytest.raises(ParseError) as exc:
+            parse_program("p(X) :- X = " + "(" * depth + "1" + ")" * depth + ".\n")
+        # the first parenthesis past the bound
+        assert (exc.value.line, exc.value.col) == (1, 13 + MAX_NESTING)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_NESTING
+        prog = parse_program("p(X) :- X = " + "(" * depth + "1" + ")" * depth + ".\n")
+        assert prog.clauses[0].constraint.pretty() == "X = 1"
+
+    def test_long_sign_run_parses(self):
+        signs = "- " * 2000
+        prog = parse_program(f"p(X) :- X = {signs}1, X >= {signs}- 3 * 2.\n")
+        assert prog.clauses[0].constraint.pretty() == "X = 1, X >= -6"
 
 
 class TestRoundTrip:

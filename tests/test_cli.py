@@ -38,6 +38,14 @@ class TestExitCodes:
         assert main(["verify", "/nonexistent/q.chc"]) == 3
         assert "cannot read" in capsys.readouterr().err
 
+    def test_undecodable_file_is_three(self, tmp_path, capsys):
+        path = tmp_path / "latin1.chc"
+        path.write_bytes(b"\xff\xfe p(X).\n")
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"hornsafe: cannot read {path}: ")
+        assert err.count("\n") == 1
+
     def test_parse_error_is_three(self, chc, capsys):
         assert main(["verify", chc("p(X :- X=1.\n")]) == 3
         # the message carries a line:column position

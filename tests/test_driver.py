@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hornsafe.chc_core import Variable, parse_program
+import hornsafe.driver as driver
+from hornsafe.chc_core import Program, Variable, parse_program
 from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import ENGINES, Verdict, verify
+from hornsafe.fta import TreeAutomaton
+from hornsafe.model import InterpretationModel
 from programs import (
     COUNT_UP,
     DECREMENT,
@@ -121,6 +124,11 @@ class TestLimits:
         with pytest.raises(ValueError):
             verify(parse_program(FIB), max_iter=-1)
 
+    def test_nan_timeout_rejected(self):
+        # NaN compares false with every deadline, so it would never fire
+        with pytest.raises(ValueError, match="NaN"):
+            verify(parse_program(FIB), timeout=float("nan"))
+
 
 class TestStats:
     def test_phases_recorded(self):
@@ -184,6 +192,31 @@ class TestDumps:
         # regenerated programs parse back
         reparsed = parse_program(sink["iter1.program.chc"])
         assert len(reparsed.clauses) >= 1
+
+    def test_no_sink_renders_nothing(self, monkeypatch):
+        rendered = []
+
+        def recording(name, real):
+            def render(*args):
+                rendered.append(name)
+                return real(*args)
+
+            return render
+
+        renderers = {
+            "Program.pretty": (Program, "pretty"),
+            "InterpretationModel.pretty": (InterpretationModel, "pretty"),
+            "TreeAutomaton.dump": (TreeAutomaton, "dump"),
+            "origin_lines": (driver, "origin_lines"),
+        }
+        for label, (owner, name) in renderers.items():
+            monkeypatch.setattr(owner, name, recording(label, getattr(owner, name)))
+        for engine in ENGINES:
+            verify(parse_program(UNSAFE_LOOP), engine=engine)
+        assert rendered == []
+        # the same run with a sink renders through all four
+        self.collect(UNSAFE_LOOP)
+        assert set(rendered) == set(renderers)
 
     def test_idmap_refers_to_previous_iteration(self):
         sink = self.collect(UNSAFE_LOOP)

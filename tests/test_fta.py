@@ -29,6 +29,7 @@ from oracles import (
     enumerate_terms,
     feasible,
     load_model,
+    model_fta_reference,
     parse_trace,
     term_depth,
 )
@@ -175,6 +176,28 @@ class TestModelFta:
         for t in enumerate_terms(trace_fta(prog), 4):
             if feasible(prog, t) is not None:
                 assert accepts(filtered, t), f"feasible trace {t} lost"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS_DIR.glob("*.chc")), ids=lambda p: p.stem
+    )
+    def test_corpus_models_match_satisfiability_filter(self, monkeypatch, path, engine):
+        # an empty clause post is exactly an unsatisfiable interpreted
+        # body, on every model the refinement loop builds, asked inside
+        # verify where the posts come from its memo
+        built = []
+        real = driver.analyze
+
+        def checking_analyze(program, widen_delay):
+            model = real(program, widen_delay)
+            built.append((model_fta(program, model), model_fta_reference(program, model)))
+            return model
+
+        monkeypatch.setattr(driver, "analyze", checking_analyze)
+        verify(parse_program(path.read_text()), engine=engine)
+        assert built
+        for got, want in built:
+            assert got == want
 
 
 class TestDeterminise:

@@ -1,6 +1,6 @@
-"""The memo of the polyhedral operations: current for exactly one
-verify call, invisible in what the verifier decides, equal to
-recomputation, and absent everywhere else."""
+"""The memo of clause posts and hulls: current for exactly one verify
+call, invisible in what the verifier decides, equal to recomputation,
+and absent everywhere else."""
 
 import random
 import time
@@ -8,12 +8,14 @@ import time
 import pytest
 
 import hornsafe.driver as driver
-from hornsafe.chc_core import FALSE, parse_program
+from hornsafe.absint import clause_post
+from hornsafe.chc_core import Atom, Clause, parse_constraint, parse_program
 from hornsafe.cli import _report
 from hornsafe.driver import ENGINES, verify
-from hornsafe.lra import Memo, Polyhedron, hull, kernel, project
+from hornsafe.lra import Memo, Polyhedron, hull, kernel
 from hornsafe.lra.solver import _current_memo
-from gen import random_constraint
+from hornsafe.model import InterpretationModel, canonical_args
+from gen import VARS, random_constraint
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
 
@@ -37,6 +39,25 @@ def memo_size_after_analyze(monkeypatch):
 
     monkeypatch.setattr(driver, "analyze", analyze)
     return sizes
+
+
+def random_steps(rng: random.Random) -> dict:
+    """One call of each memoised step on random arguments, as thunks.
+    The clause is p(head) :- c1, q(U,V) under a model giving q a random
+    polyhedron, so its post conjoins, projects and renames."""
+    c1 = random_constraint(rng, max_vars=4, max_rows=5)
+    c2 = random_constraint(rng, max_vars=2, max_rows=3)
+    u, v = VARS[:2]
+    pool = sorted(c1.vars() | {u, v}, key=str)
+    head = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    clause = Clause("c1", Atom("p", tuple(head)), c1, (Atom("q", (u, v)),))
+    q = Polyhedron.of(c2.rename(dict(zip((u, v), canonical_args(2)))))
+    state = InterpretationModel({"q": q})
+    p1, p2 = Polyhedron.of(c1), q
+    return {
+        "clause_post": lambda: clause_post(clause, state),
+        "hull": lambda: hull(p1, p2),
+    }
 
 
 @pytest.fixture
@@ -99,14 +120,17 @@ class TestScope:
         # verify opens its own memo inside a caller's and restores the
         # caller's on return, leaving it as it was
         with Memo() as outer:
-            Polyhedron.of(random_constraint(random.Random(1)))
+            hull(
+                Polyhedron.of(parse_constraint("X = 0")),
+                Polyhedron.of(parse_constraint("X = 1")),
+            )
             before = outer.counts()
             v = verify(parse_program(FIB))
             assert _current_memo.get() is outer
         assert outer.counts() == before
         assert sum(len(t) for t in outer.tables.values()) == 1
         assert v.stats.memo == verify(parse_program(FIB)).stats.memo
-        assert v.stats.memo["Polyhedron.of"]["misses"] > 0
+        assert v.stats.memo["clause_post"]["misses"] > 0
         assert current_entries() is None
 
 
@@ -114,17 +138,7 @@ def test_nothing_kept_outside_verify(kernel_calls):
     rng = random.Random(3)
     checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(60):
-        c1 = random_constraint(rng, max_vars=4, max_rows=5)
-        c2 = random_constraint(rng, max_vars=4, max_rows=5)
-        keep = rng.sample(sorted(c1.vars(), key=str), rng.randint(0, len(c1.vars())))
-        first = project(c1, keep)
-        if first is not FALSE:
-            assert project(c1, keep) is not first
-            checked["project"] += 1
-        for op, compute in (
-            ("Polyhedron.of", lambda: Polyhedron.of(c1)),
-            ("hull", lambda: hull(Polyhedron.of(c1), Polyhedron.of(c2))),
-        ):
+        for op, compute in random_steps(rng).items():
             start = kernel_calls[0]
             compute()
             once = kernel_calls[0] - start
@@ -152,7 +166,7 @@ def test_back_to_back_calls_share_nothing(kernel_calls, engine, text):
     assert kernel_calls[0] - first_calls == first_calls > 0
     assert _report_without_times(second) == _report_without_times(first)
     assert second.stats.memo == first.stats.memo
-    assert set(first.stats.memo) == {"project", "Polyhedron.of", "hull"}
+    assert set(first.stats.memo) == {"clause_post", "hull"}
     assert sum(c["hits"] for c in first.stats.memo.values()) > 0
 
 
@@ -160,16 +174,7 @@ def test_hits_equal_fresh_computation():
     rng = random.Random(5)
     checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(200):
-        c1 = random_constraint(rng, max_vars=4, max_rows=5)
-        c2 = random_constraint(rng, max_vars=4, max_rows=5)
-        keep = rng.sample(sorted(c1.vars(), key=str), rng.randint(0, len(c1.vars())))
-        p1, p2 = Polyhedron.of(c1), Polyhedron.of(c2)
-        results = {
-            "project": lambda: project(c1, keep),
-            "Polyhedron.of": lambda: Polyhedron.of(c1),
-            "hull": lambda: hull(p1, p2),
-        }
-        for op, compute in results.items():
+        for op, compute in random_steps(rng).items():
             with Memo() as memo:
                 compute()
                 cached = compute()
@@ -177,17 +182,8 @@ def test_hits_equal_fresh_computation():
                 # an empty or whole-space argument is answered before
                 # the table is consulted
                 assert op == "hull"
-                assert p1.empty or p2.empty or p1.is_top() or p2.is_top()
                 continue
+            assert memo.counts()[op] == {"hits": 1, "misses": 1}
             assert cached == compute()
             checked[op] += 1
     assert min(checked.values()) >= 50, checked
-
-
-def test_project_keep_is_a_set():
-    c = random_constraint(random.Random(9), max_vars=4, max_rows=6)
-    keep = sorted(c.vars(), key=str)[:2]
-    with Memo() as memo:
-        first = project(c, keep)
-        assert project(c, set(reversed(keep))) is first
-    assert memo.counts()["project"] == {"hits": 1, "misses": 1}
