@@ -130,22 +130,26 @@ class Row:
         return Row.make(merged, self.rel, self.rhs)
 
     def pretty(self) -> str:
-        terms, rel, rhs = self.terms, self.rel, self.rhs
-        if not terms:
-            return f"0 {rel} {rhs}"
-        # Flip for display when the leading coefficient is negative,
-        # so rows parsed from "A >= 0" print as "A >= 0" again.
-        if terms[0][1] < 0:
-            terms = tuple((v, -c) for v, c in terms)
-            rhs = -rhs
-            rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
-        parts = [_format_coeff_var(terms[0][1], terms[0][0])]
-        for v, c in terms[1:]:
-            if c < 0:
-                parts.append(f" - {_format_coeff_var(-c, v)}")
-            else:
-                parts.append(f" + {_format_coeff_var(c, v)}")
-        return f"{''.join(parts)} {rel} {rhs}"
+        if not self.terms:
+            lhs = "0"
+            rel = self.rel
+        else:
+            # Flip for display when the leading coefficient is negative,
+            # so rows parsed from "A >= 0" print as "A >= 0" again.
+            terms, rel, rhs = self.terms, self.rel, self.rhs
+            if terms[0][1] < 0:
+                terms = tuple((v, -c) for v, c in terms)
+                rhs = -rhs
+                rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
+            parts = [_format_coeff_var(terms[0][1], terms[0][0])]
+            for v, c in terms[1:]:
+                if c < 0:
+                    parts.append(f" - {_format_coeff_var(-c, v)}")
+                else:
+                    parts.append(f" + {_format_coeff_var(c, v)}")
+            lhs = "".join(parts)
+            return f"{lhs} {rel} {rhs}"
+        return f"{lhs} {rel} {self.rhs}"
 
     def __str__(self) -> str:
         return self.pretty()

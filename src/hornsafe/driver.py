@@ -98,9 +98,12 @@ def verify(
     stats = Stats(engine=engine)
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    def timed(phase: str, fn, *args):
+    def check_time():
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
+
+    def timed(phase: str, fn, *args):
+        check_time()
         start = time.perf_counter()
         result = fn(*args)
         stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (

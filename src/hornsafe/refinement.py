@@ -59,7 +59,15 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
             Atom(indexed(a.pred, q, False), a.args)
             for a, q in zip(clause.body, args)
         )
-        generated.append(Clause("", head, clause.constraint, body, origin=cid))
+        generated.append(
+            Clause(
+                cid="",
+                head=head,
+                constraint=clause.constraint,
+                body=body,
+                origin=cid,
+            )
+        )
 
     # keep only predicates that some derivation of false can use
     useful = {FALSE_PRED}
