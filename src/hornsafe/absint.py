@@ -8,8 +8,10 @@ chains stop, then runs one descending pass to claw back some of the
 precision widening threw away.  The result is always a pre-fixpoint:
 every clause's abstract post is contained in its head's entry.
 
-A clause's post is the step the refinement loop repeats most, so it is
-memoised (see lra.solver) on its body constraint and head tuple.
+A clause's post is the step the refinement loop repeats most, so this
+module registers it as the memo step clause_post (see lra.solver),
+keyed on its body constraint and head tuple; fta.model_fta asks the
+same table.
 """
 
 from __future__ import annotations

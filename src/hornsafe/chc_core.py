@@ -32,6 +32,7 @@ printing again is a fixpoint.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -62,17 +63,15 @@ REL_EQ = "="
 _FLIPPED = {">=": REL_LE, ">": REL_LT}
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A rational-valued logic variable, identified by name."""
+class Variable(str):
+    """A rational-valued logic variable: its name, so it hashes, compares
+    and orders as that string does."""
 
-    name: str
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return self.name
-
-    def __repr__(self) -> str:
-        return f"Variable({self.name})"
+    @property
+    def name(self) -> str:
+        return str(self)
 
 
 # Constraint rows ------------------------------------------------------------
@@ -108,7 +107,7 @@ class Row:
             rel = _FLIPPED[rel]
         if rel not in (REL_LE, REL_LT, REL_EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        terms = tuple(sorted(items.items(), key=lambda t: t[0].name))
+        terms = tuple(sorted(items.items()))
         # Equalities have no direction; fix the sign of the leading
         # coefficient so either spelling stores the same row.
         if rel == REL_EQ and terms and terms[0][1] < 0:
@@ -153,6 +152,15 @@ class Row:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def gcd_fractions(values: Iterable[Fraction]) -> Fraction:
+    """Positive rational g with every value an integer multiple of g,
+    the multiples collectively coprime."""
+    vals = list(values)
+    denom = math.lcm(*(v.denominator for v in vals))
+    numer = math.gcd(*(abs(v.numerator) * (denom // v.denominator) for v in vals))
+    return Fraction(numer, denom)
 
 
 @dataclass(frozen=True)
@@ -318,6 +326,13 @@ def _collect_arities(clauses: Iterable[Clause]) -> dict[str, int]:
 
 _PUNCT2 = (":-", "=<", ">=")
 _PUNCT1 = "().,=<>+-*"
+_NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+# Most digits in a numerator or denominator the parser builds, as a
+# literal or by folding constants: the report prints every number, and
+# Python refuses to print an int of more than 4,300 digits.
+MAX_DIGITS = 1000
+_NUMBER_BOUND = 10**MAX_DIGITS
 
 
 @dataclass(frozen=True)
@@ -358,21 +373,16 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            value = Fraction(int(text[i:j]))
-            # n/m rational literal
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                denom = int(text[j + 1 : k])
-                if denom == 0:
-                    raise ParseError("rational literal with zero denominator", start_line, start_col)
-                value = Fraction(int(text[i:j]), denom)
-                j = k
+        match = _NUMBER.match(text, i)
+        if match:
+            # an integer or an n/m rational literal
+            numer, denom = match.group(1), match.group(2) or "1"
+            if max(len(numer), len(denom)) > MAX_DIGITS:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", start_line, start_col)
+            if int(denom) == 0:
+                raise ParseError("rational literal with zero denominator", start_line, start_col)
+            value = Fraction(int(numer), int(denom))
+            j = match.end()
             tokens.append(_Token("number", value, start_line, start_col))
             col += j - i
             i = j
@@ -454,6 +464,14 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
 
+    @staticmethod
+    def bounded(expr: _LinExpr, tok: _Token) -> _LinExpr:
+        """expr, unless folding constants at tok made a number too long."""
+        for c in (expr.const, *expr.coeffs.values()):
+            if abs(c.numerator) >= _NUMBER_BOUND or c.denominator >= _NUMBER_BOUND:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", tok.line, tok.col)
+        return expr
+
     # grammar
 
     def parse_program_items(self) -> list[tuple[Atom | _RawAtom, list]]:
@@ -501,14 +519,14 @@ class _Parser:
         if tok.kind != "punct" or tok.value not in ("=", "=<", "<", ">=", ">"):
             raise ParseError("expected a comparison operator", tok.line, tok.col)
         rhs = self.parse_expr()
-        diff = lhs.add(rhs, -1)
+        diff = self.bounded(lhs.add(rhs, -1), tok)
         return Row.make(diff.coeffs, str(tok.value), -diff.const)
 
     def parse_expr(self) -> _LinExpr:
         expr = self.parse_addend()
         while self.at_punct("+") or self.at_punct("-"):
-            sign = 1 if self.next().value == "+" else -1
-            expr = expr.add(self.parse_addend(), sign)
+            op = self.next()
+            expr = self.bounded(expr.add(self.parse_addend(), 1 if op.value == "+" else -1), op)
         return expr
 
     def parse_addend(self) -> _LinExpr:
@@ -520,7 +538,7 @@ class _Parser:
                 raise ParseError("non-linear term", star.line, star.col)
             if other.coeffs:
                 expr, other = other, expr
-            expr = expr.scale(other.const)
+            expr = self.bounded(expr.scale(other.const), star)
         return expr
 
     def parse_primary(self) -> _LinExpr:
@@ -657,8 +675,6 @@ def strict_to_nonstrict(program: Program) -> Program:
     rationals this shrinks the clause semantics.  Offered because
     polyhedral analyses tend to behave better on closed constraints.
     """
-    from hornsafe.lra.solver import gcd_fractions
-
     def tighten_row(row: Row) -> Row:
         if row.rel != REL_LT:
             return row

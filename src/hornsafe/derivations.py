@@ -77,7 +77,7 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
             raise DerivationError(
                 f"clause {term.sym} concludes {clause.head.pred}, expected {inherited.pred}"
             )
-        rename = {v: Variable(f"{v.name}_n{index}") for v in clause.vars()}
+        rename = {v: Variable(f"{v}_n{index}") for v in clause.vars()}
         if inherited is not clause.head:
             rename.update(zip(clause.head.args, inherited.args))
             atom = inherited

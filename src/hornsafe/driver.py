@@ -13,7 +13,7 @@ Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
-verify opens a Memo of clause posts and hulls (see lra.solver) for
+verify opens a Memo of the memoised steps (see lra.solver) for
 exactly its own call, so no result crosses two calls, and reports its
 hit and miss counts in Stats.memo.
 """

@@ -62,9 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-REL_LE = 0
-REL_LT = 1
-REL_EQ = 2
+from hornsafe.chc_core import REL_EQ, REL_LT
 
 _ZERO = Fraction(0)
 
@@ -73,8 +71,8 @@ def simplex_feasible(ncols, rows):
     """Decide satisfiability of dense rows over ncols columns.
 
     rows: sequence of (coeffs, rel, rhs) with coeffs a length-ncols
-    sequence of Fraction, rel one of REL_LE / REL_LT / REL_EQ, and rhs
-    a Fraction.
+    sequence of Fraction, rel one of chc_core's REL_LE / REL_LT /
+    REL_EQ, and rhs a Fraction.
     """
     nrows = len(rows)
     total = ncols + nrows

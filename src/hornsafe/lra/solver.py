@@ -27,16 +27,18 @@ inconsistent with phi2, and over shared variables only because the
 phi1-part of the cancellation equals minus the phi2-part.
 
 The refinement loop reanalyses a regenerated program every round, and
-its clauses carry the previous round's constraints unchanged, so two
-coarse steps repeat: a clause's abstract post (absint.clause_post,
-which fta.model_fta asks too) and hull.  While a Memo is current
-(driver.verify opens one for exactly its own call) their results are
-kept in it, one table per step keyed on its arguments; outside it they
-compute directly and keep nothing.  The parts of a post, project and
-Polyhedron.of, are not memoised on their own: the post's memo already
-answers their repeats, and inside hull they do not repeat.  Nor are
-widen, is_sat, entails, minimise, interpolate and the kernel, whose
-repeats would save less than hashing the rows of every query costs.
+its clauses carry the previous round's constraints unchanged, so some
+coarse steps repeat.  Each is a function decorated with
+memoised(step), which registers the step's table in Memo.OPS when its
+module is imported; hull is the step this module owns, the others live
+with their callers.  While a Memo is current (driver.verify opens one
+for exactly its own call) their results are kept in it, one table per
+step keyed on its arguments; outside it they compute directly and keep
+nothing.  project and Polyhedron.of are not memoised on their own: the
+steps that repeat them memoise them whole, and inside hull they do not
+repeat.  Nor are widen, is_sat, entails, minimise, interpolate and the
+kernel, whose repeats would save less than hashing the rows of every
+query costs.
 """
 
 from __future__ import annotations
@@ -56,13 +58,12 @@ from hornsafe.chc_core import (
     LinConstraint,
     Row,
     Variable,
+    gcd_fractions,
 )
 from hornsafe.lra import kernel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-_KREL = {REL_LE: kernel.REL_LE, REL_LT: kernel.REL_LT, REL_EQ: kernel.REL_EQ}
 
 
 class JointlySatisfiableError(ValueError):
@@ -119,14 +120,14 @@ class Witness:
 
 
 def _to_kernel(constraint: LinConstraint) -> tuple[list[Variable], list]:
-    variables = sorted(constraint.vars(), key=lambda v: v.name)
+    variables = sorted(constraint.vars())
     index = {v: i for i, v in enumerate(variables)}
     rows = []
     for row in constraint.rows:
         dense = [_ZERO] * len(variables)
         for v, c in row.terms:
             dense[index[v]] = c
-        rows.append((dense, _KREL[row.rel], row.rhs))
+        rows.append((dense, row.rel, row.rhs))
     return variables, rows
 
 
@@ -173,7 +174,8 @@ class Memo:
     arguments, with hit and miss counts.  The steps consult it only
     while it is entered (with Memo() as m)."""
 
-    OPS = ("clause_post", "hull")
+    # the steps, in the order their modules registered them on import
+    OPS: list[str] = []
 
     def __init__(self) -> None:
         self.tables: dict[str, dict] = {op: {} for op in self.OPS}
@@ -188,15 +190,16 @@ class Memo:
         _current_memo.reset(self._token)
 
     def counts(self) -> dict[str, dict[str, int]]:
-        return {op: {"hits": self.hits[op], "misses": self.misses[op]} for op in self.OPS}
+        return {op: {"hits": self.hits[op], "misses": self.misses[op]} for op in self.tables}
 
 
 _current_memo: ContextVar[Memo | None] = ContextVar("hornsafe_memo", default=None)
 
 
 def memoised(op: str):
-    """Decorator: look each argument tuple up in the current memo, if
-    there is one, before computing."""
+    """Decorator: register op as a memo step, then look each argument
+    tuple up in the current memo, if there is one, before computing."""
+    Memo.OPS.append(op)
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -228,7 +231,7 @@ def _dominance_insert(table: dict, coeffs: dict[Variable, Fraction], strict: boo
     variable-name order is +1 or -1.  Returns False when a ground row
     is violated (the system is unsatisfiable).
     """
-    items = sorted(((v, c) for v, c in coeffs.items() if c != 0), key=lambda t: t[0].name)
+    items = sorted((v, c) for v, c in coeffs.items() if c != 0)
     if not items:
         return rhs > 0 if strict else rhs >= 0
     scale = abs(items[0][1])
@@ -260,7 +263,7 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     while eqs:
         ecoeffs, erhs = eqs.pop(0)
         pivot = None
-        for v in sorted(ecoeffs, key=lambda v: v.name):
+        for v in sorted(ecoeffs):
             if v in drop and ecoeffs[v] != 0:
                 pivot = v
                 break
@@ -300,7 +303,7 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
             for v, _ in key:
                 if v in drop:
                     out.add(v)
-        return sorted(out, key=lambda v: v.name)
+        return sorted(out)
 
     remaining = occurring_drops()
     while remaining:
@@ -410,11 +413,10 @@ def minimise(constraint: LinConstraint) -> LinConstraint:
 
 
 def _fresh_named(base: str, used: set[str]) -> Variable:
-    name = base
-    while name in used:
-        name += "_"
-    used.add(name)
-    return Variable(name)
+    while base in used:
+        base += "_"
+    used.add(base)
+    return Variable(base)
 
 
 def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
@@ -430,11 +432,11 @@ def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
 
 @memoised("hull")
 def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
-    xs = sorted(p1.vars() | p2.vars(), key=lambda v: v.name)
-    used = {v.name for v in xs}
+    xs = sorted(p1.vars() | p2.vars())
+    used = set(xs)
     copies = []
     for tag in ("1", "2"):
-        cmap = {x: _fresh_named(f"{x.name}__h{tag}", used) for x in xs}
+        cmap = {x: _fresh_named(f"{x}__h{tag}", used) for x in xs}
         scale = _fresh_named(f"S__h{tag}", used)
         copies.append((cmap, scale))
     rows: list[Row] = []
@@ -498,26 +500,26 @@ def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
     for coeffs, _, _ in split:
         variables |= set(coeffs)
     rows = []
-    for v in sorted(variables, key=lambda v: v.name):
+    for v in sorted(variables):
         dense = [split[i][0].get(v, _ZERO) for i in range(m)]
-        rows.append((dense, kernel.REL_EQ, _ZERO))
+        rows.append((dense, REL_EQ, _ZERO))
     for i in range(m):
         dense = [_ZERO] * m
         dense[i] = Fraction(-1)
-        rows.append((dense, kernel.REL_LE, _ZERO))
+        rows.append((dense, REL_LE, _ZERO))
     for i in pinned:
         dense = [_ZERO] * m
         dense[i] = _ONE
-        rows.append((dense, kernel.REL_EQ, _ZERO))
+        rows.append((dense, REL_EQ, _ZERO))
     rhs_dense = [split[i][2] for i in range(m)]
     if not want_strict_budget:
-        rows.append((rhs_dense, kernel.REL_LE, Fraction(-1)))
+        rows.append((rhs_dense, REL_LE, Fraction(-1)))
     else:
-        rows.append((rhs_dense, kernel.REL_LE, _ZERO))
+        rows.append((rhs_dense, REL_LE, _ZERO))
         strict_dense = [Fraction(-1) if split[i][1] else _ZERO for i in range(m)]
         if all(c == 0 for c in strict_dense):
             return None
-        rows.append((strict_dense, kernel.REL_LE, Fraction(-1)))
+        rows.append((strict_dense, REL_LE, Fraction(-1)))
     result = kernel.simplex_feasible(m, rows)
     if result is None:
         return None
@@ -576,14 +578,3 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
         coeffs = {v: c * scale for v, c in coeffs.items()}
         rhs = rhs * scale
     return LinConstraint((Row.make(coeffs, REL_LT if strict else REL_LE, rhs),))
-
-
-def gcd_fractions(values: Iterable[Fraction]) -> Fraction:
-    """Positive rational g with every value an integer multiple of g,
-    the multiples collectively coprime."""
-    from math import gcd, lcm
-
-    vals = list(values)
-    denom = lcm(*(v.denominator for v in vals))
-    numer = gcd(*(abs(v.numerator) * (denom // v.denominator) for v in vals))
-    return Fraction(numer, denom)

@@ -19,6 +19,11 @@ precondition (joint unsatisfiability) true and is what makes the
 per-node conditions compose; interpolating every node against its raw
 context independently can produce labels that are only pairwise
 justified and fail the root condition.
+
+Under rahit each round's spurious tree is one node deeper than the
+last and repeats its contexts, so the projection of a context onto the
+node's interface is the memo step context (see lra.solver), keyed on
+the context and the interface as a frozenset.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, formula
 from hornsafe.fta import TreeAutomaton, trace_fta
-from hornsafe.lra import entails, interpolate, is_sat, project
+from hornsafe.lra import entails, interpolate, is_sat, memoised, project
 from hornsafe.model import canonical_args
 
 
@@ -67,6 +72,11 @@ class TreeInterpolant:
         return self.label(i).rename(dict(zip(self.atom(i).args, args)))
 
 
+@memoised("context")
+def _context(second: LinConstraint, shared: frozenset[Variable]) -> LinConstraint:
+    return project(second, shared)
+
+
 def tree_interpolant(tree: AndTree) -> TreeInterpolant:
     if is_sat(formula(tree)) is not None:
         raise FeasibleTreeError("derivation tree is feasible")
@@ -90,7 +100,7 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
         # joint infeasibility nor the admissible labels
         shared = first.vars() & second.vars()
         if not second.vars() <= shared:
-            second = project(second, shared)
+            second = _context(second, frozenset(shared))
         labels[i] = interpolate(first, second)
     return TreeInterpolant(
         atoms=tuple(node.atom for node in tree),

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variable
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import kernel
 
 VARS = [Variable(n) for n in ("U", "V", "W", "X", "Y", "Z")]
 
@@ -51,14 +50,14 @@ def tall_narrow_system(rng: random.Random):
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
         margin = Fraction(rng.randint(0, 8), rng.randint(1, 3))
-        rel = rng.choice((kernel.REL_LE, kernel.REL_LE, kernel.REL_LE, kernel.REL_LT))
-        if rel == kernel.REL_LT and margin == 0:
+        rel = rng.choice((REL_LE, REL_LE, REL_LE, REL_LT))
+        if rel == REL_LT and margin == 0:
             margin = Fraction(1)
         rows.append(([a, b], rel, a * cx + b * cy + margin))
     if rng.random() < 0.1:
-        rows.append(([Fraction(1), Fraction(-1)], kernel.REL_EQ, cx - cy))
+        rows.append(([Fraction(1), Fraction(-1)], REL_EQ, cx - cy))
     a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
-    rows.append(([-a, -b], kernel.REL_LT, -(a * cx + b * cy) - rng.randint(-4, 12)))
+    rows.append(([-a, -b], REL_LT, -(a * cx + b * cy) - rng.randint(-4, 12)))
     return 2, rows
 
 
@@ -83,22 +82,22 @@ def farkas_system(rng: random.Random):
         split.append((coeffs, rng.random() < 0.3, rhs))
     rows = []
     for v in range(nvars):
-        rows.append(([split[i][0][v] for i in range(m)], kernel.REL_EQ, Fraction(0)))
+        rows.append(([split[i][0][v] for i in range(m)], REL_EQ, Fraction(0)))
     for i in range(m):
         dense = [Fraction(0)] * m
         dense[i] = Fraction(-1)
-        rows.append((dense, kernel.REL_LE, Fraction(0)))
+        rows.append((dense, REL_LE, Fraction(0)))
     for i in rng.sample(range(m), rng.randint(0, 3)):
         dense = [Fraction(0)] * m
         dense[i] = Fraction(1)
-        rows.append((dense, kernel.REL_EQ, Fraction(0)))
+        rows.append((dense, REL_EQ, Fraction(0)))
     rhs_dense = [split[i][2] for i in range(m)]
     if rng.random() < 0.5:
-        rows.append((rhs_dense, kernel.REL_LE, Fraction(-1)))
+        rows.append((rhs_dense, REL_LE, Fraction(-1)))
     else:
-        rows.append((rhs_dense, kernel.REL_LE, Fraction(0)))
+        rows.append((rhs_dense, REL_LE, Fraction(0)))
         strict = [Fraction(-1) if split[i][1] else Fraction(0) for i in range(m)]
-        rows.append((strict, kernel.REL_LE, Fraction(-1)))
+        rows.append((strict, REL_LE, Fraction(-1)))
     return m, rows
 
 
@@ -123,13 +122,13 @@ def large_denominator_system(rng: random.Random):
         coeffs = [
             Fraction(rng.randint(-10**9, 10**9), _large_prime(rng)) for _ in range(ncols)
         ]
-        rel = rng.choice((kernel.REL_LE, kernel.REL_LE, kernel.REL_LT, kernel.REL_EQ))
+        rel = rng.choice((REL_LE, REL_LE, REL_LT, REL_EQ))
         at_point = sum(c * x for c, x in zip(coeffs, point))
         margin = Fraction(rng.randint(0, 10**9), _large_prime(rng))
-        if rel == kernel.REL_EQ:
+        if rel == REL_EQ:
             rhs = at_point
         elif feasible:
-            rhs = at_point + margin + (rel == kernel.REL_LT)
+            rhs = at_point + margin + (rel == REL_LT)
         else:
             rhs = at_point - margin
         rows.append((coeffs, rel, rhs))
@@ -147,7 +146,7 @@ def zero_row_system(rng: random.Random):
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
         else:
             coeffs = [Fraction(0)] * ncols
-        rel = rng.choice((kernel.REL_LE, kernel.REL_LT, kernel.REL_EQ))
+        rel = rng.choice((REL_LE, REL_LT, REL_EQ))
         rows.append((coeffs, rel, Fraction(rng.randint(-2, 6), rng.randint(1, 3))))
     return ncols, rows
 

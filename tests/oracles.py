@@ -4,8 +4,7 @@ Nothing in the first three sections reuses the solver's simplex or
 projection code: satisfiability is decided by textbook variable
 elimination (Gaussian substitution for equalities, Fourier-Motzkin for
 inequalities), so the shipped simplex and this oracle can disagree only
-if one of them is wrong.  The dense simplex reference takes only the
-relation codes from the kernel module.
+if one of them is wrong.
 
 The last section holds test-only helpers that the verifier never runs:
 trace parsing, bounded enumeration, trace feasibility, clause selection,
@@ -24,6 +23,7 @@ from math import gcd
 from hornsafe.chc_core import (
     FALSE_PRED,
     REL_EQ,
+    REL_LE,
     REL_LT,
     TRUE,
     Atom,
@@ -35,7 +35,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
-from hornsafe.lra import Polyhedron, Witness, is_sat, kernel, project
+from hornsafe.lra import Polyhedron, Witness, is_sat, project
 from hornsafe.model import InterpretationModel, canonical_args
 from hornsafe.tree_interpolation import TreeInterpolant
 
@@ -182,7 +182,7 @@ def dense_simplex_reference(ncols, rows):
     """Decide satisfiability of dense rows over ncols columns.
 
     rows: sequence of (coeffs, rel, rhs) with coeffs a length-ncols
-    sequence of Fraction, rel one of the kernel.REL_* codes, and rhs
+    sequence of Fraction, rel one of chc_core's REL_* codes, and rhs
     a Fraction.
     """
     nrows = len(rows)
@@ -209,11 +209,11 @@ def dense_simplex_reference(ncols, rows):
         mat.append(row)
         basic.append(s)
         rowof[s] = i
-        if rel == kernel.REL_LE:
+        if rel == REL_LE:
             has_up[s] = True
             up_m[s] = rhs
             up_d[s] = _ZERO
-        elif rel == kernel.REL_LT:
+        elif rel == REL_LT:
             has_up[s] = True
             up_m[s] = rhs
             up_d[s] = Fraction(-1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hornsafe.chc_core import (
     FALSE_PRED,
+    MAX_DIGITS,
     MAX_NESTING,
     REL_EQ,
     REL_LE,
@@ -145,6 +146,52 @@ class TestParser:
         signs = "- " * 2000
         prog = parse_program(f"p(X) :- X = {signs}1, X >= {signs}- 3 * 2.\n")
         assert prog.clauses[0].constraint.pretty() == "X = 1, X >= -6"
+
+    def test_overlong_literal_is_a_parse_error(self):
+        # past 4,300 digits int() itself refuses the literal
+        with pytest.raises(ParseError) as exc:
+            parse_program("p(X) :- X = " + "9" * 5000 + ".\n")
+        assert (exc.value.line, exc.value.col) == (1, 13)
+        with pytest.raises(ParseError):
+            parse_program("p(X) :- X = 1/" + "9" * (MAX_DIGITS + 1) + ".\n")
+
+    def test_non_ascii_digit_is_a_parse_error(self):
+        # str.isdigit accepts a superscript two, int() does not
+        with pytest.raises(ParseError) as exc:
+            parse_program("p(X) :- X = \u00b2.\n")
+        assert (exc.value.line, exc.value.col) == (1, 13)
+
+    def test_overlong_folded_product_is_a_parse_error(self):
+        factor = "9" * (MAX_DIGITS - 1)
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"p(X) :- X = {factor} * {factor}.\n")
+        # at the star that folds the product
+        assert (exc.value.line, exc.value.col) == (1, 14 + len(factor))
+
+    def test_overlong_folded_sum_is_a_parse_error(self):
+        # each denominator is in bounds, their lcm is not
+        terms = [f"1/{'9' * (MAX_DIGITS - 2)}{d}" for d in "17"]
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"p(X) :- X = {terms[0]} + {terms[1]}.\n")
+        assert (exc.value.line, exc.value.col) == (1, 14 + len(terms[0]))
+
+    def test_numbers_up_to_the_bound_parse(self):
+        big = "9" * MAX_DIGITS
+        prog = parse_program(f"p(X) :- X = {big}, X >= 1/{big}, X =< 3 * {big[1:]}.\n")
+        assert prog.clauses[0].constraint.pretty() == (
+            f"X = {big}, X >= 1/{big}, X =< {3 * int(big[1:])}"
+        )
+
+
+class TestVariable:
+    def test_is_its_name(self):
+        x = Variable("X1")
+        assert x == "X1" and hash(x) == hash("X1")
+        assert (x.name, str(x)) == ("X1", "X1")
+
+    def test_sorted_by_name(self):
+        names = ["X10", "B", "X2", "A_n1", "X1", "B__h1"]
+        assert sorted(Variable(n) for n in names) == sorted(names)
 
 
 class TestRoundTrip:

@@ -12,7 +12,7 @@ from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 def chc(tmp_path):
     def write(text, name="prog.chc"):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
@@ -50,6 +50,26 @@ class TestExitCodes:
         assert main(["verify", chc("p(X :- X=1.\n")]) == 3
         # the message carries a line:column position
         assert "1:5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("p(X) :- X = " + "9" * 5000 + ".\n", "1:13"),
+            ("p(X) :- X = \u00b2.\n", "1:13"),
+            # folds to a 4,995-digit constant, which the witness prints
+            (
+                "p(X) :- X = " + " * ".join(["9" * 999] * 5) + ".\nfalse :- p(X), X > 0.\n",
+                "1:1013",
+            ),
+        ],
+        ids=["long-literal", "superscript-digit", "long-product"],
+    )
+    def test_bad_number_is_three(self, chc, capsys, text, position):
+        path = chc(text)
+        assert main(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"hornsafe: {path}: {position}: ")
+        assert err.count("\n") == 1
 
     def test_usage_error_is_three(self, chc, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +171,14 @@ class TestArtifacts:
         assert payload["trace"] == "c3(c2(c2(c2(c1))))"
         assert payload["witness"]["X_n1"] == "3"
         assert payload["times_ms"]["analyze"] >= 0
+
+    def test_stats_json_memo_keys_in_registration_order(self, chc, tmp_path, capsys):
+        # each memoising module registers its step when imported, and
+        # each registrant imports the one before it
+        out = tmp_path / "stats.json"
+        main(["verify", chc(UNSAFE_LOOP), "--stats-json", str(out)])
+        memo = json.loads(out.read_text())["memo"]
+        assert list(memo) == ["hull", "clause_post", "context"]
 
     def test_dump_dir(self, chc, tmp_path, capsys):
         dump = tmp_path / "dumps"

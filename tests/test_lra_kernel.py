@@ -18,6 +18,7 @@ from gen import (
     tall_narrow_system,
     zero_row_system,
 )
+from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT
 from hornsafe.lra import kernel
 
 
@@ -29,8 +30,7 @@ def _to_rows(constraint):
         dense = [Fraction(0)] * len(xs)
         for v, c in row.terms:
             dense[idx[v]] = c
-        code = {"=<": kernel.REL_LE, "<": kernel.REL_LT, "=": kernel.REL_EQ}[row.rel]
-        rows.append((dense, code, row.rhs))
+        rows.append((dense, row.rel, row.rhs))
     return len(xs), rows
 
 
@@ -38,9 +38,9 @@ def _satisfies(rows, assignment) -> bool:
     for dense, code, rhs in rows:
         main = sum((c * assignment[i][0] for i, c in enumerate(dense)), Fraction(0))
         delta = sum((c * assignment[i][1] for i, c in enumerate(dense)), Fraction(0))
-        if code == kernel.REL_EQ:
+        if code == REL_EQ:
             ok = (main, delta) == (rhs, Fraction(0))
-        elif code == kernel.REL_LT:
+        elif code == REL_LT:
             ok = (main, delta) < (rhs, Fraction(0))
         else:
             ok = (main, delta) <= (rhs, Fraction(0))
@@ -68,16 +68,16 @@ class TestGoldens:
     def test_strict_cycle_infeasible(self):
         # X < Y together with Y < X
         rows = [
-            ([Fraction(1), Fraction(-1)], kernel.REL_LT, Fraction(0)),
-            ([Fraction(-1), Fraction(1)], kernel.REL_LT, Fraction(0)),
+            ([Fraction(1), Fraction(-1)], REL_LT, Fraction(0)),
+            ([Fraction(-1), Fraction(1)], REL_LT, Fraction(0)),
         ]
         assert kernel.simplex_feasible(2, rows) is None
 
     def test_strict_bound_needs_delta(self):
         # 0 < X and X < 1 has no integer-style corner witness
         rows = [
-            ([Fraction(-1)], kernel.REL_LT, Fraction(0)),
-            ([Fraction(1)], kernel.REL_LT, Fraction(1)),
+            ([Fraction(-1)], REL_LT, Fraction(0)),
+            ([Fraction(1)], REL_LT, Fraction(1)),
         ]
         result = kernel.simplex_feasible(1, rows)
         assert result is not None
@@ -85,7 +85,7 @@ class TestGoldens:
 
     def test_tight_sandwich_forces_value(self):
         rows = [
-            ([Fraction(2)], kernel.REL_EQ, Fraction(5)),
+            ([Fraction(2)], REL_EQ, Fraction(5)),
         ]
         (value,) = kernel.simplex_feasible(1, rows)
         assert value[0] == Fraction(5, 2)
@@ -93,20 +93,20 @@ class TestGoldens:
 
     def test_contradictory_equalities(self):
         rows = [
-            ([Fraction(1), Fraction(1)], kernel.REL_EQ, Fraction(3)),
-            ([Fraction(1), Fraction(1)], kernel.REL_EQ, Fraction(4)),
+            ([Fraction(1), Fraction(1)], REL_EQ, Fraction(3)),
+            ([Fraction(1), Fraction(1)], REL_EQ, Fraction(4)),
         ]
         assert kernel.simplex_feasible(2, rows) is None
 
     def test_unconstrained_column(self):
-        rows = [([Fraction(0), Fraction(1)], kernel.REL_LT, Fraction(2))]
+        rows = [([Fraction(0), Fraction(1)], REL_LT, Fraction(2))]
         result = kernel.simplex_feasible(2, rows)
         assert result is not None and _satisfies(rows, result)
 
     def test_does_not_modify_input_rows(self):
         rows = [
-            ([Fraction(1), Fraction(2)], kernel.REL_LE, Fraction(-3)),
-            ([Fraction(-1), Fraction(1)], kernel.REL_EQ, Fraction(1)),
+            ([Fraction(1), Fraction(2)], REL_LE, Fraction(-3)),
+            ([Fraction(-1), Fraction(1)], REL_EQ, Fraction(1)),
         ]
         before = [(list(c), rel, b) for c, rel, b in rows]
         assert kernel.simplex_feasible(2, rows) is not None

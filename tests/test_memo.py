@@ -1,6 +1,6 @@
-"""The memo of clause posts and hulls: current for exactly one verify
-call, invisible in what the verifier decides, equal to recomputation,
-and absent everywhere else."""
+"""The memo of clause posts, hulls and tree-interpolation contexts:
+current for exactly one verify call, invisible in what the verifier
+decides, equal to recomputation, and absent everywhere else."""
 
 import random
 import time
@@ -8,6 +8,7 @@ import time
 import pytest
 
 import hornsafe.driver as driver
+import hornsafe.tree_interpolation as tree_interpolation
 from hornsafe.absint import clause_post
 from hornsafe.chc_core import Atom, Clause, parse_constraint, parse_program
 from hornsafe.cli import _report
@@ -45,7 +46,7 @@ def random_steps(rng: random.Random) -> tuple[dict, tuple[Polyhedron, Polyhedron
     """One call of each memoised step on random arguments, as thunks,
     and the hull's two arguments.  The clause is p(head) :- c1, q(U,V)
     under a model giving q a random polyhedron, so its post conjoins,
-    projects and renames."""
+    projects and renames.  The context is c1 projected onto the head."""
     c1 = random_constraint(rng, max_vars=4, max_rows=5)
     c2 = random_constraint(rng, max_vars=2, max_rows=3)
     u, v = VARS[:2]
@@ -58,21 +59,31 @@ def random_steps(rng: random.Random) -> tuple[dict, tuple[Polyhedron, Polyhedron
     steps = {
         "clause_post": lambda: clause_post(clause, state),
         "hull": lambda: hull(p1, p2),
+        "context": lambda: tree_interpolation._context(c1, frozenset(head)),
     }
     return steps, (p1, p2)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
     calls = [0]
-    real = kernel.simplex_feasible
+    real = getattr(module, name)
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(kernel, "simplex_feasible", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    return _count_calls(monkeypatch, kernel, "simplex_feasible")
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    return _count_calls(monkeypatch, tree_interpolation, "project")
 
 
 class TestScope:
@@ -136,17 +147,19 @@ class TestScope:
         assert current_entries() is None
 
 
-def test_nothing_kept_outside_verify(kernel_calls):
+def test_nothing_kept_outside_verify(kernel_calls, project_calls):
     rng = random.Random(3)
     checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(60):
         steps, _ = random_steps(rng)
         for op, compute in steps.items():
-            start = kernel_calls[0]
+            # a projection calls no kernel, so count the projections
+            calls = project_calls if op == "context" else kernel_calls
+            start = calls[0]
             compute()
-            once = kernel_calls[0] - start
+            once = calls[0] - start
             compute()
-            assert kernel_calls[0] - start == 2 * once
+            assert calls[0] - start == 2 * once
             checked[op] += once > 0
         assert current_entries() is None
     assert min(checked.values()) >= 30, checked
@@ -169,7 +182,7 @@ def test_back_to_back_calls_share_nothing(kernel_calls, engine, text):
     assert kernel_calls[0] - first_calls == first_calls > 0
     assert _report_without_times(second) == _report_without_times(first)
     assert second.stats.memo == first.stats.memo
-    assert set(first.stats.memo) == {"clause_post", "hull"}
+    assert set(first.stats.memo) == {"clause_post", "hull", "context"}
     assert sum(c["hits"] for c in first.stats.memo.values()) > 0
 
 
