@@ -329,10 +329,21 @@ _PUNCT1 = "().,=<>+-*"
 _NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 # Most digits in a numerator or denominator the parser builds, as a
-# literal or by folding constants: the report prints every number, and
-# Python refuses to print an int of more than 4,300 digits.
+# literal or by folding constants, and a projection returns: the report
+# prints every number, and Python refuses to print an int of more than
+# 4,300 digits.
 MAX_DIGITS = 1000
 _NUMBER_BOUND = 10**MAX_DIGITS
+
+
+class NumberTooLongError(ArithmeticError):
+    """Analysis built a number of more than MAX_DIGITS digits."""
+
+
+def too_long(numbers: Iterable[Fraction]) -> bool:
+    """Has any of numbers a numerator or denominator of more than
+    MAX_DIGITS digits?"""
+    return any(abs(c.numerator) >= _NUMBER_BOUND or c.denominator >= _NUMBER_BOUND for c in numbers)
 
 
 @dataclass(frozen=True)
@@ -467,9 +478,8 @@ class _Parser:
     @staticmethod
     def bounded(expr: _LinExpr, tok: _Token) -> _LinExpr:
         """expr, unless folding constants at tok made a number too long."""
-        for c in (expr.const, *expr.coeffs.values()):
-            if abs(c.numerator) >= _NUMBER_BOUND or c.denominator >= _NUMBER_BOUND:
-                raise ParseError(f"number longer than {MAX_DIGITS} digits", tok.line, tok.col)
+        if too_long((expr.const, *expr.coeffs.values())):
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", tok.line, tok.col)
         return expr
 
     # grammar

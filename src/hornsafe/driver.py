@@ -13,6 +13,10 @@ Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
+A phase that builds a number too long to print (more than
+chc_core.MAX_DIGITS digits) ends the run as unknown, with the reason
+resource:<phase>.
+
 verify opens a Memo of the memoised steps (see lra.solver) for
 exactly its own call, so no result crosses two calls, and reports its
 hit and miss counts in Stats.memo.
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from hornsafe.absint import analyze
-from hornsafe.chc_core import Program, Variable
+from hornsafe.chc_core import NumberTooLongError, Program, Variable
 from hornsafe.derivations import and_tree, formula
 from hornsafe.fta import (
     TraceTerm,
@@ -45,8 +49,8 @@ ENGINES = ("rahit", "rahft")
 DumpSink = Callable[[str, str], None]
 
 
-class _Timeout(Exception):
-    pass
+class _Unknown(Exception):
+    """Ends verify with the verdict unknown; args[0] is the reason."""
 
 
 @dataclass
@@ -100,16 +104,19 @@ def verify(
 
     def check_time():
         if deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
+            raise _Unknown("timeout")
 
     def timed(phase: str, fn, *args):
         check_time()
         start = time.perf_counter()
-        result = fn(*args)
-        stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (
-            time.perf_counter() - start
-        ) * 1000.0
-        return result
+        try:
+            return fn(*args)
+        except NumberTooLongError:
+            raise _Unknown(f"resource:{phase}") from None
+        finally:
+            stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (
+                time.perf_counter() - start
+            ) * 1000.0
 
     def dump(name: str, render, *args):
         # rendering costs time, so only a set sink pays for it
@@ -187,7 +194,7 @@ def verify(
                 dump(f"iter{iteration + 1}.program.chc", current.pretty)
                 dump(f"iter{iteration + 1}.idmap.txt", origin_lines, current)
             raise AssertionError("unreachable")
-        except _Timeout:
-            return Verdict("unknown", stats, reason="timeout")
+        except _Unknown as exc:
+            return Verdict("unknown", stats, reason=exc.args[0])
         finally:
             stats.memo = memo.counts()

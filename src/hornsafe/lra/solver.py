@@ -4,12 +4,19 @@ Everything is exact.  Satisfiability goes through the simplex kernel
 in kernel.py; strict inequalities are handled
 with delta-rationals, so witnesses assign each variable a pair
 (main, delta coefficient) meaning main + delta * d for an arbitrarily
-small positive d.
+small positive d.  Entailment refutes row by row: c1 entails a row
+when c1 with each row of the row's negation is unsatisfiable.  is_sat,
+entails, minimise and widen densify their premise once per call, over
+the sorted variables, and negate rows in that dense form.
 
-Projection is variable elimination: Gaussian substitution consumes
-equalities whose pivot is being eliminated, Fourier-Motzkin combines
-the remaining inequalities, eliminating the cheapest column first and
-keeping only the dominant row per coefficient direction.
+Projection is variable elimination on one list of (coefficients,
+relation, right-hand side) rows.  In row order, each equality on a
+dropped variable is substituted into every other row and leaves the
+list.  Fourier-Motzkin then eliminates, each round, the dropped
+variable with the fewest positive-negative pairs (the first in name
+order on a tie), keeping only the tightest row per coefficient
+direction.  The result is sorted by its printed form; a number in it
+of more than chc_core.MAX_DIGITS digits raises NumberTooLongError.
 
 The convex hull of two polyhedra is computed on a lifted system: a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
@@ -44,21 +51,25 @@ query costs.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from hornsafe.chc_core import (
+    MAX_DIGITS,
     REL_EQ,
     REL_LE,
     REL_LT,
     FALSE,
     TRUE,
     LinConstraint,
+    NumberTooLongError,
     Row,
     Variable,
     gcd_fractions,
+    too_long,
 )
 from hornsafe.lra import kernel
 
@@ -119,47 +130,44 @@ class Witness:
 # Core satisfiability --------------------------------------------------------
 
 
-def _to_kernel(constraint: LinConstraint) -> tuple[list[Variable], list]:
-    variables = sorted(constraint.vars())
-    index = {v: i for i, v in enumerate(variables)}
-    rows = []
-    for row in constraint.rows:
-        dense = [_ZERO] * len(variables)
+def _dense(rows: Iterable[Row], columns: list[Variable]) -> list:
+    """The rows over columns, as the kernel takes them."""
+    index = {v: i for i, v in enumerate(columns)}
+    out = []
+    for row in rows:
+        dense = [_ZERO] * len(columns)
         for v, c in row.terms:
             dense[index[v]] = c
-        rows.append((dense, row.rel, row.rhs))
-    return variables, rows
+        out.append((dense, row.rel, row.rhs))
+    return out
 
 
 def is_sat(constraint: LinConstraint) -> Witness | None:
     """Satisfiability over the rationals; a witness on success, else None."""
-    variables, rows = _to_kernel(constraint)
-    result = kernel.simplex_feasible(len(variables), rows)
+    columns = sorted(constraint.vars())
+    result = kernel.simplex_feasible(len(columns), _dense(constraint.rows, columns))
     if result is None:
         return None
-    return Witness({v: DeltaRational(m, d) for v, (m, d) in zip(variables, result)})
+    return Witness({v: DeltaRational(m, d) for v, (m, d) in zip(columns, result)})
 
 
-def _negated_rows(row: Row) -> list[Row]:
-    """Rows whose disjunction is the negation of the given row."""
-    neg = {v: -c for v, c in row.terms}
-    if row.rel == REL_LE:
-        return [Row.make(neg, REL_LT, -row.rhs)]
-    if row.rel == REL_LT:
-        return [Row.make(neg, REL_LE, -row.rhs)]
-    return [
-        Row.make(dict(row.terms), REL_LT, row.rhs),
-        Row.make(neg, REL_LT, -row.rhs),
-    ]
+def _implied(premise: list, ncols: int, row: tuple) -> bool:
+    """Does every model of the kernel rows premise satisfy the kernel
+    row?  Refutes each row of its negation in turn."""
+    dense, rel, rhs = row
+    neg = [-c for c in dense]
+    if rel == REL_EQ:
+        negation = [(dense, REL_LT, rhs), (neg, REL_LT, -rhs)]
+    else:
+        negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs)]
+    return all(kernel.simplex_feasible(ncols, [*premise, n]) is None for n in negation)
 
 
 def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
     """Does every model of c1 satisfy c2?  Row by row refutation."""
-    for row in c2.rows:
-        for neg in _negated_rows(row):
-            if is_sat(c1.conjoin(LinConstraint((neg,)))) is not None:
-                return False
-    return True
+    columns = sorted(c1.vars() | c2.vars())
+    premise = _dense(c1.rows, columns)
+    return all(_implied(premise, len(columns), row) for row in _dense(c2.rows, columns))
 
 
 def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
@@ -228,18 +236,20 @@ def _dominance_insert(table: dict, coeffs: dict[Variable, Fraction], strict: boo
     """Keep the tightest row per coefficient direction.
 
     Directions are canonicalised by scaling so the first coefficient in
-    variable-name order is +1 or -1.  Returns False when a ground row
-    is violated (the system is unsatisfiable).
+    variable-name order is +1 or -1; the table maps each to its row
+    (scaled coefficients, strict, rhs).  Returns False when a ground
+    row is violated (the system is unsatisfiable).
     """
     items = sorted((v, c) for v, c in coeffs.items() if c != 0)
     if not items:
         return rhs > 0 if strict else rhs >= 0
     scale = abs(items[0][1])
-    key = tuple((v, c / scale) for v, c in items)
+    scaled = {v: c / scale for v, c in items}
+    key = tuple(scaled.items())
     b = rhs / scale
     old = table.get(key)
-    if old is None or (b, not strict) < (old[1], not old[0]):
-        table[key] = (strict, b)
+    if old is None or (b, not strict) < (old[2], not old[1]):
+        table[key] = (scaled, strict, b)
     return True
 
 
@@ -247,104 +257,75 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     """Existentially eliminate all variables outside keep.
 
     The result mentions only keep variables and is satisfiable exactly
-    when the input is.
+    when the input is.  Raises NumberTooLongError when a number in it
+    has more than chc_core.MAX_DIGITS digits.
     """
     drop = constraint.vars() - set(keep)
-    eqs: list[tuple[dict[Variable, Fraction], Fraction]] = []
-    ineqs: list[tuple[dict[Variable, Fraction], bool, Fraction]] = []
-    for row in constraint.rows:
-        if row.rel == REL_EQ:
-            eqs.append((row.coeffs(), row.rhs))
-        else:
-            ineqs.append((row.coeffs(), row.rel == REL_LT, row.rhs))
+    rows = [(row.coeffs(), row.rel, row.rhs) for row in constraint.rows]
 
-    # Substitute equalities that can eliminate a dropped variable.
-    kept_eqs: list[tuple[dict[Variable, Fraction], Fraction]] = []
-    while eqs:
-        ecoeffs, erhs = eqs.pop(0)
+    # In row order, an equality on a dropped variable is substituted
+    # into every other row and leaves the list.
+    i = 0
+    while i < len(rows):
+        ecoeffs, rel, erhs = rows[i]
         pivot = None
-        for v in sorted(ecoeffs):
-            if v in drop and ecoeffs[v] != 0:
-                pivot = v
-                break
+        if rel == REL_EQ:
+            pivot = next((v for v in sorted(ecoeffs) if v in drop and ecoeffs[v] != 0), None)
         if pivot is None:
-            kept_eqs.append((ecoeffs, erhs))
+            i += 1
             continue
-        k = ecoeffs[pivot]
+        del rows[i]
+        k = ecoeffs.pop(pivot)
+        for j, (coeffs, r, rhs) in enumerate(rows):
+            c = coeffs.pop(pivot, _ZERO)
+            if c != 0:
+                factor = c / k
+                for v, e in ecoeffs.items():
+                    coeffs[v] = coeffs.get(v, _ZERO) - factor * e
+                rows[j] = (coeffs, r, rhs - factor * erhs)
 
-        def subst(coeffs: dict[Variable, Fraction], rhs: Fraction):
-            c = coeffs.get(pivot, _ZERO)
-            if c == 0:
-                return coeffs, rhs
-            out = dict(coeffs)
-            del out[pivot]
-            factor = c / k
-            for v, e in ecoeffs.items():
-                if v != pivot:
-                    out[v] = out.get(v, _ZERO) - factor * e
-            return out, rhs - factor * erhs
-
-        eqs = [subst(c, r) for c, r in eqs]
-        new_ineqs = []
-        for c, s, r in ineqs:
-            cc, rr = subst(c, r)
-            new_ineqs.append((cc, s, rr))
-        ineqs = new_ineqs
-        drop.discard(pivot)
-
+    out_rows: list[Row] = []
     table: dict = {}
-    for coeffs, strict, rhs in ineqs:
-        if not _dominance_insert(table, coeffs, strict, rhs):
+    for coeffs, rel, rhs in rows:
+        if rel != REL_EQ:
+            if not _dominance_insert(table, coeffs, rel == REL_LT, rhs):
+                return FALSE
+            continue
+        row = Row.make(coeffs, REL_EQ, rhs)
+        if row.terms:
+            out_rows.append(row)
+        elif row.rhs != 0:
             return FALSE
 
-    def occurring_drops() -> list[Variable]:
-        out = set()
-        for key in table:
-            for v, _ in key:
+    # Fourier-Motzkin: eliminate the dropped variable with the fewest
+    # positive-negative pairs, the first in name order on a tie.
+    while True:
+        pos: Counter[Variable] = Counter()
+        neg: Counter[Variable] = Counter()
+        for coeffs, _, _ in table.values():
+            for v, c in coeffs.items():
                 if v in drop:
-                    out.add(v)
-        return sorted(out)
-
-    remaining = occurring_drops()
-    while remaining:
-        rows = [(dict(key), val[0], val[1]) for key, val in table.items()]
-
-        def cost(var: Variable) -> int:
-            p = sum(1 for cs, _, _ in rows if cs.get(var, _ZERO) > 0)
-            m = sum(1 for cs, _, _ in rows if cs.get(var, _ZERO) < 0)
-            return p * m
-
-        var = min(remaining, key=cost)
-        pos = [r for r in rows if r[0].get(var, _ZERO) > 0]
-        neg = [r for r in rows if r[0].get(var, _ZERO) < 0]
-        rest = [r for r in rows if r[0].get(var, _ZERO) == 0]
-        table = {}
-        ok = True
-        for cs, s, b in rest:
-            ok = ok and _dominance_insert(table, cs, s, b)
-        for pcs, ps, pb in pos:
+                    (pos if c > 0 else neg)[v] += 1
+        if not pos and not neg:
+            break
+        var = min(sorted(pos.keys() | neg.keys()), key=lambda v: pos[v] * neg[v])
+        upper = [row for row in table.values() if row[0].get(var, _ZERO) > 0]
+        lower = [row for row in table.values() if row[0].get(var, _ZERO) < 0]
+        table = {key: row for key, row in table.items() if var not in row[0]}
+        for pcs, ps, pb in upper:
             kp = pcs[var]
-            for ncs, ns, nb in neg:
+            for ncs, ns, nb in lower:
                 kn = -ncs[var]
+                # var's coefficient comes to exactly 0, which the insert skips
                 combined = {v: c / kp for v, c in pcs.items()}
                 for v, c in ncs.items():
                     combined[v] = combined.get(v, _ZERO) + c / kn
-                combined[var] = _ZERO
-                ok = ok and _dominance_insert(table, combined, ps or ns, pb / kp + nb / kn)
-        if not ok:
-            return FALSE
-        remaining = occurring_drops()
+                if not _dominance_insert(table, combined, ps or ns, pb / kp + nb / kn):
+                    return FALSE
 
-    out_rows: list[Row] = []
-    for ecoeffs, erhs in kept_eqs:
-        row = Row.make(ecoeffs, REL_EQ, erhs)
-        if not row.terms:
-            if row.rhs != 0:
-                return FALSE
-            continue
-        out_rows.append(row)
-    for key, (strict, b) in table.items():
-        out_rows.append(Row.make(dict(key), REL_LT if strict else REL_LE, b))
+    out_rows += [Row.make(coeffs, REL_LT if strict else REL_LE, b) for coeffs, strict, b in table.values()]
+    if too_long(n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms))):
+        raise NumberTooLongError(f"a projection built a number longer than {MAX_DIGITS} digits")
     out_rows.sort(key=lambda r: r.pretty())
     return LinConstraint(tuple(out_rows))
 
@@ -404,12 +385,14 @@ class Polyhedron:
 def minimise(constraint: LinConstraint) -> LinConstraint:
     """Drop rows entailed by the remaining ones.  Caller ensures sat."""
     rows = list(dict.fromkeys(constraint.rows))
-    kept = list(rows)
-    for row in rows:
-        rest = [r for r in kept if r is not row]
-        if entails(LinConstraint(tuple(rest)), LinConstraint((row,))):
+    columns = sorted(constraint.vars())
+    dense = _dense(rows, columns)
+    kept = list(range(len(rows)))
+    for i in range(len(rows)):
+        rest = [j for j in kept if j != i]
+        if _implied([dense[j] for j in rest], len(columns), dense[i]):
             kept = rest
-    return LinConstraint(tuple(kept))
+    return LinConstraint(tuple(rows[j] for j in kept))
 
 
 def _fresh_named(base: str, used: set[str]) -> Variable:
@@ -462,12 +445,11 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
         return p2
     if p2.empty:
         return p1
-    kept = tuple(
-        row
-        for row in p1.constraint.rows
-        if entails(p2.constraint, LinConstraint((row,)))
-    )
-    return Polyhedron(LinConstraint(kept))
+    rows = p1.constraint.rows
+    columns = sorted(p1.vars() | p2.vars())
+    premise = _dense(p2.constraint.rows, columns)
+    kept = (row for row, d in zip(rows, _dense(rows, columns)) if _implied(premise, len(columns), d))
+    return Polyhedron(LinConstraint(tuple(kept)))
 
 
 # Interpolation --------------------------------------------------------------

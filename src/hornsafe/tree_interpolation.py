@@ -42,7 +42,7 @@ from hornsafe.chc_core import (
     Variable,
 )
 from hornsafe.derivations import AndTree, formula
-from hornsafe.fta import TreeAutomaton, trace_fta
+from hornsafe.fta import TreeAutomaton
 from hornsafe.lra import entails, interpolate, is_sat, memoised, project
 from hornsafe.model import canonical_args
 
@@ -160,7 +160,7 @@ def interpolant_automaton(
 
     states = {_state_name(ti.atom(i).pred, i) for i in rep.values()}
     finals = {_state_name(ti.atom(1).pred, rep[1])}
-    base = trace_fta(program)
+    alphabet = {c.cid: len(c.body) for c in program}
     transitions = set()
     inst = functools.cache(ti.instantiated)
 
@@ -185,5 +185,5 @@ def interpolant_automaton(
                         )
                     )
     return TreeAutomaton(
-        frozenset(states), frozenset(finals), dict(base.alphabet), frozenset(transitions)
+        frozenset(states), frozenset(finals), alphabet, frozenset(transitions)
     )

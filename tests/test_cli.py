@@ -71,6 +71,25 @@ class TestExitCodes:
         assert err.startswith(f"hornsafe: {path}: {position}: ")
         assert err.count("\n") == 1
 
+    def test_number_outgrowing_the_bound_is_unknown(self, chc, tmp_path, capsys):
+        # each round of the analysis multiplies X by a 999-digit
+        # constant, so a hull's projection soon builds a number past
+        # chc_core.MAX_DIGITS
+        big = "1" + "0" * 998
+        text = (
+            "p(X,Y) :- X=1, Y=0.\n"
+            f"p(X2,Y2) :- p(X,Y), X2 = {big}*X, Y2 = Y+1.\n"
+            "false :- p(X,Y), Y >= 5.\n"
+        )
+        stats = tmp_path / "stats.json"
+        assert main(["verify", chc(text), "--stats-json", str(stats)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("UNKNOWN\n")
+        assert "reason: resource:analyze\n" in captured.out
+        assert captured.err == ""
+        payload = json.loads(stats.read_text())
+        assert (payload["verdict"], payload["reason"]) == ("unknown", "resource:analyze")
+
     def test_usage_error_is_three(self, chc, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", chc(FIB), "--engine", "bogus"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -272,3 +273,35 @@ class TestInterpolate:
             assert entails(phi1, i), (phi1.pretty(), phi2.pretty())
             assert is_sat(i & phi2) is None, (phi1.pretty(), phi2.pretty())
             assert i.vars() <= (phi1.vars() & phi2.vars())
+
+
+class TestPinnedOutput:
+    # SHA-256 of the text test_printed_results_on_random_systems builds,
+    # taken before the projection and entailment loops were rewritten:
+    # the semantic tests above would pass on a differently printed but
+    # equivalent result, this one does not.
+    DIGEST = "7f5c7537b413bcaf240ef7df4a668e42764372b23548c345b7066e0fe1b3e33d"
+
+    def test_printed_results_on_random_systems(self):
+        rng = random.Random(16)
+        lines = []
+        for _ in range(400):
+            c1 = random_constraint(rng, max_vars=4, max_rows=5)
+            c2 = random_constraint(rng, max_vars=4, max_rows=5)
+            xs = sorted(c1.vars())
+            keep = rng.sample(xs, rng.randint(0, len(xs)))
+            w = is_sat(c1)
+            p1, p2 = Polyhedron.of(c1), Polyhedron.of(c2)
+            h = hull(p1, p2)
+            lines += [
+                project(c1, keep).pretty(),
+                "none" if w is None else str(sorted(w.assignment.items())),
+                p1.pretty(),
+                p2.pretty(),
+                h.pretty(),
+                widen(p1, h).pretty(),
+                widen(p1, p2).pretty(),
+                f"{entails(c1, c2)} {entails(c2, c1)} {entails(c1, h.constraint)}",
+            ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
