@@ -9,16 +9,20 @@ precision widening threw away.  The result is always a pre-fixpoint:
 every clause's abstract post is contained in its head's entry.
 
 A clause's post is the step the refinement loop repeats most, so this
-module registers it as the memo step clause_post (see lra.solver),
-keyed on its body constraint and head tuple; fta.model_fta asks the
-same table.
+module registers it as the memo step clause_post (see lra.solver);
+fta.model_fta asks the same table.  The key is made of objects that
+already exist: the clause constraint, the head tuple, and each body
+atom's arguments with its predicate's polyhedron.  Atom arguments are
+pairwise distinct, so renaming a polyhedron onto them is injective and
+the key tells posts apart exactly as the interpreted body would; that
+body is built only on a miss.
 """
 
 from __future__ import annotations
 
 from hornsafe.chc_core import Clause, LinConstraint, Program, Variable
 from hornsafe.lra import Polyhedron, hull, memoised, project, widen
-from hornsafe.model import InterpretationModel, canonical_args
+from hornsafe.model import InterpretationModel, canonical_args, instantiate
 
 
 def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
@@ -26,11 +30,13 @@ def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
     atoms with the clause constraint, project onto the head tuple, and
     rename onto canonical arguments.  Empty exactly when the
     interpreted body is unsatisfiable."""
-    return _post(state.body_constraint(clause), clause.head.args)
+    body = tuple((atom.args, state.polyhedron(atom.pred)) for atom in clause.body)
+    return _post(clause.constraint, clause.head.args, body)
 
 
 @memoised("clause_post")
-def _post(conj: LinConstraint, head_args: tuple[Variable, ...]) -> Polyhedron:
+def _post(constraint: LinConstraint, head_args: tuple[Variable, ...], body: tuple) -> Polyhedron:
+    conj = constraint.conjoin(*(instantiate(poly, args) for args, poly in body))
     poly = Polyhedron.of(project(conj, head_args))
     if poly.empty:
         return poly

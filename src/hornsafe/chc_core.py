@@ -31,6 +31,7 @@ printing again is a fixpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -165,9 +166,26 @@ def gcd_fractions(values: Iterable[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class LinConstraint:
-    """A finite conjunction of rows; the empty conjunction is true."""
+    """A finite conjunction of rows; the empty conjunction is true.
+
+    Memo keys hash the same constraint many times, so its hash is
+    computed on first use and kept.  The cache is no field: ==, repr and
+    pickling ignore it.
+    """
 
     rows: tuple[Row, ...] = ()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rows,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # a variable hashes as its name, which differs between processes
+        return LinConstraint, (self.rows,)
 
     def vars(self) -> set[Variable]:
         out: set[Variable] = set()
@@ -329,21 +347,28 @@ _PUNCT1 = "().,=<>+-*"
 _NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 # Most digits in a numerator or denominator the parser builds, as a
-# literal or by folding constants, and a projection returns: the report
-# prints every number, and Python refuses to print an int of more than
-# 4,300 digits.
+# literal or by folding constants.
 MAX_DIGITS = 1000
-_NUMBER_BOUND = 10**MAX_DIGITS
+# Most digits in a numerator or denominator a projection returns: the
+# report prints every number, and Python refuses to print an int of more
+# than 4,300 digits.
+MAX_PRINTED_DIGITS = 4300
 
 
 class NumberTooLongError(ArithmeticError):
-    """Analysis built a number of more than MAX_DIGITS digits."""
+    """Analysis built a number of more than MAX_PRINTED_DIGITS digits."""
 
 
-def too_long(numbers: Iterable[Fraction]) -> bool:
+def too_long(numbers: Iterable[Fraction], digits: int) -> bool:
     """Has any of numbers a numerator or denominator of more than
-    MAX_DIGITS digits?"""
-    return any(abs(c.numerator) >= _NUMBER_BOUND or c.denominator >= _NUMBER_BOUND for c in numbers)
+    digits digits?"""
+    bound = _power_of_ten(digits)
+    return any(abs(c.numerator) >= bound or c.denominator >= bound for c in numbers)
+
+
+@functools.cache
+def _power_of_ten(digits: int) -> int:
+    return 10**digits
 
 
 @dataclass(frozen=True)
@@ -478,7 +503,7 @@ class _Parser:
     @staticmethod
     def bounded(expr: _LinExpr, tok: _Token) -> _LinExpr:
         """expr, unless folding constants at tok made a number too long."""
-        if too_long((expr.const, *expr.coeffs.values())):
+        if too_long((expr.const, *expr.coeffs.values()), MAX_DIGITS):
             raise ParseError(f"number longer than {MAX_DIGITS} digits", tok.line, tok.col)
         return expr
 

@@ -14,8 +14,8 @@ spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
 A phase that builds a number too long to print (more than
-chc_core.MAX_DIGITS digits) ends the run as unknown, with the reason
-resource:<phase>.
+chc_core.MAX_PRINTED_DIGITS digits) ends the run as unknown, with the
+reason resource:<phase>.
 
 verify opens a Memo of the memoised steps (see lra.solver) for
 exactly its own call, so no result crosses two calls, and reports its

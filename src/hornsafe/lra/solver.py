@@ -16,13 +16,17 @@ list.  Fourier-Motzkin then eliminates, each round, the dropped
 variable with the fewest positive-negative pairs (the first in name
 order on a tie), keeping only the tightest row per coefficient
 direction.  The result is sorted by its printed form; a number in it
-of more than chc_core.MAX_DIGITS digits raises NumberTooLongError.
+of more than chc_core.MAX_PRINTED_DIGITS digits raises
+NumberTooLongError.
 
 The convex hull of two polyhedra is computed on a lifted system: a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
 variables.  Strict rows are relaxed first; the result is the closed
-convex hull, a sound over-approximation of the union.
+convex hull, a sound over-approximation of the union.  The lifted rows
+are built in projection's own row form and handed straight to its
+elimination, and the shadow is only minimised: the hull of two
+nonempty polyhedra is never empty.
 
 Interpolation is certificate-based.  For jointly unsatisfiable phi1,
 phi2 a refutation is a nonnegative multiplier vector y over the split
@@ -41,11 +45,13 @@ module is imported; hull is the step this module owns, the others live
 with their callers.  While a Memo is current (driver.verify opens one
 for exactly its own call) their results are kept in it, one table per
 step keyed on its arguments; outside it they compute directly and keep
-nothing.  project and Polyhedron.of are not memoised on their own: the
-steps that repeat them memoise them whole, and inside hull they do not
-repeat.  Nor are widen, is_sat, entails, minimise, interpolate and the
-kernel, whose repeats would save less than hashing the rows of every
-query costs.
+nothing.  A LinConstraint keeps its hash, so a key made of objects
+that already exist hashes in constant time.  project and Polyhedron.of
+are not memoised on their own: the steps that repeat them memoise them
+whole, and inside hull they do not repeat.  Nor are widen, is_sat,
+entails, minimise, interpolate and the kernel: their queries are mostly
+built afresh, and their repeats would save less than hashing the rows
+of every new query once costs.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from hornsafe.chc_core import (
-    MAX_DIGITS,
+    MAX_PRINTED_DIGITS,
     REL_EQ,
     REL_LE,
     REL_LT,
@@ -258,11 +264,15 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
 
     The result mentions only keep variables and is satisfiable exactly
     when the input is.  Raises NumberTooLongError when a number in it
-    has more than chc_core.MAX_DIGITS digits.
+    has more than chc_core.MAX_PRINTED_DIGITS digits.
     """
     drop = constraint.vars() - set(keep)
-    rows = [(row.coeffs(), row.rel, row.rhs) for row in constraint.rows]
+    return _eliminate([(row.coeffs(), row.rel, row.rhs) for row in constraint.rows], drop)
 
+
+def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
+    """Eliminate the variables in drop from the (coefficients, relation,
+    right-hand side) rows, whose dicts it consumes; see project."""
     # In row order, an equality on a dropped variable is substituted
     # into every other row and leaves the list.
     i = 0
@@ -324,8 +334,9 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
                     return FALSE
 
     out_rows += [Row.make(coeffs, REL_LT if strict else REL_LE, b) for coeffs, strict, b in table.values()]
-    if too_long(n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms))):
-        raise NumberTooLongError(f"a projection built a number longer than {MAX_DIGITS} digits")
+    numbers = (n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms)))
+    if too_long(numbers, MAX_PRINTED_DIGITS):
+        raise NumberTooLongError(f"a projection built a number longer than {MAX_PRINTED_DIGITS} digits")
     out_rows.sort(key=lambda r: r.pretty())
     return LinConstraint(tuple(out_rows))
 
@@ -422,19 +433,20 @@ def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
         cmap = {x: _fresh_named(f"{x}__h{tag}", used) for x in xs}
         scale = _fresh_named(f"S__h{tag}", used)
         copies.append((cmap, scale))
-    rows: list[Row] = []
+    rows = []
     for poly, (cmap, scale) in zip((p1, p2), copies):
         for row in poly.constraint.rows:
             coeffs = {cmap[v]: c for v, c in row.terms}
-            coeffs[scale] = -row.rhs
-            rel = REL_LE if row.rel == REL_LT else row.rel
-            rows.append(Row.make(coeffs, rel, 0))
-        rows.append(Row.make({scale: -1}, REL_LE, 0))
-    rows.append(Row.make({copies[0][1]: 1, copies[1][1]: 1}, REL_EQ, 1))
+            if row.rhs:
+                coeffs[scale] = -row.rhs
+            rows.append((coeffs, REL_LE if row.rel == REL_LT else row.rel, _ZERO))
+        rows.append(({scale: -_ONE}, REL_LE, _ZERO))
+    rows.append(({copies[0][1]: _ONE, copies[1][1]: _ONE}, REL_EQ, _ONE))
     for x in xs:
-        rows.append(Row.make({x: 1, copies[0][0][x]: -1, copies[1][0][x]: -1}, REL_EQ, 0))
-    shadow = project(LinConstraint(tuple(rows)), xs)
-    return Polyhedron.of(shadow)
+        rows.append(({x: _ONE, copies[0][0][x]: -_ONE, copies[1][0][x]: -_ONE}, REL_EQ, _ZERO))
+    shadow = _eliminate(rows, used - set(xs))
+    # the hull of two nonempty polyhedra is nonempty
+    return Polyhedron(minimise(shadow))
 
 
 def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:

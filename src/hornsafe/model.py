@@ -26,6 +26,14 @@ def canonical_args(n: int) -> tuple[Variable, ...]:
     return tuple(Variable(f"X{i}") for i in range(1, n + 1))
 
 
+def instantiate(poly: Polyhedron, args: tuple[Variable, ...]) -> LinConstraint:
+    """poly's constraint over the canonical arguments, renamed onto the
+    given tuple; false when poly is empty."""
+    if poly.empty:
+        return FALSE
+    return poly.constraint.rename(dict(zip(canonical_args(len(args)), args)))
+
+
 @dataclass(frozen=True)
 class InterpretationModel:
     entries: Mapping[str, Polyhedron] = field(default_factory=dict)
@@ -45,11 +53,7 @@ class InterpretationModel:
 
     def fact(self, pred: str, args: tuple[Variable, ...]) -> LinConstraint:
         """The predicate's constraint instantiated on the given tuple."""
-        poly = self.entries.get(pred)
-        if poly is None:
-            return FALSE
-        mapping = dict(zip(canonical_args(len(args)), args))
-        return poly.constraint.rename(mapping)
+        return instantiate(self.polyhedron(pred), args)
 
     def body_constraint(self, clause: Clause) -> LinConstraint:
         """The clause constraint conjoined with the interpreted facts of

@@ -1,5 +1,7 @@
+import pickle
+from dataclasses import fields, replace
+
 import pytest
-from dataclasses import replace
 from fractions import Fraction
 
 from hornsafe.chc_core import (
@@ -192,6 +194,35 @@ class TestVariable:
     def test_sorted_by_name(self):
         names = ["X10", "B", "X2", "A_n1", "X1", "B__h1"]
         assert sorted(Variable(n) for n in names) == sorted(names)
+
+
+class TestLinConstraintHash:
+    TEXT = "X - 1/2*Y =< 3/2, X = 1"
+
+    def test_equal_constraints_find_each_other(self):
+        a, b = parse_constraint(self.TEXT), parse_constraint(self.TEXT)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a)
+        assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+
+    def test_cache_is_no_field(self):
+        c = parse_constraint(self.TEXT)
+        before = repr(c)
+        assert hash(c) == hash((c.rows,))
+        assert repr(c) == before
+        assert before.startswith("LinConstraint(rows=(Row(terms=")
+        assert [f.name for f in fields(LinConstraint)] == ["rows"]
+        # equal to one that has not hashed yet, and to one that has
+        fresh = LinConstraint(c.rows)
+        assert c == fresh and fresh == c
+        hash(fresh)
+        assert c == fresh and c != parse_constraint("X = 1")
+
+    def test_cache_is_not_pickled(self):
+        c = parse_constraint(self.TEXT)
+        hash(c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and "_hash" not in vars(copy)
 
 
 class TestRoundTrip:

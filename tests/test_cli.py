@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hornsafe.cli import main
+from hornsafe.driver import ENGINES
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 
@@ -74,7 +75,7 @@ class TestExitCodes:
     def test_number_outgrowing_the_bound_is_unknown(self, chc, tmp_path, capsys):
         # each round of the analysis multiplies X by a 999-digit
         # constant, so a hull's projection soon builds a number past
-        # chc_core.MAX_DIGITS
+        # chc_core.MAX_PRINTED_DIGITS
         big = "1" + "0" * 998
         text = (
             "p(X,Y) :- X=1, Y=0.\n"
@@ -89,6 +90,19 @@ class TestExitCodes:
         assert captured.err == ""
         payload = json.loads(stats.read_text())
         assert (payload["verdict"], payload["reason"]) == ("unknown", "resource:analyze")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_number_past_the_parser_bound_is_decided(self, chc, engine, capsys):
+        # the analysis builds numbers of 3,996 digits: past the
+        # parser's chc_core.MAX_DIGITS, still printable
+        big = "9" * 999
+        text = (
+            "p(X) :- X = 1.\n"
+            f"p(Y) :- p(X), Y = {big}*X.\n"
+            f"false :- p(X), X >= {big}, X =< {big}.\n"
+        )
+        assert main(["verify", chc(text), "--engine", engine]) == 1
+        assert capsys.readouterr().out.startswith("UNSAFE\n")
 
     def test_usage_error_is_three(self, chc, capsys):
         with pytest.raises(SystemExit) as exc:

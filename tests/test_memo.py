@@ -9,11 +9,11 @@ import pytest
 
 import hornsafe.driver as driver
 import hornsafe.tree_interpolation as tree_interpolation
-from hornsafe.absint import clause_post
-from hornsafe.chc_core import Atom, Clause, parse_constraint, parse_program
+from hornsafe.absint import analyze, clause_post
+from hornsafe.chc_core import Atom, Clause, Row, parse_constraint, parse_program
 from hornsafe.cli import _report
 from hornsafe.driver import ENGINES, verify
-from hornsafe.lra import Memo, Polyhedron, hull, kernel
+from hornsafe.lra import Memo, Polyhedron, hull, kernel, solver
 from hornsafe.lra.solver import _current_memo
 from hornsafe.model import InterpretationModel, canonical_args
 from gen import VARS, random_constraint
@@ -86,6 +86,11 @@ def project_calls(monkeypatch):
     return _count_calls(monkeypatch, tree_interpolation, "project")
 
 
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    return _count_calls(monkeypatch, solver, "_eliminate")
+
+
 class TestScope:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_after_safe(self, engine, memo_size_after_analyze):
@@ -147,14 +152,15 @@ class TestScope:
         assert current_entries() is None
 
 
-def test_nothing_kept_outside_verify(kernel_calls, project_calls):
+def test_nothing_kept_outside_verify(kernel_calls, project_calls, elimination_calls):
     rng = random.Random(3)
     checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(60):
         steps, _ = random_steps(rng)
         for op, compute in steps.items():
-            # a projection calls no kernel, so count the projections
-            calls = project_calls if op == "context" else kernel_calls
+            # a projection calls no kernel, nor does a hull whose shadow
+            # is the whole space, so count their eliminations
+            calls = {"context": project_calls, "hull": elimination_calls}.get(op, kernel_calls)
             start = calls[0]
             compute()
             once = calls[0] - start
@@ -163,6 +169,21 @@ def test_nothing_kept_outside_verify(kernel_calls, project_calls):
             checked[op] += once > 0
         assert current_entries() is None
     assert min(checked.values()) >= 30, checked
+
+
+def test_post_hit_builds_no_row(monkeypatch):
+    program = parse_program(FIB)
+    model = analyze(program)
+    rows = _count_calls(monkeypatch, Row, "__init__")
+    with Memo() as memo:
+        for clause in program:
+            clause_post(clause, model)
+        assert memo.misses["clause_post"] == len(program)
+        built = rows[0]
+        for clause in program:
+            clause_post(clause, model)
+        assert memo.hits["clause_post"] == len(program)
+    assert built > 0 and rows[0] == built
 
 
 def _report_without_times(verdict) -> str:

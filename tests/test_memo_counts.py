@@ -1,0 +1,47 @@
+"""The memo's hit and miss counts on every corpus program under both
+engines, pinned.  A memo key that told fewer calls apart would lose
+hits here, and one that told more apart would merge misses.  The counts
+do not depend on the hash seed, so CI runs this again under fixed
+seeds."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from hornsafe.chc_core import parse_program
+from hornsafe.driver import ENGINES, verify
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+# <program>.<engine>: {step: (hits, misses)}
+EXPECTED = {
+    "count_up.rahit": {"hull": (0, 4), "clause_post": (3, 6), "context": (0, 0)},
+    "count_up.rahft": {"hull": (0, 4), "clause_post": (3, 6), "context": (0, 0)},
+    "decrement.rahit": {"hull": (0, 1), "clause_post": (3, 3), "context": (0, 0)},
+    "decrement.rahft": {"hull": (0, 1), "clause_post": (3, 3), "context": (0, 0)},
+    "fib.rahit": {"hull": (0, 4), "clause_post": (3, 6), "context": (0, 0)},
+    "fib.rahft": {"hull": (0, 4), "clause_post": (3, 6), "context": (0, 0)},
+    "split_range.rahit": {"hull": (1, 3), "clause_post": (12, 6), "context": (0, 0)},
+    "split_range.rahft": {"hull": (60, 3), "clause_post": (876, 6), "context": (0, 0)},
+    "tri_sum.rahit": {"hull": (0, 60), "clause_post": (244, 57), "context": (36, 9)},
+    "tri_sum.rahft": {"hull": (0, 60), "clause_post": (244, 57), "context": (0, 0)},
+    "unsafe_loop.rahit": {"hull": (0, 16), "clause_post": (45, 21), "context": (1, 2)},
+    "unsafe_loop.rahft": {"hull": (0, 16), "clause_post": (45, 21), "context": (0, 0)},
+    "unsafe_simple.rahit": {"hull": (0, 0), "clause_post": (4, 2), "context": (0, 0)},
+    "unsafe_simple.rahft": {"hull": (0, 0), "clause_post": (4, 2), "context": (0, 0)},
+}
+
+
+def test_every_corpus_run_is_pinned():
+    runs = {f"{path.stem}.{engine}" for path in CORPUS.glob("*.chc") for engine in ENGINES}
+    assert set(EXPECTED) == runs
+
+
+@pytest.mark.parametrize("run", EXPECTED)
+def test_memo_counts(run):
+    stem, engine = run.split(".")
+    verdict = verify(parse_program((CORPUS / f"{stem}.chc").read_text()), engine=engine)
+    counts = {op: (c["hits"], c["misses"]) for op, c in verdict.stats.memo.items()}
+    assert counts == EXPECTED[run]
