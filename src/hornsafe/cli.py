@@ -166,7 +166,11 @@ def main(argv=None) -> int:
             timeout=args.timeout,
             dump_sink=dump_sink,
         )
-        print(_report(verdict))
+        try:
+            print(_report(verdict), flush=True)
+        except BrokenPipeError:
+            # the reader left early; keep the exit-time flush from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if args.stats_json:
             json.dump(_stats_payload(verdict), stats_out, indent=2)
             stats_out.write("\n")

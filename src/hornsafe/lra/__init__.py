@@ -8,7 +8,6 @@ from hornsafe.lra.solver import (
     Polyhedron,
     Witness,
     entails,
-    equivalent,
     hull,
     interpolate,
     is_sat,
@@ -25,7 +24,6 @@ __all__ = [
     "Polyhedron",
     "Witness",
     "entails",
-    "equivalent",
     "hull",
     "interpolate",
     "is_sat",

@@ -30,13 +30,14 @@ The arithmetic is fraction-free, after Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination" (Math. Comp.
 1968): no Fraction is built inside the pivot loop.
 
-* Each input row is multiplied by L, the lcm of its denominators, so
-  its slack is L*s over integer coefficients, with the integer bound
-  L*b and, for a strict row, the delta bound -L.  Scaling a variable by
-  a positive constant changes neither the sign of any coefficient nor
-  which bounds are violated, so Bland's rule picks the very same pivots
-  and the original columns take the very same values: the witnesses
-  are bit for bit those of a simplex over Fractions.
+* The caller passes each row multiplied by L, the lcm of its
+  denominators, and L itself, so its slack is L*s over integer
+  coefficients, with the integer bound L*b and, for a strict row, the
+  delta bound -L (any other multiple would change the delta part).
+  Scaling a variable by a positive constant changes neither the sign of
+  any coefficient nor which bounds are violated, so Bland's rule picks
+  the very same pivots and the original columns take the very same
+  values: the witnesses are bit for bit those of a simplex over Fractions.
 * A tableau row is a list of ints N over one positive int D, meaning
   ``D * basic = sum(N[p] * colvar[p])``.  The basic variable's value is
   kept as int numerators (main and delta) over the same D.  Nonbasic
@@ -60,7 +61,7 @@ unsatisfiable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from hornsafe.chc_core import REL_EQ, REL_LT
 
@@ -70,9 +71,10 @@ _ZERO = Fraction(0)
 def simplex_feasible(ncols, rows):
     """Decide satisfiability of dense rows over ncols columns.
 
-    rows: sequence of (coeffs, rel, rhs) with coeffs a length-ncols
-    sequence of Fraction, rel one of chc_core's REL_LE / REL_LT /
-    REL_EQ, and rhs a Fraction.
+    rows: sequence of (coeffs, rel, rhs, scale), the row
+    ``coeffs/scale . x  rel  rhs/scale`` with coeffs a length-ncols
+    sequence of int, rel one of chc_core's REL_LE / REL_LT / REL_EQ,
+    rhs an int and scale the positive lcm of the row's denominators.
     """
     nrows = len(rows)
     total = ncols + nrows
@@ -85,29 +87,17 @@ def simplex_feasible(ncols, rows):
     pinned = [False] * total
     # den[r] * basic[r] = sum(tab[r][p] * colvar[p]); the value of
     # basic[r] is (num_m[r] / den[r], num_d[r] / den[r]).
-    tab = []
+    tab = [list(coeffs) for coeffs, _, _, _ in rows]
     den = [1] * nrows
     num_m = [0] * nrows
     num_d = [0] * nrows
-    basic = []
+    basic = list(range(ncols, total))
     colvar = list(range(ncols))
-    rowof = [-1] * total
+    rowof = [-1] * ncols + list(range(nrows))
     # Basic variables out of bounds, mapped to True when below.
     viol = {}
 
-    for i in range(nrows):
-        coeffs, rel, rhs = rows[i]
-        dens = [c.denominator for c in coeffs]
-        scale = lcm(rhs.denominator, *dens)
-        if scale == 1:
-            tab.append([c.numerator for c in coeffs])
-            bound = rhs.numerator
-        else:
-            tab.append([c.numerator * (scale // q) for c, q in zip(coeffs, dens)])
-            bound = rhs.numerator * (scale // rhs.denominator)
-        s = ncols + i
-        basic.append(s)
-        rowof[s] = i
+    for s, (_, rel, bound, scale) in enumerate(rows, ncols):
         up_m[s] = bound
         if rel == REL_LT:
             up_d[s] = -scale

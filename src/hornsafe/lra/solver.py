@@ -1,21 +1,27 @@
 """Decision procedures over conjunctions of linear rational constraints.
 
 Everything is exact.  Satisfiability goes through the simplex kernel
-in kernel.py; strict inequalities are handled
-with delta-rationals, so witnesses assign each variable a pair
-(main, delta coefficient) meaning main + delta * d for an arbitrarily
-small positive d.  Entailment refutes row by row: c1 entails a row
-when c1 with each row of the row's negation is unsatisfiable.  is_sat,
-entails, minimise and widen densify their premise once per call, over
-the sorted variables, and negate rows in that dense form.
+in kernel.py; strict inequalities are handled with delta-rationals, so
+witnesses assign each variable a pair (main, delta coefficient) meaning
+main + delta * d for an arbitrarily small positive d.  Entailment
+refutes row by row: c1 entails a row when c1 with each row of the row's
+negation is unsatisfiable.  is_sat, entails, minimise and widen turn
+their premise into the kernel's integer rows once per call, over the
+sorted variables, and negate rows in that form.
 
-Projection is variable elimination on one list of (coefficients,
-relation, right-hand side) rows.  In row order, each equality on a
-dropped variable is substituted into every other row and leaves the
-list.  Fourier-Motzkin then eliminates, each round, the dropped
-variable with the fewest positive-negative pairs (the first in name
-order on a tie), keeping only the tightest row per coefficient
-direction.  The result is sorted by its printed form; a number in it
+Projection is variable elimination on one list of integer rows: int
+coefficients, a relation, an int right-hand side and a positive int
+denominator, which keeps a kept equality's exact rational scale.  In
+row order, each equality on a dropped variable (pivot coefficient k) is
+substituted into every other row (its coefficient c) as
+|k|*row - sign(k)*c*equality over their gcd, and leaves the list.
+Fourier-Motzkin then eliminates, each round, the dropped variable with
+the fewest positive-negative pairs (the first in name order on a tie),
+combining a pair as kn*p + kp*n.  Only the tightest row per direction
+is kept: the key is the primitive coefficient vector (over its gcd),
+bounds compare by cross-multiplying and strict wins a tie.  Fractions
+appear only in the final Rows, each inequality scaled so its first
+coefficient in name order is +1 or -1, sorted by printed form; a number
 of more than chc_core.MAX_PRINTED_DIGITS digits raises
 NumberTooLongError.
 
@@ -24,7 +30,7 @@ scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
 variables.  Strict rows are relaxed first; the result is the closed
 convex hull, a sound over-approximation of the union.  The lifted rows
-are built in projection's own row form and handed straight to its
+are built as projection's integer rows and handed straight to its
 elimination, and the shadow is only minimised: the hull of two
 nonempty polyhedra is never empty.
 
@@ -39,10 +45,10 @@ phi1-part of the cancellation equals minus the phi2-part.
 
 The refinement loop reanalyses a regenerated program every round, and
 its clauses carry the previous round's constraints unchanged, so some
-coarse steps repeat.  Each is a function decorated with
-memoised(step), which registers the step's table in Memo.OPS when its
-module is imported; hull is the step this module owns, the others live
-with their callers.  While a Memo is current (driver.verify opens one
+coarse steps repeat.  Each is a function decorated with memoised(step),
+which registers the step's table in Memo.OPS when its module is
+imported; hull is the step this module owns, the others live with
+their callers.  While a Memo is current (driver.verify opens one
 for exactly its own call) their results are kept in it, one table per
 step keyed on its arguments; outside it they compute directly and keep
 nothing.  A LinConstraint keeps its hash, so a key made of objects
@@ -61,6 +67,7 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from hornsafe.chc_core import (
@@ -136,15 +143,25 @@ class Witness:
 # Core satisfiability --------------------------------------------------------
 
 
+def _scaled_row(values: list[Fraction], rel: str) -> tuple:
+    """The kernel row whose coefficients then rhs are values: the row
+    times L, the lcm of their denominators, as (ints, rel, int rhs, L)."""
+    # a list: a tuple grown from a generator would swell the tuple free list
+    scale = lcm(*[c.denominator for c in values])
+    ints = [c.numerator * (scale // c.denominator) for c in values]
+    return ints, rel, ints.pop(), scale
+
+
 def _dense(rows: Iterable[Row], columns: list[Variable]) -> list:
     """The rows over columns, as the kernel takes them."""
     index = {v: i for i, v in enumerate(columns)}
     out = []
     for row in rows:
-        dense = [_ZERO] * len(columns)
+        dense = [_ZERO] * (len(columns) + 1)
         for v, c in row.terms:
             dense[index[v]] = c
-        out.append((dense, row.rel, row.rhs))
+        dense[-1] = row.rhs
+        out.append(_scaled_row(dense, row.rel))
     return out
 
 
@@ -160,12 +177,12 @@ def is_sat(constraint: LinConstraint) -> Witness | None:
 def _implied(premise: list, ncols: int, row: tuple) -> bool:
     """Does every model of the kernel rows premise satisfy the kernel
     row?  Refutes each row of its negation in turn."""
-    dense, rel, rhs = row
+    dense, rel, rhs, scale = row
     neg = [-c for c in dense]
     if rel == REL_EQ:
-        negation = [(dense, REL_LT, rhs), (neg, REL_LT, -rhs)]
+        negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
     else:
-        negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs)]
+        negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
     return all(kernel.simplex_feasible(ncols, [*premise, n]) is None for n in negation)
 
 
@@ -174,10 +191,6 @@ def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
     columns = sorted(c1.vars() | c2.vars())
     premise = _dense(c1.rows, columns)
     return all(_implied(premise, len(columns), row) for row in _dense(c2.rows, columns))
-
-
-def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
-    return entails(c1, c2) and entails(c2, c1)
 
 
 # Memo -----------------------------------------------------------------------
@@ -238,24 +251,19 @@ def memoised(op: str):
 # Projection -----------------------------------------------------------------
 
 
-def _dominance_insert(table: dict, coeffs: dict[Variable, Fraction], strict: bool, rhs: Fraction) -> bool:
-    """Keep the tightest row per coefficient direction.
-
-    Directions are canonicalised by scaling so the first coefficient in
-    variable-name order is +1 or -1; the table maps each to its row
-    (scaled coefficients, strict, rhs).  Returns False when a ground
-    row is violated (the system is unsatisfiable).
-    """
-    items = sorted((v, c) for v, c in coeffs.items() if c != 0)
-    if not items:
+def _dominance_insert(table: dict, coeffs: dict[Variable, int], strict: bool, rhs: int) -> bool:
+    """Keep the tightest row per direction: the table maps a primitive
+    key to (coefficients, strict, rhs, g), bound rhs/g along the key.
+    Returns False when a ground row is violated (unsatisfiable)."""
+    coeffs = {v: c for v, c in coeffs.items() if c}
+    if not coeffs:
         return rhs > 0 if strict else rhs >= 0
-    scale = abs(items[0][1])
-    scaled = {v: c / scale for v, c in items}
-    key = tuple(scaled.items())
-    b = rhs / scale
+    g = gcd(*coeffs.values())
+    key = frozenset([(v, c // g) for v, c in coeffs.items()])
     old = table.get(key)
-    if old is None or (b, not strict) < (old[2], not old[1]):
-        table[key] = (scaled, strict, b)
+    if old is None or (rhs * old[3], not strict) < (old[2] * g, not old[1]):
+        h = gcd(g, rhs)
+        table[key] = ({v: c // h for v, c in coeffs.items()}, strict, rhs // h, g // h)
     return True
 
 
@@ -267,73 +275,84 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     has more than chc_core.MAX_PRINTED_DIGITS digits.
     """
     drop = constraint.vars() - set(keep)
-    return _eliminate([(row.coeffs(), row.rel, row.rhs) for row in constraint.rows], drop)
+    rows = []
+    for row in constraint.rows:
+        ints, rel, rhs, den = _scaled_row([*(c for _, c in row.terms), row.rhs], row.rel)
+        rows.append(({v: c for (v, _), c in zip(row.terms, ints)}, rel, rhs, den))
+    return _eliminate(rows, drop)
+
+
+def _row(coeffs: dict[Variable, int], rel: str, rhs: int, den: int) -> Row:
+    """The Row coeffs/den . x rel rhs/den."""
+    return Row.make({v: Fraction(c, den) for v, c in coeffs.items()}, rel, Fraction(rhs, den))
 
 
 def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
-    """Eliminate the variables in drop from the (coefficients, relation,
-    right-hand side) rows, whose dicts it consumes; see project."""
-    # In row order, an equality on a dropped variable is substituted
-    # into every other row and leaves the list.
+    """Eliminate the variables in drop from the integer rows
+    (coefficients, relation, rhs, denominator), whose dicts it consumes;
+    see project."""
     i = 0
     while i < len(rows):
-        ecoeffs, rel, erhs = rows[i]
+        ecoeffs, rel, erhs, _ = rows[i]
         pivot = None
         if rel == REL_EQ:
-            pivot = next((v for v in sorted(ecoeffs) if v in drop and ecoeffs[v] != 0), None)
+            pivot = next((v for v in sorted(ecoeffs) if v in drop and ecoeffs[v]), None)
         if pivot is None:
             i += 1
             continue
         del rows[i]
         k = ecoeffs.pop(pivot)
-        for j, (coeffs, r, rhs) in enumerate(rows):
-            c = coeffs.pop(pivot, _ZERO)
-            if c != 0:
-                factor = c / k
+        sign = 1 if k > 0 else -1
+        k *= sign
+        for j, (coeffs, r, rhs, den) in enumerate(rows):
+            c = sign * coeffs.pop(pivot, 0)
+            if c:
+                coeffs = {v: k * e for v, e in coeffs.items()}
                 for v, e in ecoeffs.items():
-                    coeffs[v] = coeffs.get(v, _ZERO) - factor * e
-                rows[j] = (coeffs, r, rhs - factor * erhs)
+                    coeffs[v] = coeffs.get(v, 0) - c * e
+                rhs, den = k * rhs - c * erhs, k * den
+                g = gcd(den, rhs, *coeffs.values())
+                rows[j] = ({v: e // g for v, e in coeffs.items()}, r, rhs // g, den // g)
 
     out_rows: list[Row] = []
     table: dict = {}
-    for coeffs, rel, rhs in rows:
+    for coeffs, rel, rhs, den in rows:
         if rel != REL_EQ:
             if not _dominance_insert(table, coeffs, rel == REL_LT, rhs):
                 return FALSE
             continue
-        row = Row.make(coeffs, REL_EQ, rhs)
+        row = _row(coeffs, REL_EQ, rhs, den)
         if row.terms:
             out_rows.append(row)
         elif row.rhs != 0:
             return FALSE
 
-    # Fourier-Motzkin: eliminate the dropped variable with the fewest
-    # positive-negative pairs, the first in name order on a tie.
+    # Fourier-Motzkin; a pair's kn*p + kp*n cancels var exactly
     while True:
         pos: Counter[Variable] = Counter()
         neg: Counter[Variable] = Counter()
-        for coeffs, _, _ in table.values():
+        for coeffs, _, _, _ in table.values():
             for v, c in coeffs.items():
                 if v in drop:
                     (pos if c > 0 else neg)[v] += 1
         if not pos and not neg:
             break
         var = min(sorted(pos.keys() | neg.keys()), key=lambda v: pos[v] * neg[v])
-        upper = [row for row in table.values() if row[0].get(var, _ZERO) > 0]
-        lower = [row for row in table.values() if row[0].get(var, _ZERO) < 0]
+        upper = [row for row in table.values() if row[0].get(var, 0) > 0]
+        lower = [row for row in table.values() if row[0].get(var, 0) < 0]
         table = {key: row for key, row in table.items() if var not in row[0]}
-        for pcs, ps, pb in upper:
+        for pcs, ps, pb, _ in upper:
             kp = pcs[var]
-            for ncs, ns, nb in lower:
+            for ncs, ns, nb, _ in lower:
                 kn = -ncs[var]
-                # var's coefficient comes to exactly 0, which the insert skips
-                combined = {v: c / kp for v, c in pcs.items()}
+                combined = {v: kn * c for v, c in pcs.items()}
                 for v, c in ncs.items():
-                    combined[v] = combined.get(v, _ZERO) + c / kn
-                if not _dominance_insert(table, combined, ps or ns, pb / kp + nb / kn):
+                    combined[v] = combined.get(v, 0) + kp * c
+                if not _dominance_insert(table, combined, ps or ns, kn * pb + kp * nb):
                     return FALSE
 
-    out_rows += [Row.make(coeffs, REL_LT if strict else REL_LE, b) for coeffs, strict, b in table.values()]
+    for coeffs, strict, rhs, _ in table.values():
+        out_rows.append(_row(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
     numbers = (n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms)))
     if too_long(numbers, MAX_PRINTED_DIGITS):
         raise NumberTooLongError(f"a projection built a number longer than {MAX_PRINTED_DIGITS} digits")
@@ -436,14 +455,15 @@ def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     rows = []
     for poly, (cmap, scale) in zip((p1, p2), copies):
         for row in poly.constraint.rows:
-            coeffs = {cmap[v]: c for v, c in row.terms}
-            if row.rhs:
-                coeffs[scale] = -row.rhs
-            rows.append((coeffs, REL_LE if row.rel == REL_LT else row.rel, _ZERO))
-        rows.append(({scale: -_ONE}, REL_LE, _ZERO))
-    rows.append(({copies[0][1]: _ONE, copies[1][1]: _ONE}, REL_EQ, _ONE))
+            ints, rel, rhs, den = _scaled_row([*(c for _, c in row.terms), row.rhs], row.rel)
+            coeffs = {cmap[v]: c for (v, _), c in zip(row.terms, ints)}
+            if rhs:
+                coeffs[scale] = -rhs
+            rows.append((coeffs, REL_LE if rel == REL_LT else rel, 0, den))
+        rows.append(({scale: -1}, REL_LE, 0, 1))
+    rows.append(({copies[0][1]: 1, copies[1][1]: 1}, REL_EQ, 1, 1))
     for x in xs:
-        rows.append(({x: _ONE, copies[0][0][x]: -_ONE, copies[1][0][x]: -_ONE}, REL_EQ, _ZERO))
+        rows.append(({x: 1, copies[0][0][x]: -1, copies[1][0][x]: -1}, REL_EQ, 0, 1))
     shadow = _eliminate(rows, used - set(xs))
     # the hull of two nonempty polyhedra is nonempty
     return Polyhedron(minimise(shadow))
@@ -490,30 +510,18 @@ def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
     combined rhs <= 0 with the strict-row multipliers summing to >= 1.
     """
     m = len(split)
-    variables: set[Variable] = set()
-    for coeffs, _, _ in split:
-        variables |= set(coeffs)
-    rows = []
-    for v in sorted(variables):
-        dense = [split[i][0].get(v, _ZERO) for i in range(m)]
-        rows.append((dense, REL_EQ, _ZERO))
-    for i in range(m):
-        dense = [_ZERO] * m
-        dense[i] = Fraction(-1)
-        rows.append((dense, REL_LE, _ZERO))
-    for i in pinned:
-        dense = [_ZERO] * m
-        dense[i] = _ONE
-        rows.append((dense, REL_EQ, _ZERO))
-    rhs_dense = [split[i][2] for i in range(m)]
+    variables = sorted(set().union(*[cs for cs, _, _ in split]))
+    rows = [_scaled_row([*(cs.get(v, _ZERO) for cs, _, _ in split), _ZERO], REL_EQ) for v in variables]
+    rows += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
+    rows += [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
+    budget = [b for _, _, b in split]
     if not want_strict_budget:
-        rows.append((rhs_dense, REL_LE, Fraction(-1)))
+        rows.append(_scaled_row([*budget, Fraction(-1)], REL_LE))
     else:
-        rows.append((rhs_dense, REL_LE, _ZERO))
-        strict_dense = [Fraction(-1) if split[i][1] else _ZERO for i in range(m)]
-        if all(c == 0 for c in strict_dense):
+        rows.append(_scaled_row([*budget, _ZERO], REL_LE))
+        if not any(strict for _, strict, _ in split):
             return None
-        rows.append((strict_dense, REL_LE, Fraction(-1)))
+        rows.append(([-1 if strict else 0 for _, strict, _ in split], REL_LE, -1, 1))
     result = kernel.simplex_feasible(m, rows)
     if result is None:
         return None

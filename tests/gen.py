@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ def tall_narrow_system(rng: random.Random):
     """The shape of an entailment check after a hull: 2 columns and
     60-90 rows bounding a polygon away from the origin, plus one negated
     row that may or may not cut the polygon off.  Returns (ncols, rows)
-    as kernel.simplex_feasible takes them."""
+    over Fractions; kernel_rows turns them into the kernel's form."""
     cx = Fraction(rng.randint(-20, 20), rng.randint(1, 3))
     cy = Fraction(rng.randint(-20, 20), rng.randint(1, 3))
     rows = []
@@ -65,8 +66,8 @@ def farkas_system(rng: random.Random):
     """The shape of a Farkas multiplier system: one column per row of a
     random infeasibility question over a few variables, cancellation
     equalities, nonnegative multipliers, a few pinned to zero, and a
-    budget on the combined right-hand side.  Returns (ncols, rows) as
-    kernel.simplex_feasible takes them."""
+    budget on the combined right-hand side.  Returns (ncols, rows) over
+    Fractions; kernel_rows turns them into the kernel's form."""
     nvars = rng.randint(3, 6)
     m = rng.randint(26, 32)
     # rows through a common point have no refutation, so no multipliers
@@ -112,8 +113,8 @@ def large_denominator_system(rng: random.Random):
     """Rows over 2-4 columns whose coefficients and right-hand sides
     have large prime denominators (up to 10^6) and numerators up to
     10^9, so each row scales by a large lcm.  About half of the systems
-    keep a random point feasible.  Returns (ncols, rows) as
-    kernel.simplex_feasible takes them."""
+    keep a random point feasible.  Returns (ncols, rows) over
+    Fractions; kernel_rows turns them into the kernel's form."""
     ncols = rng.randint(2, 4)
     point = [Fraction(rng.randint(-10**6, 10**6), _large_prime(rng)) for _ in range(ncols)]
     feasible = rng.random() < 0.5
@@ -137,8 +138,8 @@ def large_denominator_system(rng: random.Random):
 
 def zero_row_system(rng: random.Random):
     """0-3 columns, random rows mixed with all-zero rows ``0 rel b``;
-    with 0 columns every row is all-zero.  Returns (ncols, rows) as
-    kernel.simplex_feasible takes them."""
+    with 0 columns every row is all-zero.  Returns (ncols, rows) over
+    Fractions; kernel_rows turns them into the kernel's form."""
     ncols = rng.randint(0, 3)
     rows = []
     for _ in range(rng.randint(1, 6)):
@@ -149,6 +150,17 @@ def zero_row_system(rng: random.Random):
         rel = rng.choice((REL_LE, REL_LT, REL_EQ))
         rows.append((coeffs, rel, Fraction(rng.randint(-2, 6), rng.randint(1, 3))))
     return ncols, rows
+
+
+def kernel_rows(rows):
+    """Fraction rows (coeffs, rel, rhs) as kernel.simplex_feasible takes
+    them: each row times L, the lcm of its denominators, as (integer
+    coeffs, rel, integer rhs, L)."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        out.append(([int(c * scale) for c in coeffs], rel, int(rhs * scale), scale))
+    return out
 
 
 def random_automaton(

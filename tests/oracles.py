@@ -6,16 +6,21 @@ elimination (Gaussian substitution for equalities, Fourier-Motzkin for
 inequalities), so the shipped simplex and this oracle can disagree only
 if one of them is wrong.
 
+The projection reference is the solver's projection and hull as they
+were over Fractions, before they moved to integer rows: the shipped
+projection must print exactly what it prints.
+
 The last section holds test-only helpers that the verifier never runs:
 trace parsing, bounded enumeration, trace feasibility, clause selection,
-model loading, subtree and context formulas, and label mappings.  Those
-do call the package's solver.
+model loading, subtree and context formulas, label mappings and
+equivalence.  Those do call the package's solver.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -28,14 +33,16 @@ from hornsafe.chc_core import (
     TRUE,
     Atom,
     Clause,
+    FALSE,
     LinConstraint,
     Program,
+    Row,
     Variable,
     parse_program,
 )
 from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
-from hornsafe.lra import Polyhedron, Witness, is_sat, project
+from hornsafe.lra import Polyhedron, Witness, entails, is_sat, minimise, project
 from hornsafe.model import InterpretationModel, canonical_args
 from hornsafe.tree_interpolation import TreeInterpolant
 
@@ -330,6 +337,128 @@ def dense_simplex_reference(ncols, rows):
                         row2[k] = row2[k] + c * nk
 
 
+# Projection reference: equality substitution and Fourier-Motzkin over
+# Fractions, keeping the tightest row per direction with the direction
+# scaled so its first coefficient in name order is +1 or -1, and the
+# hull's lifted system built over Fractions.  The hull's shadow is
+# minimised by the package's minimise, as the solver's is.
+
+
+def _fraction_dominance_insert(table, coeffs, strict, rhs) -> bool:
+    items = sorted((v, c) for v, c in coeffs.items() if c != 0)
+    if not items:
+        return rhs > 0 if strict else rhs >= 0
+    scale = abs(items[0][1])
+    scaled = {v: c / scale for v, c in items}
+    key = tuple(scaled.items())
+    b = rhs / scale
+    old = table.get(key)
+    if old is None or (b, not strict) < (old[2], not old[1]):
+        table[key] = (scaled, strict, b)
+    return True
+
+
+def fraction_eliminate(rows: list, drop: set) -> LinConstraint:
+    """Eliminate drop from the (coefficients, relation, rhs) Fraction
+    rows, whose dicts it consumes."""
+    i = 0
+    while i < len(rows):
+        ecoeffs, rel, erhs = rows[i]
+        pivot = None
+        if rel == REL_EQ:
+            pivot = next((v for v in sorted(ecoeffs) if v in drop and ecoeffs[v] != 0), None)
+        if pivot is None:
+            i += 1
+            continue
+        del rows[i]
+        k = ecoeffs.pop(pivot)
+        for j, (coeffs, r, rhs) in enumerate(rows):
+            c = coeffs.pop(pivot, _ZERO)
+            if c != 0:
+                factor = c / k
+                for v, e in ecoeffs.items():
+                    coeffs[v] = coeffs.get(v, _ZERO) - factor * e
+                rows[j] = (coeffs, r, rhs - factor * erhs)
+
+    out_rows = []
+    table = {}
+    for coeffs, rel, rhs in rows:
+        if rel != REL_EQ:
+            if not _fraction_dominance_insert(table, coeffs, rel == REL_LT, rhs):
+                return FALSE
+            continue
+        row = Row.make(coeffs, REL_EQ, rhs)
+        if row.terms:
+            out_rows.append(row)
+        elif row.rhs != 0:
+            return FALSE
+
+    while True:
+        pos, neg = Counter(), Counter()
+        for coeffs, _, _ in table.values():
+            for v, c in coeffs.items():
+                if v in drop:
+                    (pos if c > 0 else neg)[v] += 1
+        if not pos and not neg:
+            break
+        var = min(sorted(pos.keys() | neg.keys()), key=lambda v: pos[v] * neg[v])
+        upper = [row for row in table.values() if row[0].get(var, _ZERO) > 0]
+        lower = [row for row in table.values() if row[0].get(var, _ZERO) < 0]
+        table = {key: row for key, row in table.items() if var not in row[0]}
+        for pcs, ps, pb in upper:
+            kp = pcs[var]
+            for ncs, ns, nb in lower:
+                kn = -ncs[var]
+                combined = {v: c / kp for v, c in pcs.items()}
+                for v, c in ncs.items():
+                    combined[v] = combined.get(v, _ZERO) + c / kn
+                if not _fraction_dominance_insert(table, combined, ps or ns, pb / kp + nb / kn):
+                    return FALSE
+
+    out_rows += [Row.make(c, REL_LT if strict else REL_LE, b) for c, strict, b in table.values()]
+    out_rows.sort(key=lambda r: r.pretty())
+    return LinConstraint(tuple(out_rows))
+
+
+def project_reference(constraint: LinConstraint, keep) -> LinConstraint:
+    drop = constraint.vars() - set(keep)
+    return fraction_eliminate([(row.coeffs(), row.rel, row.rhs) for row in constraint.rows], drop)
+
+
+def hull_reference(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
+    if p1.empty:
+        return p2
+    if p2.empty:
+        return p1
+    if p1.is_top() or p2.is_top():
+        return Polyhedron.top()
+    xs = sorted(p1.vars() | p2.vars())
+    used = set(xs)
+
+    def fresh(base):
+        while base in used:
+            base += "_"
+        used.add(base)
+        return Variable(base)
+
+    copies = []
+    for tag in ("1", "2"):
+        cmap = {x: fresh(f"{x}__h{tag}") for x in xs}
+        copies.append((cmap, fresh(f"S__h{tag}")))
+    rows = []
+    for poly, (cmap, scale) in zip((p1, p2), copies):
+        for row in poly.constraint.rows:
+            coeffs = {cmap[v]: c for v, c in row.terms}
+            if row.rhs:
+                coeffs[scale] = -row.rhs
+            rows.append((coeffs, REL_LE if row.rel == REL_LT else row.rel, _ZERO))
+        rows.append(({scale: -_ONE}, REL_LE, _ZERO))
+    rows.append(({copies[0][1]: _ONE, copies[1][1]: _ONE}, REL_EQ, _ONE))
+    for x in xs:
+        rows.append(({x: _ONE, copies[0][0][x]: -_ONE, copies[1][0][x]: -_ONE}, REL_EQ, _ZERO))
+    return Polyhedron(minimise(fraction_eliminate(rows, used - set(xs))))
+
+
 # Tree automaton oracles: evaluation by direct recursion over the
 # acceptance definition.  Only the data types are shared with the
 # package; none of its fixpoint or product machinery is reused.
@@ -478,6 +607,10 @@ def difference_reference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
 
 # Test-only helpers.  They run on the package's own data types and
 # solver; the verifier itself calls none of them.
+
+
+def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
+    return entails(c1, c2) and entails(c2, c1)
 
 ENUM_DEPTH_BOUND = 6
 

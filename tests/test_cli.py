@@ -1,12 +1,18 @@
 """Command-line behaviour: exit codes, report text, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hornsafe.cli import main
 from hornsafe.driver import ENGINES
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -103,6 +109,25 @@ class TestExitCodes:
         )
         assert main(["verify", chc(text), "--engine", engine]) == 1
         assert capsys.readouterr().out.startswith("UNSAFE\n")
+
+    def test_closed_stdout_keeps_the_verdict_code(self):
+        # as in `hornsafe verify corpus/tri_sum.chc | true`: the reader of
+        # stdout is gone before the report is printed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hornsafe", "verify", str(ROOT / "corpus" / "tri_sum.chc")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == b""
 
     def test_usage_error_is_three(self, chc, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,10 +12,10 @@ from hornsafe.derivations import (
     formula,
 )
 from hornsafe.fta import trace_fta
-from hornsafe.lra import equivalent
 from oracles import (
     context_formula,
     enumerate_terms,
+    equivalent,
     feasible,
     fm_satisfiable,
     parse_trace,

@@ -1,6 +1,10 @@
 """The simplex kernel against an independent Fourier-Motzkin oracle and
 against the dense reference simplex.
 
+Systems are written over Fractions, as the oracles take them, and handed
+to the kernel through gen.kernel_rows, which scales each row by the lcm
+of its denominators and passes that lcm along.
+
 The kernel must agree with the oracle on satisfiability and must return
 genuine witnesses: every row is checked against the delta-rational
 assignment.  Against the dense reference, which pivots by the same rule
@@ -13,6 +17,7 @@ from fractions import Fraction
 import oracles
 from gen import (
     farkas_system,
+    kernel_rows,
     large_denominator_system,
     random_constraint,
     tall_narrow_system,
@@ -32,6 +37,10 @@ def _to_rows(constraint):
             dense[idx[v]] = c
         rows.append((dense, row.rel, row.rhs))
     return len(xs), rows
+
+
+def _feasible(ncols, rows):
+    return kernel.simplex_feasible(ncols, kernel_rows(rows))
 
 
 def _satisfies(rows, assignment) -> bool:
@@ -54,7 +63,7 @@ def test_agrees_with_oracle_on_random_systems():
     for _ in range(400):
         c = random_constraint(rng)
         ncols, rows = _to_rows(c)
-        result = kernel.simplex_feasible(ncols, rows)
+        result = _feasible(ncols, rows)
         expected = oracles.fm_satisfiable(c)
         assert (result is not None) == expected, c.pretty()
         if result is not None:
@@ -63,7 +72,7 @@ def test_agrees_with_oracle_on_random_systems():
 
 class TestGoldens:
     def test_empty_system(self):
-        assert kernel.simplex_feasible(0, []) == []
+        assert _feasible(0, []) == []
 
     def test_strict_cycle_infeasible(self):
         # X < Y together with Y < X
@@ -71,7 +80,7 @@ class TestGoldens:
             ([Fraction(1), Fraction(-1)], REL_LT, Fraction(0)),
             ([Fraction(-1), Fraction(1)], REL_LT, Fraction(0)),
         ]
-        assert kernel.simplex_feasible(2, rows) is None
+        assert _feasible(2, rows) is None
 
     def test_strict_bound_needs_delta(self):
         # 0 < X and X < 1 has no integer-style corner witness
@@ -79,7 +88,7 @@ class TestGoldens:
             ([Fraction(-1)], REL_LT, Fraction(0)),
             ([Fraction(1)], REL_LT, Fraction(1)),
         ]
-        result = kernel.simplex_feasible(1, rows)
+        result = _feasible(1, rows)
         assert result is not None
         assert _satisfies(rows, result)
 
@@ -87,7 +96,7 @@ class TestGoldens:
         rows = [
             ([Fraction(2)], REL_EQ, Fraction(5)),
         ]
-        (value,) = kernel.simplex_feasible(1, rows)
+        (value,) = _feasible(1, rows)
         assert value[0] == Fraction(5, 2)
         assert value[1] == 0
 
@@ -96,21 +105,32 @@ class TestGoldens:
             ([Fraction(1), Fraction(1)], REL_EQ, Fraction(3)),
             ([Fraction(1), Fraction(1)], REL_EQ, Fraction(4)),
         ]
-        assert kernel.simplex_feasible(2, rows) is None
+        assert _feasible(2, rows) is None
 
     def test_unconstrained_column(self):
         rows = [([Fraction(0), Fraction(1)], REL_LT, Fraction(2))]
-        result = kernel.simplex_feasible(2, rows)
+        result = _feasible(2, rows)
         assert result is not None and _satisfies(rows, result)
 
     def test_does_not_modify_input_rows(self):
         rows = [
-            ([Fraction(1), Fraction(2)], REL_LE, Fraction(-3)),
-            ([Fraction(-1), Fraction(1)], REL_EQ, Fraction(1)),
+            ([1, 2], REL_LE, -3, 1),
+            ([-1, 1], REL_EQ, 1, 1),
         ]
-        before = [(list(c), rel, b) for c, rel, b in rows]
+        before = [(list(c), rel, b, scale) for c, rel, b, scale in rows]
         assert kernel.simplex_feasible(2, rows) is not None
         assert rows == before
+
+    def test_strict_row_keeps_its_scale_in_the_delta_bound(self):
+        # -1/2*X < -1 reaches the kernel as -X < -2 with scale 2: the
+        # slack bound is -2 - 2*delta, so X = 2 + 2*d, as over Fractions
+        rows = [([Fraction(-1, 2)], REL_LT, Fraction(-1))]
+        assert kernel_rows(rows) == [([-1], REL_LT, -2, 2)]
+        expected = [(Fraction(2), Fraction(2))]
+        assert oracles.dense_simplex_reference(1, rows) == expected
+        assert kernel.simplex_feasible(1, kernel_rows(rows)) == expected
+        # the same integer row over scale 1 means -X < -2: X = 2 + d
+        assert kernel.simplex_feasible(1, [([-1], REL_LT, -2, 1)]) == [(Fraction(2), Fraction(1))]
 
 
 # Witness identity with the dense reference --------------------------------
@@ -126,7 +146,7 @@ def _assert_identical(make, seed: int, count: int):
     for _ in range(count):
         ncols, rows = make(rng)
         expected = oracles.dense_simplex_reference(ncols, rows)
-        got = kernel.simplex_feasible(ncols, rows)
+        got = _feasible(ncols, rows)
         assert got == expected, rows
         if got is not None:
             # the witness is exact rationals, never bare ints

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from gen import random_constraint
+from oracles import equivalent
 from hornsafe.chc_core import (
     FALSE,
     TRUE,
@@ -20,7 +21,6 @@ from hornsafe.lra import (
     JointlySatisfiableError,
     Polyhedron,
     entails,
-    equivalent,
     hull,
     interpolate,
     is_sat,

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hornsafe.chc_core import FALSE, FALSE_PRED, Variable, parse_constraint, parse_program
-from hornsafe.lra import Polyhedron, equivalent, is_sat
+from hornsafe.lra import Polyhedron, is_sat
 from hornsafe.model import InterpretationModel, canonical_args, is_model
-from oracles import load_model
+from oracles import equivalent, load_model
 from programs import FIB, FIB_MODEL, UNSAFE_SIMPLE
 
 

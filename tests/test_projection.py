@@ -1,0 +1,89 @@
+"""Integer projection against the Fraction reference.
+
+project and hull keep their rows as integers from the input to the
+final Row.  oracles.project_reference and oracles.hull_reference run
+the same eliminations over Fractions.  Both must print the very same
+result, not merely an equivalent one.
+"""
+
+import random
+
+import pytest
+
+import oracles
+from gen import random_constraint
+from hornsafe.chc_core import FALSE, TRUE, parse_constraint
+from hornsafe.lra import Polyhedron, hull, project
+
+
+def _projected(text: str, keep: str) -> str:
+    c = parse_constraint(text)
+    keep = keep.split()
+    got = project(c, keep)
+    assert got.pretty() == oracles.project_reference(c, keep).pretty()
+    return got.pretty()
+
+
+def test_random_projections_print_as_the_reference():
+    rng = random.Random(11)
+    empty = 0
+    for _ in range(400):
+        c = random_constraint(rng, max_vars=5, max_rows=8)
+        xs = sorted(c.vars())
+        keep = rng.sample(xs, rng.randint(0, len(xs)))
+        got = project(c, keep)
+        assert got.pretty() == oracles.project_reference(c, keep).pretty(), (c.pretty(), keep)
+        empty += got == FALSE
+    # both kinds of result occur
+    assert 0 < empty < 400
+
+
+def test_random_hulls_print_as_the_reference():
+    rng = random.Random(12)
+    for _ in range(200):
+        p1 = Polyhedron.of(random_constraint(rng, max_vars=3, max_rows=4))
+        p2 = Polyhedron.of(random_constraint(rng, max_vars=3, max_rows=4))
+        assert hull(p1, p2).pretty() == oracles.hull_reference(p1, p2).pretty()
+
+
+@pytest.mark.parametrize(
+    "text, keep, printed",
+    [
+        # kept equalities keep their rational scale
+        ("2*X - 3*Y = 1", "X Y", "2*X - 3*Y = 1"),
+        ("X - 1/2*Y = 3/2", "X Y", "X - 1/2*Y = 3/2"),
+        # substitution scales by the pivot: 3*(2*X + 1/2) - 1/3*Y = 1
+        ("Z = 2*X + 1/2, 3*Z - 1/3*Y = 1", "X Y", "6*X - 1/3*Y = -1/2"),
+        ("-2*Z = 4*X - 1, 3/2*Z + Y = 2", "X Y", "3*X - Y = -5/4"),
+    ],
+)
+def test_kept_equalities(text, keep, printed):
+    assert _projected(text, keep) == printed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X + Y < 2, 2*X + 2*Y =< 4",
+        "2*X + 2*Y =< 4, X + Y < 2",
+        # the strict row comes out of Fourier-Motzkin
+        "X - Z =< 1, 3*Z + 3*Y < 3, 2*X + 2*Y =< 4",
+        "2*X + 2*Y =< 4, X - Z =< 1, 3*Z + 3*Y < 3",
+    ],
+)
+def test_strict_wins_a_tie_in_direction_and_bound(text):
+    assert _projected(text, "X Y") == "X + Y < 2"
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("X =< 0, X >= 1", FALSE),
+        ("X < 1, X >= 1", FALSE),
+        ("2*X =< 2, 3*X >= 3", TRUE),
+        ("X = 1, X = 2", FALSE),
+        ("X = 1, Y = X, 2*Y < 2", FALSE),
+    ],
+)
+def test_ground_rows(text, result):
+    assert _projected(text, "") == result.pretty()

@@ -6,7 +6,7 @@ from hornsafe.chc_core import FALSE, FALSE_PRED, TRUE, parse_constraint, parse_p
 from hornsafe.derivations import and_tree
 from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
-from hornsafe.lra import equivalent, is_sat
+from hornsafe.lra import is_sat
 from hornsafe.tree_interpolation import (
     ERROR_STATE,
     FeasibleTreeError,
@@ -20,6 +20,7 @@ from oracles import (
     check_soundness,
     conjunctive_mapping,
     enumerate_terms,
+    equivalent,
     feasible,
     interpolant_mapping,
     parse_trace,
