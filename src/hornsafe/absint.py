@@ -36,7 +36,7 @@ def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
 
 @memoised("clause_post")
 def _post(constraint: LinConstraint, head_args: tuple[Variable, ...], body: tuple) -> Polyhedron:
-    conj = constraint.conjoin(*(instantiate(poly, args) for args, poly in body))
+    conj = constraint.conjoin(*[instantiate(poly, args) for args, poly in body])
     poly = Polyhedron.of(project(conj, head_args))
     if poly.empty:
         return poly

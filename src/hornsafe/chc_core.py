@@ -100,8 +100,9 @@ class Row:
 
     @staticmethod
     def make(coeffs: Mapping[Variable, Fraction | int], rel: str, rhs: Fraction | int) -> "Row":
-        rhs = Fraction(rhs)
-        items = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+        # a Fraction is kept, not copied: callers mostly build their own
+        rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
+        items = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items() if c}
         if rel in _FLIPPED:
             items = {v: -c for v, c in items.items()}
             rhs = -rhs
@@ -159,8 +160,8 @@ def gcd_fractions(values: Iterable[Fraction]) -> Fraction:
     """Positive rational g with every value an integer multiple of g,
     the multiples collectively coprime."""
     vals = list(values)
-    denom = math.lcm(*(v.denominator for v in vals))
-    numer = math.gcd(*(abs(v.numerator) * (denom // v.denominator) for v in vals))
+    denom = math.lcm(*[v.denominator for v in vals])
+    numer = math.gcd(*[abs(v.numerator) * (denom // v.denominator) for v in vals])
     return Fraction(numer, denom)
 
 

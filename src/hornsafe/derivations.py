@@ -105,4 +105,4 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
 
 
 def formula(tree: AndTree) -> LinConstraint:
-    return TRUE.conjoin(*(n.constraint for n in tree))
+    return TRUE.conjoin(*[n.constraint for n in tree])

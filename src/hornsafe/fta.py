@@ -180,7 +180,7 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
         changed = False
         for sym, moves in a_moves.items():
             for args, target in moves:
-                for combo in itertools.product(*(sides.get(q, ()) for q in args)):
+                for combo in itertools.product(*[sides.get(q, ()) for q in args]):
                     members = subset(sym, combo)
                     pair = (target, members)
                     if pair not in names:

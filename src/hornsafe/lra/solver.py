@@ -19,7 +19,17 @@ Fourier-Motzkin then eliminates, each round, the dropped variable with
 the fewest positive-negative pairs (the first in name order on a tie),
 combining a pair as kn*p + kp*n.  Only the tightest row per direction
 is kept: the key is the primitive coefficient vector (over its gcd),
-bounds compare by cross-multiplying and strict wins a tie.  Fractions
+bounds compare by cross-multiplying and strict wins a tie.  Each
+inequality row carries its history, an int bitmask of the input rows it
+was combined from; every inequality left after substitution is an input
+row with a bit of its own, a combined row has the OR of its pair's
+masks, and the table keeps the mask of the row it keeps.  After k
+rounds a row whose history holds more than k+1 input rows is implied
+by rows with smaller histories (Chernikov 1965; Imbert, "Fourier's
+elimination: which to choose?", 1993), so a pair whose OR
+has more than k+1 bits is skipped before it is combined.  project can
+thus leave out redundant rows that full elimination would keep; what it
+returns is still the exact projection.  Fractions
 appear only in the final Rows, each inequality scaled so its first
 coefficient in name order is +1 or -1, sorted by printed form; a number
 of more than chc_core.MAX_PRINTED_DIGITS digits raises
@@ -251,10 +261,13 @@ def memoised(op: str):
 # Projection -----------------------------------------------------------------
 
 
-def _dominance_insert(table: dict, coeffs: dict[Variable, int], strict: bool, rhs: int) -> bool:
+def _dominance_insert(
+    table: dict, coeffs: dict[Variable, int], strict: bool, rhs: int, mask: int
+) -> bool:
     """Keep the tightest row per direction: the table maps a primitive
-    key to (coefficients, strict, rhs, g), bound rhs/g along the key.
-    Returns False when a ground row is violated (unsatisfiable)."""
+    key to (coefficients, strict, rhs, g, mask), bound rhs/g along the
+    key, mask the history of the row it keeps.  Returns False when a
+    ground row is violated (unsatisfiable)."""
     coeffs = {v: c for v, c in coeffs.items() if c}
     if not coeffs:
         return rhs > 0 if strict else rhs >= 0
@@ -263,7 +276,7 @@ def _dominance_insert(table: dict, coeffs: dict[Variable, int], strict: bool, rh
     old = table.get(key)
     if old is None or (rhs * old[3], not strict) < (old[2] * g, not old[1]):
         h = gcd(g, rhs)
-        table[key] = ({v: c // h for v, c in coeffs.items()}, strict, rhs // h, g // h)
+        table[key] = ({v: c // h for v, c in coeffs.items()}, strict, rhs // h, g // h, mask)
     return True
 
 
@@ -316,9 +329,9 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
 
     out_rows: list[Row] = []
     table: dict = {}
-    for coeffs, rel, rhs, den in rows:
+    for bit, (coeffs, rel, rhs, den) in enumerate(rows):
         if rel != REL_EQ:
-            if not _dominance_insert(table, coeffs, rel == REL_LT, rhs):
+            if not _dominance_insert(table, coeffs, rel == REL_LT, rhs, 1 << bit):
                 return FALSE
             continue
         row = _row(coeffs, REL_EQ, rhs, den)
@@ -327,11 +340,14 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
         elif row.rhs != 0:
             return FALSE
 
-    # Fourier-Motzkin; a pair's kn*p + kp*n cancels var exactly
+    # Fourier-Motzkin; a pair's kn*p + kp*n cancels var exactly.  After
+    # round k a row built from more than k+1 input rows is redundant
+    # (Chernikov), so such a pair is skipped before it is combined.
+    k = 0
     while True:
         pos: Counter[Variable] = Counter()
         neg: Counter[Variable] = Counter()
-        for coeffs, _, _, _ in table.values():
+        for coeffs, _, _, _, _ in table.values():
             for v, c in coeffs.items():
                 if v in drop:
                     (pos if c > 0 else neg)[v] += 1
@@ -341,17 +357,21 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
         upper = [row for row in table.values() if row[0].get(var, 0) > 0]
         lower = [row for row in table.values() if row[0].get(var, 0) < 0]
         table = {key: row for key, row in table.items() if var not in row[0]}
-        for pcs, ps, pb, _ in upper:
+        k += 1
+        for pcs, ps, pb, _, pm in upper:
             kp = pcs[var]
-            for ncs, ns, nb, _ in lower:
+            for ncs, ns, nb, _, nm in lower:
+                mask = pm | nm
+                if mask.bit_count() > k + 1:
+                    continue
                 kn = -ncs[var]
                 combined = {v: kn * c for v, c in pcs.items()}
                 for v, c in ncs.items():
                     combined[v] = combined.get(v, 0) + kp * c
-                if not _dominance_insert(table, combined, ps or ns, kn * pb + kp * nb):
+                if not _dominance_insert(table, combined, ps or ns, kn * pb + kp * nb, mask):
                     return FALSE
 
-    for coeffs, strict, rhs, _ in table.values():
+    for coeffs, strict, rhs, _, _ in table.values():
         out_rows.append(_row(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
     numbers = (n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms)))
     if too_long(numbers, MAX_PRINTED_DIGITS):

@@ -59,7 +59,7 @@ class InterpretationModel:
         """The clause constraint conjoined with the interpreted facts of
         its body atoms, in body order."""
         return clause.constraint.conjoin(
-            *(self.fact(a.pred, a.args) for a in clause.body)
+            *[self.fact(a.pred, a.args) for a in clause.body]
         )
 
     @property

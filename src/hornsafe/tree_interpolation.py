@@ -84,15 +84,15 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
     labels: dict[int, LinConstraint] = {1: FALSE}
     for i in range(n, 1, -1):
         node = tree.node(i)
-        first = node.constraint.conjoin(*(labels[c] for c in node.children))
+        first = node.constraint.conjoin(*[labels[c] for c in node.children])
         after = node.index + node.size
         second = TRUE.conjoin(
-            *(tree.node(j).constraint for j in range(1, i)),
-            *(
+            *[tree.node(j).constraint for j in range(1, i)],
+            *[
                 labels[j]
                 for j in range(after, n + 1)
                 if tree.node(j).parent < i
-            ),
+            ],
         )
         # the halves only talk through the node's interface variables,
         # so the context can be projected onto them first; that keeps
@@ -117,7 +117,7 @@ def check_tree_interpolant(tree: AndTree, ti: TreeInterpolant) -> bool:
     if is_sat(ti.label(1)) is not None:
         return False
     for node in tree:
-        premise = node.constraint.conjoin(*(ti.label(c) for c in node.children))
+        premise = node.constraint.conjoin(*[ti.label(c) for c in node.children])
         if not entails(premise, ti.label(node.index)):
             return False
         if not ti.label(node.index).vars() <= set(node.atom.args):
@@ -171,7 +171,7 @@ def interpolant_automaton(
             target_label = inst(j, clause.head.args)
             for combo in itertools.product(*body_nodes):
                 premise = clause.constraint.conjoin(
-                    *(inst(jm, a.args) for jm, a in zip(combo, clause.body))
+                    *[inst(jm, a.args) for jm, a in zip(combo, clause.body)]
                 )
                 if entails(premise, target_label):
                     transitions.add(

@@ -11,6 +11,7 @@ from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variab
 from hornsafe.fta import TreeAutomaton
 
 VARS = [Variable(n) for n in ("U", "V", "W", "X", "Y", "Z")]
+WIDE_VARS = [Variable(f"X{i}") for i in range(8)]
 
 
 def random_row(rng: random.Random, nvars: int, *, allow_eq: bool = True) -> Row:
@@ -37,6 +38,22 @@ def random_constraint(
     return LinConstraint(
         tuple(random_row(rng, nvars, allow_eq=allow_eq) for _ in range(nrows))
     )
+
+
+def wide_system(rng: random.Random) -> tuple[LinConstraint, list[Variable]]:
+    """6-8 variables, 10-14 inequality rows of 2-4 terms, all strictly
+    satisfied at the origin, and the variables to keep: all but 3 or 4.
+    Fourier-Motzkin on these meets rows combined from more input rows
+    than its rounds so far plus one."""
+    pool = WIDE_VARS[: rng.randint(6, 8)]
+    rows = []
+    for _ in range(rng.randint(10, 14)):
+        terms = rng.sample(pool, rng.randint(2, 4))
+        coeffs = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for v in terms}
+        rows.append(Row.make(coeffs, rng.choice([REL_LE, REL_LE, REL_LT]), rng.randint(1, 6)))
+    constraint = LinConstraint(tuple(rows))
+    xs = sorted(constraint.vars())
+    return constraint, rng.sample(xs, len(xs) - rng.randint(3, 4))
 
 
 def tall_narrow_system(rng: random.Random):

@@ -6,9 +6,10 @@ elimination (Gaussian substitution for equalities, Fourier-Motzkin for
 inequalities), so the shipped simplex and this oracle can disagree only
 if one of them is wrong.
 
-The projection reference is the solver's projection and hull as they
-were over Fractions, before they moved to integer rows: the shipped
-projection must print exactly what it prints.
+The projection reference is the solver's projection and hull over
+Fractions, without Chernikov's rule: the shipped projection must print
+exactly what it prints on small systems and be equivalent to it on
+systems large enough for the rule to leave rows out.
 
 The last section holds test-only helpers that the verifier never runs:
 trace parsing, bounded enumeration, trace feasibility, clause selection,

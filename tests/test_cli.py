@@ -138,6 +138,33 @@ class TestExitCodes:
         assert exc.value.code == 3
 
 
+class TestLongWideningDelay:
+    # long delays build large hull projections, and --timeout is only
+    # checked between phases, so a wall-clock guard bounds each child
+    @pytest.mark.parametrize(
+        "name, engine, delay",
+        [
+            ("tri_sum.chc", "rahit", 4),
+            ("tri_sum.chc", "rahit", 5),
+            ("tri_sum.chc", "rahft", 4),
+            ("tri_sum.chc", "rahft", 5),
+            ("fib.chc", "rahit", 5),
+        ],
+    )
+    def test_decides_safe(self, name, engine, delay):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hornsafe", "verify", str(ROOT / "corpus" / name),
+             "--engine", engine, "--widen-delay", str(delay)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=30,
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("SAFE\n")
+
+
 class TestBadArguments:
     """Invalid option values and unwritable outputs are input errors:
     exit 3 with a one-line message, before any verdict."""
