@@ -8,6 +8,18 @@ chains stop, then runs one descending pass to claw back some of the
 precision widening threw away.  The result is always a pre-fixpoint:
 every clause's abstract post is contained in its head's entry.
 
+Widening keeps the rows of the old entry that the join of old and post
+entails (lra.widen), and it is computed without that join.  A closed
+(non-strict or equality) row of old holds on the closed hull exactly
+when it holds on post, because old already lies inside it.  A strict
+row never holds on the closed hull: old is irredundant (a minimised
+hull, a minimised post, top, or a subset of the rows of one of those),
+so each strict row is tight on old's closure, which the hull contains.
+widen(old without its strict rows, post) therefore keeps the same rows
+in the same order as widen(old, hull(old, post)), and a widening step
+builds no hull.  Dropping a row is always sound, so the identity bears
+on precision and output, never on soundness.
+
 A clause's post is the step the refinement loop repeats most, so this
 module registers it as the memo step clause_post (see lra.solver);
 fta.model_fta asks the same table.  The key is made of objects that
@@ -20,7 +32,7 @@ body is built only on a miss.
 
 from __future__ import annotations
 
-from hornsafe.chc_core import Clause, LinConstraint, Program, Variable
+from hornsafe.chc_core import REL_LT, Clause, LinConstraint, Program, Variable
 from hornsafe.lra import Polyhedron, hull, memoised, project, widen
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
 
@@ -71,11 +83,13 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         old = state.get(pred, Polyhedron.bottom())
         if post.entails_poly(old):
             continue
-        grown = hull(old, post)
         joins[pred] = joins.get(pred, 0) + 1
-        if joins[pred] > widen_delay:
-            grown = widen(old, grown)
-        state[pred] = grown
+        if joins[pred] > widen_delay and not old.empty:
+            # widen(old, hull(old, post)) without the hull; see above
+            closed = LinConstraint(tuple([row for row in old.constraint.rows if row.rel != REL_LT]))
+            state[pred] = widen(Polyhedron(closed), post)
+        else:
+            state[pred] = hull(old, post)
         pending.update(dependents.get(pred, ()))
 
     # one descending pass: posts under a pre-fixpoint stay inside it,

@@ -51,7 +51,14 @@ negative combined right-hand side or a zero one that uses a strict row
 (Motzkin transposition guarantees one of the two exists).  The
 interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
-phi1-part of the cancellation equals minus the phi2-part.
+phi1-part of the cancellation equals minus the phi2-part.  Among
+refutations, phi2's multipliers are pinned to zero one at a time in row
+order.  A trial that pins a set P first checks, with one kernel call
+over the variables, whether the split rows outside P are satisfiable
+together; if they are, no refutation avoids P (Motzkin again) and the
+trial fails without building a multiplier system.  Only a trial that
+can succeed solves the two Farkas LPs, so the check decides which LPs
+run but never which refutation is chosen.
 
 The refinement loop reanalyses a regenerated program every round, and
 its clauses carry the previous round's constraints unchanged, so some
@@ -571,15 +578,23 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     if y is None:
         raise JointlySatisfiableError("constraints are jointly satisfiable")
 
+    # a trial needs a refutation that avoids the rows pinned to zero,
+    # and there is none while the other rows are satisfiable together
+    variables = sorted(set().union(*[cs for cs, _, _ in split]))
+    primal = [
+        _scaled_row([*(cs.get(v, _ZERO) for v in variables), b], REL_LT if strict else REL_LE)
+        for cs, strict, b in split
+    ]
     n1 = len(split1)
     pinned: set[int] = set()
     for j in range(n1, len(split)):
         if y[j] == 0:
             continue
-        trial = _refute(split, pinned | {j})
-        if trial is not None:
-            pinned.add(j)
-            y = trial
+        skip = pinned | {j}
+        rest = [row for i, row in enumerate(primal) if i not in skip]
+        if kernel.simplex_feasible(len(variables), rest) is None:
+            pinned = skip
+            y = _refute(split, skip)
 
     coeffs: dict[Variable, Fraction] = {}
     rhs = _ZERO

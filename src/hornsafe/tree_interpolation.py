@@ -18,7 +18,10 @@ labels as they are found keeps every binary interpolation's
 precondition (joint unsatisfiability) true and is what makes the
 per-node conditions compose; interpolating every node against its raw
 context independently can produce labels that are only pairwise
-justified and fail the root condition.
+justified and fail the root condition.  The first interpolation, at
+the last node in preorder (a leaf), conjoins the whole tree, so it
+fails exactly on a feasible tree, which is then refused; only a
+one-node tree is checked with is_sat first.
 
 Under rahit each round's spurious tree is one node deeper than the
 last and repeats its contexts, so the projection of a context onto the
@@ -43,7 +46,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, formula
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import entails, interpolate, is_sat, memoised, project
+from hornsafe.lra import JointlySatisfiableError, entails, interpolate, is_sat, memoised, project
 from hornsafe.model import canonical_args
 
 
@@ -78,9 +81,9 @@ def _context(second: LinConstraint, shared: frozenset[Variable]) -> LinConstrain
 
 
 def tree_interpolant(tree: AndTree) -> TreeInterpolant:
-    if is_sat(formula(tree)) is not None:
-        raise FeasibleTreeError("derivation tree is feasible")
     n = len(tree)
+    if n == 1 and is_sat(formula(tree)) is not None:
+        raise FeasibleTreeError("derivation tree is feasible")
     labels: dict[int, LinConstraint] = {1: FALSE}
     for i in range(n, 1, -1):
         node = tree.node(i)
@@ -101,7 +104,15 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
         shared = first.vars() & second.vars()
         if not second.vars() <= shared:
             second = _context(second, frozenset(shared))
-        labels[i] = interpolate(first, second)
+        try:
+            labels[i] = interpolate(first, second)
+        except JointlySatisfiableError:
+            # node n, the last in preorder, is a leaf: its halves conjoin
+            # the whole tree, and the projected context keeps that
+            # satisfiable exactly when the tree is feasible
+            if i < n:
+                raise
+            raise FeasibleTreeError("derivation tree is feasible") from None
     return TreeInterpolant(
         atoms=tuple(node.atom for node in tree),
         labels=tuple(labels[i] for i in range(1, n + 1)),

@@ -102,6 +102,13 @@ class TestAnalyze:
             patient.entries["n"].constraint, eager.entries["n"].constraint
         )
 
+    def test_widening_drops_strict_rows_of_the_entry(self):
+        # the post 1 < X1 < 2 lies inside the entry's row X1 > 0, but the
+        # closed hull of entry and post does not, so the widening keeps
+        # no row, as widen(entry, hull(entry, post)) would
+        prog = parse_program("p(X) :- X>0, X<1.\np(Y) :- Y=X+1, p(X).\n")
+        assert analyze(prog, widen_delay=0).entries["p"].is_top()
+
     def test_empty_program(self):
         m = analyze(parse_program(""))
         assert m.predicates() == set()

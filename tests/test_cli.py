@@ -148,6 +148,8 @@ class TestLongWideningDelay:
             ("tri_sum.chc", "rahit", 5),
             ("tri_sum.chc", "rahft", 4),
             ("tri_sum.chc", "rahft", 5),
+            ("tri_sum.chc", "rahit", 6),
+            ("tri_sum.chc", "rahft", 6),
             ("fib.chc", "rahit", 5),
         ],
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from hornsafe.chc_core import FALSE, FALSE_PRED, TRUE, parse_constraint, parse_program
-from hornsafe.derivations import and_tree
+from hornsafe.derivations import and_tree, formula
 from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
 from hornsafe.lra import is_sat
@@ -60,6 +60,18 @@ class TestTreeInterpolant:
     def test_feasible_tree_refused(self):
         prog = parse_program(UNSAFE_SIMPLE)
         tree = and_tree(prog, T("c2(c1)"))
+        with pytest.raises(FeasibleTreeError):
+            tree_interpolant(tree)
+
+    # a one-node tree has no interpolation to fail, a deeper one is
+    # refused by its first
+    @pytest.mark.parametrize(
+        "text, trace",
+        [("false :- X=1.\n", "c1"), (UNSAFE_LOOP, "c3(c2(c2(c2(c1))))")],
+    )
+    def test_feasible_tree_of_any_size_refused(self, text, trace):
+        tree = and_tree(parse_program(text), T(trace))
+        assert is_sat(formula(tree)) is not None
         with pytest.raises(FeasibleTreeError):
             tree_interpolant(tree)
 
