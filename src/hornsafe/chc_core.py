@@ -78,91 +78,161 @@ class Variable(str):
 # Constraint rows ------------------------------------------------------------
 
 
-def _format_coeff_var(coeff: Fraction, var: Variable) -> str:
-    if coeff == 1:
+def _ratio(num: int, den: int) -> str:
+    """num/den as str(Fraction(num, den)) prints it, for den > 0."""
+    if den != 1:
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        if den != 1:
+            return f"{num}/{den}"
+    return str(num)
+
+
+def _format_coeff_var(coeff: int, den: int, var: Variable) -> str:
+    if coeff == den:
         return str(var)
-    if coeff == -1:
+    if coeff == -den:
         return f"-{var}"
-    return f"{coeff}*{var}"
+    return f"{_ratio(coeff, den)}*{var}"
 
 
-@dataclass(frozen=True)
+_DISPLAY_FLIP = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}
+
+
 class Row:
-    """One linear constraint ``sum(coeff * var) rel rhs``.
+    """One linear constraint ``sum(coeff * var) rel rhs``, rel one of
+    ``=<``, ``<``, ``=``, stored fraction-free.
 
-    terms are sorted by variable name and hold no zero coefficients;
-    rel is one of ``=<``, ``<``, ``=``.
+    names holds the variables sorted by name, ints their nonzero int
+    coefficients and num the int right-hand side, all over the
+    positive int den, with gcd(ints, num, den) = 1.  That is the row
+    times the lcm of its rational numbers' denominators, so each
+    rational row has exactly one form, and the row is not rescaled
+    otherwise: ``2*X =< 4`` stays ``2*X =< 4``.  An equality's leading
+    coefficient is positive, so either spelling stores the same row.
+    ==, hash, vars, rename and pretty build no Fraction; terms, rhs
+    and coeffs() are Fraction views built on request.  A row is never
+    changed once built: memo keys hash it.  The constructor takes the
+    stored form as it is; make and of_ints build it.
     """
 
-    terms: tuple[tuple[Variable, Fraction], ...]
-    rel: str
-    rhs: Fraction
+    __slots__ = ("names", "ints", "rel", "num", "den")
+
+    def __init__(self, names: tuple[Variable, ...], ints: tuple[int, ...], rel: str, num: int, den: int):
+        self.names = names
+        self.ints = ints
+        self.rel = rel
+        self.num = num
+        self.den = den
 
     @staticmethod
     def make(coeffs: Mapping[Variable, Fraction | int], rel: str, rhs: Fraction | int) -> "Row":
-        # a Fraction is kept, not copied: callers mostly build their own
-        rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
-        items = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items() if c}
+        """The row ``sum(coeffs[v] * v) rel rhs``, rel also ``>=`` or ``>``."""
+        items = sorted([(v, c) for v, c in coeffs.items() if c])
         if rel in _FLIPPED:
-            items = {v: -c for v, c in items.items()}
+            items = [(v, -c) for v, c in items]
             rhs = -rhs
             rel = _FLIPPED[rel]
         if rel not in (REL_LE, REL_LT, REL_EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        terms = tuple(sorted(items.items()))
+        den = math.lcm(rhs.denominator, *[c.denominator for _, c in items])
+        ints = [c.numerator * (den // c.denominator) for _, c in items]
+        num = rhs.numerator * (den // rhs.denominator)
+        # no common factor is left: the highest power of a prime in den
+        # divides some number's denominator, and not its numerator
+        return Row._signed(tuple([v for v, _ in items]), ints, rel, num, den)
+
+    @staticmethod
+    def of_ints(coeffs: Mapping[Variable, int], rel: str, num: int, den: int) -> "Row":
+        """The row ``sum(coeffs[v] * v) rel num`` over the positive den,
+        rel one of ``=<``, ``<``, ``=``."""
+        items = sorted([(v, c) for v, c in coeffs.items() if c])
+        ints = [c for _, c in items]
+        g = math.gcd(den, num, *ints)
+        if g > 1:
+            ints = [c // g for c in ints]
+            num //= g
+            den //= g
+        return Row._signed(tuple([v for v, _ in items]), ints, rel, num, den)
+
+    @staticmethod
+    def _signed(names: tuple[Variable, ...], ints: list[int], rel: str, num: int, den: int) -> "Row":
         # Equalities have no direction; fix the sign of the leading
         # coefficient so either spelling stores the same row.
-        if rel == REL_EQ and terms and terms[0][1] < 0:
-            terms = tuple((v, -c) for v, c in terms)
-            rhs = -rhs
-        return Row(terms, rel, rhs)
+        if rel == REL_EQ and ints and ints[0] < 0:
+            ints = [-c for c in ints]
+            num = -num
+        return Row(names, tuple(ints), rel, num, den)
+
+    @property
+    def terms(self) -> tuple[tuple[Variable, Fraction], ...]:
+        den = self.den
+        return tuple([(v, Fraction(c, den)) for v, c in zip(self.names, self.ints)])
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def coeffs(self) -> dict[Variable, Fraction]:
         return dict(self.terms)
 
     def vars(self) -> set[Variable]:
-        return {v for v, _ in self.terms}
+        return set(self.names)
 
     def rename(self, mapping: Mapping[Variable, Variable]) -> "Row":
-        merged: dict[Variable, Fraction] = {}
-        for v, c in self.terms:
-            w = mapping.get(v, v)
-            merged[w] = merged.get(w, Fraction(0)) + c
-        return Row.make(merged, self.rel, self.rhs)
+        names = self.names
+        if not names:
+            return self
+        pairs = sorted(zip(map(mapping.get, names, names), self.ints))
+        renamed = tuple([v for v, _ in pairs])
+        if len(set(renamed)) < len(renamed):
+            merged: dict[Variable, int] = {}
+            for v, c in pairs:
+                merged[v] = merged.get(v, 0) + c
+            return Row.of_ints(merged, self.rel, self.num, self.den)
+        return Row._signed(renamed, [c for _, c in pairs], self.rel, self.num, self.den)
 
     def pretty(self) -> str:
-        if not self.terms:
-            lhs = "0"
-            rel = self.rel
-        else:
-            # Flip for display when the leading coefficient is negative,
-            # so rows parsed from "A >= 0" print as "A >= 0" again.
-            terms, rel, rhs = self.terms, self.rel, self.rhs
-            if terms[0][1] < 0:
-                terms = tuple((v, -c) for v, c in terms)
-                rhs = -rhs
-                rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
-            parts = [_format_coeff_var(terms[0][1], terms[0][0])]
-            for v, c in terms[1:]:
-                if c < 0:
-                    parts.append(f" - {_format_coeff_var(-c, v)}")
-                else:
-                    parts.append(f" + {_format_coeff_var(c, v)}")
-            lhs = "".join(parts)
-            return f"{lhs} {rel} {rhs}"
-        return f"{lhs} {rel} {self.rhs}"
+        names, ints, rel, num, den = self.names, self.ints, self.rel, self.num, self.den
+        if not names:
+            return f"0 {rel} {_ratio(num, den)}"
+        # Flip for display when the leading coefficient is negative,
+        # so rows parsed from "A >= 0" print as "A >= 0" again.
+        if ints[0] < 0:
+            ints = [-c for c in ints]
+            num = -num
+            rel = _DISPLAY_FLIP[rel]
+        parts = [_format_coeff_var(ints[0], den, names[0])]
+        for v, c in zip(names[1:], ints[1:]):
+            if c < 0:
+                parts.append(f" - {_format_coeff_var(-c, den, v)}")
+            else:
+                parts.append(f" + {_format_coeff_var(c, den, v)}")
+        return f"{''.join(parts)} {rel} {_ratio(num, den)}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Row:
+            return NotImplemented
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and self.rel == other.rel
+            and self.names == other.names
+            and self.ints == other.ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.ints, self.rel, self.num, self.den))
+
+    def __reduce__(self):
+        return Row, (self.names, self.ints, self.rel, self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"Row(terms={self.terms!r}, rel={self.rel!r}, rhs={self.rhs!r})"
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-def gcd_fractions(values: Iterable[Fraction]) -> Fraction:
-    """Positive rational g with every value an integer multiple of g,
-    the multiples collectively coprime."""
-    vals = list(values)
-    denom = math.lcm(*[v.denominator for v in vals])
-    numer = math.gcd(*[abs(v.numerator) * (denom // v.denominator) for v in vals])
-    return Fraction(numer, denom)
 
 
 @dataclass(frozen=True)
@@ -189,10 +259,7 @@ class LinConstraint:
         return LinConstraint, (self.rows,)
 
     def vars(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for row in self.rows:
-            out |= row.vars()
-        return out
+        return set().union(*[row.names for row in self.rows])
 
     def conjoin(self, *others: "LinConstraint") -> "LinConstraint":
         rows = list(self.rows)
@@ -222,7 +289,7 @@ class LinConstraint:
 
 
 TRUE = LinConstraint(())
-FALSE = LinConstraint((Row((), REL_LE, Fraction(-1)),))
+FALSE = LinConstraint((Row((), (), REL_LE, -1, 1),))
 
 
 # Atoms, clauses, programs ---------------------------------------------------
@@ -365,6 +432,20 @@ def too_long(numbers: Iterable[Fraction], digits: int) -> bool:
     digits digits?"""
     bound = _power_of_ten(digits)
     return any(abs(c.numerator) >= bound or c.denominator >= bound for c in numbers)
+
+
+def rows_too_long(rows: Iterable[Row], digits: int) -> bool:
+    """Does any of rows print a number with a numerator or denominator
+    of more than digits digits?  A stored int can be larger than the
+    reduced fraction it prints as, so only a row with an int past the
+    bound is reduced."""
+    bound = _power_of_ten(digits)
+    for row in rows:
+        numbers = (row.num, row.den, *row.ints)
+        if max(numbers) >= bound or -min(numbers) >= bound:
+            if too_long((Fraction(c, row.den) for c in (row.num, *row.ints)), digits):
+                return True
+    return False
 
 
 @functools.cache
@@ -714,9 +795,9 @@ def strict_to_nonstrict(program: Program) -> Program:
     def tighten_row(row: Row) -> Row:
         if row.rel != REL_LT:
             return row
-        scale = 1 / gcd_fractions(c for _, c in row.terms) if row.terms else Fraction(1)
-        terms = tuple((v, c * scale) for v, c in row.terms)
-        return Row(terms, REL_LE, Fraction(math.ceil(row.rhs * scale) - 1))
+        # over the coprime ints / g the bound is num / g
+        g = math.gcd(*row.ints) if row.ints else row.den
+        return Row(row.names, tuple([c // g for c in row.ints]), REL_LE, -(-row.num // g) - 1, 1)
 
     def tighten(constraint: LinConstraint) -> LinConstraint:
         return LinConstraint(tuple(tighten_row(row) for row in constraint.rows))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -213,41 +214,49 @@ def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
     """A minimal-depth accepted term, or None when the language is
     empty.  Ties fall to the smallest clause-id index, then to the
     leftmost smaller subterm, so the choice is reproducible."""
+    into: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    users: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+    for sym, args, target in a.transitions:
+        into.setdefault(target, []).append((sym, args))
+        for q in set(args):
+            users.setdefault(q, []).append((args, target))
+
+    # least depth per state; a state whose depth falls re-examines the
+    # transitions that read it
     depth: dict[str, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for sym, args, target in a.transitions:
-            if all(q in depth for q in args):
-                d = 1 + max((depth[q] for q in args), default=0)
-                if d < depth.get(target, d + 1):
-                    depth[target] = d
-                    changed = True
+    work = deque((args, target) for _, args, target in a.transitions if not args)
+    while work:
+        args, target = work.popleft()
+        if all(q in depth for q in args):
+            d = 1 + max((depth[q] for q in args), default=0)
+            if d < depth.get(target, d + 1):
+                depth[target] = d
+                work.extend(users.get(target, ()))
 
-    best: dict[str, TraceTerm] = {}
+    index = {sym: _id_index(sym) for sym in a.alphabet}
+    # state -> (its term, the term's tie-break key)
+    best: dict[str, tuple[TraceTerm, tuple]] = {}
 
-    def key(t: TraceTerm):
-        return (_id_index(t.sym), tuple(key(c) for c in t.children))
-
-    def build(state: str) -> TraceTerm:
+    def build(state: str) -> tuple[TraceTerm, tuple]:
         if state in best:
             return best[state]
-        candidates = []
-        for sym, args, target in a.transitions:
-            if target != state or not all(q in depth for q in args):
+        chosen = None
+        for sym, args in into[state]:
+            if not all(q in depth for q in args):
                 continue
-            if 1 + max((depth[q] for q in args), default=0) == depth[state]:
-                candidates.append((sym, args))
-        # children sit strictly below, so recursion terminates
-        terms = [
-            TraceTerm(sym, tuple(build(q) for q in args)) for sym, args in candidates
-        ]
-        best[state] = min(terms, key=key)
-        return best[state]
+            if 1 + max((depth[q] for q in args), default=0) != depth[state]:
+                continue
+            # children sit strictly below, so recursion terminates
+            children = [build(q) for q in args]
+            key = (index[sym], tuple([k for _, k in children]))
+            if chosen is None or key < chosen[1]:
+                chosen = (TraceTerm(sym, tuple([t for t, _ in children])), key)
+        best[state] = chosen
+        return chosen
 
     reachable_finals = [q for q in a.finals if q in depth]
     if not reachable_finals:
         return None
     target_depth = min(depth[q] for q in reachable_finals)
     roots = [build(q) for q in reachable_finals if depth[q] == target_depth]
-    return min(roots, key=key)
+    return min(roots, key=lambda root: root[1])[0]

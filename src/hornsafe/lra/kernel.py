@@ -33,7 +33,9 @@ and multistep integer-preserving Gaussian elimination" (Math. Comp.
 * The caller passes each row multiplied by L, the lcm of its
   denominators, and L itself, so its slack is L*s over integer
   coefficients, with the integer bound L*b and, for a strict row, the
-  delta bound -L (any other multiple would change the delta part).
+  delta bound -L (any other multiple would change the delta part).  A
+  chc_core.Row is stored in exactly that form, with L its denominator,
+  so the solver hands its ints over as they are.
   Scaling a variable by a positive constant changes neither the sign of
   any coefficient nor which bounds are violated, so Bland's rule picks
   the very same pivots and the original columns take the very same
@@ -52,10 +54,10 @@ and multistep integer-preserving Gaussian elimination" (Math. Comp.
   the row, and the gcd covers the value numerators, which keeps them
   integral.
 
-Only the returned witness is built from Fractions: a satisfying
-assignment for the original columns as a list of
-(main, delta_coefficient) pairs, or None when the rows are
-unsatisfiable.
+The answer is None when the rows are unsatisfiable.  Otherwise it is
+the witness, a satisfying assignment for the original columns as a list
+of (main, delta_coefficient) pairs of Fractions, the only Fractions the
+kernel builds, or just True when the caller asks for no witness.
 """
 
 from __future__ import annotations
@@ -68,13 +70,16 @@ from hornsafe.chc_core import REL_EQ, REL_LT
 _ZERO = Fraction(0)
 
 
-def simplex_feasible(ncols, rows):
-    """Decide satisfiability of dense rows over ncols columns.
+def simplex_feasible(ncols, rows, witness=True):
+    """Decide satisfiability of dense rows over ncols columns: None
+    when unsatisfiable, else the witness, or True if witness is false.
 
     rows: sequence of (coeffs, rel, rhs, scale), the row
     ``coeffs/scale . x  rel  rhs/scale`` with coeffs a length-ncols
     sequence of int, rel one of chc_core's REL_LE / REL_LT / REL_EQ,
-    rhs an int and scale the positive lcm of the row's denominators.
+    rhs an int and scale a positive int: the row's own denominator
+    (chc_core.Row.den), or the lcm of the denominators of a row written
+    over Fractions.
     """
     nrows = len(rows)
     total = ncols + nrows
@@ -218,11 +223,13 @@ def simplex_feasible(ncols, rows):
         rowof[xi] = -1
         colvar[k] = xi
 
-    witness = []
+    if not witness:
+        return True
+    values = []
     for j in range(ncols):
         r = rowof[j]
         if r < 0:
-            witness.append((_ZERO, _ZERO))
+            values.append((_ZERO, _ZERO))
         else:
-            witness.append((Fraction(num_m[r], den[r]), Fraction(num_d[r], den[r])))
-    return witness
+            values.append((Fraction(num_m[r], den[r]), Fraction(num_d[r], den[r])))
+    return values

@@ -1,17 +1,28 @@
 """Decision procedures over conjunctions of linear rational constraints.
 
-Everything is exact.  Satisfiability goes through the simplex kernel
-in kernel.py; strict inequalities are handled with delta-rationals, so
-witnesses assign each variable a pair (main, delta coefficient) meaning
-main + delta * d for an arbitrarily small positive d.  Entailment
-refutes row by row: c1 entails a row when c1 with each row of the row's
-negation is unsatisfiable.  is_sat, entails, minimise and widen turn
-their premise into the kernel's integer rows once per call, over the
-sorted variables, and negate rows in that form.
+Everything is exact, and everything between parsing and printing is
+integer arithmetic.  A chc_core.Row is stored as int coefficients and
+an int right-hand side over one positive int denominator, and every
+procedure here reads and writes that form; Fractions are built only for
+the witnesses is_sat returns and for the multipliers interpolate reads
+off the kernel.
+
+Satisfiability goes through the simplex kernel in kernel.py; strict
+inequalities are handled with delta-rationals, so witnesses assign each
+variable a pair (main, delta coefficient) meaning main + delta * d for
+an arbitrarily small positive d.  Only is_sat asks the kernel for a
+witness; entailment, Polyhedron.of and the pinning trials ask whether
+the rows are satisfiable and nothing more.  Entailment refutes row by
+row: c1 entails a row when c1 with each row of the row's negation is
+unsatisfiable.  is_sat, entails, minimise and widen place each Row's
+ints in the columns of the sorted variables once per call, which is
+the kernel's row as it is (its scale is the Row's denominator), and
+negate rows in that form.
 
 Projection is variable elimination on one list of integer rows: int
 coefficients, a relation, an int right-hand side and a positive int
-denominator, which keeps a kept equality's exact rational scale.  In
+denominator, taken from each Row as it is stored, which keeps a kept
+equality's exact rational scale.  In
 row order, each equality on a dropped variable (pivot coefficient k) is
 substituted into every other row (its coefficient c) as
 |k|*row - sign(k)*c*equality over their gcd, and leaves the list.
@@ -29,20 +40,22 @@ by rows with smaller histories (Chernikov 1965; Imbert, "Fourier's
 elimination: which to choose?", 1993), so a pair whose OR
 has more than k+1 bits is skipped before it is combined.  project can
 thus leave out redundant rows that full elimination would keep; what it
-returns is still the exact projection.  Fractions
-appear only in the final Rows, each inequality scaled so its first
-coefficient in name order is +1 or -1, sorted by printed form; a number
-of more than chc_core.MAX_PRINTED_DIGITS digits raises
-NumberTooLongError.
+returns is still the exact projection.  The rows it returns are built
+from the ints as they are, each inequality over the denominator that
+makes its first coefficient in name order +1 or -1, and sorted by
+printed form; a printed number (the reduced fraction, which can be
+smaller than the stored ints) of more than
+chc_core.MAX_PRINTED_DIGITS digits raises NumberTooLongError.
 
 The convex hull of two polyhedra is computed on a lifted system: a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
 variables.  Strict rows are relaxed first; the result is the closed
 convex hull, a sound over-approximation of the union.  The lifted rows
-are built as projection's integer rows and handed straight to its
-elimination, and the shadow is only minimised: the hull of two
-nonempty polyhedra is never empty.
+are built from each Row's ints (a.xi rel b*si over the Row's
+denominator) and handed straight to projection's elimination, and the
+shadow is only minimised: the hull of two nonempty polyhedra is never
+empty.
 
 Interpolation is certificate-based.  For jointly unsatisfiable phi1,
 phi2 a refutation is a nonnegative multiplier vector y over the split
@@ -51,7 +64,12 @@ negative combined right-hand side or a zero one that uses a strict row
 (Motzkin transposition guarantees one of the two exists).  The
 interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
-phi1-part of the cancellation equals minus the phi2-part.  Among
+phi1-part of the cancellation equals minus the phi2-part.  The split
+rows, the multiplier system, the pinning trials and the combination all
+work on the Rows' ints; a multiplier on a Row's ints is the multiplier
+on the rational row divided by its denominator, a positive scaling of
+its column that leaves the kernel's pivots, and so the refutation found,
+as they are over Fractions.  Among
 refutations, phi2's multipliers are pinned to zero one at a time in row
 order.  A trial that pins a set P first checks, with one kernel call
 over the variables, whether the split rows outside P are satisfiable
@@ -98,8 +116,7 @@ from hornsafe.chc_core import (
     NumberTooLongError,
     Row,
     Variable,
-    gcd_fractions,
-    too_long,
+    rows_too_long,
 )
 from hornsafe.lra import kernel
 
@@ -160,25 +177,17 @@ class Witness:
 # Core satisfiability --------------------------------------------------------
 
 
-def _scaled_row(values: list[Fraction], rel: str) -> tuple:
-    """The kernel row whose coefficients then rhs are values: the row
-    times L, the lcm of their denominators, as (ints, rel, int rhs, L)."""
-    # a list: a tuple grown from a generator would swell the tuple free list
-    scale = lcm(*[c.denominator for c in values])
-    ints = [c.numerator * (scale // c.denominator) for c in values]
-    return ints, rel, ints.pop(), scale
-
-
 def _dense(rows: Iterable[Row], columns: list[Variable]) -> list:
-    """The rows over columns, as the kernel takes them."""
+    """The rows over columns, as the kernel takes them: each Row's ints
+    placed in its columns, its relation, its int rhs and its den."""
     index = {v: i for i, v in enumerate(columns)}
+    width = len(columns)
     out = []
     for row in rows:
-        dense = [_ZERO] * (len(columns) + 1)
-        for v, c in row.terms:
+        dense = [0] * width
+        for v, c in zip(row.names, row.ints):
             dense[index[v]] = c
-        dense[-1] = row.rhs
-        out.append(_scaled_row(dense, row.rel))
+        out.append((dense, row.rel, row.num, row.den))
     return out
 
 
@@ -200,7 +209,7 @@ def _implied(premise: list, ncols: int, row: tuple) -> bool:
         negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
     else:
         negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
-    return all(kernel.simplex_feasible(ncols, [*premise, n]) is None for n in negation)
+    return all(kernel.simplex_feasible(ncols, [*premise, n], False) is None for n in negation)
 
 
 def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
@@ -295,16 +304,8 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     has more than chc_core.MAX_PRINTED_DIGITS digits.
     """
     drop = constraint.vars() - set(keep)
-    rows = []
-    for row in constraint.rows:
-        ints, rel, rhs, den = _scaled_row([*(c for _, c in row.terms), row.rhs], row.rel)
-        rows.append(({v: c for (v, _), c in zip(row.terms, ints)}, rel, rhs, den))
+    rows = [(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows]
     return _eliminate(rows, drop)
-
-
-def _row(coeffs: dict[Variable, int], rel: str, rhs: int, den: int) -> Row:
-    """The Row coeffs/den . x rel rhs/den."""
-    return Row.make({v: Fraction(c, den) for v, c in coeffs.items()}, rel, Fraction(rhs, den))
 
 
 def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
@@ -341,10 +342,10 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
             if not _dominance_insert(table, coeffs, rel == REL_LT, rhs, 1 << bit):
                 return FALSE
             continue
-        row = _row(coeffs, REL_EQ, rhs, den)
-        if row.terms:
+        row = Row.of_ints(coeffs, REL_EQ, rhs, den)
+        if row.names:
             out_rows.append(row)
-        elif row.rhs != 0:
+        elif row.num != 0:
             return FALSE
 
     # Fourier-Motzkin; a pair's kn*p + kp*n cancels var exactly.  After
@@ -379,9 +380,8 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
                     return FALSE
 
     for coeffs, strict, rhs, _, _ in table.values():
-        out_rows.append(_row(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
-    numbers = (n for row in out_rows for n in (row.rhs, *(c for _, c in row.terms)))
-    if too_long(numbers, MAX_PRINTED_DIGITS):
+        out_rows.append(Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
+    if rows_too_long(out_rows, MAX_PRINTED_DIGITS):
         raise NumberTooLongError(f"a projection built a number longer than {MAX_PRINTED_DIGITS} digits")
     out_rows.sort(key=lambda r: r.pretty())
     return LinConstraint(tuple(out_rows))
@@ -411,7 +411,9 @@ class Polyhedron:
 
     @staticmethod
     def of(constraint: LinConstraint) -> "Polyhedron":
-        if is_sat(constraint) is None:
+        # satisfiability only: no witness
+        columns = sorted(constraint.vars())
+        if kernel.simplex_feasible(len(columns), _dense(constraint.rows, columns), False) is None:
             return Polyhedron.bottom()
         return Polyhedron(minimise(constraint))
 
@@ -482,11 +484,10 @@ def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     rows = []
     for poly, (cmap, scale) in zip((p1, p2), copies):
         for row in poly.constraint.rows:
-            ints, rel, rhs, den = _scaled_row([*(c for _, c in row.terms), row.rhs], row.rel)
-            coeffs = {cmap[v]: c for (v, _), c in zip(row.terms, ints)}
-            if rhs:
-                coeffs[scale] = -rhs
-            rows.append((coeffs, REL_LE if rel == REL_LT else rel, 0, den))
+            coeffs = {cmap[v]: c for v, c in zip(row.names, row.ints)}
+            if row.num:
+                coeffs[scale] = -row.num
+            rows.append((coeffs, REL_LE if row.rel == REL_LT else row.rel, 0, row.den))
         rows.append(({scale: -1}, REL_LE, 0, 1))
     rows.append(({copies[0][1]: 1, copies[1][1]: 1}, REL_EQ, 1, 1))
     for x in xs:
@@ -514,17 +515,18 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
 # Interpolation --------------------------------------------------------------
 
 
-def _split_rows(constraint: LinConstraint) -> list[tuple[dict[Variable, Fraction], bool, Fraction]]:
-    """Equalities become two opposed non-strict rows, so every split row
+def _split_rows(constraint: LinConstraint) -> list[tuple[dict[Variable, int], bool, int, int]]:
+    """The rows as (coeffs, strict, rhs, den) in their integer form.
+    Equalities become two opposed non-strict rows, so every split row
     takes a nonnegative Farkas multiplier."""
     out = []
     for row in constraint.rows:
-        coeffs = row.coeffs()
+        coeffs = dict(zip(row.names, row.ints))
         if row.rel == REL_EQ:
-            out.append((coeffs, False, row.rhs))
-            out.append(({v: -c for v, c in coeffs.items()}, False, -row.rhs))
+            out.append((coeffs, False, row.num, row.den))
+            out.append(({v: -c for v, c in coeffs.items()}, False, -row.num, row.den))
         else:
-            out.append((coeffs, row.rel == REL_LT, row.rhs))
+            out.append((coeffs, row.rel == REL_LT, row.num, row.den))
     return out
 
 
@@ -535,20 +537,26 @@ def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
     nonnegative, pinned ones zero, per-variable coefficients cancel,
     and either combined rhs <= -1 (want_strict_budget False) or
     combined rhs <= 0 with the strict-row multipliers summing to >= 1.
+
+    Each column multiplies a split row's ints, that is den times the
+    rational row, so it is den times smaller than the multiplier of the
+    rational row, and the strict sum weighs it by den.  Scaling a column
+    by a positive constant changes neither the kernel's pivots nor
+    which multipliers are zero (see kernel.py).
     """
     m = len(split)
-    variables = sorted(set().union(*[cs for cs, _, _ in split]))
-    rows = [_scaled_row([*(cs.get(v, _ZERO) for cs, _, _ in split), _ZERO], REL_EQ) for v in variables]
+    variables = sorted(set().union(*[cs for cs, _, _, _ in split]))
+    rows = [([cs.get(v, 0) for cs, _, _, _ in split], REL_EQ, 0, 1) for v in variables]
     rows += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
     rows += [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
-    budget = [b for _, _, b in split]
+    budget = [b for _, _, b, _ in split]
     if not want_strict_budget:
-        rows.append(_scaled_row([*budget, Fraction(-1)], REL_LE))
+        rows.append((budget, REL_LE, -1, 1))
     else:
-        rows.append(_scaled_row([*budget, _ZERO], REL_LE))
-        if not any(strict for _, strict, _ in split):
+        rows.append((budget, REL_LE, 0, 1))
+        if not any(strict for _, strict, _, _ in split):
             return None
-        rows.append(([-1 if strict else 0 for _, strict, _ in split], REL_LE, -1, 1))
+        rows.append(([-den if strict else 0 for _, strict, _, den in split], REL_LE, -1, 1))
     result = kernel.simplex_feasible(m, rows)
     if result is None:
         return None
@@ -580,10 +588,10 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
 
     # a trial needs a refutation that avoids the rows pinned to zero,
     # and there is none while the other rows are satisfiable together
-    variables = sorted(set().union(*[cs for cs, _, _ in split]))
+    variables = sorted(set().union(*[cs for cs, _, _, _ in split]))
     primal = [
-        _scaled_row([*(cs.get(v, _ZERO) for v in variables), b], REL_LT if strict else REL_LE)
-        for cs, strict, b in split
+        ([cs.get(v, 0) for v in variables], REL_LT if strict else REL_LE, b, den)
+        for cs, strict, b, den in split
     ]
     n1 = len(split1)
     pinned: set[int] = set()
@@ -592,26 +600,28 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
             continue
         skip = pinned | {j}
         rest = [row for i, row in enumerate(primal) if i not in skip]
-        if kernel.simplex_feasible(len(variables), rest) is None:
+        if kernel.simplex_feasible(len(variables), rest, False) is None:
             pinned = skip
             y = _refute(split, skip)
 
-    coeffs: dict[Variable, Fraction] = {}
-    rhs = _ZERO
+    # the y-combination of phi1's rows, times the lcm of y's denominators
+    scale = lcm(*[y[i].denominator for i in range(n1)])
+    coeffs: dict[Variable, int] = {}
+    rhs = 0
     strict = False
     for i in range(n1):
         if y[i] == 0:
             continue
-        cs, is_strict, b = split1[i]
+        w = y[i].numerator * (scale // y[i].denominator)
+        cs, is_strict, b, _ = split1[i]
         for v, c in cs.items():
-            coeffs[v] = coeffs.get(v, _ZERO) + y[i] * c
-        rhs += y[i] * b
+            coeffs[v] = coeffs.get(v, 0) + w * c
+        rhs += w * b
         strict = strict or is_strict
     coeffs = {v: c for v, c in coeffs.items() if c != 0}
     if not coeffs and (rhs >= 0 if not strict else rhs > 0):
         return TRUE
-    if coeffs:
-        scale = _ONE / gcd_fractions(coeffs.values())
-        coeffs = {v: c * scale for v, c in coeffs.items()}
-        rhs = rhs * scale
-    return LinConstraint((Row.make(coeffs, REL_LT if strict else REL_LE, rhs),))
+    # over the gcd the coefficients are coprime integers; a ground row
+    # keeps its value rhs/scale
+    den = gcd(*coeffs.values()) if coeffs else scale
+    return LinConstraint((Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, den),))

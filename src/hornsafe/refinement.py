@@ -69,17 +69,18 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
             )
         )
 
-    # keep only predicates that some derivation of false can use
+    # keep only predicates that some derivation of false can use: those
+    # reached from false through heads to the body atoms under them
+    below: dict[str, list[str]] = {}
+    for clause in generated:
+        below.setdefault(clause.head.pred, []).extend(a.pred for a in clause.body)
     useful = {FALSE_PRED}
-    changed = True
-    while changed:
-        changed = False
-        for clause in generated:
-            if clause.head.pred in useful:
-                for atom in clause.body:
-                    if atom.pred not in useful:
-                        useful.add(atom.pred)
-                        changed = True
+    work = [FALSE_PRED]
+    while work:
+        for pred in below.get(work.pop(), ()):
+            if pred not in useful:
+                useful.add(pred)
+                work.append(pred)
     kept = [c for c in generated if c.head.pred in useful]
     return Program(
         tuple(

@@ -11,6 +11,14 @@ Fractions, without Chernikov's rule: the shipped projection must print
 exactly what it prints on small systems and be equivalent to it on
 systems large enough for the rule to leave rows out.
 
+The row reference is chc_core.Row as it was stored over Fractions:
+its construction, renaming and printing, which the integer Row must
+reproduce exactly.
+
+The Farkas reference is interpolate's multiplier system as it was built
+over the rational rows: the solver's system over the rows' ints must
+find the same multipliers, each divided by its row's denominator.
+
 The last section holds test-only helpers that the verifier never runs:
 trace parsing, bounded enumeration, trace feasibility, clause selection,
 model loading, subtree and context formulas, label mappings and
@@ -24,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hornsafe.chc_core import (
     FALSE_PRED,
@@ -43,7 +51,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
-from hornsafe.lra import Polyhedron, Witness, entails, is_sat, minimise, project
+from hornsafe.lra import Polyhedron, Witness, entails, is_sat, kernel, minimise, project
 from hornsafe.model import InterpretationModel, canonical_args
 from hornsafe.tree_interpolation import TreeInterpolant
 
@@ -458,6 +466,103 @@ def hull_reference(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     for x in xs:
         rows.append(({x: _ONE, copies[0][0][x]: -_ONE, copies[1][0][x]: -_ONE}, REL_EQ, _ZERO))
     return Polyhedron(minimise(fraction_eliminate(rows, used - set(xs))))
+
+
+# Row reference: a row as sorted (variable, Fraction) terms, a relation
+# and a Fraction rhs, built, renamed and printed over Fractions.
+
+
+_FLIPPED = {">=": REL_LE, ">": REL_LT}
+
+
+def _format_coeff_var(coeff: Fraction, var: Variable) -> str:
+    if coeff == 1:
+        return str(var)
+    if coeff == -1:
+        return f"-{var}"
+    return f"{coeff}*{var}"
+
+
+@dataclass(frozen=True)
+class FractionRow:
+    """terms sorted by variable name with no zero coefficient; an
+    equality's leading coefficient is positive."""
+
+    terms: tuple[tuple[Variable, Fraction], ...]
+    rel: str
+    rhs: Fraction
+
+    @staticmethod
+    def make(coeffs, rel: str, rhs) -> "FractionRow":
+        rhs = Fraction(rhs)
+        items = {v: Fraction(c) for v, c in coeffs.items() if c}
+        if rel in _FLIPPED:
+            items = {v: -c for v, c in items.items()}
+            rhs = -rhs
+            rel = _FLIPPED[rel]
+        terms = tuple(sorted(items.items()))
+        if rel == REL_EQ and terms and terms[0][1] < 0:
+            terms = tuple((v, -c) for v, c in terms)
+            rhs = -rhs
+        return FractionRow(terms, rel, rhs)
+
+    def rename(self, mapping) -> "FractionRow":
+        merged: dict[Variable, Fraction] = {}
+        for v, c in self.terms:
+            w = mapping.get(v, v)
+            merged[w] = merged.get(w, _ZERO) + c
+        return FractionRow.make(merged, self.rel, self.rhs)
+
+    def pretty(self) -> str:
+        if not self.terms:
+            return f"0 {self.rel} {self.rhs}"
+        terms, rel, rhs = self.terms, self.rel, self.rhs
+        if terms[0][1] < 0:
+            terms = tuple((v, -c) for v, c in terms)
+            rhs = -rhs
+            rel = {REL_LE: ">=", REL_LT: ">", REL_EQ: REL_EQ}[rel]
+        parts = [_format_coeff_var(terms[0][1], terms[0][0])]
+        for v, c in terms[1:]:
+            if c < 0:
+                parts.append(f" - {_format_coeff_var(-c, v)}")
+            else:
+                parts.append(f" + {_format_coeff_var(c, v)}")
+        return f"{''.join(parts)} {rel} {rhs}"
+
+
+# Farkas reference: the multiplier system over the Fraction split rows,
+# each kernel row scaled by the lcm of its denominators.
+
+
+def fraction_farkas(constraint: LinConstraint, pinned: set[int], want_strict_budget: bool):
+    split = []
+    for row in constraint.rows:
+        coeffs = row.coeffs()
+        if row.rel == REL_EQ:
+            split.append((coeffs, False, row.rhs))
+            split.append(({v: -c for v, c in coeffs.items()}, False, -row.rhs))
+        else:
+            split.append((coeffs, row.rel == REL_LT, row.rhs))
+    m = len(split)
+    unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
+    variables = sorted(set().union(*[cs for cs, _, _ in split]))
+    rows = [([cs.get(v, _ZERO) for cs, _, _ in split], REL_EQ, _ZERO) for v in variables]
+    rows += [([-c for c in unit[i]], REL_LE, _ZERO) for i in range(m)]
+    rows += [(unit[i], REL_EQ, _ZERO) for i in pinned]
+    budget = [b for _, _, b in split]
+    if not want_strict_budget:
+        rows.append((budget, REL_LE, -_ONE))
+    else:
+        rows.append((budget, REL_LE, _ZERO))
+        if not any(strict for _, strict, _ in split):
+            return None
+        rows.append(([-_ONE if strict else _ZERO for _, strict, _ in split], REL_LE, -_ONE))
+    scaled = []
+    for coeffs, rel, rhs in rows:
+        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        scaled.append(([int(c * scale) for c in coeffs], rel, int(rhs * scale), scale))
+    result = kernel.simplex_feasible(m, scaled)
+    return None if result is None else [main for main, _ in result]
 
 
 # Tree automaton oracles: evaluation by direct recursion over the

@@ -9,10 +9,13 @@ The kernel must agree with the oracle on satisfiability and must return
 genuine witnesses: every row is checked against the delta-rational
 assignment.  Against the dense reference, which pivots by the same rule
 on the full m x (m+n) tableau, it must return the very same witnesses.
+Asked for no witness, it must give the same answer, as True or None.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 import oracles
 from gen import (
@@ -174,3 +177,48 @@ def test_same_witnesses_as_dense_reference_on_large_denominators():
 
 def test_same_witnesses_as_dense_reference_with_zero_rows_and_columns():
     _assert_identical(zero_row_system, 7325, 200)
+
+
+# Feasibility without a witness --------------------------------------------
+
+
+def _pinned_output_systems():
+    """The constraints test_lra_solver's TestPinnedOutput draws, each
+    pair also conjoined."""
+    rng = random.Random(16)
+    for _ in range(400):
+        c1 = random_constraint(rng, max_vars=4, max_rows=5)
+        c2 = random_constraint(rng, max_vars=4, max_rows=5)
+        xs = sorted(c1.vars())
+        rng.sample(xs, rng.randint(0, len(xs)))
+        yield from (c1, c2, c1 & c2)
+
+
+def _assert_same_answer(systems):
+    outcomes = set()
+    for ncols, rows in systems:
+        full = _feasible(ncols, rows)
+        bare = kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+        assert bare is (None if full is None else True), rows
+        outcomes.add(full is None)
+    assert outcomes == {True, False}
+
+
+def test_no_witness_same_answer_on_pinned_output_systems():
+    _assert_same_answer(_to_rows(c) for c in _pinned_output_systems())
+
+
+@pytest.mark.parametrize(
+    "make, seed, count",
+    [
+        (_random_gen_system, 7321, 400),
+        (tall_narrow_system, 7322, 60),
+        (farkas_system, 7323, 30),
+        (large_denominator_system, 7324, 60),
+        (zero_row_system, 7325, 200),
+    ],
+    ids=["random", "tall_narrow", "farkas", "large_denominators", "zero_rows"],
+)
+def test_no_witness_same_answer_on_random_systems(make, seed, count):
+    rng = random.Random(seed)
+    _assert_same_answer(make(rng) for _ in range(count))

@@ -29,6 +29,7 @@ from hornsafe.lra import (
     project,
     widen,
 )
+from hornsafe.lra import solver
 
 
 def _eval_rows(constraint, point):
@@ -331,6 +332,29 @@ class TestInterpolate:
             assert entails(phi1, i), (phi1.pretty(), phi2.pretty())
             assert is_sat(i & phi2) is None, (phi1.pretty(), phi2.pretty())
             assert i.vars() <= (phi1.vars() & phi2.vars())
+
+    def test_multipliers_are_the_fraction_multipliers_over_den(self):
+        # a multiplier on a Row's ints is the one on the rational row
+        # divided by the Row's den; the strict budget must weigh it so
+        rng = random.Random(17)
+        found = {False: 0, True: 0}
+        strict_scaled = 0
+        while min(found.values()) < 100:
+            phi = random_constraint(rng, max_vars=3, max_rows=8)
+            split = solver._split_rows(phi)
+            dens = [den for *_, den in split]
+            pinned = set(rng.sample(range(len(split)), rng.randint(0, len(split) // 3)))
+            for strict_budget in (False, True):
+                got = solver._solve_farkas(split, pinned, strict_budget)
+                expected = oracles.fraction_farkas(phi, pinned, strict_budget)
+                assert (got is None) == (expected is None), phi.pretty()
+                if got is not None:
+                    assert [y * d for y, d in zip(got, dens)] == expected, phi.pretty()
+                    found[strict_budget] += 1
+                    strict_scaled += strict_budget and any(
+                        y and d > 1 and strict for y, d, (_, strict, _, _) in zip(got, dens, split)
+                    )
+        assert strict_scaled > 10, strict_scaled
 
 
 class TestPinnedOutput:
