@@ -69,6 +69,7 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         for atom in clause.body:
             dependents.setdefault(atom.pred, []).append(i)
 
+    bottom = Polyhedron.bottom()
     state: dict[str, Polyhedron] = {}
     joins: dict[str, int] = {}
     pending = set(range(len(clauses)))
@@ -80,7 +81,7 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         post = clause_post(clause, InterpretationModel(state))
         if post.empty:
             continue
-        old = state.get(pred, Polyhedron.bottom())
+        old = state.get(pred, bottom)
         if post.entails_poly(old):
             continue
         joins[pred] = joins.get(pred, 0) + 1
@@ -101,5 +102,5 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         if post.empty:
             continue
         pred = clause.head.pred
-        narrowed[pred] = hull(narrowed.get(pred, Polyhedron.bottom()), post)
+        narrowed[pred] = hull(narrowed.get(pred, bottom), post)
     return InterpretationModel(narrowed)

@@ -4,8 +4,8 @@ Everything is exact, and everything between parsing and printing is
 integer arithmetic.  A chc_core.Row is stored as int coefficients and
 an int right-hand side over one positive int denominator, and every
 procedure here reads and writes that form; Fractions are built only for
-the witnesses is_sat returns and for the multipliers interpolate reads
-off the kernel.
+the witnesses is_sat returns, for the multipliers interpolate reads
+off the kernel and for the bounds of a hull over one variable.
 
 Satisfiability goes through the simplex kernel in kernel.py; strict
 inequalities are handled with delta-rationals, so witnesses assign each
@@ -14,10 +14,19 @@ an arbitrarily small positive d.  Only is_sat asks the kernel for a
 witness; entailment, Polyhedron.of and the pinning trials ask whether
 the rows are satisfiable and nothing more.  Entailment refutes row by
 row: c1 entails a row when c1 with each row of the row's negation is
-unsatisfiable.  is_sat, entails, minimise and widen place each Row's
-ints in the columns of the sorted variables once per call, which is
-the kernel's row as it is (its scale is the Row's denominator), and
-negate rows in that form.
+unsatisfiable.  Three shapes are decided without the kernel.  An
+empty premise implies no row with a nonzero coefficient.  A premise of
+one row with a nonzero coefficient p implies a row r exactly when r is
+lam times p on the left, lam > 0 (any lam when p is an equality), and
+r's bound is at least as tight: on a tie a strict r needs a strict p,
+and an equality r needs an equality p of the same value.  A row with
+a nonzero coefficient on a column no premise row uses is not implied
+by a satisfiable premise; minimise and widen, whose premises are
+satisfiable, use this, and entails does not, since tree interpolation
+hands it unsatisfiable premises.  is_sat, entails, minimise and widen
+place each Row's ints in the columns of the sorted variables once per
+call, which is the kernel's row as it is (its scale is the Row's
+denominator), and negate rows in that form.
 
 Projection is variable elimination on one list of integer rows: int
 coefficients, a relation, an int right-hand side and a positive int
@@ -47,15 +56,24 @@ printed form; a printed number (the reduced fraction, which can be
 smaller than the stored ints) of more than
 chc_core.MAX_PRINTED_DIGITS digits raises NumberTooLongError.
 
-The convex hull of two polyhedra is computed on a lifted system: a
+The convex hull of two polyhedra is their closed convex hull, a sound
+over-approximation of the union: strict rows are relaxed.  When the
+two mention one variable x it is an interval read off their rows: a
+row's bound is num / ints[0], an upper one when ints[0] > 0, a lower
+one when ints[0] < 0, both for an equality; the larger upper bound is
+kept when both sides have one, and the smaller lower bound likewise,
+as non-strict rows sorted by printed form.  This gives the rows the
+lifted hull below gives, except when both sides are the same point:
+there the lifted hull prints an equality or two inequalities
+depending on how the sides were written, so that case takes it.
+Otherwise the hull is computed on a lifted system (Benoy, King and
+Mesnard, "Computing convex hulls with a linear solver", TPLP 2005): a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
-variables.  Strict rows are relaxed first; the result is the closed
-convex hull, a sound over-approximation of the union.  The lifted rows
-are built from each Row's ints (a.xi rel b*si over the Row's
-denominator) and handed straight to projection's elimination, and the
-shadow is only minimised: the hull of two nonempty polyhedra is never
-empty.
+variables.  The lifted rows are built from each Row's ints (a.xi rel
+b*si over the Row's denominator) and handed straight to projection's
+elimination, and the shadow is only minimised: the hull of two
+nonempty polyhedra is never empty.
 
 Interpolation is certificate-based.  For jointly unsatisfiable phi1,
 phi2 a refutation is a nonnegative multiplier vector y over the split
@@ -200,16 +218,51 @@ def is_sat(constraint: LinConstraint) -> Witness | None:
     return Witness({v: DeltaRational(m, d) for v, (m, d) in zip(columns, result)})
 
 
-def _implied(premise: list, ncols: int, row: tuple) -> bool:
+def _implied(premise: list, ncols: int, row: tuple, sat_premise: bool = False) -> bool:
     """Does every model of the kernel rows premise satisfy the kernel
-    row?  Refutes each row of its negation in turn."""
+    row?  An empty premise and a premise of one row that is not ground
+    are decided by comparing rows; so is a row with a nonzero
+    coefficient on a column no premise row uses, when the caller knows
+    the premise is satisfiable (sat_premise).  Otherwise each row of the
+    row's negation is refuted in turn."""
     dense, rel, rhs, scale = row
+    if len(premise) == 1 and any(premise[0][0]):
+        return _implied_by_row(premise[0], row)
+    if not premise and any(dense):
+        return False
+    if sat_premise:
+        for j, c in enumerate(dense):
+            if c and not any(p[0][j] for p in premise):
+                return False
     neg = [-c for c in dense]
     if rel == REL_EQ:
         negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
     else:
         negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
     return all(kernel.simplex_feasible(ncols, [*premise, n], False) is None for n in negation)
+
+
+def _implied_by_row(premise_row: tuple, row: tuple) -> bool:
+    """Does the kernel row premise_row, which has a nonzero coefficient
+    and so a model, imply the kernel row?  Only when the row is lam
+    times it on the left (lam > 0 unless premise_row is an equality)
+    with a bound at least as tight; a ground row, lam = 0, holds or
+    not."""
+    a, prel, b, _ = premise_row
+    c, rel, d, _ = row
+    i = next(j for j, e in enumerate(a) if e)
+    ai, ci = a[i], c[i]
+    if any(cj * ai != aj * ci for aj, cj in zip(a, c)):
+        return False
+    if ci == 0:
+        return d > 0 if rel == REL_LT else d == 0 if rel == REL_EQ else d >= 0
+    # lam*b - d has the sign of diff
+    diff = ci * b - d * ai if ai > 0 else d * ai - ci * b
+    if prel == REL_EQ:
+        return diff < 0 if rel == REL_LT else diff == 0 if rel == REL_EQ else diff <= 0
+    if rel == REL_EQ or (ci > 0) != (ai > 0):
+        return False
+    return diff < 0 or (diff == 0 and (rel == REL_LE or prel == REL_LT))
 
 
 def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
@@ -403,18 +456,18 @@ class Polyhedron:
 
     @staticmethod
     def bottom() -> "Polyhedron":
-        return Polyhedron(FALSE, empty=True)
+        return _BOTTOM
 
     @staticmethod
     def top() -> "Polyhedron":
-        return Polyhedron(TRUE)
+        return _TOP
 
     @staticmethod
     def of(constraint: LinConstraint) -> "Polyhedron":
         # satisfiability only: no witness
         columns = sorted(constraint.vars())
         if kernel.simplex_feasible(len(columns), _dense(constraint.rows, columns), False) is None:
-            return Polyhedron.bottom()
+            return _BOTTOM
         return Polyhedron(minimise(constraint))
 
     def is_top(self) -> bool:
@@ -441,6 +494,10 @@ class Polyhedron:
         return self.constraint.pretty()
 
 
+_BOTTOM = Polyhedron(FALSE, empty=True)
+_TOP = Polyhedron(TRUE)
+
+
 def minimise(constraint: LinConstraint) -> LinConstraint:
     """Drop rows entailed by the remaining ones.  Caller ensures sat."""
     rows = list(dict.fromkeys(constraint.rows))
@@ -449,7 +506,7 @@ def minimise(constraint: LinConstraint) -> LinConstraint:
     kept = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in kept if j != i]
-        if _implied([dense[j] for j in rest], len(columns), dense[i]):
+        if _implied([dense[j] for j in rest], len(columns), dense[i], True):
             kept = rest
     return LinConstraint(tuple(rows[j] for j in kept))
 
@@ -468,12 +525,57 @@ def hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     if p2.empty:
         return p1
     if p1.is_top() or p2.is_top():
-        return Polyhedron.top()
-    return _lifted_hull(p1, p2)
+        return _TOP
+    return _hull(p1, p2)
 
 
 @memoised("hull")
+def _hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
+    """The memoised step: an interval over one variable, else the
+    lifted hull."""
+    xs = p1.vars() | p2.vars()
+    if len(xs) == 1:
+        interval = _interval_hull(p1, p2, xs.pop())
+        if interval is not None:
+            return interval
+    return _lifted_hull(p1, p2)
+
+
+def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron | None:
+    """The hull of two nonempty polyhedra whose rows mention x alone,
+    from their closed bounds: the larger upper bound if both have one,
+    the smaller lower bound if both have one.  None when both are the
+    same point, whose lifted hull keeps an equality or not as the
+    arguments were written."""
+    bounds = []
+    for poly in (p1, p2):
+        lo = hi = None
+        for row in poly.constraint.rows:
+            if not row.names:
+                continue
+            bound = Fraction(row.num, row.ints[0])
+            if row.rel == REL_EQ or row.ints[0] > 0:
+                hi = bound if hi is None else min(hi, bound)
+            if row.rel == REL_EQ or row.ints[0] < 0:
+                lo = bound if lo is None else max(lo, bound)
+        bounds.append((lo, hi))
+    (lo1, hi1), (lo2, hi2) = bounds
+    if lo1 is not None and lo1 == hi1 == lo2 == hi2:
+        return None
+    rows = []
+    if hi1 is not None and hi2 is not None:
+        hi = max(hi1, hi2)
+        rows.append(Row.of_ints({x: hi.denominator}, REL_LE, hi.numerator, hi.denominator))
+    if lo1 is not None and lo2 is not None:
+        lo = min(lo1, lo2)
+        rows.append(Row.of_ints({x: -lo.denominator}, REL_LE, -lo.numerator, lo.denominator))
+    rows.sort(key=Row.pretty)
+    return Polyhedron(LinConstraint(tuple(rows)))
+
+
 def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
+    """The closed hull of two nonempty polyhedra, neither of them top,
+    projected from the lifted system."""
     xs = sorted(p1.vars() | p2.vars())
     used = set(xs)
     copies = []
@@ -508,7 +610,8 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     rows = p1.constraint.rows
     columns = sorted(p1.vars() | p2.vars())
     premise = _dense(p2.constraint.rows, columns)
-    kept = (row for row, d in zip(rows, _dense(rows, columns)) if _implied(premise, len(columns), d))
+    dense = _dense(rows, columns)
+    kept = (row for row, d in zip(rows, dense) if _implied(premise, len(columns), d, True))
     return Polyhedron(LinConstraint(tuple(kept)))
 
 

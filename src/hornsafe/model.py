@@ -21,6 +21,8 @@ from hornsafe.chc_core import (
 )
 from hornsafe.lra import Polyhedron, entails, is_sat
 
+_BOTTOM = Polyhedron.bottom()
+
 
 def canonical_args(n: int) -> tuple[Variable, ...]:
     return tuple(Variable(f"X{i}") for i in range(1, n + 1))
@@ -49,7 +51,7 @@ class InterpretationModel:
         return set(self.entries)
 
     def polyhedron(self, pred: str) -> Polyhedron:
-        return self.entries.get(pred, Polyhedron.bottom())
+        return self.entries.get(pred, _BOTTOM)
 
     def fact(self, pred: str, args: tuple[Variable, ...]) -> LinConstraint:
         """The predicate's constraint instantiated on the given tuple."""

@@ -41,39 +41,26 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
             return FALSE_PRED
         return f"{pred}__{tokens[state]}"
 
-    generated: list[Clause] = []
     order = {cid: i for i, cid in enumerate(program.clause_ids())}
     transitions = sorted(
         automaton.transitions, key=lambda tr: (order.get(tr[0], -1), tr[1], tr[2])
     )
+    # each transition as its source clause and indexed predicate names
+    shapes = []
     for cid, args, target in transitions:
         try:
             clause = program.clause_by_id(cid)
         except KeyError:
             raise RefinementError(f"automaton symbol {cid!r} is not a clause id")
-        head = Atom(
-            indexed(clause.head.pred, target, target in automaton.finals),
-            clause.head.args,
-        )
-        body = tuple(
-            Atom(indexed(a.pred, q, False), a.args)
-            for a, q in zip(clause.body, args)
-        )
-        generated.append(
-            Clause(
-                cid="",
-                head=head,
-                constraint=clause.constraint,
-                body=body,
-                origin=cid,
-            )
-        )
+        head = indexed(clause.head.pred, target, target in automaton.finals)
+        body = [indexed(a.pred, q, False) for a, q in zip(clause.body, args)]
+        shapes.append((clause, head, body))
 
     # keep only predicates that some derivation of false can use: those
     # reached from false through heads to the body atoms under them
     below: dict[str, list[str]] = {}
-    for clause in generated:
-        below.setdefault(clause.head.pred, []).extend(a.pred for a in clause.body)
+    for _, head, body in shapes:
+        below.setdefault(head, []).extend(body)
     useful = {FALSE_PRED}
     work = [FALSE_PRED]
     while work:
@@ -81,13 +68,29 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
             if pred not in useful:
                 useful.add(pred)
                 work.append(pred)
-    kept = [c for c in generated if c.head.pred in useful]
-    return Program(
-        tuple(
-            Clause(f"c{i}", c.head, c.constraint, c.body, origin=c.origin)
-            for i, c in enumerate(kept, start=1)
+
+    # the kept clauses numbered c1, c2, ..., and the arity map
+    # Program would collect from them
+    clauses = []
+    arities: dict[str, int] = {}
+    for clause, head, body in shapes:
+        if head not in useful:
+            continue
+        atoms = [Atom(head, clause.head.args)]
+        atoms += [Atom(pred, a.args) for pred, a in zip(body, clause.body)]
+        for atom in atoms:
+            if atom.pred != FALSE_PRED:
+                arities.setdefault(atom.pred, len(atom.args))
+        clauses.append(
+            Clause(
+                f"c{len(clauses) + 1}",
+                atoms[0],
+                clause.constraint,
+                tuple(atoms[1:]),
+                origin=clause.cid,
+            )
         )
-    )
+    return Program(tuple(clauses), arities)
 
 
 def origin_map(program: Program) -> dict[str, str]:

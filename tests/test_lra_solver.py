@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from gen import random_constraint
+from gen import random_constraint, random_row
 from oracles import equivalent
 from hornsafe.chc_core import (
     FALSE,
@@ -237,6 +238,158 @@ class TestWiden:
             state = new
         else:
             pytest.fail("no stabilisation")
+
+
+_X1 = Variable("X1")
+
+
+def _interval_side(rng, point_pool):
+    """Rows over X1 alone, spelt the ways the analysis meets them: an
+    equality under a random scale, a point pinned by two inequalities,
+    an interval, or a half-line, with strict bounds among them.  Values
+    come from point_pool, so both sides often share a bound."""
+    value = rng.choice(point_pool)
+    kind = rng.choice(("eq", "pinned", "interval", "upper", "lower"))
+    k = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    if kind == "eq":
+        return [Row.make({_X1: k}, REL_EQ, k * value)]
+    if kind == "pinned":
+        return [Row.make({_X1: 1}, REL_LE, value), Row.make({_X1: 1}, ">=", value)]
+    rel = rng.choice((REL_LE, REL_LT))
+    if kind == "upper":
+        return [Row.make({_X1: abs(k)}, rel, abs(k) * value)]
+    if kind == "lower":
+        return [Row.make({_X1: -abs(k)}, rel, -abs(k) * value)]
+    other = max(value, rng.choice(point_pool))
+    return [
+        Row.make({_X1: -abs(k)}, rel, -abs(k) * value),
+        Row.make({_X1: 1}, rng.choice((REL_LE, REL_LT)), other),
+    ]
+
+
+class TestIntervalHullOracle:
+    """A hull over one variable is read off the two sides' closed
+    bounds; it must have exactly the rows of the lifted hull."""
+
+    def test_agrees_with_the_lifted_hull(self):
+        rng = random.Random(20)
+        seen = {"equal point": 0, "strict input": 0, "top": 0, "half-line": 0, "point input": 0}
+        checked = 0
+        while checked < 2500:
+            pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+            p1 = Polyhedron.of(LinConstraint(tuple(_interval_side(rng, pool))))
+            p2 = Polyhedron.of(LinConstraint(tuple(_interval_side(rng, pool))))
+            if p1.empty or p2.empty:
+                continue
+            checked += 1
+            got = hull(p1, p2)
+            assert got.constraint.rows == solver._lifted_hull(p1, p2).constraint.rows, (
+                p1.pretty(),
+                p2.pretty(),
+            )
+            rows = p1.constraint.rows + p2.constraint.rows
+            seen["strict input"] += any(r.rel == REL_LT for r in rows)
+            seen["point input"] += any(r.rel == REL_EQ for r in rows)
+            seen["top"] += got.is_top()
+            seen["half-line"] += len(got.constraint.rows) == 1
+            seen["equal point"] += solver._interval_hull(p1, p2, _X1) is None
+        assert min(seen.values()) >= 100, seen
+
+    def test_scaled_equalities_and_pinned_points(self):
+        eq = Polyhedron.of(parse_constraint("3*X1 = -5"))
+        pinned = Polyhedron.of(parse_constraint("X1 >= -5/3, X1 =< -5/3"))
+        # the same point, stored over different denominators
+        assert eq.constraint != Polyhedron.of(parse_constraint("X1 = -5/3")).constraint
+        for p1, p2 in ((eq, eq), (eq, pinned), (pinned, eq), (pinned, pinned)):
+            assert hull(p1, p2).constraint.rows == solver._lifted_hull(p1, p2).constraint.rows
+        far = Polyhedron.of(parse_constraint("X1 < 2"))
+        assert hull(eq, far).pretty() == "X1 =< 2"
+
+
+def _kernel_implied(premise, ncols, row):
+    """_implied with the kernel alone: refute each row of the row's
+    negation together with the premise."""
+    dense, rel, rhs, scale = row
+    neg = [-c for c in dense]
+    if rel == REL_EQ:
+        negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
+    else:
+        negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
+    return all(
+        solver.kernel.simplex_feasible(ncols, [*premise, n], False) is None for n in negation
+    )
+
+
+_COLUMNS = [Variable("U"), Variable("V"), Variable("W")]
+_RELS = (REL_LE, REL_LT, REL_EQ)
+
+
+def _scaled(rng, row, positive):
+    """row times a random rational lam (lam > 0 when positive, else
+    lam < 0), relation kept: its ints stay and its den changes."""
+    lam = Fraction(rng.randint(1, 4), rng.randint(1, 5)) * (1 if positive else -1)
+    return Row.make({v: lam * c for v, c in row.terms}, row.rel, lam * row.rhs)
+
+
+def _implied_case(rng):
+    """A premise and a queried row of one of the shapes _implied decides
+    without the kernel, or a near miss of one."""
+    kind = rng.choice(
+        ("empty", "parallel", "antiparallel", "equal bound", "ground", "free", "rows")
+    )
+    if kind == "empty":
+        query = random_row(rng, 3) if rng.random() < 0.8 else _ground_row(rng)
+        return kind, [], query
+    if kind == "free":
+        premise = [random_row(rng, 2) for _ in range(rng.randint(1, 3))]
+        coeffs = {**random_row(rng, 2).coeffs(), _COLUMNS[2]: rng.choice((-1, 2))}
+        query = Row.make(coeffs, rng.choice(_RELS), rng.randint(-3, 3))
+        return kind, premise, query
+    if kind == "rows":
+        return kind, [random_row(rng, 3) for _ in range(rng.randint(2, 3))], random_row(rng, 3)
+    p = random_row(rng, 3)
+    if kind == "ground":
+        return kind, [p], _ground_row(rng)
+    # lam * p with its bound moved by -1, 0 or +1 and any relation
+    q = _scaled(rng, p, positive=kind != "antiparallel")
+    shift = 0 if kind == "equal bound" else rng.choice((-1, 0, 1))
+    return kind, [p], Row.make(q.coeffs(), rng.choice(_RELS), q.rhs + shift)
+
+
+def _ground_row(rng):
+    return Row.make({}, rng.choice(_RELS), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+class TestImpliedOracle:
+    """_implied decides an empty premise, a one-row premise and (for a
+    satisfiable premise) a row on a column no premise row uses without
+    the kernel; each answer must be the kernel's."""
+
+    def test_agrees_with_the_kernel(self):
+        rng = random.Random(21)
+        answers = {}
+        for _ in range(4000):
+            kind, premise_rows, query = _implied_case(rng)
+            premise = solver._dense(premise_rows, _COLUMNS)
+            (row,) = solver._dense([query], _COLUMNS)
+            expected = _kernel_implied(premise, len(_COLUMNS), row)
+            case = (kind, premise_rows, query)
+            assert solver._implied(premise, len(_COLUMNS), row) == expected, case
+            if solver.kernel.simplex_feasible(len(_COLUMNS), premise, False) is not None:
+                assert solver._implied(premise, len(_COLUMNS), row, True) == expected, case
+            answers.setdefault(kind, Counter())[expected] += 1
+        # an empty premise implies only some ground rows
+        for kind, counts in answers.items():
+            assert counts[False] >= 100 and (kind == "empty" or counts[True] >= 50), answers
+
+    def test_equal_bounds_under_every_relation_pair(self):
+        u = _COLUMNS[0]
+        for prel in _RELS:
+            for rel in _RELS:
+                for lam in (Fraction(1), Fraction(2, 3), Fraction(5, 2), Fraction(-5, 2)):
+                    premise = solver._dense([Row.make({u: 1}, prel, 1)], _COLUMNS)
+                    (row,) = solver._dense([Row.make({u: lam}, rel, lam)], _COLUMNS)
+                    assert solver._implied(premise, 3, row) == _kernel_implied(premise, 3, row)
 
 
 def _closed_part(p):

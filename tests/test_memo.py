@@ -3,6 +3,7 @@ current for exactly one verify call, invisible in what the verifier
 decides, equal to recomputation, and absent everywhere else."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -87,8 +88,20 @@ def project_calls(monkeypatch):
 
 
 @pytest.fixture
-def elimination_calls(monkeypatch):
-    return _count_calls(monkeypatch, solver, "_eliminate")
+def hull_step_calls():
+    """Calls of the hull step's own body, the function the memo wraps:
+    a hull over one variable eliminates nothing and may call no kernel,
+    so neither count shows it."""
+    calls = [0]
+    body = solver._hull.__wrapped__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    yield calls
+    sys.setprofile(None)
 
 
 class TestScope:
@@ -152,15 +165,15 @@ class TestScope:
         assert current_entries() is None
 
 
-def test_nothing_kept_outside_verify(kernel_calls, project_calls, elimination_calls):
+def test_nothing_kept_outside_verify(kernel_calls, project_calls, hull_step_calls):
     rng = random.Random(3)
     checked = dict.fromkeys(Memo.OPS, 0)
     for _ in range(60):
         steps, _ = random_steps(rng)
         for op, compute in steps.items():
-            # a projection calls no kernel, nor does a hull whose shadow
-            # is the whole space, so count their eliminations
-            calls = {"context": project_calls, "hull": elimination_calls}.get(op, kernel_calls)
+            # a projection calls no kernel, nor does every hull, so count
+            # the projections and the hull step's body
+            calls = {"context": project_calls, "hull": hull_step_calls}.get(op, kernel_calls)
             start = calls[0]
             compute()
             once = calls[0] - start

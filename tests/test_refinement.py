@@ -2,7 +2,7 @@
 
 import pytest
 
-from hornsafe.chc_core import FALSE_PRED, parse_program
+from hornsafe.chc_core import FALSE_PRED, _collect_arities, parse_program
 from hornsafe.derivations import and_tree
 from hornsafe.fta import (
     TraceTerm,
@@ -97,6 +97,15 @@ class TestGenerateClauses:
                             useful.add(a.pred)
                             changed = True
         assert {c.head.pred for c in out} <= useful
+
+    @pytest.mark.parametrize("removed", ["c3(c1)", "c3(c2(c1,c1))", "c2(c1,c1)"])
+    def test_arities_are_the_collected_ones(self, removed):
+        # generate_clauses hands Program its arity map; it must be the
+        # one Program would collect from the clauses, in the same order
+        prog, aut = fib_minus(removed)
+        out = generate_clauses(prog, aut)
+        assert list(out.arities.items()) == list(_collect_arities(out.clauses).items())
+        assert out.arities
 
     @pytest.mark.parametrize("removed", ["c3(c1)", "c3(c2(c1,c1))"])
     def test_language_is_difference(self, removed):
