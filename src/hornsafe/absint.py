@@ -32,17 +32,23 @@ body is built only on a miss.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from hornsafe.chc_core import REL_LT, Clause, LinConstraint, Program, Variable
 from hornsafe.lra import Polyhedron, hull, memoised, project, widen
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
 
+_BOTTOM = Polyhedron.bottom()
 
-def clause_post(clause: Clause, state: InterpretationModel) -> Polyhedron:
-    """Abstract consequence of one clause: conjoin the interpreted body
-    atoms with the clause constraint, project onto the head tuple, and
-    rename onto canonical arguments.  Empty exactly when the
-    interpreted body is unsatisfiable."""
-    body = tuple((atom.args, state.polyhedron(atom.pred)) for atom in clause.body)
+
+def clause_post(clause: Clause, entries: Mapping[str, Polyhedron]) -> Polyhedron:
+    """Abstract consequence of one clause under the interpretation that
+    maps each predicate to its nonempty polyhedron in entries, and a
+    missing one to bottom: conjoin the interpreted body atoms with the
+    clause constraint, project onto the head tuple, and rename onto
+    canonical arguments.  Empty exactly when the interpreted body is
+    unsatisfiable."""
+    body = tuple((atom.args, entries.get(atom.pred, _BOTTOM)) for atom in clause.body)
     return _post(clause.constraint, clause.head.args, body)
 
 
@@ -69,7 +75,6 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         for atom in clause.body:
             dependents.setdefault(atom.pred, []).append(i)
 
-    bottom = Polyhedron.bottom()
     state: dict[str, Polyhedron] = {}
     joins: dict[str, int] = {}
     pending = set(range(len(clauses)))
@@ -78,10 +83,10 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
         pending.discard(i)
         clause = clauses[i]
         pred = clause.head.pred
-        post = clause_post(clause, InterpretationModel(state))
+        post = clause_post(clause, state)
         if post.empty:
             continue
-        old = state.get(pred, bottom)
+        old = state.get(pred, _BOTTOM)
         if post.entails_poly(old):
             continue
         joins[pred] = joins.get(pred, 0) + 1
@@ -95,12 +100,11 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
 
     # one descending pass: posts under a pre-fixpoint stay inside it,
     # and their join is itself a pre-fixpoint again
-    model = InterpretationModel(state)
     narrowed: dict[str, Polyhedron] = {}
     for clause in clauses:
-        post = clause_post(clause, model)
+        post = clause_post(clause, state)
         if post.empty:
             continue
         pred = clause.head.pred
-        narrowed[pred] = hull(narrowed.get(pred, bottom), post)
+        narrowed[pred] = hull(narrowed.get(pred, _BOTTOM), post)
     return InterpretationModel(narrowed)

@@ -408,11 +408,7 @@ def _collect_arities(clauses: Iterable[Clause]) -> dict[str, int]:
     return arities
 
 
-# Tokenizer ------------------------------------------------------------------
-
-_PUNCT2 = (":-", "=<", ">=")
-_PUNCT1 = "().,=<>+-*"
-_NUMBER = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+# Scanner --------------------------------------------------------------------
 
 # Most digits in a numerator or denominator the parser builds, as a
 # literal or by folding constants.
@@ -453,73 +449,51 @@ def _power_of_ten(digits: int) -> int:
     return 10**digits
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # lident | var | number | punct | eof
-    value: str | Fraction
-    line: int
-    col: int
+# One alternative per kind of lexeme, tried in this order at the current
+# offset.  A word must also start with a character that passes
+# str.isalpha(), which \w does not check.
+_LEXEME = re.compile(
+    r"(?P<blank>[ \t\r]+)"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>:-|=<|>=|[().,=<>+*-])"
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if word[0].isupper() else "lident"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        match = _NUMBER.match(text, i)
-        if match:
-            # an integer or an n/m rational literal
-            numer, denom = match.group(1), match.group(2) or "1"
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of text, each a tuple (kind, value, line, col): kind is
+    lident, var, number, punct or eof, a number's value is a Fraction,
+    and col counts characters from 1 at the start of the line."""
+    tokens: list[tuple] = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        match = _LEXEME.match(text, pos)
+        col = pos - line_start + 1
+        if match is None:
+            if text[pos] == ":":
+                raise ParseError("expected ':-'", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value, pos = match.lastgroup, match.group(), match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "number":
+            numer, denom = match.group("num"), match.group("den") or "1"
             if max(len(numer), len(denom)) > MAX_DIGITS:
-                raise ParseError(f"number longer than {MAX_DIGITS} digits", start_line, start_col)
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, col)
             if int(denom) == 0:
-                raise ParseError("rational literal with zero denominator", start_line, start_col)
-            value = Fraction(int(numer), int(denom))
-            j = match.end()
-            tokens.append(_Token("number", value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == ":":
-            raise ParseError("expected ':-'", start_line, start_col)
-        if ch in _PUNCT1:
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+                raise ParseError("rational literal with zero denominator", line, col)
+            tokens.append(("number", Fraction(int(numer), int(denom)), line, col))
+        elif kind == "word":
+            if not value[0].isalpha():
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(("var" if value[0].isupper() else "lident", value, line, col))
+        elif kind == "punct":
+            tokens.append(("punct", value, line, col))
+    # a comment on the last line ends the input where it starts
+    end = text.find("%", line_start)
+    tokens.append(("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -557,6 +531,11 @@ class _LinExpr:
 
 
 class _Parser:
+    """Recursive descent over the tokens of a whole text, so a lexical
+    error anywhere wins over any other.  A punct token's value is no
+    word, number or empty string, so testing the value alone tests for
+    punctuation."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -564,62 +543,52 @@ class _Parser:
 
     # token plumbing
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise ParseError(f"expected {value!r}", tok.line, tok.col)
-        return tok
+    def expect_punct(self, value: str) -> None:
+        _, got, line, col = self.next()
+        if got != value:
+            raise ParseError(f"expected {value!r}", line, col)
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+        return self.tokens[self.pos][1] == value
 
     @staticmethod
-    def bounded(expr: _LinExpr, tok: _Token) -> _LinExpr:
+    def bounded(expr: _LinExpr, tok: tuple) -> _LinExpr:
         """expr, unless folding constants at tok made a number too long."""
         if too_long((expr.const, *expr.coeffs.values()), MAX_DIGITS):
-            raise ParseError(f"number longer than {MAX_DIGITS} digits", tok.line, tok.col)
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", tok[2], tok[3])
         return expr
 
     # grammar
 
-    def parse_program_items(self) -> list[tuple[Atom | _RawAtom, list]]:
-        clauses = []
-        while self.peek().kind != "eof":
-            clauses.append(self.parse_clause())
-        return clauses
-
-    def parse_clause(self):
-        head_tok = self.peek()
+    def parse_clause(self) -> tuple[_RawAtom, list[Row], list[_RawAtom]]:
+        """The head, the constraint rows and the body atoms of one clause."""
         head = self.parse_atom()
-        body: list = []
-        if self.at_punct(":-"):
+        rows: list[Row] = []
+        atoms: list[_RawAtom] = []
+        # ':-' before the first body item, ',' before each further one
+        sep = ":-"
+        while self.at_punct(sep):
             self.next()
-            body.append(self.parse_body_item())
-            while self.at_punct(","):
-                self.next()
-                body.append(self.parse_body_item())
+            sep = ","
+            if self.peek()[0] == "lident":
+                atoms.append(self.parse_atom())
+            else:
+                rows.append(self.parse_row())
         self.expect_punct(".")
-        return (head, body, head_tok)
+        return head, rows, atoms
 
-    def parse_body_item(self):
-        tok = self.peek()
-        if tok.kind == "lident":
-            return self.parse_atom()
-        return self.parse_row()
-
-    def parse_atom(self) -> "_RawAtom":
-        tok = self.next()
-        if tok.kind != "lident":
-            raise ParseError("expected a predicate name", tok.line, tok.col)
+    def parse_atom(self) -> _RawAtom:
+        kind, pred, line, col = self.next()
+        if kind != "lident":
+            raise ParseError("expected a predicate name", line, col)
         args: list[_LinExpr] = []
         if self.at_punct("("):
             self.next()
@@ -628,22 +597,22 @@ class _Parser:
                 self.next()
                 args.append(self.parse_expr())
             self.expect_punct(")")
-        return _RawAtom(str(tok.value), args, tok.line, tok.col)
+        return _RawAtom(pred, args, line, col)
 
     def parse_row(self) -> Row:
         lhs = self.parse_expr()
         tok = self.next()
-        if tok.kind != "punct" or tok.value not in ("=", "=<", "<", ">=", ">"):
-            raise ParseError("expected a comparison operator", tok.line, tok.col)
+        if tok[1] not in ("=", "=<", "<", ">=", ">"):
+            raise ParseError("expected a comparison operator", tok[2], tok[3])
         rhs = self.parse_expr()
         diff = self.bounded(lhs.add(rhs, -1), tok)
-        return Row.make(diff.coeffs, str(tok.value), -diff.const)
+        return Row.make(diff.coeffs, tok[1], -diff.const)
 
     def parse_expr(self) -> _LinExpr:
         expr = self.parse_addend()
         while self.at_punct("+") or self.at_punct("-"):
             op = self.next()
-            expr = self.bounded(expr.add(self.parse_addend(), 1 if op.value == "+" else -1), op)
+            expr = self.bounded(expr.add(self.parse_addend(), 1 if op[1] == "+" else -1), op)
         return expr
 
     def parse_addend(self) -> _LinExpr:
@@ -652,7 +621,7 @@ class _Parser:
             star = self.next()
             other = self.parse_primary()
             if expr.coeffs and other.coeffs:
-                raise ParseError("non-linear term", star.line, star.col)
+                raise ParseError("non-linear term", star[2], star[3])
             if other.coeffs:
                 expr, other = other, expr
             expr = self.bounded(expr.scale(other.const), star)
@@ -660,25 +629,24 @@ class _Parser:
 
     def parse_primary(self) -> _LinExpr:
         # unary minus in a loop, so a long run of signs needs no stack
-        tok = self.next()
+        kind, value, line, col = self.next()
         negate = False
-        while tok.kind == "punct" and tok.value == "-":
+        while value == "-":
             negate = not negate
-            tok = self.next()
-        if tok.kind == "var":
-            expr = _LinExpr({Variable(str(tok.value)): Fraction(1)})
-        elif tok.kind == "number":
-            assert isinstance(tok.value, Fraction)
-            expr = _LinExpr(const=tok.value)
-        elif tok.kind == "punct" and tok.value == "(":
+            kind, value, line, col = self.next()
+        if kind == "var":
+            expr = _LinExpr({Variable(value): Fraction(1)})
+        elif kind == "number":
+            expr = _LinExpr(const=value)
+        elif value == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, col)
             self.depth += 1
             expr = self.parse_expr()
             self.depth -= 1
             self.expect_punct(")")
         else:
-            raise ParseError("expected a variable, number or '('", tok.line, tok.col)
+            raise ParseError("expected a variable, number or '('", line, col)
         return expr.scale(Fraction(-1)) if negate else expr
 
 
@@ -733,16 +701,11 @@ def _normalise_atom(raw: _RawAtom, used: set[Variable], seen_args: set[Variable]
 def parse_program(text: str) -> Program:
     """Parse a clause program; clauses get ids c1, c2, ... in source order."""
     parser = _Parser(text)
-    raw_clauses = parser.parse_program_items()
+    raw_clauses = []
+    while parser.peek()[0] != "eof":
+        raw_clauses.append(parser.parse_clause())
     clauses: list[Clause] = []
-    for index, (raw_head, raw_body, head_tok) in enumerate(raw_clauses, start=1):
-        rows: list[Row] = []
-        atoms: list[_RawAtom] = []
-        for item in raw_body:
-            if isinstance(item, Row):
-                rows.append(item)
-            else:
-                atoms.append(item)
+    for index, (raw_head, rows, atoms) in enumerate(raw_clauses, start=1):
         used: set[Variable] = set()
         for item in (raw_head, *atoms):
             for expr in item.args:
@@ -777,9 +740,9 @@ def parse_constraint(text: str) -> LinConstraint:
     while parser.at_punct(","):
         parser.next()
         rows.append(parser.parse_row())
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after constraint", tok.line, tok.col)
+    kind, _, line, col = parser.peek()
+    if kind != "eof":
+        raise ParseError("trailing input after constraint", line, col)
     return LinConstraint(tuple(rows))
 
 

@@ -132,7 +132,7 @@ def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     base = trace_fta(program)
     kept = set()
     for cid, args, target in base.transitions:
-        if not clause_post(program.clause_by_id(cid), model).empty:
+        if not clause_post(program.clause_by_id(cid), model.entries).empty:
             kept.add((cid, args, target))
     return TreeAutomaton(base.states, base.finals, base.alphabet, frozenset(kept))
 

@@ -62,11 +62,9 @@ two mention one variable x it is an interval read off their rows: a
 row's bound is num / ints[0], an upper one when ints[0] > 0, a lower
 one when ints[0] < 0, both for an equality; the larger upper bound is
 kept when both sides have one, and the smaller lower bound likewise,
-as non-strict rows sorted by printed form.  This gives the rows the
-lifted hull below gives, except when both sides are the same point:
-there the lifted hull prints an equality or two inequalities
-depending on how the sides were written, so that case takes it.
-Otherwise the hull is computed on a lifted system (Benoy, King and
+as non-strict rows sorted by printed form; when both sides are the
+same point p and all their rows are equalities, it is x = p.  These
+are the rows the lifted hull below gives.  Otherwise the hull is computed on a lifted system (Benoy, King and
 Mesnard, "Computing convex hulls with a linear solver", TPLP 2005): a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
@@ -535,18 +533,15 @@ def _hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     lifted hull."""
     xs = p1.vars() | p2.vars()
     if len(xs) == 1:
-        interval = _interval_hull(p1, p2, xs.pop())
-        if interval is not None:
-            return interval
+        return _interval_hull(p1, p2, xs.pop())
     return _lifted_hull(p1, p2)
 
 
-def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron | None:
+def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron:
     """The hull of two nonempty polyhedra whose rows mention x alone,
     from their closed bounds: the larger upper bound if both have one,
-    the smaller lower bound if both have one.  None when both are the
-    same point, whose lifted hull keeps an equality or not as the
-    arguments were written."""
+    the smaller lower bound if both have one.  When both are the same
+    point p and every row of both is an equality, the equality x = p."""
     bounds = []
     for poly in (p1, p2):
         lo = hi = None
@@ -561,7 +556,9 @@ def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron | 
         bounds.append((lo, hi))
     (lo1, hi1), (lo2, hi2) = bounds
     if lo1 is not None and lo1 == hi1 == lo2 == hi2:
-        return None
+        if all(row.rel == REL_EQ for poly in (p1, p2) for row in poly.constraint.rows):
+            point = Row.of_ints({x: lo1.denominator}, REL_EQ, lo1.numerator, lo1.denominator)
+            return Polyhedron(LinConstraint((point,)))
     rows = []
     if hi1 is not None and hi2 is not None:
         hi = max(hi1, hi2)

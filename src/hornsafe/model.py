@@ -19,7 +19,7 @@ from hornsafe.chc_core import (
     Program,
     Variable,
 )
-from hornsafe.lra import Polyhedron, entails, is_sat
+from hornsafe.lra import Polyhedron, entails
 
 _BOTTOM = Polyhedron.bottom()
 
@@ -91,9 +91,7 @@ def is_model(program: Program, model: InterpretationModel) -> bool:
     needs `not model.has_false`.
     """
     for clause in program:
-        body = model.body_constraint(clause)
-        if is_sat(body) is None:
-            continue
-        if not entails(body, model.fact(clause.head.pred, clause.head.args)):
+        # an unsatisfiable body entails anything
+        if not entails(model.body_constraint(clause), model.fact(clause.head.pred, clause.head.args)):
             return False
     return True

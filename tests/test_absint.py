@@ -5,7 +5,7 @@ import pytest
 from hornsafe.absint import analyze, clause_post
 from hornsafe.chc_core import FALSE_PRED, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, entails
-from hornsafe.model import InterpretationModel, is_model
+from hornsafe.model import is_model
 from oracles import load_model
 from programs import (
     COUNT_UP,
@@ -28,24 +28,24 @@ def poly(text: str) -> Polyhedron:
 class TestClausePost:
     def test_fact_clause(self):
         prog = parse_program("p(X) :- X=1.\n")
-        post = clause_post(prog.clauses[0], InterpretationModel())
+        post = clause_post(prog.clauses[0], {})
         assert not post.empty
         assert post.constraint.pretty() == "X1 = 1"
 
     def test_body_atom_lookup(self):
         prog = parse_program("p(Y) :- Y=X+1, q(X).\n")
-        state = InterpretationModel({"q": poly("X1 >= 0")})
+        state = {"q": poly("X1 >= 0")}
         post = clause_post(prog.clauses[0], state)
         assert entails(post.constraint, parse_constraint("X1 >= 1"))
         assert entails(parse_constraint("X1 >= 1"), post.constraint)
 
     def test_missing_body_predicate_gives_bottom(self):
         prog = parse_program("p(Y) :- Y=X+1, q(X).\n")
-        assert clause_post(prog.clauses[0], InterpretationModel()).empty
+        assert clause_post(prog.clauses[0], {}).empty
 
     def test_projection_drops_locals(self):
         prog = parse_program("p(Y) :- Y=A+B, A>=0, B>=2.\n")
-        post = clause_post(prog.clauses[0], InterpretationModel())
+        post = clause_post(prog.clauses[0], {})
         assert {v.name for v in post.constraint.vars()} <= {"X1"}
         assert entails(post.constraint, parse_constraint("X1 >= 2"))
 

@@ -1,4 +1,6 @@
+import hashlib
 import pickle
+import random
 from dataclasses import fields, replace
 
 import pytest
@@ -21,6 +23,7 @@ from hornsafe.chc_core import (
     parse_program,
     strict_to_nonstrict,
 )
+from gen import random_program_text
 from oracles import integrity_clauses
 
 FIB = """\
@@ -183,6 +186,66 @@ class TestParser:
         assert prog.clauses[0].constraint.pretty() == (
             f"X = {big}, X >= 1/{big}, X =< {3 * int(big[1:])}"
         )
+
+
+# characters a single edit inserts or puts in place of another: the
+# scanner's separators and punctuation, non-ASCII letters and digits,
+# and characters that may continue a word but not start one
+_EDIT_CHARS = [":", "%", "\t", "\r", "\n", "\u00b2", "\u00e9", "\u03a9", "_", "/", "0", "(", ")", "-", "."]
+# clause-level faults: an arity clash, false in a body, false with arguments
+_SWAPS = [("q(B)", "q(B, A)"), ("q(B)", "false"), ("false :-", "false(A) :-")]
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """text, perhaps with a clause-level fault, ending in a newline, a
+    comment or neither, after up to three single-character edits
+    (insert, delete, replace), now and then inserting a literal past
+    MAX_DIGITS."""
+    if rng.random() < 0.2:
+        text = text.replace(*rng.choice(_SWAPS), 1)
+    text = text[:-1] + rng.choice(("\n", "\n", "", " % end"))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "insert" and rng.random() < 0.05:
+            text = text[:i] + "1" + "0" * MAX_DIGITS + text[i:]
+        elif op == "insert":
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i + 1 :]
+    return text
+
+
+def _front_end_outcome(text: str) -> tuple:
+    """What the front end makes of text: the normal form and arity map,
+    or the error with its position."""
+    try:
+        prog = parse_program(text)
+    except (ParseError, ProgramError) as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None))
+    return ("Program", prog.pretty(), tuple(prog.arities.items()))
+
+
+class TestFrontEndDigest:
+    """Normal forms, arities, error messages and error positions of
+    2,000 seeded texts, random programs and edits of them, pinned by
+    their SHA-256.  The digest also changes with gen.random_program_text
+    or the edits; take it again only from a front end known to agree
+    with this one."""
+
+    DIGEST = "da3a0f86bae92685c6779794fdb0aba5e0189bd5c07385db29f3df7fd510180b"
+
+    def test_outcomes_are_pinned(self):
+        rng = random.Random(16)
+        outcomes = [_front_end_outcome(_edited(rng, random_program_text(rng))) for _ in range(2000)]
+        kinds = {}
+        for outcome in outcomes:
+            kinds[outcome[0]] = kinds.get(outcome[0], 0) + 1
+        assert min(kinds.get(k, 0) for k in ("Program", "ParseError", "ProgramError")) >= 20, kinds
+        digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestVariable:

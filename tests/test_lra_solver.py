@@ -292,7 +292,10 @@ class TestIntervalHullOracle:
             seen["point input"] += any(r.rel == REL_EQ for r in rows)
             seen["top"] += got.is_top()
             seen["half-line"] += len(got.constraint.rows) == 1
-            seen["equal point"] += solver._interval_hull(p1, p2, _X1) is None
+            # the hull is a point exactly when both sides are that point
+            out = got.constraint.rows
+            bounds = {row.rhs / row.terms[0][1] for row in out}
+            seen["equal point"] += len(bounds) == 1 and (len(out) == 2 or out[0].rel == REL_EQ)
         assert min(seen.values()) >= 100, seen
 
     def test_scaled_equalities_and_pinned_points(self):

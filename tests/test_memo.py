@@ -55,7 +55,7 @@ def random_steps(rng: random.Random) -> tuple[dict, tuple[Polyhedron, Polyhedron
     head = rng.sample(pool, rng.randint(0, min(3, len(pool))))
     clause = Clause("c1", Atom("p", tuple(head)), c1, (Atom("q", (u, v)),))
     q = Polyhedron.of(c2.rename(dict(zip((u, v), canonical_args(2)))))
-    state = InterpretationModel({"q": q})
+    state = InterpretationModel({"q": q}).entries
     p1, p2 = Polyhedron.of(c1), q
     steps = {
         "clause_post": lambda: clause_post(clause, state),
@@ -190,11 +190,11 @@ def test_post_hit_builds_no_row(monkeypatch):
     rows = _count_calls(monkeypatch, Row, "__init__")
     with Memo() as memo:
         for clause in program:
-            clause_post(clause, model)
+            clause_post(clause, model.entries)
         assert memo.misses["clause_post"] == len(program)
         built = rows[0]
         for clause in program:
-            clause_post(clause, model)
+            clause_post(clause, model.entries)
         assert memo.hits["clause_post"] == len(program)
     assert built > 0 and rows[0] == built
 

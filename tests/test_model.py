@@ -76,6 +76,12 @@ class TestIsModel:
         prog = parse_program("p(X) :- X=1, q(X).\n")
         assert is_model(prog, InterpretationModel())
 
+    def test_contradictory_rows_hold_under_bottom(self):
+        # the body is unsatisfiable without any false row in it
+        prog = parse_program("p(X) :- X >= 1, X =< 0.\n")
+        assert is_model(prog, InterpretationModel())
+        assert not is_model(parse_program("p(X) :- X >= 1.\n"), InterpretationModel())
+
 
 class TestLoadModel:
     def test_round_trip(self):
