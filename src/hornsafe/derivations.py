@@ -55,12 +55,17 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
 
     Clause variables get a per-node suffix _n<i>, then the head tuple is
     identified with the atom inherited from the parent, so each node's
-    local variables stay inside its subtree.
+    local variables stay inside its subtree.  Nodes are numbered with
+    a stack, not by recursion, so a deep trace costs no Python stack.
     """
-    nodes: list[Node | None] = []
-
-    def build(term: TraceTerm, inherited: Atom | None, parent: int) -> int:
-        index = len(nodes) + 1
+    # per node in preorder: its atom, clause id, renamed constraint and
+    # parent, and its children as they are numbered
+    parts: list[tuple[Atom, str, LinConstraint, int]] = []
+    children: list[list[int]] = []
+    stack: list[tuple[TraceTerm, Atom | None, int]] = [(trace, None, 0)]
+    while stack:
+        term, inherited, parent = stack.pop()
+        index = len(parts) + 1
         try:
             clause = program.clause_by_id(term.sym)
         except KeyError:
@@ -83,25 +88,24 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
             atom = inherited
         else:
             atom = clause.head.rename(rename)
-        nodes.append(None)
-        child_atoms = [b.rename(rename) for b in clause.body]
-        children = tuple(
-            build(sub, child_atom, index)
-            for sub, child_atom in zip(term.children, child_atoms)
-        )
-        nodes[index - 1] = Node(
-            index=index,
-            atom=atom,
-            cid=term.sym,
-            constraint=clause.constraint.rename(rename),
-            children=children,
-            parent=parent,
-            size=len(nodes) - index + 1,
-        )
-        return index
+        parts.append((atom, term.sym, clause.constraint.rename(rename), parent))
+        children.append([])
+        if parent:
+            children[parent - 1].append(index)
+        # the first subterm on top, so nodes are numbered in preorder
+        for sub, body_atom in reversed(list(zip(term.children, clause.body))):
+            stack.append((sub, body_atom.rename(rename), index))
 
-    build(trace, None, 0)
-    return AndTree(tuple(nodes))
+    # a node's subtree size, summed in reverse preorder into its parent
+    sizes = [1] * len(parts)
+    for i in range(len(parts) - 1, 0, -1):
+        sizes[parts[i][3] - 1] += sizes[i]
+    return AndTree(
+        tuple(
+            Node(i, atom, cid, constraint, tuple(children[i - 1]), parent, sizes[i - 1])
+            for i, (atom, cid, constraint, parent) in enumerate(parts, 1)
+        )
+    )
 
 
 def formula(tree: AndTree) -> LinConstraint:

@@ -14,8 +14,10 @@ spurious trace, "rahit" subtracts the whole language of its
 interpolant automaton, which can only be larger.
 
 A phase that builds a number too long to print (more than
-chc_core.MAX_PRINTED_DIGITS digits) ends the run as unknown, with the
-reason resource:<phase>.
+chc_core.MAX_PRINTED_DIGITS digits), runs out of Python stack or runs
+out of memory ends the run as unknown, with the reason
+resource:<phase>.  The replay of a genuine counterexample on the
+original program is part of the feasibility phase.
 
 verify opens a Memo of the memoised steps (see lra.solver) for
 exactly its own call, so no result crosses two calls, and reports its
@@ -111,7 +113,7 @@ def verify(
         start = time.perf_counter()
         try:
             return fn(*args)
-        except NumberTooLongError:
+        except (NumberTooLongError, RecursionError, MemoryError):
             raise _Unknown(f"resource:{phase}") from None
         finally:
             stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (
@@ -124,9 +126,19 @@ def verify(
             dump_sink(name, render(*args))
 
     def check_trace(trace: TraceTerm):
-        # rahit interpolates this same tree when the trace is spurious
+        # the trace's derivation tree, which rahit interpolates when the
+        # trace is spurious; for a feasible trace also that trace over
+        # the original clause ids and the point its replay there gives
+        # (None if the replay fails)
         tree = and_tree(current, trace)
-        return tree, is_sat(formula(tree))
+        if is_sat(formula(tree)) is None:
+            return tree, None, None
+        original = trace
+        for generated in reversed(programs[1:]):
+            original = erase_trace(generated, original)
+        conj = formula(and_tree(program, original))
+        replay = is_sat(conj)
+        return tree, original, None if replay is None else replay.concretise(conj)
 
     programs = [program]
     current = program
@@ -153,18 +165,12 @@ def verify(
                     # transitions; no candidate trace remains
                     return Verdict("safe", stats)
 
-                tree, witness = timed("feasibility", check_trace, trace)
-                if witness is not None:
-                    original = trace
-                    for generated in reversed(programs[1:]):
-                        original = erase_trace(generated, original)
-                    conj = formula(and_tree(program, original))
-                    replay = is_sat(conj)
-                    if replay is None:
+                tree, original, point = timed("feasibility", check_trace, trace)
+                if original is not None:
+                    if point is None:
                         return Verdict(
                             "unknown", stats, reason="internal", trace=original
                         )
-                    point = replay.concretise(conj)
                     return Verdict("unsafe", stats, trace=original, witness=point)
 
                 if iteration == max_iter:

@@ -8,14 +8,15 @@ needs: construction from a program, a single trace, or an
 interpretation (filtered by absint.clause_post, so this module makes
 no satisfiability call of its own); language difference, which
 determinises the remover only as far as the product reaches; and
-emptiness with a witness.
+emptiness with a witness.  Each operation is one loop over what it
+reads, with no recursion, so a trace thousands of clauses deep costs
+no stack.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -37,9 +38,22 @@ class TraceTerm:
     children: tuple["TraceTerm", ...] = ()
 
     def pretty(self) -> str:
-        if not self.children:
-            return self.sym
-        return f"{self.sym}({','.join(c.pretty() for c in self.children)})"
+        out = []
+        # terms still to print, and the punctuation between them
+        stack: list[TraceTerm | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif not t.children:
+                out.append(t.sym)
+            else:
+                out.append(t.sym + "(")
+                stack.append(")")
+                for child in reversed(t.children[1:]):
+                    stack += [child, ","]
+                stack.append(t.children[0])
+        return "".join(out)
 
     def __str__(self) -> str:
         return self.pretty()
@@ -86,31 +100,39 @@ class TreeAutomaton:
         return "\n".join(lines) + "\n"
 
 
+def _clause_fta(program: Program, clauses) -> TreeAutomaton:
+    """The program's trace automaton with the transitions of the given
+    clauses only."""
+    return TreeAutomaton(
+        frozenset(program.predicates | {FALSE_PRED}),
+        frozenset({FALSE_PRED}),
+        {c.cid: len(c.body) for c in program},
+        frozenset(
+            (c.cid, tuple(a.pred for a in c.body), c.head.pred) for c in clauses
+        ),
+    )
+
+
 def trace_fta(program: Program) -> TreeAutomaton:
-    """Recognises every trace of the program rooted at false."""
-    states = set(program.predicates) | {FALSE_PRED}
-    alphabet = {c.cid: len(c.body) for c in program}
-    transitions = {
-        (c.cid, tuple(a.pred for a in c.body), c.head.pred) for c in program
-    }
-    return TreeAutomaton(frozenset(states), frozenset({FALSE_PRED}), alphabet, transitions)
+    """Recognises every trace of the program rooted at false.  Its
+    alphabet lists the clause ids in program order."""
+    return _clause_fta(program, program)
 
 
 def singleton_fta(term: TraceTerm) -> TreeAutomaton:
     """Recognises exactly the given term.  One state per node, numbered
-    e1, e2, ... in preorder with the root first."""
+    e1, e2, ... in preorder with the root first.  A subterm object that
+    occurs twice is read through the state of its last occurrence."""
     names: dict[int, str] = {}
     nodes: list[tuple[TraceTerm, str]] = []
-
-    def number(t: TraceTerm) -> str:
-        name = f"e{len(names) + 1}"
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        name = f"e{len(nodes) + 1}"
         names[id(t)] = name
         nodes.append((t, name))
-        for child in t.children:
-            number(child)
-        return name
+        stack.extend(reversed(t.children))
 
-    root = number(term)
     alphabet: dict[str, int] = {}
     transitions = set()
     for t, name in nodes:
@@ -119,7 +141,7 @@ def singleton_fta(term: TraceTerm) -> TreeAutomaton:
             raise AutomatonError(f"symbol {t.sym!r} used at two arities")
         transitions.add((t.sym, tuple(names[id(c)] for c in t.children), name))
     return TreeAutomaton(
-        frozenset(n for _, n in nodes), frozenset({root}), alphabet, transitions
+        frozenset(n for _, n in nodes), frozenset({"e1"}), alphabet, transitions
     )
 
 
@@ -129,12 +151,9 @@ def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     with the interpreted facts for its body atoms, that is, if its
     abstract post is not empty.  Inside verify that post goes through
     the memo the analysis fills."""
-    base = trace_fta(program)
-    kept = set()
-    for cid, args, target in base.transitions:
-        if not clause_post(program.clause_by_id(cid), model.entries).empty:
-            kept.add((cid, args, target))
-    return TreeAutomaton(base.states, base.finals, base.alphabet, frozenset(kept))
+    return _clause_fta(
+        program, [c for c in program if not clause_post(c, model.entries).empty]
+    )
 
 
 def _set_state(members: frozenset[str]) -> str:
@@ -154,9 +173,6 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     for sym, arity in b.alphabet.items():
         if sym in a.alphabet and a.alphabet[sym] != arity:
             raise AutomatonError(f"alphabets disagree on {sym!r}")
-    a_moves: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for sym, args, target in a.transitions:
-        a_moves.setdefault(sym, []).append((args, target))
     b_moves: dict[str, list[tuple[tuple[str, ...], str]]] = {}
     for sym, args, target in b.transitions:
         b_moves.setdefault(sym, []).append((args, target))
@@ -179,22 +195,21 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     while changed:
         # a round that pairs no new subset has made every transition
         changed = False
-        for sym, moves in a_moves.items():
-            for args, target in moves:
-                for combo in itertools.product(*[sides.get(q, ()) for q in args]):
-                    members = subset(sym, combo)
-                    pair = (target, members)
-                    if pair not in names:
-                        names[pair] = f"({target},{_set_state(members)})"
-                        sides.setdefault(target, set()).add(members)
-                        changed = True
-                    transitions.add(
-                        (
-                            sym,
-                            tuple(names[q, s] for q, s in zip(args, combo)),
-                            names[pair],
-                        )
+        for sym, args, target in a.transitions:
+            for combo in itertools.product(*[sides.get(q, ()) for q in args]):
+                members = subset(sym, combo)
+                pair = (target, members)
+                if pair not in names:
+                    names[pair] = f"({target},{_set_state(members)})"
+                    sides.setdefault(target, set()).add(members)
+                    changed = True
+                transitions.add(
+                    (
+                        sym,
+                        tuple(names[q, s] for q, s in zip(args, combo)),
+                        names[pair],
                     )
+                )
     finals = frozenset(
         name
         for (qa, members), name in names.items()
@@ -205,19 +220,18 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     )
 
 
-def _id_index(sym: str) -> tuple[int, str]:
-    m = re.search(r"(\d+)$", sym)
-    return (int(m.group(1)) if m else -1, sym)
-
-
 def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
     """A minimal-depth accepted term, or None when the language is
-    empty.  Ties fall to the smallest clause-id index, then to the
-    leftmost smaller subterm, so the choice is reproducible."""
-    into: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    empty.  Each state's least term is built from the least terms of
+    the states its transition reads; ties fall to the symbol listed
+    first in a.alphabet, then to the leftmost smaller subterm, then to
+    the first such transition in a.transitions, so the choice is
+    reproducible.  The automata verify searches are model_fta
+    automata, whose alphabet lists the clause ids c1, c2, ... in
+    program order, so there the first listed symbol is the one with the
+    smallest clause-id number."""
     users: dict[str, list[tuple[tuple[str, ...], str]]] = {}
     for sym, args, target in a.transitions:
-        into.setdefault(target, []).append((sym, args))
         for q in set(args):
             users.setdefault(q, []).append((args, target))
 
@@ -233,30 +247,22 @@ def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
                 depth[target] = d
                 work.extend(users.get(target, ()))
 
-    index = {sym: _id_index(sym) for sym in a.alphabet}
-    # state -> (its term, the term's tie-break key)
+    rank = {sym: i for i, sym in enumerate(a.alphabet)}
+    # state -> (its least term, the term's tie-break key).  A transition
+    # that reaches its target's least depth reads only states of smaller
+    # depth, so visiting transitions by their target's depth finds every
+    # state it reads already final.
     best: dict[str, tuple[TraceTerm, tuple]] = {}
+    for sym, args, target in sorted(
+        (tr for tr in a.transitions if all(q in depth for q in tr[1])),
+        key=lambda tr: depth[tr[2]],
+    ):
+        if 1 + max((depth[q] for q in args), default=0) == depth[target]:
+            key = (rank[sym], tuple([best[q][1] for q in args]))
+            if target not in best or key < best[target][1]:
+                best[target] = (TraceTerm(sym, tuple([best[q][0] for q in args])), key)
 
-    def build(state: str) -> tuple[TraceTerm, tuple]:
-        if state in best:
-            return best[state]
-        chosen = None
-        for sym, args in into[state]:
-            if not all(q in depth for q in args):
-                continue
-            if 1 + max((depth[q] for q in args), default=0) != depth[state]:
-                continue
-            # children sit strictly below, so recursion terminates
-            children = [build(q) for q in args]
-            key = (index[sym], tuple([k for _, k in children]))
-            if chosen is None or key < chosen[1]:
-                chosen = (TraceTerm(sym, tuple([t for t, _ in children])), key)
-        best[state] = chosen
-        return chosen
-
-    reachable_finals = [q for q in a.finals if q in depth]
-    if not reachable_finals:
+    finals = [q for q in a.finals if q in depth]
+    if not finals:
         return None
-    target_depth = min(depth[q] for q in reachable_finals)
-    roots = [build(q) for q in reachable_finals if depth[q] == target_depth]
-    return min(roots, key=lambda root: root[1])[0]
+    return best[min(finals, key=lambda q: (depth[q], best[q][1]))][0]

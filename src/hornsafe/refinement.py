@@ -69,28 +69,21 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
                 useful.add(pred)
                 work.append(pred)
 
-    # the kept clauses numbered c1, c2, ..., and the arity map
-    # Program would collect from them
+    # the kept clauses numbered c1, c2, ...; Program collects the arities
     clauses = []
-    arities: dict[str, int] = {}
     for clause, head, body in shapes:
         if head not in useful:
             continue
-        atoms = [Atom(head, clause.head.args)]
-        atoms += [Atom(pred, a.args) for pred, a in zip(body, clause.body)]
-        for atom in atoms:
-            if atom.pred != FALSE_PRED:
-                arities.setdefault(atom.pred, len(atom.args))
         clauses.append(
             Clause(
                 f"c{len(clauses) + 1}",
-                atoms[0],
+                Atom(head, clause.head.args),
                 clause.constraint,
-                tuple(atoms[1:]),
+                tuple(Atom(pred, a.args) for pred, a in zip(body, clause.body)),
                 origin=clause.cid,
             )
         )
-    return Program(tuple(clauses), arities)
+    return Program(tuple(clauses))
 
 
 def origin_map(program: Program) -> dict[str, str]:
@@ -107,6 +100,13 @@ def erase_trace(program: Program, trace: TraceTerm) -> TraceTerm:
     """Map a trace over a generated program's ids back to the ids of
     the program it was generated from."""
     mapping = origin_map(program)
-    def walk(t: TraceTerm) -> TraceTerm:
-        return TraceTerm(mapping.get(t.sym, t.sym), tuple(walk(c) for c in t.children))
-    return walk(trace)
+    # every occurrence, each after its parent, then rebuilt from the last
+    order = [trace]
+    for t in order:
+        order.extend(t.children)
+    erased: dict[int, TraceTerm] = {}
+    for t in reversed(order):
+        erased[id(t)] = TraceTerm(
+            mapping.get(t.sym, t.sym), tuple([erased[id(c)] for c in t.children])
+        )
+    return erased[id(trace)]

@@ -20,7 +20,8 @@ over the rational rows: the solver's system over the rows' ints must
 find the same multipliers, each divided by its row's denominator.
 
 The last section holds test-only helpers that the verifier never runs:
-trace parsing, bounded enumeration, trace feasibility, clause selection,
+trace parsing, bounded enumeration and the least accepted term
+found by it, trace feasibility, clause selection,
 model loading, subtree and context formulas, label mappings and
 equivalence.  Those do call the package's solver.
 """
@@ -771,6 +772,45 @@ def enumerate_terms(
     for q in a.finals:
         out |= reach[q]
     return out
+
+
+def least_accepted(a: TreeAutomaton, maxdepth: int) -> TraceTerm | None:
+    """fta.find_accepted by brute force over the terms of depth at most
+    maxdepth: the least accepted term by depth, then by the key (the
+    symbol's position in a.alphabet, then the subterms' keys left to
+    right).  The candidates are the terms each of whose subterms is a
+    least term of the state it is read in: of least depth there and
+    built the same way.  A subterm deeper than its state's least depth
+    can have a smaller key, and find_accepted never builds one.  None
+    when no accepted term has depth at most maxdepth."""
+    rank = {sym: i for i, sym in enumerate(a.alphabet)}
+
+    def key(t: TraceTerm) -> tuple:
+        return (rank[t.sym], tuple(key(c) for c in t.children))
+
+    lang = {
+        q: enumerate_terms(
+            TreeAutomaton(a.states, {q}, a.alphabet, a.transitions), maxdepth
+        )
+        for q in a.states
+    }
+    least = {q: min(map(term_depth, ts)) for q, ts in lang.items() if ts}
+    # a subterm's state has a smaller least depth, so it comes first
+    tight: dict[str, set[TraceTerm]] = {}
+    for q in sorted(least, key=least.get):
+        tight[q] = {
+            t
+            for t in lang[q]
+            if term_depth(t) == least[q]
+            and any(
+                sym == t.sym
+                and target == q
+                and all(c in tight.get(p, ()) for c, p in zip(t.children, args))
+                for sym, args, target in a.transitions
+            )
+        }
+    terms = [t for q in a.finals if q in tight for t in tight[q]]
+    return min(terms, key=lambda t: (term_depth(t), key(t)), default=None)
 
 
 def check_soundness(program: Program, automaton: TreeAutomaton, depth: int) -> bool:

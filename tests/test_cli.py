@@ -167,6 +167,53 @@ class TestLongWideningDelay:
         assert done.stdout.startswith("SAFE\n")
 
 
+def chain(links: int, safe: bool) -> str:
+    """p0 copied through a chain of links predicates into false: the
+    split_range pattern behind the chain when safe, else a direct
+    counterexample as deep as the chain."""
+    lines = ["p0(X) :- X=0."]
+    if safe:
+        lines.append("p0(X) :- X=3.")
+    lines += [f"p{i}(X) :- p{i - 1}(X)." for i in range(1, links)]
+    if safe:
+        lines.append(f"false :- X>=1, X=<2, p{links - 1}(X).")
+    else:
+        lines.append(f"false :- X=0, p{links - 1}(X).")
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepTraces:
+    # a child process has the default stack depth, whatever pytest's own
+    # frames use up
+    @staticmethod
+    def run(path, engine):
+        env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "hornsafe", "verify", path, "--engine", engine],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": env_path},
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deep_counterexample_is_reported(self, chc, engine):
+        done = self.run(chc(chain(400, safe=False)), engine)
+        assert done.stderr == ""
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert lines[:3] == ["UNSAFE", f"engine: {engine}", "iterations: 0"]
+        trace = "".join(f"c{i}(" for i in range(401, 1, -1)) + "c1" + ")" * 400
+        assert lines[3] == f"counterexample: {trace}"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deep_spurious_trace_is_refined(self, chc, engine):
+        done = self.run(chc(chain(700, safe=True)), engine)
+        assert done.stderr == ""
+        assert done.returncode == 0
+        assert done.stdout.startswith(f"SAFE\nengine: {engine}\niterations: 1\n")
+
+
 class TestBadArguments:
     """Invalid option values and unwritable outputs are input errors:
     exit 3 with a one-line message, before any verdict."""

@@ -129,6 +129,33 @@ class TestLimits:
         with pytest.raises(ValueError, match="NaN"):
             verify(parse_program(FIB), timeout=float("nan"))
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    @pytest.mark.parametrize(
+        "phase, name",
+        [
+            ("analyze", "analyze"),
+            ("model_fta", "model_fta"),
+            ("counterexample", "find_accepted"),
+            ("feasibility", "and_tree"),
+            # the replay of a genuine counterexample on the source program
+            ("feasibility", "erase_trace"),
+            ("remover", "singleton_fta"),
+            ("difference", "difference"),
+            ("clausegen", "generate_clauses"),
+        ],
+    )
+    def test_exhausted_stack_or_memory_is_unknown(self, monkeypatch, error, phase, name):
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(driver, name, exhausted)
+        # split_range reaches every phase but the replay, which needs a
+        # counterexample found after refinement
+        text = UNSAFE_LOOP if name == "erase_trace" else SPLIT_RANGE
+        v = verify(parse_program(text), engine="rahft")
+        assert (v.status, v.reason) == ("unknown", f"resource:{phase}")
+        assert v.exit_code == 2
+
 
 class TestStats:
     def test_phases_recorded(self):

@@ -28,6 +28,7 @@ from oracles import (
     difference_reference,
     enumerate_terms,
     feasible,
+    least_accepted,
     load_model,
     model_fta_reference,
     parse_trace,
@@ -392,6 +393,81 @@ class TestFindAccepted:
         for _ in range(10):
             a = random_automaton(rng)
             assert find_accepted(a) == find_accepted(a)
+
+
+class TestFindAcceptedOracle:
+    """find_accepted against oracles.least_accepted, which reads the
+    least term off the enumerated language."""
+
+    @pytest.mark.parametrize("max_arity, depth", [(1, 4), (2, 3)])
+    def test_random_automata(self, max_arity, depth):
+        rng = random.Random(31)
+        found = reordered = 0
+        for _ in range(300):
+            # the generated alphabet a0, a1, ... lists the symbols by name
+            a = random_automaton(rng, max_states=5, max_arity=max_arity, symbols=5)
+            syms = list(a.alphabet)
+            rng.shuffle(syms)
+            shuffled = TreeAutomaton(
+                a.states, a.finals, {s: a.alphabet[s] for s in syms}, a.transitions
+            )
+            answers = []
+            for b in (a, shuffled):
+                got = find_accepted(b)
+                expect = least_accepted(b, depth)
+                if got is not None and term_depth(got) > depth:
+                    assert expect is None
+                else:
+                    assert got == expect
+                answers.append(got)
+            found += answers[0] is not None
+            # the alphabet's order, not the symbols' names, ranks them
+            reordered += answers[0] != answers[1]
+        assert found >= 120, found
+        assert reordered >= 20, reordered
+
+    def test_subterms_are_least_at_their_states(self):
+        # q1's least term is a2, but its deeper a1(a0,a0) has the smaller
+        # key; the least term of f reads q1's least term all the same
+        a = TreeAutomaton(
+            frozenset({"s", "q1", "q2", "f"}),
+            frozenset({"f"}),
+            {"a0": 0, "a1": 2, "a2": 0},
+            frozenset(
+                {
+                    ("a0", (), "s"),
+                    ("a2", (), "q1"),
+                    ("a1", ("s", "s"), "q1"),
+                    ("a1", ("s", "s"), "q2"),
+                    ("a1", ("q1", "q2"), "f"),
+                }
+            ),
+        )
+        assert find_accepted(a) == least_accepted(a, 4) == T("a1(a2,a1(a0,a0))")
+
+    def test_first_of_equal_keys_wins(self):
+        # p and r both have the least term a0, so a1(p,p) and a1(p,r)
+        # reach f with equal keys.  The first of them in a.transitions
+        # builds f's term: one a0 object read twice for a1(p,p), two for
+        # a1(p,r).  singleton_fta names nodes by object, so this decides
+        # the rahft remover's states.
+        a = TreeAutomaton(
+            frozenset({"p", "r", "f"}),
+            frozenset({"f"}),
+            {"a0": 0, "a1": 2},
+            frozenset(
+                {
+                    ("a0", (), "p"),
+                    ("a0", (), "r"),
+                    ("a1", ("p", "p"), "f"),
+                    ("a1", ("p", "r"), "f"),
+                }
+            ),
+        )
+        first = next(args for _, args, target in a.transitions if target == "f")
+        got = find_accepted(a)
+        assert got == T("a1(a0,a0)")
+        assert (got.children[0] is got.children[1]) == (first == ("p", "p"))
 
 
 class TestEnumerate:
