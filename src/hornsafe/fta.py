@@ -15,7 +15,6 @@ no stack.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -30,12 +29,48 @@ class AutomatonError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceTerm:
-    """Ranked tree of clause identifiers."""
+    """Ranked tree of clause identifiers.
+
+    Equality and hashing are structural and run as loops, so a term
+    thousands of clauses deep costs no stack.  A term's hash is that of
+    (sym, children), computed bottom-up on first use and kept; the
+    cache is no field, and pickling ignores it."""
 
     sym: str
     children: tuple["TraceTerm", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceTerm):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            s, o = stack.pop()
+            if s is o:
+                continue
+            if s.sym != o.sym or len(s.children) != len(o.children):
+                return False
+            stack.extend(zip(s.children, o.children))
+        return True
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # the subterms without a kept hash, each after its parent; hashed
+        # from the last, so a tuple of children hashes from their caches
+        order = [self]
+        for t in order:
+            order.extend(c for c in t.children if "_hash" not in c.__dict__)
+        for t in reversed(order):
+            object.__setattr__(t, "_hash", hash((t.sym, t.children)))
+        return self._hash
+
+    def __reduce__(self):
+        # a string hashes differently in another process
+        return TraceTerm, (self.sym, self.children)
 
     def pretty(self) -> str:
         out = []
@@ -169,47 +204,61 @@ def difference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
     built; the empty subset is the sink that completes b.  A product
     state is named (qa,{q1,...,qn}) after the a-state and the sorted
     b-subset.  Every state is reachable, and the result is
-    deterministic when a is."""
+    deterministic when a is.
+
+    The product is built semi-naively: each product state is taken
+    from a worklist once, and fires only the argument combinations
+    that read it in one position and states taken earlier in the
+    others, so no combination is tried in more than one visit."""
     for sym, arity in b.alphabet.items():
         if sym in a.alphabet and a.alphabet[sym] != arity:
             raise AutomatonError(f"alphabets disagree on {sym!r}")
     b_moves: dict[str, list[tuple[tuple[str, ...], str]]] = {}
     for sym, args, target in b.transitions:
         b_moves.setdefault(sym, []).append((args, target))
+    # a's transitions by the state each argument position reads
+    readers: dict[str, list[tuple[int, Transition]]] = {}
+    for tr in a.transitions:
+        for k, q in enumerate(tr[1]):
+            readers.setdefault(q, []).append((k, tr))
 
-    @functools.cache
-    def subset(sym: str, combo: tuple[frozenset[str], ...]) -> frozenset[str]:
-        # the b-states sym reaches from one subset per argument; the
-        # fixpoint below asks again for every combination every round
-        return frozenset(
-            t
-            for b_args, t in b_moves.get(sym, ())
-            if all(q in s for q, s in zip(b_args, combo))
-        )
-
-    # the b-subsets paired with each a-state so far, and product names
-    sides: dict[str, set[frozenset[str]]] = {}
+    # the b-subsets paired with each a-state once taken from the
+    # worklist, and product names
+    sides: dict[str, list[frozenset[str]]] = {}
     names: dict[tuple[str, frozenset[str]], str] = {}
     transitions: set[Transition] = set()
-    changed = True
-    while changed:
-        # a round that pairs no new subset has made every transition
-        changed = False
-        for sym, args, target in a.transitions:
-            for combo in itertools.product(*[sides.get(q, ()) for q in args]):
-                members = subset(sym, combo)
-                pair = (target, members)
-                if pair not in names:
-                    names[pair] = f"({target},{_set_state(members)})"
-                    sides.setdefault(target, set()).add(members)
-                    changed = True
-                transitions.add(
-                    (
-                        sym,
-                        tuple(names[q, s] for q, s in zip(args, combo)),
-                        names[pair],
-                    )
-                )
+    work: deque[tuple[str, frozenset[str]]] = deque()
+
+    def fire(sym: str, args: tuple[str, ...], target: str, combos) -> None:
+        moves = b_moves.get(sym, ())
+        for combo in combos:
+            # the b-states sym reaches from one subset per argument
+            members = frozenset(
+                t for b_args, t in moves if all(q in s for q, s in zip(b_args, combo))
+            )
+            pair = (target, members)
+            if pair not in names:
+                names[pair] = f"({target},{_set_state(members)})"
+                work.append(pair)
+            transitions.add(
+                (sym, tuple([names[q, s] for q, s in zip(args, combo)]), names[pair])
+            )
+
+    for sym, args, target in a.transitions:
+        if not args:
+            fire(sym, args, target, [()])
+    while work:
+        state, members = work.popleft()
+        sides.setdefault(state, []).append(members)
+        for k, (sym, args, target) in readers.get(state, ()):
+            fire(
+                sym,
+                args,
+                target,
+                itertools.product(
+                    *[[members] if j == k else sides.get(q, ()) for j, q in enumerate(args)]
+                ),
+            )
     finals = frozenset(
         name
         for (qa, members), name in names.items()

@@ -23,6 +23,18 @@ the last node in preorder (a leaf), conjoins the whole tree, so it
 fails exactly on a feasible tree, which is then refused; only a
 one-node tree is checked with is_sat first.
 
+The contexts are assembled incrementally.  The node rows are laid out
+once in preorder, so the constraints of the nodes before a node are one
+slice; the roots of the maximal subtrees after each node are found
+top-down, as its later siblings followed by its parent's; and the
+variables a context shares with the node are read off each variable's
+first node, so no context is scanned again.  Each context holds the same
+rows in the same order as one rebuilt from the whole tree.
+
+The interpolant automaton checks the labelling through its own steps:
+a node's entailment is the automaton's transition for that node, so it
+holds exactly when that transition was built.
+
 Under rahit each round's spurious tree is one node deeper than the
 last and repeats its contexts, so the projection of a context onto the
 node's interface is the memo step context (see lra.solver), keyed on
@@ -38,10 +50,10 @@ from dataclasses import dataclass
 from hornsafe.chc_core import (
     FALSE,
     FALSE_PRED,
-    TRUE,
     Atom,
     LinConstraint,
     Program,
+    Row,
     Variable,
 )
 from hornsafe.derivations import AndTree, formula
@@ -84,25 +96,49 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
     n = len(tree)
     if n == 1 and is_sat(formula(tree)) is not None:
         raise FeasibleTreeError("derivation tree is feasible")
-    labels: dict[int, LinConstraint] = {1: FALSE}
+    # every node's rows once, in preorder, so the rows of nodes 1..i
+    # are rows[:ends[i]]; the first node whose rows name each variable,
+    # and named[i], how many variables nodes 1..i name
+    rows: list[Row] = []
+    ends = [0]
+    first_node: dict[Variable, int] = {}
+    for node in tree:
+        for row in node.constraint.rows:
+            for v in row.names:
+                first_node.setdefault(v, node.index)
+        rows.extend(node.constraint.rows)
+        ends.append(len(rows))
+    named = [0] * (n + 1)
+    for i in first_node.values():
+        named[i] += 1
+    named = list(itertools.accumulate(named))
+    # the roots of the maximal subtrees after node i's, in preorder:
+    # its later siblings, then those after its parent's
+    after: list[tuple[int, ...]] = [()] * (n + 1)
+    for node in tree:
+        for k, c in enumerate(node.children):
+            after[c] = node.children[k + 1 :] + after[node.index]
+    labels = [FALSE] * (n + 1)
     for i in range(n, 1, -1):
         node = tree.node(i)
         first = node.constraint.conjoin(*[labels[c] for c in node.children])
-        after = node.index + node.size
-        second = TRUE.conjoin(
-            *[tree.node(j).constraint for j in range(1, i)],
-            *[
-                labels[j]
-                for j in range(after, n + 1)
-                if tree.node(j).parent < i
-            ],
+        closing = [labels[j] for j in after[i]]
+        second = LinConstraint(
+            tuple(itertools.chain(rows[: ends[i - 1]], *[c.rows for c in closing]))
         )
         # the halves only talk through the node's interface variables,
         # so the context can be projected onto them first; that keeps
         # the multiplier system small on deep trees and changes neither
-        # joint infeasibility nor the admissible labels
-        shared = first.vars() & second.vars()
-        if not second.vars() <= shared:
+        # joint infeasibility nor the admissible labels.  A variable is
+        # in the context if a node before i or a closing label names it.
+        closing_vars = set().union(*[c.vars() for c in closing])
+        shared = {
+            v for v in first.vars() if first_node.get(v, i) < i or v in closing_vars
+        }
+        context_vars = named[i - 1] + sum(
+            1 for v in closing_vars if first_node.get(v, i) >= i
+        )
+        if context_vars > len(shared):
             second = _context(second, frozenset(shared))
         try:
             labels[i] = interpolate(first, second)
@@ -114,26 +150,8 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
                 raise
             raise FeasibleTreeError("derivation tree is feasible") from None
     return TreeInterpolant(
-        atoms=tuple(node.atom for node in tree),
-        labels=tuple(labels[i] for i in range(1, n + 1)),
+        atoms=tuple(node.atom for node in tree), labels=tuple(labels[1:])
     )
-
-
-def check_tree_interpolant(tree: AndTree, ti: TreeInterpolant) -> bool:
-    """The three defining conditions, checked with the solver: false at
-    the root, children's labels plus the clause constraint entail each
-    node's label, and labels only use their node's atom variables."""
-    if len(tree) != len(ti):
-        raise ValueError("tree and labelling differ in shape")
-    if is_sat(ti.label(1)) is not None:
-        return False
-    for node in tree:
-        premise = node.constraint.conjoin(*[ti.label(c) for c in node.children])
-        if not entails(premise, ti.label(node.index)):
-            return False
-        if not ti.label(node.index).vars() <= set(node.atom.args):
-            return False
-    return True
 
 
 ERROR_STATE = "error"
@@ -149,8 +167,18 @@ def interpolant_automaton(
     """States are the labelled tree nodes; a clause moves some nodes to
     a node exactly when the labels justify the step, so every accepted
     trace carries an inductive proof of infeasibility down to the
-    final (root) state."""
-    if not check_tree_interpolant(tree, ti):
+    final (root) state.
+
+    The labelling must be a tree interpolant of the tree, else
+    ValueError.  The root and variable conditions are checked first.
+    A node's constraint is its clause's renamed injectively onto the
+    node's variables, so the node's own entailment holds exactly when
+    its step is one of the transitions, and is checked that way."""
+    if len(tree) != len(ti):
+        raise ValueError("tree and labelling differ in shape")
+    if is_sat(ti.label(1)) is not None or any(
+        not ti.label(node.index).vars() <= set(node.atom.args) for node in tree
+    ):
         raise ValueError("labelling is not a tree interpolant")
     # nodes whose labels coincide after renaming onto the canonical
     # tuple are interchangeable; keeping one representative per class
@@ -195,6 +223,14 @@ def interpolant_automaton(
                             _state_name(clause.head.pred, j),
                         )
                     )
+    for node in tree:
+        step = (
+            node.cid,
+            tuple(_state_name(ti.atom(c).pred, rep[c]) for c in node.children),
+            _state_name(ti.atom(node.index).pred, rep[node.index]),
+        )
+        if step not in transitions:
+            raise ValueError("labelling is not a tree interpolant")
     return TreeAutomaton(
         frozenset(states), frozenset(finals), alphabet, frozenset(transitions)
     )

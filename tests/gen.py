@@ -246,3 +246,18 @@ def random_program_text(rng: random.Random) -> str:
     if rng.random() < 0.4:
         cl.append(f"false :- {rows(['A'], 1)}, q(A).")
     return "\n".join(cl) + "\n"
+
+
+def fib_k_text(rng: random.Random, k: int) -> str:
+    """Fibonacci with k recursive calls and a seeded bound: the
+    recursive clause c2 has k body atoms, so its derivation trees
+    branch and every node but a last child has later siblings."""
+    bound = rng.randint(3, 9)
+    defs = ", ".join(f"A{i}=A-{i}" for i in range(1, k + 1))
+    total = "+".join(f"B{i}" for i in range(1, k + 1))
+    calls = ", ".join(f"fib(A{i},B{i})" for i in range(1, k + 1))
+    return (
+        "fib(A,B) :- A>=0, A=<1, B=1.\n"
+        f"fib(A,B) :- A>1, {defs}, B={total}, {calls}.\n"
+        f"false :- A>{bound}, B<A, fib(A,B).\n"
+    )

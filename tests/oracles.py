@@ -23,7 +23,10 @@ The last section holds test-only helpers that the verifier never runs:
 trace parsing, bounded enumeration and the least accepted term
 found by it, trace feasibility, clause selection,
 model loading, subtree and context formulas, label mappings and
-equivalence.  Those do call the package's solver.
+equivalence, the defining conditions of a tree interpolant, and the
+tree interpolation that rebuilds every node's context from the whole
+tree, which the shipped one, building contexts incrementally, must
+reproduce label for label.  Those do call the package's solver.
 """
 
 from __future__ import annotations
@@ -52,9 +55,19 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
-from hornsafe.lra import Polyhedron, Witness, entails, is_sat, kernel, minimise, project
+from hornsafe.lra import (
+    JointlySatisfiableError,
+    Polyhedron,
+    Witness,
+    entails,
+    interpolate,
+    is_sat,
+    kernel,
+    minimise,
+    project,
+)
 from hornsafe.model import InterpretationModel, canonical_args
-from hornsafe.tree_interpolation import TreeInterpolant
+from hornsafe.tree_interpolation import FeasibleTreeError, TreeInterpolant
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -921,4 +934,54 @@ def conjunctive_mapping(ti: TreeInterpolant) -> InterpretationModel:
         conj[atom.pred] = conj.get(atom.pred, TRUE) & renamed
     return InterpretationModel(
         {pred: Polyhedron.of(c) for pred, c in conj.items()}
+    )
+
+
+def check_tree_interpolant(tree: AndTree, ti: TreeInterpolant) -> bool:
+    """The three defining conditions, checked with the solver: false at
+    the root, children's labels plus the clause constraint entail each
+    node's label, and labels only use their node's atom variables."""
+    if len(tree) != len(ti):
+        raise ValueError("tree and labelling differ in shape")
+    if is_sat(ti.label(1)) is not None:
+        return False
+    for node in tree:
+        premise = node.constraint.conjoin(*[ti.label(c) for c in node.children])
+        if not entails(premise, ti.label(node.index)):
+            return False
+        if not ti.label(node.index).vars() <= set(node.atom.args):
+            return False
+    return True
+
+
+def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
+    """tree_interpolation.tree_interpolant with each node's context
+    rebuilt from the tree: the constraints of the nodes before it, then
+    the labels of the later nodes whose parent comes before it, and
+    projected onto the shared variables whenever the context has
+    others."""
+    n = len(tree)
+    if n == 1 and is_sat(formula(tree)) is not None:
+        raise FeasibleTreeError("derivation tree is feasible")
+    labels: dict[int, LinConstraint] = {1: FALSE}
+    for i in range(n, 1, -1):
+        node = tree.node(i)
+        first = node.constraint.conjoin(*[labels[c] for c in node.children])
+        after = node.index + node.size
+        second = TRUE.conjoin(
+            *[tree.node(j).constraint for j in range(1, i)],
+            *[labels[j] for j in range(after, n + 1) if tree.node(j).parent < i],
+        )
+        shared = first.vars() & second.vars()
+        if not second.vars() <= shared:
+            second = project(second, frozenset(shared))
+        try:
+            labels[i] = interpolate(first, second)
+        except JointlySatisfiableError:
+            if i < n:
+                raise
+            raise FeasibleTreeError("derivation tree is feasible") from None
+    return TreeInterpolant(
+        atoms=tuple(node.atom for node in tree),
+        labels=tuple(labels[i] for i in range(1, n + 1)),
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import oracles
 from oracles import (
+    check_tree_interpolant,
     conjunctive_mapping,
     determinise,
     enumerate_terms,
@@ -51,7 +52,6 @@ from hornsafe.model import is_model
 from hornsafe.refinement import erase_trace, generate_clauses
 from hornsafe.tree_interpolation import (
     ERROR_STATE,
-    check_tree_interpolant,
     interpolant_automaton,
     tree_interpolant,
 )

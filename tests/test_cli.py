@@ -186,14 +186,14 @@ class TestDeepTraces:
     # a child process has the default stack depth, whatever pytest's own
     # frames use up
     @staticmethod
-    def run(path, engine):
+    def run(path, engine, timeout=60):
         env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "hornsafe", "verify", path, "--engine", engine],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": env_path},
-            timeout=60,
+            timeout=timeout,
         )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -209,6 +209,16 @@ class TestDeepTraces:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_deep_spurious_trace_is_refined(self, chc, engine):
         done = self.run(chc(chain(700, safe=True)), engine)
+        assert done.stderr == ""
+        assert done.returncode == 0
+        assert done.stdout.startswith(f"SAFE\nengine: {engine}\niterations: 1\n")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_long_spurious_chain_is_refined_in_linear_time(self, chc, engine):
+        # difference and the interpolation contexts visit each of the
+        # 3,000 links once; done a round per link, the difference alone
+        # takes tens of seconds
+        done = self.run(chc(chain(3000, safe=True)), engine, timeout=10)
         assert done.stderr == ""
         assert done.returncode == 0
         assert done.stdout.startswith(f"SAFE\nengine: {engine}\niterations: 1\n")

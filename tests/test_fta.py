@@ -1,5 +1,6 @@
 """Tree automata: constructions, determinisation, difference, emptiness."""
 
+import pickle
 import random
 from pathlib import Path
 
@@ -59,6 +60,32 @@ class TestTraceTerm:
     def test_structural_equality(self):
         assert T("c2(c1,c1)") == T("c2(c1,c1)")
         assert hash(T("c2(c1,c1)")) == hash(T("c2(c1,c1)"))
+
+    @staticmethod
+    def chain(depth: int, leaf: str = "c1") -> TraceTerm:
+        t = TraceTerm(leaf)
+        for _ in range(depth):
+            t = TraceTerm("c2", (t,))
+        return t
+
+    def test_deep_terms_compare_and_hash_without_recursion(self):
+        # built separately, so no subterm object is shared
+        a, b = self.chain(5000), self.chain(5000)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        other = self.chain(5000, leaf="c3")
+        assert a != other
+        assert not a == other
+        assert hash(other) == hash(self.chain(5000, leaf="c3"))
+
+    def test_kept_hash_is_not_pickled(self):
+        # a string hashes differently in another process
+        t = T("c3(c2(c1,c1))")
+        hash(t)
+        copy = pickle.loads(pickle.dumps(t))
+        assert "_hash" not in copy.__dict__
+        assert copy == t and hash(copy) == hash(t)
 
     @pytest.mark.parametrize("bad", ["", "c3(c1", "c3(c1))", "(", "c3()"])
     def test_parse_errors(self, bad):

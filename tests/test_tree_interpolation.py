@@ -1,8 +1,23 @@
 """Tree interpolants, their validity check, and the induced automata."""
 
+import functools
+import random
+from pathlib import Path
+
 import pytest
 
-from hornsafe.chc_core import FALSE, FALSE_PRED, TRUE, parse_constraint, parse_program
+import hornsafe.driver as driver
+from hornsafe.chc_core import (
+    FALSE,
+    FALSE_PRED,
+    REL_EQ,
+    TRUE,
+    LinConstraint,
+    Row,
+    Variable,
+    parse_constraint,
+    parse_program,
+)
 from hornsafe.derivations import and_tree, formula
 from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
@@ -11,24 +26,61 @@ from hornsafe.tree_interpolation import (
     ERROR_STATE,
     FeasibleTreeError,
     TreeInterpolant,
-    check_tree_interpolant,
     interpolant_automaton,
     tree_interpolant,
 )
 from oracles import (
     accepts,
     check_soundness,
+    check_tree_interpolant,
     conjunctive_mapping,
     enumerate_terms,
     equivalent,
     feasible,
     interpolant_mapping,
     parse_trace,
+    tree_interpolant_reference,
 )
+from gen import fib_k_text
 from programs import DECREMENT, FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 T = parse_trace
 FIB_TRACE = T("c3(c2(c1,c1))")
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+
+
+@functools.cache
+def corpus_labellings() -> tuple:
+    """(program, tree, labelling) for every tree verify interpolates on
+    the corpus under rahit."""
+    found = []
+    real = driver.interpolant_automaton
+
+    def recording(program, tree, ti):
+        found.append((program, tree, ti))
+        return real(program, tree, ti)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "interpolant_automaton", recording)
+        for path in sorted(CORPUS_DIR.glob("*.chc")):
+            driver.verify(parse_program(path.read_text()), engine="rahit")
+    return tuple(found)
+
+
+@functools.cache
+def branching_trees() -> tuple:
+    """(program, tree) for seeded infeasible traces of Fibonacci
+    programs with 2 and 3 recursive calls, up to depth 5 and 4."""
+    rng = random.Random(1802)
+    found = []
+    for k, depth in ((2, 5), (3, 4), (2, 5), (3, 4)):
+        prog = parse_program(fib_k_text(rng, k))
+        terms = sorted(enumerate_terms(trace_fta(prog), depth), key=str)
+        for t in rng.sample(terms, min(6, len(terms))):
+            tree = and_tree(prog, t)
+            if is_sat(formula(tree)) is None:
+                found.append((prog, tree))
+    return tuple(found)
 
 
 def fib_setup():
@@ -199,3 +251,98 @@ class TestInterpolantAutomaton:
         # the unfiltered trace automaton accepts feasible traces
         prog = parse_program(UNSAFE_SIMPLE)
         assert not check_soundness(prog, trace_fta(prog), 3)
+
+
+class TestContextsMatchReference:
+    """tree_interpolant assembles each node's context from one preorder
+    list of rows; the labels must be those of the reference that
+    rebuilds every context from the whole tree."""
+
+    @staticmethod
+    def check(tree):
+        got = tree_interpolant(tree)
+        want = tree_interpolant_reference(tree)
+        assert got.atoms == want.atoms
+        for i in range(1, len(tree) + 1):
+            assert got.label(i) == want.label(i), i
+
+    def test_corpus_trees(self):
+        labellings = corpus_labellings()
+        assert len(labellings) >= 10
+        for _, tree, _ in labellings:
+            self.check(tree)
+
+    def test_branching_trees(self):
+        trees = branching_trees()
+        assert len(trees) >= 10
+        # a first child's context holds its later siblings' labels
+        assert sum(
+            len(node.children) > 1 for _, tree in trees for node in tree
+        ) >= 10
+        for _, tree in trees:
+            self.check(tree)
+
+
+def mutations(tree, ti, rng):
+    """Seeded (kind, labelling) changes of a tree interpolant: an inner
+    label made true, an inner label's bound tightened (which can break
+    only that node's own entailment), and a label naming a variable
+    from outside its atom."""
+    n = len(ti)
+
+    def with_label(i, label):
+        labels = list(ti.labels)
+        labels[i - 1] = label
+        return TreeInterpolant(ti.atoms, tuple(labels))
+
+    inner = range(2, n + 1)
+    for i in rng.sample(inner, min(2, len(inner))):
+        yield "true", with_label(i, TRUE)
+    bounded = [
+        i for i in inner if any(r.names and r.rel != REL_EQ for r in ti.label(i))
+    ]
+    for i in rng.sample(bounded, min(2, len(bounded))):
+        rows = ti.label(i).rows
+        k = rng.choice([k for k, r in enumerate(rows) if r.names and r.rel != REL_EQ])
+        tight = Row.make(rows[k].coeffs(), rows[k].rel, rows[k].rhs - 1)
+        yield "tightened", with_label(
+            i, LinConstraint(rows[:k] + (tight,) + rows[k + 1 :])
+        )
+    i = rng.randint(1, n)
+    outside = sorted(formula(tree).vars() - set(tree.node(i).atom.args), key=str)
+    v = rng.choice(outside) if outside else Variable("W_outside")
+    yield "foreign", with_label(i, ti.label(i) & LinConstraint((Row.make({v: 1}, ">=", 0),)))
+
+
+class TestAutomatonChecksLabelling:
+    """interpolant_automaton checks a node's entailment through the
+    node's own step among its transitions; it must refuse a labelling
+    exactly when the oracle's three conditions do."""
+
+    @staticmethod
+    def agree(cases):
+        rng = random.Random(18)
+        refused = {"true": 0, "tightened": 0, "foreign": 0}
+        for prog, tree, ti in cases:
+            interpolant_automaton(prog, tree, ti)
+            for kind, changed in mutations(tree, ti, rng):
+                valid = check_tree_interpolant(tree, changed)
+                labels = (kind, [str(label) for label in changed.labels])
+                try:
+                    interpolant_automaton(prog, tree, changed)
+                except ValueError:
+                    assert not valid, labels
+                    refused[kind] += 1
+                else:
+                    assert valid, labels
+        return refused
+
+    def test_corpus_labellings(self):
+        refused = self.agree(corpus_labellings())
+        assert all(count > 0 for count in refused.values()), refused
+
+    def test_branching_labellings(self):
+        refused = self.agree(
+            [(prog, tree, tree_interpolant(tree)) for prog, tree in branching_trees()]
+        )
+        assert all(count > 0 for count in refused.values()), refused
