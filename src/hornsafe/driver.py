@@ -2,16 +2,22 @@
 
 Each round abstracts the current program with polyhedral analysis; a
 model that excludes false proves safety.  Otherwise the model's trace
-automaton yields a smallest suspicious trace.  A feasible trace is a
-genuine counterexample and is translated back to the original clause
-ids and replayed there.  An infeasible one is generalised to an
-automaton of infeasible traces, which is subtracted from the program's
-trace language; regenerating clauses for the remainder gives the next,
-strictly smaller, verification problem.
+automaton yields a smallest suspicious trace.  Its feasibility is
+decided from the clause posts of its subtrees (derivations.feasible),
+which the analysis has mostly computed already, so a spurious trace
+costs no derivation tree and no satisfiability call.  A feasible trace
+is a genuine counterexample: it is translated back to the original
+clause ids and replayed there, where is_sat solves its derivation
+formula for the witness.  A post too large could only send a spurious trace to
+that replay, which then ends as unknown (internal).  An infeasible
+trace is generalised to an automaton of infeasible traces, which is
+subtracted from the program's trace language; regenerating clauses for
+the remainder gives the next, strictly smaller, verification problem.
 
 Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
-interpolant automaton, which can only be larger.
+interpolant automaton, which can only be larger; under rahit the
+remover phase builds the derivation tree it interpolates.
 
 A phase that builds a number too long to print (more than
 chc_core.MAX_PRINTED_DIGITS digits), runs out of Python stack or runs
@@ -34,7 +40,7 @@ from typing import Callable
 
 from hornsafe.absint import analyze
 from hornsafe.chc_core import NumberTooLongError, Program, Variable
-from hornsafe.derivations import and_tree, formula
+from hornsafe.derivations import and_tree, feasible, formula
 from hornsafe.fta import (
     TraceTerm,
     difference,
@@ -126,19 +132,18 @@ def verify(
             dump_sink(name, render(*args))
 
     def check_trace(trace: TraceTerm):
-        # the trace's derivation tree, which rahit interpolates when the
-        # trace is spurious; for a feasible trace also that trace over
-        # the original clause ids and the point its replay there gives
+        # None for a spurious trace, decided from its clause posts with
+        # no derivation tree; for a feasible one, that trace over the
+        # original clause ids and the point its replay there gives
         # (None if the replay fails)
-        tree = and_tree(current, trace)
-        if is_sat(formula(tree)) is None:
-            return tree, None, None
+        if feasible(current, trace) is None:
+            return None, None
         original = trace
         for generated in reversed(programs[1:]):
             original = erase_trace(generated, original)
         conj = formula(and_tree(program, original))
         replay = is_sat(conj)
-        return tree, original, None if replay is None else replay.concretise(conj)
+        return original, None if replay is None else replay.concretise(conj)
 
     programs = [program]
     current = program
@@ -165,7 +170,7 @@ def verify(
                     # transitions; no candidate trace remains
                     return Verdict("safe", stats)
 
-                tree, original, point = timed("feasibility", check_trace, trace)
+                original, point = timed("feasibility", check_trace, trace)
                 if original is not None:
                     if point is None:
                         return Verdict(
@@ -180,6 +185,7 @@ def verify(
                     remover = timed("remover", singleton_fta, trace)
                 else:
                     def build_remover():
+                        tree = and_tree(current, trace)
                         return interpolant_automaton(
                             current, tree, tree_interpolant(tree)
                         )

@@ -33,7 +33,7 @@ class AutomatonError(Exception):
 class TraceTerm:
     """Ranked tree of clause identifiers.
 
-    Equality and hashing are structural and run as loops, so a term
+    Equality, hashing, printing and pickling run as loops, so a term
     thousands of clauses deep costs no stack.  A term's hash is that of
     (sym, children), computed bottom-up on first use and kept; the
     cache is no field, and pickling ignores it."""
@@ -69,8 +69,32 @@ class TraceTerm:
         return self._hash
 
     def __reduce__(self):
-        # a string hashes differently in another process
-        return TraceTerm, (self.sym, self.children)
+        # the nodes in preorder as (sym, arity), so pickle recurses no
+        # deeper than one list; a string hashes differently in another
+        # process, so the kept hash stays behind
+        nodes = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            nodes.append((t.sym, len(t.children)))
+            stack.extend(reversed(t.children))
+        return _rebuild, (nodes,)
+
+    def __repr__(self) -> str:
+        # the dataclass text, built with a stack
+        out = []
+        stack: list[TraceTerm | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            out.append(f"{type(t).__qualname__}(sym={t.sym!r}, children=(")
+            stack.append(",))" if len(t.children) == 1 else "))")
+            for child in reversed(t.children[1:]):
+                stack += [child, ", "]
+            stack.extend(t.children[:1])
+        return "".join(out)
 
     def pretty(self) -> str:
         out = []
@@ -92,6 +116,18 @@ class TraceTerm:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _rebuild(nodes: list[tuple[str, int]]) -> TraceTerm:
+    """The term whose nodes in preorder are nodes, as (sym, arity).  In
+    reverse preorder a node's subterms are on top of the stack, the
+    first one uppermost."""
+    stack: list[TraceTerm] = []
+    for sym, arity in reversed(nodes):
+        children = tuple([stack.pop() for _ in range(arity)])
+        stack.append(TraceTerm(sym, children))
+    (term,) = stack
+    return term
 
 
 Transition = tuple[str, tuple[str, ...], str]

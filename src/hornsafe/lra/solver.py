@@ -99,16 +99,19 @@ its clauses carry the previous round's constraints unchanged, so some
 coarse steps repeat.  Each is a function decorated with memoised(step),
 which registers the step's table in Memo.OPS when its module is
 imported; hull is the step this module owns, the others live with
-their callers.  While a Memo is current (driver.verify opens one
-for exactly its own call) their results are kept in it, one table per
-step keyed on its arguments; outside it they compute directly and keep
-nothing.  A LinConstraint keeps its hash, so a key made of objects
+their callers: clause_post (absint), which also decides trace
+feasibility bottom-up, and context (tree_interpolation).  While a Memo
+is current (driver.verify opens one for exactly its own call) their
+results are kept in it, one table per step keyed on its arguments;
+outside it they compute directly and keep nothing.  A LinConstraint keeps its hash, so a key made of objects
 that already exist hashes in constant time.  project and Polyhedron.of
 are not memoised on their own: the steps that repeat them memoise them
 whole, and inside hull they do not repeat.  Nor are widen, is_sat,
 entails, minimise, interpolate and the kernel: their queries are mostly
 built afresh, and their repeats would save less than hashing the rows
-of every new query once costs.
+of every new query once costs.  clause_post, not is_sat, decides
+whether a trace is feasible; verify asks is_sat for a witness only to
+replay a genuine counterexample on the source program.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Derivation trees: construction, decomposition, feasibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from hornsafe import derivations
 from hornsafe.chc_core import TRUE, Variable, parse_program
 from hornsafe.derivations import (
     AndTree,
@@ -11,7 +13,8 @@ from hornsafe.derivations import (
     and_tree,
     formula,
 )
-from hornsafe.fta import trace_fta
+from hornsafe.fta import TraceTerm, trace_fta
+from gen import fib_k_text, random_program_text
 from oracles import (
     context_formula,
     enumerate_terms,
@@ -85,6 +88,17 @@ class TestAndTree:
             assert f"{i}. " in text
 
 
+P_AND_Q = "p(X) :- X=1.\nq(X) :- X=2.\nfalse :- q(X).\n"
+
+# program, trace: the four malformed shapes
+MALFORMED = {
+    "unknown_clause": (FIB, "c9"),
+    "arity_mismatch": (FIB, "c3(c1,c1)"),
+    "root_must_be_integrity_clause": (FIB, "c1"),
+    "predicate_mismatch_inside": (P_AND_Q, "c3(c1)"),
+}
+
+
 class TestAndTreeErrors:
     def test_unknown_clause(self):
         with pytest.raises(DerivationError):
@@ -99,9 +113,19 @@ class TestAndTreeErrors:
             and_tree(parse_program(FIB), T("c1"))
 
     def test_predicate_mismatch_inside(self):
-        prog = parse_program("p(X) :- X=1.\nq(X) :- X=2.\nfalse :- q(X).\n")
+        prog = parse_program(P_AND_Q)
         with pytest.raises(DerivationError):
             and_tree(prog, T("c3(c1)"))
+
+    @pytest.mark.parametrize("shape", MALFORMED)
+    def test_feasible_raises_the_same_error(self, shape):
+        text, trace = MALFORMED[shape]
+        prog = parse_program(text)
+        with pytest.raises(DerivationError) as tree_error:
+            and_tree(prog, T(trace))
+        with pytest.raises(DerivationError) as feasible_error:
+            derivations.feasible(prog, T(trace))
+        assert str(feasible_error.value) == str(tree_error.value)
 
 
 class TestFormulas:
@@ -153,3 +177,71 @@ class TestFeasible:
                 got = feasible(prog, t) is not None
                 want = fm_satisfiable(formula(and_tree(prog, t)))
                 assert got == want, f"disagree on {t}"
+
+
+# two body atoms of different predicates: c1 concludes p, c2 q
+PAIR = """p(X) :- X=1.
+q(X) :- X=2.
+r(X,Y) :- p(X), q(Y).
+false :- X+Y>=3, r(X,Y).
+false :- X+Y>=4, r(X,Y).
+"""
+
+
+def agree(prog, traces) -> int:
+    """Check derivations.feasible against the kernel on each trace and
+    return how many are feasible."""
+    feasible_count = 0
+    for t in traces:
+        want = feasible(prog, t) is None
+        assert (derivations.feasible(prog, t) is None) == want, f"disagree on {t}"
+        feasible_count += not want
+    return feasible_count
+
+
+class TestFeasibleFromPosts:
+    """derivations.feasible, which takes clause posts bottom-up, against
+    oracles.feasible, which solves the whole derivation formula."""
+
+    def test_random_programs(self):
+        traces = feasible_count = 0
+        for seed in range(40):
+            prog = parse_program(random_program_text(random.Random(seed)))
+            terms = sorted(enumerate_terms(trace_fta(prog), 5), key=str)
+            feasible_count += agree(prog, terms)
+            traces += len(terms)
+        # both answers occur often
+        assert traces > 500 and 100 < feasible_count < traces - 100
+
+    @pytest.mark.parametrize("k, depth", [(2, 5), (3, 4)])
+    def test_branching_fib(self, k, depth):
+        # every atom of the recursive clause is fib, so siblings share a
+        # predicate and only their order tells their posts apart
+        for seed in range(5):
+            prog = parse_program(fib_k_text(random.Random(seed), k))
+            terms = sorted(enumerate_terms(trace_fta(prog), depth), key=str)
+            assert len(terms) > k
+            agree(prog, terms)
+
+    def test_last_child_counts(self):
+        prog = parse_program(PAIR)
+        assert agree(prog, [T("c4(c3(c1,c2))"), T("c5(c3(c1,c2))")]) == 1
+
+    def test_shared_subterm_read_at_each_occurrence(self):
+        prog = parse_program(PAIR)
+        # one c1 object at two positions; the second expects q
+        leaf = T("c1")
+        shared = TraceTerm("c4", (TraceTerm("c3", (leaf, leaf)),))
+        with pytest.raises(DerivationError) as tree_error:
+            and_tree(prog, shared)
+        with pytest.raises(DerivationError) as feasible_error:
+            derivations.feasible(prog, shared)
+        assert str(feasible_error.value) == str(tree_error.value)
+
+        fib3 = parse_program(fib_k_text(random.Random(0), 3))
+        inner = T("c2(c1,c1,c1)")
+        for trace in (
+            TraceTerm("c3", (TraceTerm("c2", (inner, inner, inner)),)),
+            TraceTerm("c3", (TraceTerm("c2", (inner, T("c1"), inner)),)),
+        ):
+            agree(fib3, [trace])

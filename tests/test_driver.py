@@ -136,10 +136,13 @@ class TestLimits:
             ("analyze", "analyze"),
             ("model_fta", "model_fta"),
             ("counterexample", "find_accepted"),
-            ("feasibility", "and_tree"),
+            ("feasibility", "feasible"),
             # the replay of a genuine counterexample on the source program
             ("feasibility", "erase_trace"),
+            ("feasibility", "and_tree"),
             ("remover", "singleton_fta"),
+            # the derivation tree rahit interpolates
+            ("remover", "and_tree"),
             ("difference", "difference"),
             ("clausegen", "generate_clauses"),
         ],
@@ -150,9 +153,12 @@ class TestLimits:
 
         monkeypatch.setattr(driver, name, exhausted)
         # split_range reaches every phase but the replay, which needs a
-        # counterexample found after refinement
-        text = UNSAFE_LOOP if name == "erase_trace" else SPLIT_RANGE
-        v = verify(parse_program(text), engine="rahft")
+        # counterexample found after refinement; rahft builds a
+        # derivation tree only for that replay, rahit also for its remover
+        replay = phase == "feasibility" and name != "feasible"
+        text = UNSAFE_LOOP if replay else SPLIT_RANGE
+        engine = "rahit" if phase == "remover" and name == "and_tree" else "rahft"
+        v = verify(parse_program(text), engine=engine)
         assert (v.status, v.reason) == ("unknown", f"resource:{phase}")
         assert v.exit_code == 2
 

@@ -87,6 +87,29 @@ class TestTraceTerm:
         assert "_hash" not in copy.__dict__
         assert copy == t and hash(copy) == hash(t)
 
+    def test_repr_is_the_dataclass_text(self):
+        leaf = "TraceTerm(sym='c1', children=())"
+        assert repr(T("c1")) == leaf
+        assert repr(T("c3(c1)")) == f"TraceTerm(sym='c3', children=({leaf},))"
+        assert repr(T("c2(c1,c1)")) == f"TraceTerm(sym='c2', children=({leaf}, {leaf}))"
+        t = T("c5(c1,c2(c3),c4(c1,c1,c1))")
+        assert eval(repr(t), {"TraceTerm": TraceTerm}) == t
+
+    def test_deep_terms_print_and_pickle_without_recursion(self):
+        t = self.chain(5000)
+        text = repr(t)
+        assert text.count("TraceTerm(") == 5001
+        assert text.endswith("children=())" + ",))" * 5000)
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and copy.pretty() == t.pretty()
+
+    def test_pickle_keeps_shape_and_order(self):
+        shared = T("c2(c1,c3)")
+        t = TraceTerm("c5", (shared, T("c4"), shared, TraceTerm("c6", (shared,))))
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t
+        assert copy.pretty() == "c5(c2(c1,c3),c4,c2(c1,c3),c6(c2(c1,c3)))"
+
     @pytest.mark.parametrize("bad", ["", "c3(c1", "c3(c1))", "(", "c3()"])
     def test_parse_errors(self, bad):
         with pytest.raises(AutomatonError):
