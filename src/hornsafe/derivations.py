@@ -13,6 +13,11 @@ onto the node's head tuple, because project and Polyhedron.of are
 exact, so the root's post is empty exactly when the formula is
 unsatisfiable.  Inside verify the posts go through the memo the
 analysis fills, where most subtrees of a spurious trace already are.
+
+and_tree and feasible both walk a trace through its preorder listing
+(TraceTerm.preorder) and check each node against the clause it names
+in that order, so a malformed trace raises the same DerivationError
+in either.
 """
 
 from __future__ import annotations
@@ -87,33 +92,27 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
 
     Clause variables get a per-node suffix _n<i>, then the head tuple is
     identified with the atom inherited from the parent, so each node's
-    local variables stay inside its subtree.  Nodes are numbered with
-    a stack, not by recursion, so a deep trace costs no Python stack.
+    local variables stay inside its subtree.  Nodes are numbered in the
+    order of the trace's preorder listing.
     """
     # per node in preorder: its atom, clause id, renamed constraint and
-    # parent, and its children as they are numbered
+    # parent, its renamed body atoms, and its children as they are numbered
     parts: list[tuple[Atom, str, LinConstraint, int]] = []
+    bodies: list[list[Atom]] = []
     children: list[list[int]] = []
-    stack: list[tuple[TraceTerm, Atom | None, int]] = [(trace, None, 0)]
-    while stack:
-        term, inherited, parent = stack.pop()
-        index = len(parts) + 1
+    for index, (term, parent, slot) in enumerate(trace.preorder(), 1):
+        inherited = bodies[parent][slot] if parent >= 0 else None
         clause = _clause(program, term, None if inherited is None else inherited.pred)
-        if inherited is None:
-            inherited = clause.head
         rename = {v: Variable(f"{v}_n{index}") for v in clause.vars()}
-        if inherited is not clause.head:
+        if inherited is None:
+            atom = clause.head.rename(rename)
+        else:
             rename.update(zip(clause.head.args, inherited.args))
             atom = inherited
-        else:
-            atom = clause.head.rename(rename)
-        parts.append((atom, term.sym, clause.constraint.rename(rename), parent))
+            children[parent].append(index)
+        parts.append((atom, term.sym, clause.constraint.rename(rename), parent + 1))
+        bodies.append([a.rename(rename) for a in clause.body])
         children.append([])
-        if parent:
-            children[parent - 1].append(index)
-        # the first subterm on top, so nodes are numbered in preorder
-        for sub, body_atom in reversed(list(zip(term.children, clause.body))):
-            stack.append((sub, body_atom.rename(rename), index))
 
     # a node's subtree size, summed in reverse preorder into its parent
     sizes = [1] * len(parts)
@@ -136,31 +135,25 @@ def feasible(program: Program, trace: TraceTerm) -> Polyhedron | None:
     that is, when the trace is infeasible.  Raises the DerivationError
     and_tree raises on a malformed trace.
 
-    The nodes are checked and listed in preorder with a stack, as
-    and_tree numbers them; then, in reverse preorder, each node's post
+    The nodes of the trace's preorder listing are checked in order, as
+    and_tree checks them; then, in reverse preorder, each node's post
     is taken under its children's posts, which are all final by then.
     A subterm object that occurs twice is checked and read at each of
     its occurrences.  The first empty post ends the walk."""
-    # per node in preorder: its clause and its parent's position
-    nodes: list[tuple[Clause, int]] = []
-    stack: list[tuple[TraceTerm, str | None, int]] = [(trace, None, -1)]
-    while stack:
-        term, expected, parent = stack.pop()
-        clause = _clause(program, term, expected)
-        index = len(nodes)
-        nodes.append((clause, parent))
-        for sub, atom in reversed(list(zip(term.children, clause.body))):
-            stack.append((sub, atom.pred, index))
+    listing = trace.preorder()
+    clauses: list[Clause] = []
+    for term, parent, slot in listing:
+        expected = clauses[parent].body[slot].pred if parent >= 0 else None
+        clauses.append(_clause(program, term, expected))
 
-    # per node, its children's posts, which reverse preorder hands it
-    # from the last child to the first
-    posts: list[list[Polyhedron]] = [[] for _ in nodes]
-    for index in range(len(nodes) - 1, -1, -1):
-        clause, parent = nodes[index]
-        post = body_post(clause, tuple(reversed(posts[index])))
+    # per node, its children's posts, each put in its slot
+    posts: list[list[Polyhedron | None]] = [[None] * len(c.body) for c in clauses]
+    for index in range(len(listing) - 1, -1, -1):
+        post = body_post(clauses[index], tuple(posts[index]))
         if post.empty:
             return None
+        _, parent, slot = listing[index]
         if parent < 0:
             return post
-        posts[parent].append(post)
+        posts[parent][slot] = post
     raise AssertionError("unreachable")

@@ -4,13 +4,15 @@ Traces of a program are ranked trees: each node is a clause id whose
 arity is the clause's body length, and a trace rooted at an integrity
 clause describes one candidate derivation of false.  The automata here
 recognise trace sets and support the operations the refinement loop
-needs: construction from a program, a single trace, or an
-interpretation (filtered by absint.clause_post, so this module makes
-no satisfiability call of its own); language difference, which
+needs: construction from a single trace or from an interpretation
+(filtered by absint.clause_post, so this module makes no
+satisfiability call of its own); language difference, which
 determinises the remover only as far as the product reaches; and
 emptiness with a witness.  Each operation is one loop over what it
 reads, with no recursion, so a trace thousands of clauses deep costs
-no stack.
+no stack.  Outside TraceTerm, a trace is walked only through its
+preorder listing (TraceTerm.preorder) and rebuilt with
+TraceTerm.from_shape.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from hornsafe.absint import clause_post
 from hornsafe.chc_core import FALSE_PRED, Program
@@ -33,52 +35,59 @@ class AutomatonError(Exception):
 class TraceTerm:
     """Ranked tree of clause identifiers.
 
-    Equality, hashing, printing and pickling run as loops, so a term
-    thousands of clauses deep costs no stack.  A term's hash is that of
-    (sym, children), computed bottom-up on first use and kept; the
-    cache is no field, and pickling ignores it."""
+    Every walk over a term reads preorder(), or rebuilds one with
+    from_shape(); only the two printers keep loops of their own.  None
+    recurses, so a term thousands of clauses deep costs no stack.
+    Equality, hashing and pickling read shape(), so two terms are equal
+    exactly when their nodes agree in preorder, whatever subterm
+    objects they share."""
 
     sym: str
     children: tuple["TraceTerm", ...] = ()
 
+    def preorder(self) -> list[tuple["TraceTerm", int, int]]:
+        """Every occurrence of a subterm, the root first and each
+        subterm right before its first child, as (subterm, its parent's
+        position in this list or -1 at the root, its slot among the
+        parent's children).  A subterm object that occurs twice is
+        listed at each occurrence."""
+        listing: list[tuple[TraceTerm, int, int]] = []
+        stack = [(self, -1, 0)]
+        while stack:
+            entry = stack.pop()
+            index = len(listing)
+            listing.append(entry)
+            children = entry[0].children
+            # the first child on top
+            stack.extend([(children[k], index, k) for k in range(len(children) - 1, -1, -1)])
+        return listing
+
+    def shape(self) -> tuple[tuple[str, int], ...]:
+        """Each occurrence's (sym, arity), in preorder."""
+        return tuple([(t.sym, len(t.children)) for t, _, _ in self.preorder()])
+
+    @classmethod
+    def from_shape(cls, shape: Sequence[tuple[str, int]]) -> "TraceTerm":
+        """The term whose shape() is shape.  In reverse preorder a
+        node's subterms are on top of the stack, the first uppermost."""
+        stack: list[TraceTerm] = []
+        for sym, arity in reversed(shape):
+            children = tuple([stack.pop() for _ in range(arity)])
+            stack.append(cls(sym, children))
+        (term,) = stack
+        return term
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceTerm):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            s, o = stack.pop()
-            if s is o:
-                continue
-            if s.sym != o.sym or len(s.children) != len(o.children):
-                return False
-            stack.extend(zip(s.children, o.children))
-        return True
+        return self is other or self.shape() == other.shape()
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        # the subterms without a kept hash, each after its parent; hashed
-        # from the last, so a tuple of children hashes from their caches
-        order = [self]
-        for t in order:
-            order.extend(c for c in t.children if "_hash" not in c.__dict__)
-        for t in reversed(order):
-            object.__setattr__(t, "_hash", hash((t.sym, t.children)))
-        return self._hash
+        return hash(self.shape())
 
     def __reduce__(self):
-        # the nodes in preorder as (sym, arity), so pickle recurses no
-        # deeper than one list; a string hashes differently in another
-        # process, so the kept hash stays behind
-        nodes = []
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            nodes.append((t.sym, len(t.children)))
-            stack.extend(reversed(t.children))
-        return _rebuild, (nodes,)
+        # the shape is flat, so pickle recurses no deeper than one pair
+        return TraceTerm.from_shape, (self.shape(),)
 
     def __repr__(self) -> str:
         # the dataclass text, built with a stack
@@ -116,18 +125,6 @@ class TraceTerm:
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-def _rebuild(nodes: list[tuple[str, int]]) -> TraceTerm:
-    """The term whose nodes in preorder are nodes, as (sym, arity).  In
-    reverse preorder a node's subterms are on top of the stack, the
-    first one uppermost."""
-    stack: list[TraceTerm] = []
-    for sym, arity in reversed(nodes):
-        children = tuple([stack.pop() for _ in range(arity)])
-        stack.append(TraceTerm(sym, children))
-    (term,) = stack
-    return term
 
 
 Transition = tuple[str, tuple[str, ...], str]
@@ -171,48 +168,27 @@ class TreeAutomaton:
         return "\n".join(lines) + "\n"
 
 
-def _clause_fta(program: Program, clauses) -> TreeAutomaton:
-    """The program's trace automaton with the transitions of the given
-    clauses only."""
-    return TreeAutomaton(
-        frozenset(program.predicates | {FALSE_PRED}),
-        frozenset({FALSE_PRED}),
-        {c.cid: len(c.body) for c in program},
-        frozenset(
-            (c.cid, tuple(a.pred for a in c.body), c.head.pred) for c in clauses
-        ),
-    )
-
-
-def trace_fta(program: Program) -> TreeAutomaton:
-    """Recognises every trace of the program rooted at false.  Its
-    alphabet lists the clause ids in program order."""
-    return _clause_fta(program, program)
-
-
 def singleton_fta(term: TraceTerm) -> TreeAutomaton:
     """Recognises exactly the given term.  One state per node, numbered
     e1, e2, ... in preorder with the root first.  A subterm object that
     occurs twice is read through the state of its last occurrence."""
-    names: dict[int, str] = {}
-    nodes: list[tuple[TraceTerm, str]] = []
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        name = f"e{len(nodes) + 1}"
-        names[id(t)] = name
-        nodes.append((t, name))
-        stack.extend(reversed(t.children))
-
+    listing = term.preorder()
+    names = {id(t): f"e{i}" for i, (t, _, _) in enumerate(listing, 1)}
+    # per node, the states its children are read in, in slot order
+    reads: list[list[str]] = [[] for _ in listing]
+    for t, parent, _ in listing[1:]:
+        reads[parent].append(names[id(t)])
     alphabet: dict[str, int] = {}
     transitions = set()
-    for t, name in nodes:
-        arity = len(t.children)
-        if alphabet.setdefault(t.sym, arity) != arity:
+    for i, ((t, _, _), args) in enumerate(zip(listing, reads), 1):
+        if alphabet.setdefault(t.sym, len(args)) != len(args):
             raise AutomatonError(f"symbol {t.sym!r} used at two arities")
-        transitions.add((t.sym, tuple(names[id(c)] for c in t.children), name))
+        transitions.add((t.sym, tuple(args), f"e{i}"))
     return TreeAutomaton(
-        frozenset(n for _, n in nodes), frozenset({"e1"}), alphabet, transitions
+        frozenset(f"e{i}" for i in range(1, len(listing) + 1)),
+        frozenset({"e1"}),
+        alphabet,
+        transitions,
     )
 
 
@@ -221,9 +197,17 @@ def model_fta(program: Program, model: InterpretationModel) -> TreeAutomaton:
     transition survives only if its constraint is satisfiable together
     with the interpreted facts for its body atoms, that is, if its
     abstract post is not empty.  Inside verify that post goes through
-    the memo the analysis fills."""
-    return _clause_fta(
-        program, [c for c in program if not clause_post(c, model.entries).empty]
+    the memo the analysis fills.  The alphabet lists the clause ids in
+    program order."""
+    return TreeAutomaton(
+        frozenset(program.predicates | {FALSE_PRED}),
+        frozenset({FALSE_PRED}),
+        {c.cid: len(c.body) for c in program},
+        frozenset(
+            (c.cid, tuple(a.pred for a in c.body), c.head.pred)
+            for c in program
+            if not clause_post(c, model.entries).empty
+        ),
     )
 
 
@@ -344,10 +328,33 @@ def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
     ):
         if 1 + max((depth[q] for q in args), default=0) == depth[target]:
             key = (rank[sym], tuple([best[q][1] for q in args]))
-            if target not in best or key < best[target][1]:
+            if target not in best or _precedes(key, best[target][1]):
                 best[target] = (TraceTerm(sym, tuple([best[q][0] for q in args])), key)
 
-    finals = [q for q in a.finals if q in depth]
-    if not finals:
-        return None
-    return best[min(finals, key=lambda q: (depth[q], best[q][1]))][0]
+    least = None
+    for q in a.finals:
+        if q in depth and (
+            least is None
+            or depth[q] < depth[least]
+            or depth[q] == depth[least] and _precedes(best[q][1], best[least][1])
+        ):
+            least = q
+    return None if least is None else best[least][0]
+
+
+def _precedes(key: tuple, other: tuple) -> bool:
+    """Whether one tie-break key (rank, children's keys) orders before
+    another, as nested tuples would, but in a loop: a key is as deep as
+    its term.  Equal ranks name one symbol, and so one arity, so the
+    comparison is that of the keys' preorder rank sequences."""
+    if key[0] != other[0]:
+        return key[0] < other[0]
+    stack = [(key, other)]
+    while stack:
+        k, o = stack.pop()
+        if k is o:
+            continue
+        if k[0] != o[0]:
+            return k[0] < o[0]
+        stack.extend(zip(k[1][::-1], o[1][::-1]))
+    return False

@@ -6,7 +6,9 @@ states its derivations can reach turns that trace-level restriction
 back into an ordinary clause program: the new program's false-rooted
 traces are exactly the kept ones, and each generated clause remembers
 which source clause it instantiates, so counterexamples translate
-back.  Constraints are copied untouched; only control is restructured.
+back: erase_trace renames the symbols of a trace's shape
+(TraceTerm.shape) and rebuilds it.  Constraints are copied untouched;
+only control is restructured.
 """
 
 from __future__ import annotations
@@ -100,13 +102,6 @@ def erase_trace(program: Program, trace: TraceTerm) -> TraceTerm:
     """Map a trace over a generated program's ids back to the ids of
     the program it was generated from."""
     mapping = origin_map(program)
-    # every occurrence, each after its parent, then rebuilt from the last
-    order = [trace]
-    for t in order:
-        order.extend(t.children)
-    erased: dict[int, TraceTerm] = {}
-    for t in reversed(order):
-        erased[id(t)] = TraceTerm(
-            mapping.get(t.sym, t.sym), tuple([erased[id(c)] for c in t.children])
-        )
-    return erased[id(trace)]
+    return TraceTerm.from_shape(
+        [(mapping.get(sym, sym), arity) for sym, arity in trace.shape()]
+    )

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variable
-from hornsafe.fta import TreeAutomaton
+from hornsafe.fta import TraceTerm, TreeAutomaton
 
 VARS = [Variable(n) for n in ("U", "V", "W", "X", "Y", "Z")]
 WIDE_VARS = [Variable(f"X{i}") for i in range(8)]
@@ -212,6 +212,21 @@ def random_automaton(
         )
     finals = frozenset(q for q in states if rng.random() < 0.5)
     return TreeAutomaton(frozenset(states), finals, alphabet, frozenset(transitions))
+
+
+def random_trace_term(
+    rng: random.Random, symbols: list[str], *, nodes: int = 12
+) -> TraceTerm:
+    """Random trace term over the given symbols, each node's children
+    drawn from the nodes built before it, so one subterm object often
+    occurs at several places.  A symbol may appear at several arities."""
+    pool: list[TraceTerm] = []
+    for _ in range(nodes):
+        arity = rng.randint(0, 3) if pool else 0
+        pool.append(
+            TraceTerm(rng.choice(symbols), tuple(rng.choice(pool) for _ in range(arity)))
+        )
+    return pool[-1]
 
 
 def random_program_text(rng: random.Random) -> str:

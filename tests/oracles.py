@@ -19,8 +19,12 @@ The Farkas reference is interpolate's multiplier system as it was built
 over the rational rows: the solver's system over the rows' ints must
 find the same multipliers, each divided by its row's denominator.
 
+The tree automaton section also builds a program's whole trace
+automaton (trace_fta), which only the tests use.
+
 The last section holds test-only helpers that the verifier never runs:
-trace parsing, bounded enumeration and the least accepted term
+trace parsing, the preorder listing and trace erasure by recursion,
+bounded enumeration and the least accepted term
 found by it, trace feasibility, clause selection,
 model loading, subtree and context formulas, label mappings and
 equivalence, the defining conditions of a tree interpolant, and the
@@ -54,7 +58,7 @@ from hornsafe.chc_core import (
     parse_program,
 )
 from hornsafe.derivations import AndTree, and_tree, formula
-from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton, trace_fta
+from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
 from hornsafe.lra import (
     JointlySatisfiableError,
     Polyhedron,
@@ -584,6 +588,18 @@ def fraction_farkas(constraint: LinConstraint, pinned: set[int], want_strict_bud
 # package; none of its fixpoint or product machinery is reused.
 
 
+def trace_fta(program: Program) -> TreeAutomaton:
+    """Recognises every trace of the program rooted at false: the
+    unfiltered fta.model_fta.  Its alphabet lists the clause ids in
+    program order."""
+    return TreeAutomaton(
+        frozenset(program.predicates | {FALSE_PRED}),
+        frozenset({FALSE_PRED}),
+        {c.cid: len(c.body) for c in program},
+        frozenset((c.cid, tuple(a.pred for a in c.body), c.head.pred) for c in program),
+    )
+
+
 def run_states(automaton: TreeAutomaton, term: TraceTerm) -> frozenset[str]:
     """All states the term can evaluate to, bottom-up."""
     child_sets = [run_states(automaton, c) for c in term.children]
@@ -737,6 +753,28 @@ ENUM_DEPTH_BOUND = 6
 
 def term_depth(term: TraceTerm) -> int:
     return 1 + max((term_depth(c) for c in term.children), default=0)
+
+
+def preorder_reference(term: TraceTerm, parent: int = -1, slot: int = 0, out=None) -> list:
+    """TraceTerm.preorder by recursion: (subterm, parent position or
+    -1, slot among the parent's children) for every occurrence, each
+    before its children and the first child first."""
+    out = [] if out is None else out
+    index = len(out)
+    out.append((term, parent, slot))
+    for k, child in enumerate(term.children):
+        preorder_reference(child, index, k, out)
+    return out
+
+
+def erase_trace_reference(program: Program, term: TraceTerm) -> TraceTerm:
+    """refinement.erase_trace by recursion: each generated clause id
+    replaced by the id of the clause it instantiates."""
+    origin = {c.cid: c.origin for c in program if c.origin is not None}
+    return TraceTerm(
+        origin.get(term.sym, term.sym),
+        tuple(erase_trace_reference(program, c) for c in term.children),
+    )
 
 
 def parse_trace(text: str) -> TraceTerm:

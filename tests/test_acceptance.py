@@ -24,6 +24,7 @@ from oracles import (
     feasible,
     parse_trace,
     term_depth,
+    trace_fta,
 )
 from gen import random_automaton, random_constraint, random_program_text
 from programs import (
@@ -45,7 +46,6 @@ from hornsafe.fta import (
     find_accepted,
     model_fta,
     singleton_fta,
-    trace_fta,
 )
 from hornsafe.lra import entails, interpolate, is_sat
 from hornsafe.model import is_model

@@ -13,7 +13,7 @@ from hornsafe.derivations import (
     and_tree,
     formula,
 )
-from hornsafe.fta import TraceTerm, trace_fta
+from hornsafe.fta import TraceTerm
 from gen import fib_k_text, random_program_text
 from oracles import (
     context_formula,
@@ -24,6 +24,7 @@ from oracles import (
     parse_trace,
     subtree_formula,
     subtree_indices,
+    trace_fta,
     tree_pretty,
 )
 from programs import FIB, UNSAFE_LOOP, UNSAFE_SIMPLE

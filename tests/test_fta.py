@@ -18,22 +18,25 @@ from hornsafe.fta import (
     find_accepted,
     model_fta,
     singleton_fta,
-    trace_fta,
 )
 from hornsafe.model import InterpretationModel
-from gen import random_automaton
+from hornsafe.refinement import erase_trace, generate_clauses
+from gen import random_automaton, random_trace_term
 from oracles import (
     accepts,
     all_terms,
     determinise,
     difference_reference,
     enumerate_terms,
+    erase_trace_reference,
     feasible,
     least_accepted,
     load_model,
     model_fta_reference,
     parse_trace,
+    preorder_reference,
     term_depth,
+    trace_fta,
 )
 from programs import COUNT_UP, FIB, FIB_MODEL, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
@@ -114,6 +117,83 @@ class TestTraceTerm:
     def test_parse_errors(self, bad):
         with pytest.raises(AutomatonError):
             T(bad)
+
+    @staticmethod
+    def random_terms(seed: int, count: int = 60) -> list[TraceTerm]:
+        rng = random.Random(seed)
+        return [
+            random_trace_term(rng, ["c1", "c2", "c3"], nodes=rng.randint(1, 14))
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def listed(listing) -> list[tuple[int, int, int]]:
+        # the subterm objects themselves, not terms equal to them
+        return [(id(t), parent, slot) for t, parent, slot in listing]
+
+    def test_preorder_matches_reference(self):
+        terms = self.random_terms(31)
+        # some terms list one subterm object at several occurrences
+        assert any(len(t.preorder()) > len({id(s) for s, _, _ in t.preorder()}) for t in terms)
+        for t in terms:
+            assert self.listed(t.preorder()) == self.listed(preorder_reference(t))
+            assert t.shape() == tuple((s.sym, len(s.children)) for s, _, _ in preorder_reference(t))
+
+    def test_from_shape_rebuilds_the_term(self):
+        for t in self.random_terms(32):
+            copy = TraceTerm.from_shape(t.shape())
+            assert copy == t and copy.pretty() == t.pretty()
+            assert copy.shape() == t.shape()
+
+    def test_equal_exactly_when_shapes_are(self):
+        # pairs drawn from two lists built from one seed: equal terms
+        # that share no object, and unequal ones
+        left, right = self.random_terms(33), self.random_terms(33)
+        rng = random.Random(34)
+        pairs = list(zip(left, right)) + [(rng.choice(left), rng.choice(right)) for _ in range(200)]
+        assert any(a == b for a, b in pairs[60:]) and any(a != b for a, b in pairs)
+        for a, b in pairs:
+            assert (a == b) == (a.shape() == b.shape()) == (a.pretty() == b.pretty())
+            assert (a != b) == (a.shape() != b.shape())
+            if a == b:
+                assert hash(a) == hash(b)
+
+    @staticmethod
+    def generated():
+        # FIB without one trace: its clauses renumbered, several per
+        # source clause
+        prog = parse_program(FIB)
+        return generate_clauses(
+            prog, determinise(difference(trace_fta(prog), singleton_fta(T("c3(c1)"))))
+        )
+
+    def test_erase_trace_matches_reference(self):
+        out = self.generated()
+        assert any(c.cid != c.origin for c in out)
+        rng = random.Random(35)
+        # the generated ids and one that is not a clause of out
+        symbols = [c.cid for c in out] + ["c99"]
+        for _ in range(60):
+            t = random_trace_term(rng, symbols, nodes=rng.randint(1, 14))
+            erased = erase_trace(out, t)
+            assert erased == erase_trace_reference(out, t)
+            assert erased.pretty() == erase_trace_reference(out, t).pretty()
+
+    def test_deep_chain_listing(self):
+        t = self.chain(5000)
+        listing = t.preorder()
+        assert len(listing) == 5001
+        assert listing[0] == (t, -1, 0) and listing[0][0] is t
+        for i, (s, parent, slot) in enumerate(listing[1:], 1):
+            assert s is listing[i - 1][0].children[0]
+            assert (parent, slot) == (i - 1, 0)
+        assert t.shape() == (("c2", 1),) * 5000 + (("c1", 0),)
+        assert TraceTerm.from_shape(t.shape()) == t
+        out = self.generated()
+        cid = next(c.cid for c in out if c.cid != c.origin)
+        origin = out.clause_by_id(cid).origin
+        erased = erase_trace(out, TraceTerm.from_shape(((cid, 1),) * 5000 + (("c9", 0),)))
+        assert erased.shape() == ((origin, 1),) * 5000 + (("c9", 0),)
 
 
 class TestTreeAutomaton:
@@ -443,6 +523,21 @@ class TestFindAccepted:
         for _ in range(10):
             a = random_automaton(rng)
             assert find_accepted(a) == find_accepted(a)
+
+    @pytest.mark.parametrize("links", [100, 3000])
+    def test_deep_ties_are_broken_without_recursion(self, links):
+        # two chains of s over the leaves x and y into one final state:
+        # both reach it at one depth with one symbol, so the tie goes
+        # to x, the leaf listed first, links nodes down
+        transitions = {("x", (), "a0"), ("y", (), "b0")}
+        for i in range(1, links):
+            transitions |= {("s", (f"a{i - 1}",), f"a{i}"), ("s", (f"b{i - 1}",), f"b{i}")}
+        transitions |= {("s", (f"a{links - 1}",), "f"), ("s", (f"b{links - 1}",), "f")}
+        states = {q for _, args, target in transitions for q in (*args, target)}
+        a = TreeAutomaton(
+            frozenset(states), frozenset({"f"}), {"x": 0, "y": 0, "s": 1}, frozenset(transitions)
+        )
+        assert find_accepted(a) == TraceTerm.from_shape((("s", 1),) * links + (("x", 0),))
 
 
 class TestFindAcceptedOracle:

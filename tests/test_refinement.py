@@ -8,7 +8,6 @@ from hornsafe.fta import (
     TraceTerm,
     difference,
     singleton_fta,
-    trace_fta,
 )
 from hornsafe.refinement import (
     RefinementError,
@@ -18,7 +17,7 @@ from hornsafe.refinement import (
     origin_map,
 )
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
-from oracles import determinise, enumerate_terms, feasible, parse_trace
+from oracles import determinise, enumerate_terms, feasible, parse_trace, trace_fta
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
 T = parse_trace

@@ -19,7 +19,6 @@ from hornsafe.chc_core import (
     parse_program,
 )
 from hornsafe.derivations import and_tree, formula
-from hornsafe.fta import trace_fta
 from hornsafe.fta import model_fta
 from hornsafe.lra import is_sat
 from hornsafe.tree_interpolation import (
@@ -39,6 +38,7 @@ from oracles import (
     feasible,
     interpolant_mapping,
     parse_trace,
+    trace_fta,
     tree_interpolant_reference,
 )
 from gen import fib_k_text
