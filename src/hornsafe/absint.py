@@ -43,6 +43,7 @@ from hornsafe.lra import Polyhedron, hull, memoised, project, widen
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
 
 _BOTTOM = Polyhedron.bottom()
+_TOP = Polyhedron.top()
 
 
 def body_post(clause: Clause, polys: tuple[Polyhedron, ...]) -> Polyhedron:
@@ -69,7 +70,11 @@ def clause_post(clause: Clause, entries: Mapping[str, Polyhedron]) -> Polyhedron
 @memoised("clause_post")
 def _post(constraint: LinConstraint, head_args: tuple[Variable, ...], body: tuple) -> Polyhedron:
     conj = constraint.conjoin(*[instantiate(poly, args) for args, poly in body])
-    poly = Polyhedron.of(project(conj, head_args))
+    shadow = project(conj, head_args)
+    if not head_args:
+        # eliminating every variable decides satisfiability: FALSE or TRUE
+        return _BOTTOM if shadow.rows else _TOP
+    poly = Polyhedron.of(shadow)
     if poly.empty:
         return poly
     return poly.rename(dict(zip(head_args, canonical_args(len(head_args)))))

@@ -4,15 +4,18 @@ Everything is exact, and everything between parsing and printing is
 integer arithmetic.  A chc_core.Row is stored as int coefficients and
 an int right-hand side over one positive int denominator, and every
 procedure here reads and writes that form; Fractions are built only for
-the witnesses is_sat returns, for the multipliers interpolate reads
-off the kernel and for the bounds of a hull over one variable.
+the witnesses is_sat returns and for the multipliers interpolate reads
+off the kernel.
 
 Satisfiability goes through the simplex kernel in kernel.py; strict
 inequalities are handled with delta-rationals, so witnesses assign each
 variable a pair (main, delta coefficient) meaning main + delta * d for
-an arbitrarily small positive d.  Only is_sat asks the kernel for a
-witness; entailment, Polyhedron.of and the pinning trials ask whether
-the rows are satisfiable and nothing more.  Entailment refutes row by
+an arbitrarily small positive d.  Only is_sat and interpolate's Farkas
+LPs ask the kernel for a witness, and the simplex alone answers them;
+entailment, Polyhedron.of, minimise, widen and the pinning trials ask
+whether the rows are satisfiable and nothing more, which the kernel
+mostly decides by exact Fourier-Motzkin elimination on the rows' ints
+without a tableau (see kernel.py).  Entailment refutes row by
 row: c1 entails a row when c1 with each row of the row's negation is
 unsatisfiable.  Three shapes are decided without the kernel.  An
 empty premise implies no row with a nonzero coefficient.  A premise of
@@ -59,11 +62,13 @@ chc_core.MAX_PRINTED_DIGITS digits raises NumberTooLongError.
 The convex hull of two polyhedra is their closed convex hull, a sound
 over-approximation of the union: strict rows are relaxed.  When the
 two mention one variable x it is an interval read off their rows: a
-row's bound is num / ints[0], an upper one when ints[0] > 0, a lower
-one when ints[0] < 0, both for an equality; the larger upper bound is
-kept when both sides have one, and the smaller lower bound likewise,
-as non-strict rows sorted by printed form; when both sides are the
-same point p and all their rows are equalities, it is x = p.  These
+row's bound is num / ints[0], kept as an int pair with a positive
+denominator and compared by cross-multiplying, an upper one when
+ints[0] > 0, a lower one when ints[0] < 0, both for an equality; the
+larger upper bound is kept when both sides have one, and the smaller
+lower bound likewise, as non-strict rows sorted by printed form; when
+both sides are the same point p and all their rows are equalities, it
+is x = p.  These
 are the rows the lifted hull below gives.  Otherwise the hull is computed on a lifted system (Benoy, King and
 Mesnard, "Computing convex hulls with a linear solver", TPLP 2005): a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
@@ -544,33 +549,42 @@ def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron:
     """The hull of two nonempty polyhedra whose rows mention x alone,
     from their closed bounds: the larger upper bound if both have one,
     the smaller lower bound if both have one.  When both are the same
-    point p and every row of both is an equality, the equality x = p."""
+    point p and every row of both is an equality, the equality x = p.
+    A bound is an int pair (num, den > 0); pairs compare by
+    cross-multiplying."""
     bounds = []
     for poly in (p1, p2):
         lo = hi = None
         for row in poly.constraint.rows:
             if not row.names:
                 continue
-            bound = Fraction(row.num, row.ints[0])
-            if row.rel == REL_EQ or row.ints[0] > 0:
-                hi = bound if hi is None else min(hi, bound)
-            if row.rel == REL_EQ or row.ints[0] < 0:
-                lo = bound if lo is None else max(lo, bound)
+            a = row.ints[0]
+            bound = (row.num, a) if a > 0 else (-row.num, -a)
+            if (row.rel == REL_EQ or a > 0) and (hi is None or _below(bound, hi)):
+                hi = bound
+            if (row.rel == REL_EQ or a < 0) and (lo is None or _below(lo, bound)):
+                lo = bound
         bounds.append((lo, hi))
     (lo1, hi1), (lo2, hi2) = bounds
-    if lo1 is not None and lo1 == hi1 == lo2 == hi2:
+    ends = (lo1, hi1, lo2, hi2)
+    if None not in ends and all(n * lo1[1] == lo1[0] * d for n, d in ends):
         if all(row.rel == REL_EQ for poly in (p1, p2) for row in poly.constraint.rows):
-            point = Row.of_ints({x: lo1.denominator}, REL_EQ, lo1.numerator, lo1.denominator)
-            return Polyhedron(LinConstraint((point,)))
+            num, den = lo1
+            return Polyhedron(LinConstraint((Row.of_ints({x: den}, REL_EQ, num, den),)))
     rows = []
     if hi1 is not None and hi2 is not None:
-        hi = max(hi1, hi2)
-        rows.append(Row.of_ints({x: hi.denominator}, REL_LE, hi.numerator, hi.denominator))
+        num, den = hi2 if _below(hi1, hi2) else hi1
+        rows.append(Row.of_ints({x: den}, REL_LE, num, den))
     if lo1 is not None and lo2 is not None:
-        lo = min(lo1, lo2)
-        rows.append(Row.of_ints({x: -lo.denominator}, REL_LE, -lo.numerator, lo.denominator))
+        num, den = lo1 if _below(lo1, lo2) else lo2
+        rows.append(Row.of_ints({x: -den}, REL_LE, -num, den))
     rows.sort(key=Row.pretty)
     return Polyhedron(LinConstraint(tuple(rows)))
+
+
+def _below(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """p < q for int pairs (num, den > 0)."""
+    return p[0] * q[1] < q[0] * p[1]
 
 
 def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:

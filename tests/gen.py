@@ -79,6 +79,33 @@ def tall_narrow_system(rng: random.Random):
     return 2, rows
 
 
+def narrow_system(rng: random.Random):
+    """The shape of the analysis' yes/no queries: 0-3 columns and 1-9
+    rows, mostly tight at one point, so bounds tie.  A row's negation
+    with the same bound often follows it, strict or not; equalities pass
+    through the point; some rows are ground; coefficients are Fractions,
+    so rows reach the kernel with scales other than 1.  Returns (ncols,
+    rows) over Fractions; kernel_rows turns them into the kernel's
+    form."""
+    ncols = rng.randint(0, 3)
+    point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.1:
+            coeffs = [Fraction(0)] * ncols
+        else:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        at_point = sum(c * x for c, x in zip(coeffs, point))
+        rel = rng.choice((REL_LE, REL_LE, REL_LT, REL_EQ))
+        rhs = at_point
+        if rel != REL_EQ:
+            rhs += rng.choice((0, 0, 1, 1, -1)) * Fraction(1, rng.randint(1, 3))
+        rows.append((coeffs, rel, rhs))
+        if rng.random() < 0.3:
+            rows.append(([-c for c in coeffs], rng.choice((REL_LE, REL_LE, REL_LT)), -rhs))
+    return ncols, rows
+
+
 def farkas_system(rng: random.Random):
     """The shape of a Farkas multiplier system: one column per row of a
     random infeasibility question over a few variables, cancellation

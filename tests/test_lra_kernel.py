@@ -9,7 +9,10 @@ The kernel must agree with the oracle on satisfiability and must return
 genuine witnesses: every row is checked against the delta-rational
 assignment.  Against the dense reference, which pivots by the same rule
 on the full m x (m+n) tableau, it must return the very same witnesses.
-Asked for no witness, it must give the same answer, as True or None.
+Asked for no witness, it must give the same answer, as True or None;
+that answer comes mostly from Fourier-Motzkin elimination, and the
+simplex, counted through kernel._simplex, sees only what elimination
+leaves.
 """
 
 import random
@@ -22,6 +25,7 @@ from gen import (
     farkas_system,
     kernel_rows,
     large_denominator_system,
+    narrow_system,
     random_constraint,
     tall_narrow_system,
     zero_row_system,
@@ -222,3 +226,81 @@ def test_no_witness_same_answer_on_pinned_output_systems():
 def test_no_witness_same_answer_on_random_systems(make, seed, count):
     rng = random.Random(seed)
     _assert_same_answer(make(rng) for _ in range(count))
+
+
+# Elimination before the simplex --------------------------------------------
+
+
+def _count_simplex(monkeypatch) -> list:
+    """Record the witness flag of every simplex entry."""
+    entries = []
+    simplex = kernel._simplex
+
+    def counted(ncols, rows, witness):
+        entries.append(witness)
+        return simplex(ncols, rows, witness)
+
+    monkeypatch.setattr(kernel, "_simplex", counted)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "ncols, rows, expected",
+    [
+        # ground rows
+        (0, [([], REL_LT, 0, 1)], None),
+        (0, [([], REL_LE, 0, 1), ([], REL_EQ, 0, 3)], True),
+        (2, [([0, 0], REL_EQ, 1, 1)], None),
+        # X - Y < 0 and Y - X =< 0: the combined row 0 < 0 is strict
+        # because one parent is
+        (2, [([1, -1], REL_LT, 0, 1), ([-1, 1], REL_LE, 0, 1)], None),
+        (2, [([1, -1], REL_LE, 0, 1), ([-1, 1], REL_LE, 0, 1)], True),
+        # 2X = 5 substituted into X < 5/2 (scale 2)
+        (1, [([2], REL_EQ, 5, 1), ([2], REL_LT, 5, 2)], None),
+        (2, [([2, 1], REL_EQ, 5, 1), ([2, 0], REL_LE, 5, 2), ([0, -1], REL_LE, 0, 1)], True),
+        # tied bounds on the last column: 3X =< 1 and -6X < -2
+        (1, [([3], REL_LE, 1, 1), ([-6], REL_LT, -2, 1)], None),
+        (1, [([3], REL_LE, 1, 1), ([-6], REL_LE, -2, 1)], True),
+        # X < Y < Z < X over three columns
+        (3, [([1, -1, 0], REL_LT, 0, 1), ([0, 1, -1], REL_LT, 0, 1), ([-1, 0, 1], REL_LE, 0, 1)], None),
+    ],
+)
+def test_elimination_decides_small_systems(monkeypatch, ncols, rows, expected):
+    entries = _count_simplex(monkeypatch)
+    assert kernel.simplex_feasible(ncols, rows, False) is expected
+    assert entries == []
+    full = kernel.simplex_feasible(ncols, rows)
+    assert (full is None) == (expected is None)
+
+
+def test_elimination_answers_as_the_witness_path_does(monkeypatch):
+    entries = _count_simplex(monkeypatch)
+    rng = random.Random(7330)
+    outcomes = set()
+    bare_queries = 0
+    for _ in range(2000):
+        ncols, rows = narrow_system(rng)
+        krows = kernel_rows(rows)
+        full = kernel.simplex_feasible(ncols, krows)
+        bare = kernel.simplex_feasible(ncols, krows, False)
+        bare_queries += 1
+        assert bare is (None if full is None else True), rows
+        outcomes.add(full is None)
+    assert outcomes == {True, False}
+    # every witness query enters the simplex; most yes/no ones do not
+    assert entries.count(True) == bare_queries
+    assert 0 < entries.count(False) < bare_queries // 10
+
+
+def test_tall_narrow_systems_reach_the_simplex(monkeypatch):
+    entries = _count_simplex(monkeypatch)
+    rng = random.Random(7322)
+    tall = 0
+    for _ in range(60):
+        ncols, rows = tall_narrow_system(rng)
+        # an equality substitutes one of the two columns out, and the
+        # last one is decided by its bounds
+        tall += all(rel != REL_EQ for _, rel, _ in rows)
+        kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+    assert tall > 40
+    assert entries == [False] * tall
