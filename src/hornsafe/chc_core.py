@@ -359,12 +359,11 @@ class Program:
     """An ordered clause set with a consistent predicate arity map."""
 
     clauses: tuple[Clause, ...]
-    arities: Mapping[str, int] = field(default_factory=dict)
+    arities: Mapping[str, int] = field(init=False)
     _by_id: dict[str, Clause] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.arities:
-            object.__setattr__(self, "arities", _collect_arities(self.clauses))
+        object.__setattr__(self, "arities", _collect_arities(self.clauses))
         by_id: dict[str, Clause] = {}
         for clause in self.clauses:
             if by_id.setdefault(clause.cid, clause) is not clause:

@@ -38,15 +38,13 @@ class DerivationError(Exception):
 @dataclass(frozen=True)
 class Node:
     """One clause instance.  Indices are preorder positions starting at
-    1; a subtree occupies the contiguous range [index, index + size)."""
+    1, so a subtree occupies a contiguous range of them."""
 
     index: int
     atom: Atom
     cid: str
     constraint: LinConstraint
     children: tuple[int, ...]
-    parent: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,9 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
     local variables stay inside its subtree.  Nodes are numbered in the
     order of the trace's preorder listing.
     """
-    # per node in preorder: its atom, clause id, renamed constraint and
-    # parent, its renamed body atoms, and its children as they are numbered
-    parts: list[tuple[Atom, str, LinConstraint, int]] = []
+    # per node in preorder: its atom, clause id and renamed constraint,
+    # its renamed body atoms, and its children as they are numbered
+    parts: list[tuple[Atom, str, LinConstraint]] = []
     bodies: list[list[Atom]] = []
     children: list[list[int]] = []
     for index, (term, parent, slot) in enumerate(trace.preorder(), 1):
@@ -110,18 +108,13 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
             rename.update(zip(clause.head.args, inherited.args))
             atom = inherited
             children[parent].append(index)
-        parts.append((atom, term.sym, clause.constraint.rename(rename), parent + 1))
+        parts.append((atom, term.sym, clause.constraint.rename(rename)))
         bodies.append([a.rename(rename) for a in clause.body])
         children.append([])
-
-    # a node's subtree size, summed in reverse preorder into its parent
-    sizes = [1] * len(parts)
-    for i in range(len(parts) - 1, 0, -1):
-        sizes[parts[i][3] - 1] += sizes[i]
     return AndTree(
         tuple(
-            Node(i, atom, cid, constraint, tuple(children[i - 1]), parent, sizes[i - 1])
-            for i, (atom, cid, constraint, parent) in enumerate(parts, 1)
+            Node(i, atom, cid, constraint, tuple(children[i - 1]))
+            for i, (atom, cid, constraint) in enumerate(parts, 1)
         )
     )
 

@@ -71,8 +71,8 @@ cross-multiplying.  When every column left would grow the system, the
 simplex decides the reduced rows, which are satisfiable exactly when the
 input is.  The yes/no queries of the analysis mostly have 1-3 columns
 and at most 9 rows, and on one seed-1 pass of each benchmark workload
-the elimination decides all but 2 of 229 (absint), 12 of 1,237
-(refine-rahit) and 12 of 783 (refine-rahft).  Witnesses come from the
+the elimination decides all but 2 of 303 (absint), 20 of 1,733
+(refine-rahit) and 20 of 1,538 (refine-rahft).  Witnesses come from the
 simplex alone.
 
 The answer is None when the rows are unsatisfiable.  Otherwise it is
@@ -125,10 +125,7 @@ def _fourier_motzkin(ncols, rows):
     for row in rows:
         coeffs, rel, rhs, _ = row
         if any(coeffs):
-            if rel == REL_EQ:
-                eqs.append((coeffs, rhs))
-            else:
-                ineqs.append(row)
+            (eqs if rel == REL_EQ else ineqs).append(row)
         elif _ground_fails(rel, rhs):
             return None
 
@@ -136,27 +133,17 @@ def _fourier_motzkin(ncols, rows):
     # substitutes k out of every other row (coefficient c there) as
     # |a|*row - sign(a)*c*equality.
     while eqs:
-        ecs, erhs = eqs.pop()
+        ecs, _, erhs, _ = eqs.pop()
         k = next(j for j, c in enumerate(ecs) if c)
         a = ecs[k]
         if a < 0:
             a = -a
             ecs = [-c for c in ecs]
             erhs = -erhs
-        substituted = []
-        for cs, rhs in eqs:
-            c = cs[k]
-            if c:
-                cs = [a * x - c * y for x, y in zip(cs, ecs)]
-                rhs = a * rhs - c * erhs
-                if not any(cs):
-                    if rhs:
-                        return None
-                    continue
-            substituted.append((cs, rhs))
-        eqs = substituted
-        substituted = []
-        for row in ineqs:
+        substituted = eqs + ineqs
+        eqs = []
+        ineqs = []
+        for row in substituted:
             cs, rel, rhs, _ = row
             c = cs[k]
             if c:
@@ -167,8 +154,7 @@ def _fourier_motzkin(ncols, rows):
                         return None
                     continue
                 row = (cs, rel, rhs, 1)
-            substituted.append(row)
-        ineqs = substituted
+            (eqs if rel == REL_EQ else ineqs).append(row)
 
     # Inequalities: each step eliminates the column whose pos*neg
     # combined rows outnumber the pos+neg rows they replace the least

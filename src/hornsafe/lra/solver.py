@@ -15,21 +15,12 @@ LPs ask the kernel for a witness, and the simplex alone answers them;
 entailment, Polyhedron.of, minimise, widen and the pinning trials ask
 whether the rows are satisfiable and nothing more, which the kernel
 mostly decides by exact Fourier-Motzkin elimination on the rows' ints
-without a tableau (see kernel.py).  Entailment refutes row by
-row: c1 entails a row when c1 with each row of the row's negation is
-unsatisfiable.  Three shapes are decided without the kernel.  An
-empty premise implies no row with a nonzero coefficient.  A premise of
-one row with a nonzero coefficient p implies a row r exactly when r is
-lam times p on the left, lam > 0 (any lam when p is an equality), and
-r's bound is at least as tight: on a tie a strict r needs a strict p,
-and an equality r needs an equality p of the same value.  A row with
-a nonzero coefficient on a column no premise row uses is not implied
-by a satisfiable premise; minimise and widen, whose premises are
-satisfiable, use this, and entails does not, since tree interpolation
-hands it unsatisfiable premises.  is_sat, entails, minimise and widen
-place each Row's ints in the columns of the sorted variables once per
-call, which is the kernel's row as it is (its scale is the Row's
-denominator), and negate rows in that form.
+without a tableau (see kernel.py).  Entailment refutes row by row
+through the kernel alone: c1 entails a row when c1 with each row of the
+row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
+entails, minimise and widen place each Row's ints in the columns of the
+sorted variables once per call, which is the kernel's row as it is (its
+scale is the Row's denominator), and negate rows in that form.
 
 Projection is variable elimination on one list of integer rows: int
 coefficients, a relation, an int right-hand side and a positive int
@@ -224,51 +215,16 @@ def is_sat(constraint: LinConstraint) -> Witness | None:
     return Witness({v: DeltaRational(m, d) for v, (m, d) in zip(columns, result)})
 
 
-def _implied(premise: list, ncols: int, row: tuple, sat_premise: bool = False) -> bool:
+def _implied(premise: list, ncols: int, row: tuple) -> bool:
     """Does every model of the kernel rows premise satisfy the kernel
-    row?  An empty premise and a premise of one row that is not ground
-    are decided by comparing rows; so is a row with a nonzero
-    coefficient on a column no premise row uses, when the caller knows
-    the premise is satisfiable (sat_premise).  Otherwise each row of the
-    row's negation is refuted in turn."""
+    row?  Each row of the row's negation is refuted in turn."""
     dense, rel, rhs, scale = row
-    if len(premise) == 1 and any(premise[0][0]):
-        return _implied_by_row(premise[0], row)
-    if not premise and any(dense):
-        return False
-    if sat_premise:
-        for j, c in enumerate(dense):
-            if c and not any(p[0][j] for p in premise):
-                return False
     neg = [-c for c in dense]
     if rel == REL_EQ:
         negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
     else:
         negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
     return all(kernel.simplex_feasible(ncols, [*premise, n], False) is None for n in negation)
-
-
-def _implied_by_row(premise_row: tuple, row: tuple) -> bool:
-    """Does the kernel row premise_row, which has a nonzero coefficient
-    and so a model, imply the kernel row?  Only when the row is lam
-    times it on the left (lam > 0 unless premise_row is an equality)
-    with a bound at least as tight; a ground row, lam = 0, holds or
-    not."""
-    a, prel, b, _ = premise_row
-    c, rel, d, _ = row
-    i = next(j for j, e in enumerate(a) if e)
-    ai, ci = a[i], c[i]
-    if any(cj * ai != aj * ci for aj, cj in zip(a, c)):
-        return False
-    if ci == 0:
-        return d > 0 if rel == REL_LT else d == 0 if rel == REL_EQ else d >= 0
-    # lam*b - d has the sign of diff
-    diff = ci * b - d * ai if ai > 0 else d * ai - ci * b
-    if prel == REL_EQ:
-        return diff < 0 if rel == REL_LT else diff == 0 if rel == REL_EQ else diff <= 0
-    if rel == REL_EQ or (ci > 0) != (ai > 0):
-        return False
-    return diff < 0 or (diff == 0 and (rel == REL_LE or prel == REL_LT))
 
 
 def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
@@ -512,7 +468,7 @@ def minimise(constraint: LinConstraint) -> LinConstraint:
     kept = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in kept if j != i]
-        if _implied([dense[j] for j in rest], len(columns), dense[i], True):
+        if _implied([dense[j] for j in rest], len(columns), dense[i]):
             kept = rest
     return LinConstraint(tuple(rows[j] for j in kept))
 
@@ -625,7 +581,7 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     columns = sorted(p1.vars() | p2.vars())
     premise = _dense(p2.constraint.rows, columns)
     dense = _dense(rows, columns)
-    kept = (row for row, d in zip(rows, dense) if _implied(premise, len(columns), d, True))
+    kept = (row for row, d in zip(rows, dense) if _implied(premise, len(columns), d))
     return Polyhedron(LinConstraint(tuple(kept)))
 
 

@@ -914,19 +914,38 @@ def integrity_clauses(program: Program) -> list[Clause]:
 def tree_pretty(tree: AndTree) -> str:
     """One line per node, indented by depth: index, atom, clause id and
     the node's constraint."""
-    depths = {0: -1}
+    depths = [-1]
     lines = []
-    for node in tree:
-        depths[node.index] = depths[node.parent] + 1
+    for node, parent in zip(tree, tree_parents(tree)):
+        depths.append(depths[parent] + 1)
         indent = "  " * depths[node.index]
         body = node.constraint.pretty() or "true"
         lines.append(f"{indent}{node.index}. {node.atom} [{node.cid}] {body}")
     return "\n".join(lines) + "\n"
 
 
+def tree_parents(tree: AndTree) -> list[int]:
+    """Each node's parent index (0 at the root), in preorder, read off
+    the children."""
+    parents = [0] * len(tree)
+    for node in tree:
+        for c in node.children:
+            parents[c - 1] = node.index
+    return parents
+
+
+def tree_sizes(tree: AndTree) -> list[int]:
+    """Each node's subtree size, in preorder, summed from the children
+    in reverse preorder."""
+    sizes = [1] * len(tree)
+    for node in reversed(tree.nodes):
+        for c in node.children:
+            sizes[node.index - 1] += sizes[c - 1]
+    return sizes
+
+
 def subtree_indices(tree: AndTree, i: int) -> range:
-    n = tree.node(i)
-    return range(n.index, n.index + n.size)
+    return range(i, i + tree_sizes(tree)[i - 1])
 
 
 def subtree_formula(tree: AndTree, i: int) -> LinConstraint:
@@ -1001,14 +1020,16 @@ def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
     n = len(tree)
     if n == 1 and is_sat(formula(tree)) is not None:
         raise FeasibleTreeError("derivation tree is feasible")
+    parents = tree_parents(tree)
+    sizes = tree_sizes(tree)
     labels: dict[int, LinConstraint] = {1: FALSE}
     for i in range(n, 1, -1):
         node = tree.node(i)
         first = node.constraint.conjoin(*[labels[c] for c in node.children])
-        after = node.index + node.size
+        after = i + sizes[i - 1]
         second = TRUE.conjoin(
             *[tree.node(j).constraint for j in range(1, i)],
-            *[labels[j] for j in range(after, n + 1) if tree.node(j).parent < i],
+            *[labels[j] for j in range(after, n + 1) if parents[j - 1] < i],
         )
         shared = first.vars() & second.vars()
         if not second.vars() <= shared:

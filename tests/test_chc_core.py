@@ -328,6 +328,17 @@ class TestProgram:
         with pytest.raises(ProgramError, match="clause id 'c1' used twice"):
             Program((first, second, renamed))
 
+    def test_arities_are_always_collected(self):
+        # a caller-supplied map could name predicates no clause uses and
+        # skip the arity clash check
+        prog = parse_program(FIB)
+        with pytest.raises(TypeError):
+            Program(prog.clauses, arities={"fib": 2, "zzz": 1})
+        assert Program(prog.clauses).arities == {"fib": 2}
+        (wide,) = parse_program("fib(X, Y, Z) :- X = Y, Y = Z.").clauses
+        with pytest.raises(ProgramError, match="fib used with arities 2 and 3"):
+            Program((*prog.clauses, replace(wide, cid="c9")))
+
 
 class TestStrictToNonstrict:
     @staticmethod

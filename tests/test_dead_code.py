@@ -1,0 +1,104 @@
+"""No product code without a reader.
+
+Every module under src/hornsafe/ is parsed with ast.  A top-level
+function or class must be named somewhere in src/: by a Name it reads,
+an import, or an attribute access (kernel.simplex_feasible).  A method
+or class field must be read by an attribute access (x.member) somewhere
+in src/; a plain name match would be too loose, since parent, size and
+name are also local variables.  Dunder methods are called by Python
+itself and are not checked.  Code read only by tests belongs in tests/.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hornsafe"
+
+# definitions kept without a reader in src/, one reason each
+ALLOWED = {
+    "model.is_model": "ROADMAP item 4 gives it a caller: the check of a SAFE verdict's model",
+    "chc_core.Variable.name": "the tests' accessor for a variable's name",
+}
+
+# methods that a base class outside src/ calls
+OVERRIDES = {"cli._Parser.error"}  # argparse.ArgumentParser calls it on a usage error
+
+
+def parse_modules(root: Path) -> dict[str, ast.Module]:
+    """Each module under root, keyed by its dotted path below root."""
+    return {
+        ".".join(path.relative_to(root).with_suffix("").parts): ast.parse(path.read_text(), str(path))
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def _definitions(modules: dict[str, ast.Module]):
+    """(qualified name, is a member, name) of every top-level function
+    and class and of every method and annotated field of a top-level
+    class, dunders left out."""
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield f"{mod}.{node.name}", False, node.name
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{mod}.{node.name}.{name}", True, name
+
+
+def unread(modules: dict[str, ast.Module]) -> set[str]:
+    """The qualified names of the definitions nothing in modules reads."""
+    names = set()
+    attributes = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return {
+        qualified
+        for qualified, member, name in _definitions(modules)
+        if name not in attributes and (member or name not in names)
+    } - OVERRIDES
+
+
+def test_every_definition_in_src_has_a_reader():
+    found = unread(parse_modules(SRC))
+    assert sorted(found - ALLOWED.keys()) == [], "read only by tests, or by nothing: move or delete"
+    assert sorted(ALLOWED.keys() - found) == [], "allowed but read in src/: drop the entry"
+
+
+def test_a_local_variable_does_not_count_as_a_read():
+    source = """
+class Node:
+    parent: int
+    index: int
+
+    def size(self):
+        return 1
+
+    def __len__(self):
+        return 1
+
+
+def helper():
+    pass
+
+
+def walk(node: Node):
+    parent = size = 0
+    return node.index + parent + size
+"""
+    modules = {"m": ast.parse(source), "user": ast.parse("from m import walk\n")}
+    assert unread(modules) == {"m.Node.parent", "m.Node.size", "m.helper"}

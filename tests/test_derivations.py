@@ -25,7 +25,9 @@ from oracles import (
     subtree_formula,
     subtree_indices,
     trace_fta,
+    tree_parents,
     tree_pretty,
+    tree_sizes,
 )
 from programs import FIB, UNSAFE_LOOP, UNSAFE_SIMPLE
 
@@ -43,9 +45,9 @@ class TestAndTree:
         assert len(tree) == 4
         assert [n.index for n in tree] == [1, 2, 3, 4]
         assert [n.cid for n in tree] == ["c3", "c2", "c1", "c1"]
-        assert [n.parent for n in tree] == [0, 1, 2, 2]
+        assert tree_parents(tree) == [0, 1, 2, 2]
         assert [n.children for n in tree] == [(2,), (3, 4), (), ()]
-        assert [n.size for n in tree] == [4, 3, 1, 1]
+        assert tree_sizes(tree) == [4, 3, 1, 1]
 
     def test_subtree_ranges_contiguous(self):
         tree = fib_tree()
