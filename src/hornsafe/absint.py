@@ -28,10 +28,13 @@ fta.model_fta, which keeps a clause whose post is not empty, and
 derivations.feasible, which decides a trace from the posts of its
 subtrees.  The key is made of objects that already exist: the clause
 constraint, the head tuple, and each body atom's arguments with its
-polyhedron.  Atom arguments are pairwise distinct, so renaming a
-polyhedron onto them is injective and the key tells posts apart
-exactly as the interpreted body would; that body is built only on a
-miss.
+polyhedron.  Atom arguments are pairwise distinct (chc_core.Atom
+rejects a repeat), so renaming a polyhedron onto them is injective and
+the key tells posts apart exactly as the interpreted body would.  A
+miss never builds that body: it reads the stored integer rows of the
+clause constraint and of each body polyhedron, renaming X1..Xn onto
+the atom's arguments as it goes, and hands them to lra.eliminate; an
+empty body polyhedron makes the post bottom before any elimination.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from hornsafe.chc_core import REL_LT, Clause, LinConstraint, Program, Variable
-from hornsafe.lra import Polyhedron, hull, memoised, project, widen
-from hornsafe.model import InterpretationModel, canonical_args, instantiate
+from hornsafe.lra import Polyhedron, eliminate, hull, memoised, widen
+from hornsafe.model import InterpretationModel, canonical_args
 
 _BOTTOM = Polyhedron.bottom()
 _TOP = Polyhedron.top()
@@ -69,8 +72,17 @@ def clause_post(clause: Clause, entries: Mapping[str, Polyhedron]) -> Polyhedron
 
 @memoised("clause_post")
 def _post(constraint: LinConstraint, head_args: tuple[Variable, ...], body: tuple) -> Polyhedron:
-    conj = constraint.conjoin(*[instantiate(poly, args) for args, poly in body])
-    shadow = project(conj, head_args)
+    rows = [(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows]
+    for args, poly in body:
+        if poly.empty:
+            return _BOTTOM
+        # canonical X1..Xn onto the atom's pairwise distinct arguments
+        rename = dict(zip(canonical_args(len(args)), args))
+        rows += [
+            ({rename[v]: c for v, c in zip(row.names, row.ints)}, row.rel, row.num, row.den)
+            for row in poly.constraint.rows
+        ]
+    shadow = eliminate(rows, head_args)
     if not head_args:
         # eliminating every variable decides satisfiability: FALSE or TRUE
         return _BOTTOM if shadow.rows else _TOP

@@ -304,6 +304,12 @@ class Atom:
     pred: str
     args: tuple[Variable, ...] = ()
 
+    def __post_init__(self):
+        # a polyhedron is renamed onto the arguments as a mapping, which
+        # a repeated argument would make non-injective
+        if len(set(self.args)) < len(self.args):
+            raise ProgramError(f"repeated argument in {self.pretty()}")
+
     @property
     def is_false(self) -> bool:
         return self.pred == FALSE_PRED

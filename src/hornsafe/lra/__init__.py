@@ -7,6 +7,7 @@ from hornsafe.lra.solver import (
     Memo,
     Polyhedron,
     Witness,
+    eliminate,
     entails,
     hull,
     interpolate,
@@ -23,6 +24,7 @@ __all__ = [
     "Memo",
     "Polyhedron",
     "Witness",
+    "eliminate",
     "entails",
     "hull",
     "interpolate",

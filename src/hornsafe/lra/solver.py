@@ -20,15 +20,23 @@ through the kernel alone: c1 entails a row when c1 with each row of the
 row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
 entails, minimise and widen place each Row's ints in the columns of the
 sorted variables once per call, which is the kernel's row as it is (its
-scale is the Row's denominator), and negate rows in that form.
+scale is the Row's denominator), and negate rows in that form;
+Polyhedron.of places the distinct rows once for both its satisfiability
+check and its minimise.
 
-Projection is variable elimination on one list of integer rows: int
-coefficients, a relation, an int right-hand side and a positive int
-denominator, taken from each Row as it is stored, which keeps a kept
-equality's exact rational scale.  In
-row order, each equality on a dropped variable (pivot coefficient k) is
+Projection is variable elimination (eliminate) on one list of integer
+rows: int coefficients, a relation, an int right-hand side and a
+positive int denominator, taken from each Row as it is stored, which
+keeps a kept equality's exact rational scale.  Three callers build such
+rows: project from a constraint's rows, the lifted hull below from its
+scaled copies, and absint's clause post from the clause constraint and
+the body polyhedra, renamed onto the atoms' arguments as it reads
+them.  eliminate drops every variable the rows name outside the ones
+to keep.  In row order, each equality on a dropped variable (pivot
+coefficient k on its first dropped variable in name order) is
 substituted into every other row (its coefficient c) as
-|k|*row - sign(k)*c*equality over their gcd, and leaves the list.
+|k|*row - sign(k)*c*equality over their gcd, and leaves the list; the
+product is skipped when |k| is 1, and the division when the gcd is 1.
 Fourier-Motzkin then eliminates, each round, the dropped variable with
 the fewest positive-negative pairs (the first in name order on a tie),
 combining a pair as kn*p + kp*n.  Only the tightest row per direction
@@ -65,9 +73,9 @@ Mesnard, "Computing convex hulls with a linear solver", TPLP 2005): a
 scaled copy of each argument (rows a.x rel b become a.xi rel b*si),
 si >= 0, s1 + s2 = 1, x = x1 + x2, projected back onto the original
 variables.  The lifted rows are built from each Row's ints (a.xi rel
-b*si over the Row's denominator) and handed straight to projection's
-elimination, and the shadow is only minimised: the hull of two
-nonempty polyhedra is never empty.
+b*si over the Row's denominator) and handed straight to eliminate, and
+the shadow is only minimised: the hull of two nonempty polyhedra is
+never empty.
 
 Interpolation is certificate-based.  For jointly unsatisfiable phi1,
 phi2 a refutation is a nonnegative multiplier vector y over the split
@@ -100,9 +108,9 @@ feasibility bottom-up, and context (tree_interpolation).  While a Memo
 is current (driver.verify opens one for exactly its own call) their
 results are kept in it, one table per step keyed on its arguments;
 outside it they compute directly and keep nothing.  A LinConstraint keeps its hash, so a key made of objects
-that already exist hashes in constant time.  project and Polyhedron.of
-are not memoised on their own: the steps that repeat them memoise them
-whole, and inside hull they do not repeat.  Nor are widen, is_sat,
+that already exist hashes in constant time.  project, eliminate and
+Polyhedron.of are not memoised on their own: the steps that repeat
+them memoise them whole, and inside hull they do not repeat.  Nor are widen, is_sat,
 entails, minimise, interpolate and the kernel: their queries are mostly
 built afresh, and their repeats would save less than hashing the rows
 of every new query once costs.  clause_post, not is_sat, decides
@@ -318,21 +326,20 @@ def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstrain
     when the input is.  Raises NumberTooLongError when a number in it
     has more than chc_core.MAX_PRINTED_DIGITS digits.
     """
-    drop = constraint.vars() - set(keep)
-    rows = [(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows]
-    return _eliminate(rows, drop)
+    return eliminate([(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows], keep)
 
 
-def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
-    """Eliminate the variables in drop from the integer rows
-    (coefficients, relation, rhs, denominator), whose dicts it consumes;
-    see project."""
+def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
+    """project on integer rows (coefficients, relation, rhs,
+    denominator), whose dicts it consumes: eliminate every variable the
+    rows name outside keep."""
+    drop = set().union(*[coeffs for coeffs, _, _, _ in rows]) - set(keep)
     i = 0
     while i < len(rows):
         ecoeffs, rel, erhs, _ = rows[i]
         pivot = None
         if rel == REL_EQ:
-            pivot = next((v for v in sorted(ecoeffs) if v in drop and ecoeffs[v]), None)
+            pivot = min([v for v, e in ecoeffs.items() if e and v in drop], default=None)
         if pivot is None:
             i += 1
             continue
@@ -340,15 +347,24 @@ def _eliminate(rows: list, drop: set[Variable]) -> LinConstraint:
         k = ecoeffs.pop(pivot)
         sign = 1 if k > 0 else -1
         k *= sign
+        eitems = list(ecoeffs.items())
         for j, (coeffs, r, rhs, den) in enumerate(rows):
-            c = sign * coeffs.pop(pivot, 0)
+            c = coeffs.pop(pivot, 0)
             if c:
-                coeffs = {v: k * e for v, e in coeffs.items()}
-                for v, e in ecoeffs.items():
+                c *= sign
+                if k != 1:
+                    coeffs = {v: k * e for v, e in coeffs.items()}
+                    rhs *= k
+                    den *= k
+                for v, e in eitems:
                     coeffs[v] = coeffs.get(v, 0) - c * e
-                rhs, den = k * rhs - c * erhs, k * den
+                rhs -= c * erhs
                 g = gcd(den, rhs, *coeffs.values())
-                rows[j] = ({v: e // g for v, e in coeffs.items()}, r, rhs // g, den // g)
+                if g != 1:
+                    coeffs = {v: e // g for v, e in coeffs.items()}
+                    rhs //= g
+                    den //= g
+                rows[j] = (coeffs, r, rhs, den)
 
     out_rows: list[Row] = []
     table: dict = {}
@@ -426,11 +442,14 @@ class Polyhedron:
 
     @staticmethod
     def of(constraint: LinConstraint) -> "Polyhedron":
-        # satisfiability only: no witness
+        # one dense form for the satisfiability check (no witness) and
+        # minimise's row-by-row loop
+        rows = list(dict.fromkeys(constraint.rows))
         columns = sorted(constraint.vars())
-        if kernel.simplex_feasible(len(columns), _dense(constraint.rows, columns), False) is None:
+        dense = _dense(rows, columns)
+        if kernel.simplex_feasible(len(columns), dense, False) is None:
             return _BOTTOM
-        return Polyhedron(minimise(constraint))
+        return Polyhedron(_minimised(rows, len(columns), dense))
 
     def is_top(self) -> bool:
         return not self.empty and not self.constraint.rows
@@ -464,11 +483,16 @@ def minimise(constraint: LinConstraint) -> LinConstraint:
     """Drop rows entailed by the remaining ones.  Caller ensures sat."""
     rows = list(dict.fromkeys(constraint.rows))
     columns = sorted(constraint.vars())
-    dense = _dense(rows, columns)
+    return _minimised(rows, len(columns), _dense(rows, columns))
+
+
+def _minimised(rows: list[Row], ncols: int, dense: list) -> LinConstraint:
+    """minimise on distinct rows, given as they are and in their dense
+    form over ncols columns."""
     kept = list(range(len(rows)))
     for i in range(len(rows)):
         rest = [j for j in kept if j != i]
-        if _implied([dense[j] for j in rest], len(columns), dense[i]):
+        if _implied([dense[j] for j in rest], ncols, dense[i]):
             kept = rest
     return LinConstraint(tuple(rows[j] for j in kept))
 
@@ -564,7 +588,7 @@ def _lifted_hull(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     rows.append(({copies[0][1]: 1, copies[1][1]: 1}, REL_EQ, 1, 1))
     for x in xs:
         rows.append(({x: 1, copies[0][0][x]: -1, copies[1][0][x]: -1}, REL_EQ, 0, 1))
-    shadow = _eliminate(rows, used - set(xs))
+    shadow = eliminate(rows, xs)
     # the hull of two nonempty polyhedra is nonempty
     return Polyhedron(minimise(shadow))
 

@@ -7,6 +7,7 @@ i.e. it is interpreted as unsatisfiable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -24,6 +25,7 @@ from hornsafe.lra import Polyhedron, entails
 _BOTTOM = Polyhedron.bottom()
 
 
+@functools.cache
 def canonical_args(n: int) -> tuple[Variable, ...]:
     return tuple(Variable(f"X{i}") for i in range(1, n + 1))
 

@@ -7,8 +7,10 @@ import math
 import random
 from fractions import Fraction
 
-from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variable
+from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, Atom, Clause, LinConstraint, Row, Variable
 from hornsafe.fta import TraceTerm, TreeAutomaton
+from hornsafe.lra import Polyhedron
+from hornsafe.model import canonical_args
 
 VARS = [Variable(n) for n in ("U", "V", "W", "X", "Y", "Z")]
 WIDE_VARS = [Variable(f"X{i}") for i in range(8)]
@@ -54,6 +56,87 @@ def wide_system(rng: random.Random) -> tuple[LinConstraint, list[Variable]]:
     constraint = LinConstraint(tuple(rows))
     xs = sorted(constraint.vars())
     return constraint, rng.sample(xs, len(xs) - rng.randint(3, 4))
+
+
+CLAUSE_VARS = [Variable(n) for n in ("A", "B", "C", "D", "E", "F")]
+
+
+def _post_rows(rng: random.Random, pool: list[Variable], nrows: int) -> LinConstraint:
+    """nrows rows of 1-3 terms over pool; coefficients +-1, +-2 or +-3
+    over 1 or 2, and two rows in five equalities."""
+    rows = []
+    for _ in range(nrows):
+        terms = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        coeffs = {v: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for v in terms}
+        rel = rng.choice((REL_LE, REL_LE, REL_LT, REL_EQ, REL_EQ))
+        rows.append(Row.make(coeffs, rel, Fraction(rng.randint(-4, 4), rng.randint(1, 2))))
+    return LinConstraint(tuple(rows))
+
+
+def post_case(rng: random.Random) -> tuple[Clause, tuple[Polyhedron, ...]]:
+    """A clause over A-F with a head of arity 0-3, 0-3 body atoms of
+    arity 0-3 and 0-4 constraint rows, and for each body atom a
+    polyhedron over its canonical arguments: empty, top, or minimised
+    from 1-3 random rows (which can leave it empty)."""
+    head = Atom("p", tuple(rng.sample(CLAUSE_VARS, rng.randint(0, 3))))
+    body = []
+    polys = []
+    for i in range(rng.randint(0, 3)):
+        n = rng.randint(0, 3)
+        body.append(Atom(f"q{i}", tuple(rng.sample(CLAUSE_VARS, n))))
+        kind = rng.choice(("empty", "top", "rows", "rows", "rows"))
+        if kind == "empty":
+            polys.append(Polyhedron.bottom())
+        elif kind == "top" or n == 0:
+            polys.append(Polyhedron.top())
+        else:
+            polys.append(Polyhedron.of(_post_rows(rng, list(canonical_args(n)), rng.randint(1, 3))))
+    constraint = _post_rows(rng, CLAUSE_VARS[: rng.randint(2, 6)], rng.randint(0, 4))
+    return Clause("c1", head, constraint, tuple(body)), tuple(polys)
+
+
+PIVOT_DROP = [Variable(n) for n in ("P", "Q", "R")]
+PIVOT_KEEP = [Variable(n) for n in ("X", "Y", "Z")]
+
+
+def pivot_system(rng: random.Random) -> tuple[LinConstraint, list[Variable]]:
+    """Integer rows over dropped P, Q, R and kept X, Y, Z, and the
+    variables to keep.  Most dropped variables get an equality whose
+    first dropped variable in name order is that one, with coefficient
+    +-1, +-2 or +-3; when it is not 1, the other coefficients are
+    sometimes multiples of it.  Half of them have a second equality on
+    the same variable and a kept one, which substitution leaves over
+    kept variables.  1-4 inequality rows join them, some with a common
+    factor of 2 or 3 and some over denominator 2, and the rows come in
+    random order."""
+    drop = PIVOT_DROP[: rng.randint(1, 3)]
+    keep = PIVOT_KEEP[: rng.randint(1, 3)]
+    small = (-3, -2, -1, 1, 2, 3)
+    rows = []
+    for i, d in enumerate(drop):
+        if rng.random() < 0.2:
+            continue
+        k = rng.choice(small)
+        step = abs(k) if rng.random() < 0.4 else 1
+        coeffs = {d: k}
+        others = drop[i + 1 :] + keep
+        for v in rng.sample(others, rng.randint(1, min(2, len(others)))):
+            coeffs[v] = step * rng.choice(small)
+        rows.append(Row.make(coeffs, REL_EQ, step * rng.randint(-4, 4)))
+        if rng.random() < 0.5:
+            # a second equality on d is left over kept variables, in
+            # the scale substitution gives it
+            coeffs = {d: rng.choice(small), rng.choice(keep): rng.choice(small)}
+            rows.append(Row.make(coeffs, REL_EQ, rng.randint(-4, 4)))
+    for _ in range(rng.randint(1, 4)):
+        factor = rng.choice((1, 1, 2, 3))
+        den = rng.choice((1, 1, 2))
+        terms = rng.sample(drop + keep, rng.randint(1, min(3, len(drop) + len(keep))))
+        coeffs = {v: Fraction(factor * rng.choice(small), den) for v in terms}
+        rel = rng.choice((REL_LE, REL_LE, REL_LT))
+        rows.append(Row.make(coeffs, rel, Fraction(factor * rng.randint(-6, 6), den)))
+    rng.shuffle(rows)
+    return LinConstraint(tuple(rows)), keep
 
 
 def tall_narrow_system(rng: random.Random):

@@ -9,7 +9,10 @@ if one of them is wrong.
 The projection reference is the solver's projection and hull over
 Fractions, without Chernikov's rule: the shipped projection must print
 exactly what it prints on small systems and be equivalent to it on
-systems large enough for the rule to leave rows out.
+systems large enough for the rule to leave rows out.  The clause post
+reference builds the interpreted body, conjoins it and projects it
+over Fractions; absint.body_post, which renames stored integer rows as
+it reads them, must print what it prints.
 
 The row reference is chc_core.Row as it was stored over Fractions:
 its construction, renaming and printing, which the integer Row must
@@ -26,8 +29,9 @@ The last section holds test-only helpers that the verifier never runs:
 trace parsing, the preorder listing and trace erasure by recursion,
 bounded enumeration and the least accepted term
 found by it, trace feasibility, clause selection,
-model loading, subtree and context formulas, label mappings and
-equivalence, the defining conditions of a tree interpolant, and the
+model loading, an analysis that gives every derivable predicate the
+top polyhedron (top_analyze), subtree and context formulas, label
+mappings and equivalence, the defining conditions of a tree interpolant, and the
 tree interpolation that rebuilds every node's context from the whole
 tree, which the shipped one, building contexts incrementally, must
 reproduce label for label.  Those do call the package's solver.
@@ -70,7 +74,7 @@ from hornsafe.lra import (
     minimise,
     project,
 )
-from hornsafe.model import InterpretationModel, canonical_args
+from hornsafe.model import InterpretationModel, canonical_args, instantiate
 from hornsafe.tree_interpolation import FeasibleTreeError, TreeInterpolant
 
 _ZERO = Fraction(0)
@@ -450,6 +454,19 @@ def fraction_eliminate(rows: list, drop: set) -> LinConstraint:
 def project_reference(constraint: LinConstraint, keep) -> LinConstraint:
     drop = constraint.vars() - set(keep)
     return fraction_eliminate([(row.coeffs(), row.rel, row.rhs) for row in constraint.rows], drop)
+
+
+def post_reference(clause: Clause, polys) -> Polyhedron:
+    """absint.body_post by the interpreted body: each polys[i], over
+    canonical arguments, renamed onto the i-th body atom's arguments,
+    conjoined with the clause constraint, projected over Fractions onto
+    the head tuple, and renamed back onto canonical arguments."""
+    conj = clause.constraint.conjoin(*[instantiate(p, a.args) for a, p in zip(clause.body, polys)])
+    head = clause.head.args
+    poly = Polyhedron.of(project_reference(conj, head))
+    if poly.empty:
+        return poly
+    return poly.rename(dict(zip(head, canonical_args(len(head)))))
 
 
 def hull_reference(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
@@ -896,6 +913,24 @@ def load_model(text: str) -> InterpretationModel:
             constraint = project(constraint, canon)
         entries[clause.head.pred] = Polyhedron.of(constraint)
     return InterpretationModel(entries)
+
+
+def top_analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
+    """An analysis that knows nothing but reachability: every predicate
+    that some clause with a satisfiable constraint derives from derived
+    predicates gets the top polyhedron.  driver.verify run with it in
+    place of absint.analyze refines with interpolant tree automata and
+    no abstract interpretation; widen_delay is ignored."""
+    derived: set[str] = set()
+    live = [c for c in program if fm_satisfiable(c.constraint)]
+    grew = True
+    while grew:
+        grew = False
+        for clause in live:
+            if clause.head.pred not in derived and all(a.pred in derived for a in clause.body):
+                derived.add(clause.head.pred)
+                grew = True
+    return InterpretationModel({pred: Polyhedron.top() for pred in derived})
 
 
 def feasible(program: Program, trace: TraceTerm) -> Witness | None:

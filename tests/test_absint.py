@@ -1,8 +1,12 @@
 """Polyhedral clause analysis: posts, fixpoints, widening behaviour."""
 
+import random
+
 import pytest
 
-from hornsafe.absint import analyze, clause_post
+import oracles
+from gen import post_case
+from hornsafe.absint import analyze, body_post, clause_post
 from hornsafe.chc_core import FALSE_PRED, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, entails
 from hornsafe.model import is_model
@@ -48,6 +52,27 @@ class TestClausePost:
         post = clause_post(prog.clauses[0], {})
         assert {v.name for v in post.constraint.vars()} <= {"X1"}
         assert entails(post.constraint, parse_constraint("X1 >= 2"))
+
+
+class TestPostOracle:
+    def test_posts_print_as_the_interpreted_body(self):
+        # body_post renames each polyhedron's integer rows onto the
+        # atom's arguments as it reads them; the reference builds the
+        # interpreted body and projects it over Fractions
+        rng = random.Random(21)
+        empty = bodies = 0
+        for _ in range(400):
+            clause, polys = post_case(rng)
+            got = body_post(clause, polys)
+            ref = oracles.post_reference(clause, polys)
+            assert got.pretty() == ref.pretty(), (clause.pretty(), [p.pretty() for p in polys])
+            assert got.empty == ref.empty
+            empty += got.empty
+            bodies += any(len(atom.args) > 1 and not p.empty for atom, p in zip(clause.body, polys))
+        # empty and nonempty posts occur, and many bodies rename two or
+        # more arguments
+        assert 100 < empty < 300
+        assert bodies > 100
 
 
 class TestAnalyze:

@@ -13,6 +13,7 @@ from hornsafe.chc_core import (
     REL_EQ,
     REL_LE,
     REL_LT,
+    Atom,
     LinConstraint,
     ParseError,
     Program,
@@ -93,6 +94,17 @@ class TestParser:
         a1, a2 = c1.head.args
         assert a1 != a2
         assert Row.make({a1: 1, a2: -1}, REL_EQ, 0) in c1.constraint.rows
+
+    def test_repeated_argument_in_atom_rejected(self):
+        # a polyhedron is renamed onto an atom's arguments as a mapping,
+        # which one repeated argument would silently make lose a term
+        x = Variable("X")
+        with pytest.raises(ProgramError, match=r"repeated argument in p\(X, X\)"):
+            Atom("p", (x, x))
+        (clause,) = parse_program("p(X,X) :- X>=0.").clauses
+        a1, a2 = clause.head.args
+        assert a1 == x and a2 != x
+        assert Row.make({a1: 1, a2: -1}, REL_EQ, 0) in clause.constraint.rows
 
     def test_rational_literals(self):
         c = parse_constraint("X =< 7/2, Y = 1/3")

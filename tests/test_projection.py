@@ -9,12 +9,13 @@ on larger ones project must stay equivalent to the reference.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from gen import random_constraint, wide_system
-from hornsafe.chc_core import FALSE, TRUE, parse_constraint
+from gen import pivot_system, random_constraint, wide_system
+from hornsafe.chc_core import FALSE, REL_EQ, TRUE, parse_constraint
 from hornsafe.lra import Polyhedron, hull, project
 
 
@@ -38,6 +39,23 @@ def test_random_projections_print_as_the_reference():
         empty += got == FALSE
     # both kinds of result occur
     assert 0 < empty < 400
+
+
+def test_substitution_pivots_print_as_the_reference():
+    # substitution scales the other row by the pivot coefficient only
+    # when it is not 1, and divides by the gcd only when it is not 1
+    rng = random.Random(14)
+    pivots = Counter()
+    for _ in range(300):
+        c, keep = pivot_system(rng)
+        drop = c.vars() - set(keep)
+        for row in c.rows:
+            named = [v for v in row.names if v in drop]
+            if row.rel == REL_EQ and named:
+                pivots[abs(row.ints[row.names.index(min(named))])] += 1
+        assert project(c, keep).pretty() == oracles.project_reference(c, keep).pretty(), (c.pretty(), keep)
+    assert set(pivots) == {1, 2, 3}
+    assert pivots[1] >= 100 and pivots[2] + pivots[3] >= 100
 
 
 def test_random_hulls_print_as_the_reference():
