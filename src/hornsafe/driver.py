@@ -134,16 +134,14 @@ def verify(
     def check_trace(trace: TraceTerm):
         # None for a spurious trace, decided from its clause posts with
         # no derivation tree; for a feasible one, that trace over the
-        # original clause ids and the point its replay there gives
-        # (None if the replay fails)
+        # original clause ids and the point is_sat gives for its
+        # derivation formula there (None if that formula is unsatisfiable)
         if feasible(current, trace) is None:
             return None, None
         original = trace
         for generated in reversed(programs[1:]):
             original = erase_trace(generated, original)
-        conj = formula(and_tree(program, original))
-        replay = is_sat(conj)
-        return original, None if replay is None else replay.concretise(conj)
+        return original, is_sat(formula(and_tree(program, original)))
 
     programs = [program]
     current = program

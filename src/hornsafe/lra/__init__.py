@@ -2,11 +2,9 @@
 convex hulls, widening, and Craig interpolation."""
 
 from hornsafe.lra.solver import (
-    DeltaRational,
     JointlySatisfiableError,
     Memo,
     Polyhedron,
-    Witness,
     eliminate,
     entails,
     hull,
@@ -19,11 +17,9 @@ from hornsafe.lra.solver import (
 )
 
 __all__ = [
-    "DeltaRational",
     "JointlySatisfiableError",
     "Memo",
     "Polyhedron",
-    "Witness",
     "eliminate",
     "entails",
     "hull",

@@ -4,25 +4,29 @@ Everything is exact, and everything between parsing and printing is
 integer arithmetic.  A chc_core.Row is stored as int coefficients and
 an int right-hand side over one positive int denominator, and every
 procedure here reads and writes that form; Fractions are built only for
-the witnesses is_sat returns and for the multipliers interpolate reads
-off the kernel.
+the points is_sat returns and for the multipliers interpolate reads off
+the kernel.
 
 Satisfiability goes through the simplex kernel in kernel.py; strict
-inequalities are handled with delta-rationals, so witnesses assign each
-variable a pair (main, delta coefficient) meaning main + delta * d for
-an arbitrarily small positive d.  Only is_sat and interpolate's Farkas
-LPs ask the kernel for a witness, and the simplex alone answers them;
-entailment, Polyhedron.of, minimise, widen and the pinning trials ask
-whether the rows are satisfiable and nothing more, which the kernel
+inequalities are handled with delta-rationals, so the kernel's witness
+assigns each variable a pair (main, delta coefficient) meaning
+main + delta * d for an arbitrarily small positive d.  is_sat fixes d
+on the kernel rows it handed over, at most 1 and small enough that
+every row still holds, and returns the point, a Fraction per variable,
+or None when there is none; a satisfiable constraint over no variables
+gets the empty point, which is falsy.  Only is_sat and interpolate's
+Farkas LPs ask the kernel for a witness, and the simplex alone answers
+them; entailment, Polyhedron.of, minimise, widen and the pinning trials
+ask whether the rows are satisfiable and nothing more, which the kernel
 mostly decides by exact Fourier-Motzkin elimination on the rows' ints
 without a tableau (see kernel.py).  Entailment refutes row by row
 through the kernel alone: c1 entails a row when c1 with each row of the
 row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
-entails, minimise and widen place each Row's ints in the columns of the
-sorted variables once per call, which is the kernel's row as it is (its
-scale is the Row's denominator), and negate rows in that form;
-Polyhedron.of places the distinct rows once for both its satisfiability
-check and its minimise.
+entails, minimise, widen and interpolate place each Row's ints in the
+columns of the sorted variables once per call, which is the kernel's
+row as it is (its scale is the Row's denominator), and negate rows in
+that form; Polyhedron.of places the distinct rows once for both its
+satisfiability check and its minimise.
 
 Projection is variable elimination (eliminate) on one list of integer
 rows: int coefficients, a relation, an int right-hand side and a
@@ -84,10 +88,13 @@ negative combined right-hand side or a zero one that uses a strict row
 (Motzkin transposition guarantees one of the two exists).  The
 interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
-phi1-part of the cancellation equals minus the phi2-part.  The split
-rows, the multiplier system, the pinning trials and the combination all
-work on the Rows' ints; a multiplier on a Row's ints is the multiplier
-on the rational row divided by its denominator, a positive scaling of
+phi1-part of the cancellation equals minus the phi2-part.  The rows of
+both are placed once over one sorted column list as the kernel takes
+them, each equality split into two opposed non-strict rows; the
+multiplier system reads its per-variable rows off their columns, the
+pinning trials hand them to the kernel as they are, and the
+combination adds them up as int lists.  A multiplier on a Row's ints is
+the multiplier on the rational row divided by its denominator, a positive scaling of
 its column that leaves the kernel's pivots, and so the refutation found,
 as they are over Fractions.  Among
 refutations, phi2's multipliers are pinned to zero one at a time in row
@@ -126,7 +133,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from hornsafe.chc_core import (
     MAX_PRINTED_DIGITS,
@@ -143,58 +150,11 @@ from hornsafe.chc_core import (
 )
 from hornsafe.lra import kernel
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class JointlySatisfiableError(ValueError):
     """interpolate() was handed a satisfiable conjunction."""
-
-
-# Witnesses ------------------------------------------------------------------
-
-
-class DeltaRational(NamedTuple):
-    """main + delta * d for an arbitrarily small positive d."""
-
-    main: Fraction
-    delta: Fraction
-
-    def __str__(self) -> str:
-        if self.delta == 0:
-            return str(self.main)
-        sign = "+" if self.delta > 0 else "-"
-        return f"{self.main} {sign} {abs(self.delta)}*d"
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A delta-rational assignment satisfying some constraint."""
-
-    assignment: Mapping[Variable, DeltaRational]
-
-    def value_of(self, row: Row) -> tuple[Fraction, Fraction]:
-        m = _ZERO
-        d = _ZERO
-        for v, c in row.terms:
-            val = self.assignment.get(v)
-            if val is not None:
-                m += c * val.main
-                d += c * val.delta
-        return m, d
-
-    def concretise(self, constraint: LinConstraint) -> dict[Variable, Fraction]:
-        """Pick a small positive rational for delta that keeps every row
-        of the given constraint satisfied, and evaluate."""
-        delta = _ONE
-        for row in constraint.rows:
-            m, d = self.value_of(row)
-            margin = row.rhs - m
-            if d > 0 and margin > 0:
-                # need d * delta < margin (<= suffices for non-strict rows;
-                # half the bound is safe for both)
-                delta = min(delta, margin / (2 * d))
-        return {v: val.main + val.delta * delta for v, val in self.assignment.items()}
 
 
 # Core satisfiability --------------------------------------------------------
@@ -214,13 +174,28 @@ def _dense(rows: Iterable[Row], columns: list[Variable]) -> list:
     return out
 
 
-def is_sat(constraint: LinConstraint) -> Witness | None:
-    """Satisfiability over the rationals; a witness on success, else None."""
+def is_sat(constraint: LinConstraint) -> dict[Variable, Fraction] | None:
+    """Satisfiability over the rationals: a satisfying point, else None.
+
+    The kernel's witness is main + delta part * d for a small positive
+    d, taken as 1 or the least margin / (2 * delta part) over the rows
+    where both are positive (margin: rhs minus the main part); scaling
+    a row by its den leaves that ratio as it is."""
     columns = sorted(constraint.vars())
-    result = kernel.simplex_feasible(len(columns), _dense(constraint.rows, columns))
+    rows = _dense(constraint.rows, columns)
+    result = kernel.simplex_feasible(len(columns), rows)
     if result is None:
         return None
-    return Witness({v: DeltaRational(m, d) for v, (m, d) in zip(columns, result)})
+    # only nonzero terms are multiplied: trace formulas are wide and sparse
+    deltas = [(i, dd) for i, (_, dd) in enumerate(result) if dd]
+    delta = _ONE
+    for dense, _, num, _ in rows:
+        d = sum(dense[i] * dd for i, dd in deltas)
+        if d > 0:
+            margin = num - sum(c * m for c, (m, _) in zip(dense, result) if c)
+            if margin > 0:
+                delta = min(delta, margin / (2 * d))
+    return {v: m + dd * delta for v, (m, dd) in zip(columns, result)}
 
 
 def _implied(premise: list, ncols: int, row: tuple) -> bool:
@@ -612,18 +587,17 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
 # Interpolation --------------------------------------------------------------
 
 
-def _split_rows(constraint: LinConstraint) -> list[tuple[dict[Variable, int], bool, int, int]]:
-    """The rows as (coeffs, strict, rhs, den) in their integer form.
-    Equalities become two opposed non-strict rows, so every split row
-    takes a nonnegative Farkas multiplier."""
+def _split(constraint: LinConstraint, columns: list[Variable]) -> list:
+    """The rows over columns as the kernel takes them, each equality as
+    two opposed =< rows, so every split row takes a nonnegative Farkas
+    multiplier."""
     out = []
-    for row in constraint.rows:
-        coeffs = dict(zip(row.names, row.ints))
-        if row.rel == REL_EQ:
-            out.append((coeffs, False, row.num, row.den))
-            out.append(({v: -c for v, c in coeffs.items()}, False, -row.num, row.den))
+    for dense, rel, num, den in _dense(constraint.rows, columns):
+        if rel == REL_EQ:
+            out.append((dense, REL_LE, num, den))
+            out.append(([-c for c in dense], REL_LE, -num, den))
         else:
-            out.append((coeffs, row.rel == REL_LT, row.num, row.den))
+            out.append((dense, rel, num, den))
     return out
 
 
@@ -642,8 +616,7 @@ def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
     which multipliers are zero (see kernel.py).
     """
     m = len(split)
-    variables = sorted(set().union(*[cs for cs, _, _, _ in split]))
-    rows = [([cs.get(v, 0) for cs, _, _, _ in split], REL_EQ, 0, 1) for v in variables]
+    rows = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
     rows += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
     rows += [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
     budget = [b for _, _, b, _ in split]
@@ -651,9 +624,10 @@ def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
         rows.append((budget, REL_LE, -1, 1))
     else:
         rows.append((budget, REL_LE, 0, 1))
-        if not any(strict for _, strict, _, _ in split):
+        strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
+        if not any(strict):
             return None
-        rows.append(([-den if strict else 0 for _, strict, _, den in split], REL_LE, -1, 1))
+        rows.append((strict, REL_LE, -1, 1))
     result = kernel.simplex_feasible(m, rows)
     if result is None:
         return None
@@ -676,49 +650,43 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     together.  Among refutations, multipliers on phi2's rows are
     greedily zeroed in row order, biasing I towards phi1's content.
     """
-    split1 = _split_rows(phi1)
-    split2 = _split_rows(phi2)
-    split = split1 + split2
+    columns = sorted(phi1.vars() | phi2.vars())
+    split1 = _split(phi1, columns)
+    split = split1 + _split(phi2, columns)
     y = _refute(split, set())
     if y is None:
         raise JointlySatisfiableError("constraints are jointly satisfiable")
 
     # a trial needs a refutation that avoids the rows pinned to zero,
     # and there is none while the other rows are satisfiable together
-    variables = sorted(set().union(*[cs for cs, _, _, _ in split]))
-    primal = [
-        ([cs.get(v, 0) for v in variables], REL_LT if strict else REL_LE, b, den)
-        for cs, strict, b, den in split
-    ]
     n1 = len(split1)
     pinned: set[int] = set()
     for j in range(n1, len(split)):
         if y[j] == 0:
             continue
         skip = pinned | {j}
-        rest = [row for i, row in enumerate(primal) if i not in skip]
-        if kernel.simplex_feasible(len(variables), rest, False) is None:
+        rest = [row for i, row in enumerate(split) if i not in skip]
+        if kernel.simplex_feasible(len(columns), rest, False) is None:
             pinned = skip
             y = _refute(split, skip)
 
     # the y-combination of phi1's rows, times the lcm of y's denominators
     scale = lcm(*[y[i].denominator for i in range(n1)])
-    coeffs: dict[Variable, int] = {}
+    combined = [0] * len(columns)
     rhs = 0
     strict = False
     for i in range(n1):
         if y[i] == 0:
             continue
         w = y[i].numerator * (scale // y[i].denominator)
-        cs, is_strict, b, _ = split1[i]
-        for v, c in cs.items():
-            coeffs[v] = coeffs.get(v, 0) + w * c
+        dense, rel, b, _ = split1[i]
+        combined = [a + w * c for a, c in zip(combined, dense)]
         rhs += w * b
-        strict = strict or is_strict
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    if not coeffs and (rhs >= 0 if not strict else rhs > 0):
+        strict = strict or rel == REL_LT
+    if not any(combined) and (rhs > 0 if strict else rhs >= 0):
         return TRUE
     # over the gcd the coefficients are coprime integers; a ground row
     # keeps its value rhs/scale
-    den = gcd(*coeffs.values()) if coeffs else scale
-    return LinConstraint((Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, den),))
+    den = gcd(*combined) or scale
+    row = Row.of_ints(dict(zip(columns, combined)), REL_LT if strict else REL_LE, rhs, den)
+    return LinConstraint((row,))

@@ -28,7 +28,8 @@ automaton (trace_fta), which only the tests use.
 The last section holds test-only helpers that the verifier never runs:
 trace parsing, the preorder listing and trace erasure by recursion,
 bounded enumeration and the least accepted term
-found by it, trace feasibility, clause selection,
+found by it, trace feasibility, an exact point check that calls no
+solver (satisfies), clause selection,
 model loading, an analysis that gives every derivable predicate the
 top polyhedron (top_analyze), subtree and context formulas, label
 mappings and equivalence, the defining conditions of a tree interpolant, and the
@@ -66,7 +67,6 @@ from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
 from hornsafe.lra import (
     JointlySatisfiableError,
     Polyhedron,
-    Witness,
     entails,
     interpolate,
     is_sat,
@@ -933,9 +933,23 @@ def top_analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
     return InterpretationModel({pred: Polyhedron.top() for pred in derived})
 
 
-def feasible(program: Program, trace: TraceTerm) -> Witness | None:
-    """A witness for the trace's derivation, or None when infeasible."""
+def feasible(program: Program, trace: TraceTerm) -> dict[Variable, Fraction] | None:
+    """A point satisfying the trace's derivation, or None when infeasible."""
     return is_sat(formula(and_tree(program, trace)))
+
+
+def satisfies(constraint: LinConstraint, point) -> bool:
+    """Does point, a value for each variable of the constraint, satisfy
+    every row?  Evaluated in Fractions, row by row, with no solver."""
+    for row in constraint.rows:
+        lhs = sum((c * point[v] for v, c in row.terms), _ZERO)
+        if row.rel == REL_EQ and lhs != row.rhs:
+            return False
+        if row.rel == REL_LE and not lhs <= row.rhs:
+            return False
+        if row.rel == REL_LT and not lhs < row.rhs:
+            return False
+    return True
 
 
 def clauses_with_head(program: Program, pred: str) -> list[Clause]:

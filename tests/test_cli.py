@@ -290,6 +290,36 @@ class TestReport:
         assert "reason: timeout" in capsys.readouterr().out
 
 
+class TestDeltaWitness:
+    """Witnesses whose point needs the delta step: the kernel's vertex
+    meets a strict row with equality, so is_sat must shrink delta below
+    1 before the point satisfies every row."""
+
+    CASES = [
+        ("p(X) :- X > 0, X < 1.\nfalse :- p(X).\n", {"X_n1": "1/2"}),
+        (
+            "p(X,Y) :- X > 0, Y > X, Y < 1.\nfalse :- p(X,Y), X + Y < 1/3.\n",
+            {"X_n1": "1/18", "Y_n1": "1/9"},
+        ),
+    ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("text,point", CASES, ids=["interval", "triangle"])
+    def test_report_and_stats_json(self, chc, tmp_path, capsys, engine, text, point):
+        stats = tmp_path / "stats.json"
+        assert main(["verify", chc(text), "--engine", engine, "--stats-json", str(stats)]) == 1
+        line = ", ".join(f"{v}={x}" for v, x in point.items())
+        assert f"\nwitness: {line}\n" in capsys.readouterr().out
+        assert json.loads(stats.read_text())["witness"] == point
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ground_counterexample_has_empty_witness(self, chc, tmp_path, capsys, engine):
+        stats = tmp_path / "stats.json"
+        assert main(["verify", chc("false.\n"), "--engine", engine, "--stats-json", str(stats)]) == 1
+        assert "witness:" not in capsys.readouterr().out
+        assert "witness" not in json.loads(stats.read_text())
+
+
 class TestStrictToNonstrict:
     def test_rewrite_changes_verdict_on_integer_style_input(self, chc, capsys):
         # over the rationals X<1, X>0 is satisfiable, so this is unsafe;

@@ -19,21 +19,9 @@ from programs import (
     UNSAFE_LOOP,
     UNSAFE_SIMPLE,
 )
-from oracles import parse_trace
+from oracles import parse_trace, satisfies
 
 T = parse_trace
-
-
-def satisfies(constraint, point) -> bool:
-    for row in constraint.rows:
-        lhs = sum((c * point[v] for v, c in row.terms), Fraction(0))
-        if row.rel == "=" and lhs != row.rhs:
-            return False
-        if row.rel == "=<" and not lhs <= row.rhs:
-            return False
-        if row.rel == "<" and not lhs < row.rhs:
-            return False
-    return True
 
 
 class TestSafePrograms:

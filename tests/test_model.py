@@ -117,4 +117,4 @@ class TestLoadModel:
         fact = m.fact("p", (Variable("A"),))
         w = is_sat(fact)
         assert w is not None
-        assert w.concretise(fact)[Variable("A")] == Fraction(7, 2)
+        assert w[Variable("A")] == Fraction(7, 2)

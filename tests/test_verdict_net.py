@@ -9,17 +9,28 @@ verdict and iteration count at --max-iter 20.  It reproduces the
 paper's three-way claim: abstract interpretation is needed for fib, and
 generalising a trace beyond itself for split_range.  An engine may
 leave a program undecided, but two decided verdicts never differ.
+
+The same three engines then run on seeded generated programs
+(gen.random_program_text and gen.fib_k_text), each plain and after
+strict_to_nonstrict.  Besides the verdict agreement, each verdict is
+checked on its own: a SAFE program has no feasible trace up to depth 4,
+and an UNSAFE witness satisfies every row of its trace's derivation
+formula, evaluated exactly by oracles.satisfies rather than by the
+solver that found it.
 """
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
 import hornsafe.driver as driver
-from hornsafe.chc_core import parse_program
-from oracles import top_analyze
+from gen import fib_k_text, random_program_text
+from hornsafe.chc_core import REL_LT, parse_program, strict_to_nonstrict
+from hornsafe.derivations import and_tree, formula
+from oracles import enumerate_terms, feasible, satisfies, top_analyze, trace_fta
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 ENGINES = ("rahit", "rahft", "ai-free")
@@ -36,13 +47,16 @@ TABLE = {
 }
 
 
-def _run(program, engine: str, monkeypatch) -> tuple[str, int]:
+def _verify(program, engine: str, monkeypatch, max_iter: int = 20) -> driver.Verdict:
     if engine == "ai-free":
         with monkeypatch.context() as m:
             m.setattr(driver, "analyze", top_analyze)
-            verdict = driver.verify(program, engine="rahit", max_iter=20)
-    else:
-        verdict = driver.verify(program, engine=engine, max_iter=20)
+            return driver.verify(program, engine="rahit", max_iter=max_iter)
+    return driver.verify(program, engine=engine, max_iter=max_iter)
+
+
+def _run(program, engine: str, monkeypatch) -> tuple[str, int]:
+    verdict = _verify(program, engine, monkeypatch)
     return verdict.status, verdict.stats.iterations
 
 
@@ -70,3 +84,32 @@ def test_top_analyze_reads_reachability_only():
     model = top_analyze(program)
     assert model.predicates() == {"p", "s", "false"}
     assert all(model.polyhedron(pred).is_top() for pred in model)
+
+
+def test_generated_programs(monkeypatch):
+    # every 30th program is a Fibonacci with 1-3 calls; the AI-free
+    # engine's iterations grow fast there, hence the low limit
+    rng = random.Random(5)
+    counts = {"safe": 0, "unsafe": 0, "strict witness": 0, "refined": 0}
+    for i in range(300):
+        text = fib_k_text(rng, rng.randint(1, 3)) if i % 30 == 0 else random_program_text(rng)
+        plain = parse_program(text)
+        for program in (plain, strict_to_nonstrict(plain)):
+            statuses = set()
+            for engine in ENGINES:
+                verdict = _verify(program, engine, monkeypatch, max_iter=4)
+                statuses.add(verdict.status)
+                counts["refined"] += verdict.stats.iterations > 0
+                if verdict.status == "unsafe":
+                    phi = formula(and_tree(program, verdict.trace))
+                    assert phi.vars() <= verdict.witness.keys(), text
+                    assert satisfies(phi, verdict.witness), (text, verdict.witness)
+                    counts["strict witness"] += any(row.rel == REL_LT for row in phi.rows)
+            assert {"safe", "unsafe"} - statuses, text
+            if "safe" in statuses:
+                terms = enumerate_terms(trace_fta(program), 4)
+                assert all(feasible(program, t) is None for t in terms), text
+            for status in statuses & {"safe", "unsafe"}:
+                counts[status] += 1
+    # the net catches something only while the generator feeds it
+    assert min(counts.values()) >= 100, counts
