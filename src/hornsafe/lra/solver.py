@@ -101,9 +101,13 @@ refutations, phi2's multipliers are pinned to zero one at a time in row
 order.  A trial that pins a set P first checks, with one kernel call
 over the variables, whether the split rows outside P are satisfiable
 together; if they are, no refutation avoids P (Motzkin again) and the
-trial fails without building a multiplier system.  Only a trial that
+trial fails without solving a multiplier LP.  Only a trial that
 can succeed solves the two Farkas LPs, so the check decides which LPs
-run but never which refutation is chosen.
+run but never which refutation is chosen.  The multiplier system's
+cancellation and sign rows are built once per call; each LP hands the
+kernel those rows, then a unit equality per pinned row in the pinned
+set's iteration order, then its budget.  The pins' order can change
+the refutation the kernel finds, and so the interpolant.
 
 The refinement loop reanalyses a regenerated program every round, and
 its clauses carry the previous round's constraints unchanged, so some
@@ -601,46 +605,6 @@ def _split(constraint: LinConstraint, columns: list[Variable]) -> list:
     return out
 
 
-def _solve_farkas(split, pinned: set[int], want_strict_budget: bool):
-    """Feasibility of the multiplier system.
-
-    Columns are one multiplier per split row.  Constraints: multipliers
-    nonnegative, pinned ones zero, per-variable coefficients cancel,
-    and either combined rhs <= -1 (want_strict_budget False) or
-    combined rhs <= 0 with the strict-row multipliers summing to >= 1.
-
-    Each column multiplies a split row's ints, that is den times the
-    rational row, so it is den times smaller than the multiplier of the
-    rational row, and the strict sum weighs it by den.  Scaling a column
-    by a positive constant changes neither the kernel's pivots nor
-    which multipliers are zero (see kernel.py).
-    """
-    m = len(split)
-    rows = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
-    rows += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
-    rows += [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
-    budget = [b for _, _, b, _ in split]
-    if not want_strict_budget:
-        rows.append((budget, REL_LE, -1, 1))
-    else:
-        rows.append((budget, REL_LE, 0, 1))
-        strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
-        if not any(strict):
-            return None
-        rows.append((strict, REL_LE, -1, 1))
-    result = kernel.simplex_feasible(m, rows)
-    if result is None:
-        return None
-    return [main for main, _ in result]
-
-
-def _refute(split, pinned: set[int]):
-    y = _solve_farkas(split, pinned, want_strict_budget=False)
-    if y is None:
-        y = _solve_farkas(split, pinned, want_strict_budget=True)
-    return y
-
-
 def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     """Craig interpolant for an unsatisfiable conjunction phi1 and phi2.
 
@@ -653,7 +617,35 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     columns = sorted(phi1.vars() | phi2.vars())
     split1 = _split(phi1, columns)
     split = split1 + _split(phi2, columns)
-    y = _refute(split, set())
+
+    # the multiplier system, one column per split row: the variables'
+    # coefficients cancel and every multiplier is nonnegative.  A
+    # refutation adds a budget, combined rhs =< -1, or else combined
+    # rhs =< 0 with the strict rows' multipliers summing to >= 1, the
+    # second only when there is a strict row.  A column multiplies a
+    # split row's ints, den times the rational row, so its multiplier
+    # is den times smaller and the strict sum weighs it by den; scaling
+    # a column by a positive constant changes neither the kernel's
+    # pivots nor which multipliers are zero (see kernel.py).
+    m = len(split)
+    base = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
+    base += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
+    budget = [b for _, _, b, _ in split]
+    strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
+    budget_rows = [[(budget, REL_LE, -1, 1)]]
+    if any(strict):
+        budget_rows.append([(budget, REL_LE, 0, 1), (strict, REL_LE, -1, 1)])
+
+    def refute(pinned: set[int]) -> list[Fraction] | None:
+        """Multipliers of a refutation whose pinned ones are zero."""
+        pins = [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
+        for rows in budget_rows:
+            result = kernel.simplex_feasible(m, base + pins + rows)
+            if result is not None:
+                return [main for main, _ in result]
+        return None
+
+    y = refute(set())
     if y is None:
         raise JointlySatisfiableError("constraints are jointly satisfiable")
 
@@ -661,14 +653,14 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     # and there is none while the other rows are satisfiable together
     n1 = len(split1)
     pinned: set[int] = set()
-    for j in range(n1, len(split)):
+    for j in range(n1, m):
         if y[j] == 0:
             continue
         skip = pinned | {j}
         rest = [row for i, row in enumerate(split) if i not in skip]
         if kernel.simplex_feasible(len(columns), rest, False) is None:
             pinned = skip
-            y = _refute(split, skip)
+            y = refute(skip)
 
     # the y-combination of phi1's rows, times the lcm of y's denominators
     scale = lcm(*[y[i].denominator for i in range(n1)])

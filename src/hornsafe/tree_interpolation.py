@@ -33,7 +33,13 @@ rows in the same order as one rebuilt from the whole tree.
 
 The interpolant automaton checks the labelling through its own steps:
 a node's entailment is the automaton's transition for that node, so it
-holds exactly when that transition was built.
+holds exactly when that transition was built.  Nodes whose labels
+coincide on the canonical tuple share one state, named after the
+first of them.  Each such representative's canonical label is placed
+on a clause atom's arguments once per argument tuple, which is its
+node's label renamed onto them since renaming is injective, and each
+premise is built once per clause and body combination and checked
+against every head state.
 
 Under rahit each round's spurious tree is one node deeper than the
 last and repeats its contexts, so the projection of a context onto the
@@ -43,7 +49,6 @@ the context and the interface as a frozenset.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -81,10 +86,6 @@ class TreeInterpolant:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def instantiated(self, i: int, args: tuple[Variable, ...]) -> LinConstraint:
-        """The node's label renamed from its atom tuple onto args."""
-        return self.label(i).rename(dict(zip(self.atom(i).args, args)))
 
 
 @memoised("context")
@@ -192,45 +193,50 @@ def interpolant_automaton(
             dict(zip(atom.args, canonical_args(len(atom.args))))
         )
         rep[i] = classes.setdefault((atom.pred, canon), i)
+    canon_label = {i: canon for (_, canon), i in classes.items()}
+    name = {i: _state_name(ti.atom(i).pred, i) for i in canon_label}
 
     by_pred: dict[str, list[int]] = {}
-    for i in sorted(set(rep.values())):
+    for i in sorted(canon_label):
         by_pred.setdefault(ti.atom(i).pred, []).append(i)
 
-    states = {_state_name(ti.atom(i).pred, i) for i in rep.values()}
-    finals = {_state_name(ti.atom(1).pred, rep[1])}
-    alphabet = {c.cid: len(c.body) for c in program}
-    transitions = set()
-    inst = functools.cache(ti.instantiated)
+    # a representative's label placed on an atom's arguments: renaming
+    # is injective, so this is its node's label renamed onto them
+    placed: dict[tuple[int, tuple[Variable, ...]], LinConstraint] = {}
 
+    def place(i: int, args: tuple[Variable, ...]) -> LinConstraint:
+        label = placed.get((i, args))
+        if label is None:
+            label = placed[i, args] = canon_label[i].rename(
+                dict(zip(canonical_args(len(args)), args))
+            )
+        return label
+
+    transitions = set()
     for clause in program:
         head_nodes = by_pred.get(clause.head.pred, ())
+        if not head_nodes:
+            continue
         body_nodes = [by_pred.get(a.pred, ()) for a in clause.body]
-        for j in head_nodes:
-            target_label = inst(j, clause.head.args)
-            for combo in itertools.product(*body_nodes):
-                premise = clause.constraint.conjoin(
-                    *[inst(jm, a.args) for jm, a in zip(combo, clause.body)]
-                )
-                if entails(premise, target_label):
-                    transitions.add(
-                        (
-                            clause.cid,
-                            tuple(
-                                _state_name(a.pred, jm)
-                                for jm, a in zip(combo, clause.body)
-                            ),
-                            _state_name(clause.head.pred, j),
-                        )
-                    )
+        for combo in itertools.product(*body_nodes):
+            premise = clause.constraint.conjoin(
+                *[place(jm, a.args) for jm, a in zip(combo, clause.body)]
+            )
+            children = tuple(name[jm] for jm in combo)
+            for j in head_nodes:
+                if entails(premise, place(j, clause.head.args)):
+                    transitions.add((clause.cid, children, name[j]))
     for node in tree:
         step = (
             node.cid,
-            tuple(_state_name(ti.atom(c).pred, rep[c]) for c in node.children),
-            _state_name(ti.atom(node.index).pred, rep[node.index]),
+            tuple(name[rep[c]] for c in node.children),
+            name[rep[node.index]],
         )
         if step not in transitions:
             raise ValueError("labelling is not a tree interpolant")
     return TreeAutomaton(
-        frozenset(states), frozenset(finals), alphabet, frozenset(transitions)
+        frozenset(name.values()),
+        frozenset({name[rep[1]]}),
+        {c.cid: len(c.body) for c in program},
+        frozenset(transitions),
     )

@@ -42,6 +42,28 @@ def random_constraint(
     )
 
 
+def strict_vertex_constraint(rng: random.Random) -> LinConstraint:
+    """Strict rows whose solutions crowd against one vertex: a chain
+    a < X1 < X2 < ... < Xn < a + 1/k over one to three variables
+    (X > a, X < a + 1/k alone; X > 0, Y > X, Y < 1 with a = 0, k = 1),
+    each row scaled by a seeded positive factor.  A point needs a delta
+    step well below 1, since the chain's n + 1 gaps share a width of at
+    most 1."""
+    xs = VARS[: rng.randint(1, 3)]
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    top = a + Fraction(1, rng.randint(1, 9))
+
+    def scaled(coeffs: dict, rhs: Fraction) -> Row:
+        s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        return Row.make({v: s * c for v, c in coeffs.items()}, REL_LT, s * rhs)
+
+    rows = [scaled({xs[0]: -1}, -a)]
+    rows += [scaled({lo: 1, hi: -1}, Fraction(0)) for lo, hi in zip(xs, xs[1:])]
+    rows.append(scaled({xs[-1]: 1}, top))
+    rng.shuffle(rows)
+    return LinConstraint(tuple(rows))
+
+
 def wide_system(rng: random.Random) -> tuple[LinConstraint, list[Variable]]:
     """6-8 variables, 10-14 inequality rows of 2-4 terms, all strictly
     satisfied at the origin, and the variables to keep: all but 3 or 4.
@@ -386,3 +408,29 @@ def fib_k_text(rng: random.Random, k: int) -> str:
         f"fib(A,B) :- A>1, {defs}, B={total}, {calls}.\n"
         f"false :- A>{bound}, B<A, fib(A,B).\n"
     )
+
+
+def counter_text(rng: random.Random, n: int) -> str:
+    """A counter from a seeded start that reaches start+n: unsafe, and
+    rahit refutes one chain of step clauses per round before it finds
+    the counterexample n steps deep."""
+    start = rng.randint(-5, 5)
+    return (
+        f"i(X) :- X={start}.\n"
+        "i(Y) :- Y=X+1, i(X).\n"
+        f"false :- X={start + n}, i(X).\n"
+    )
+
+
+def split_text(rng: random.Random, k: int) -> str:
+    """k seeded points copied by a loop, with a forbidden band between
+    each two: safe, and the hull of the points covers every band, so
+    rahit refutes one band per round."""
+    points = [rng.randint(0, 5)]
+    for _ in range(k - 1):
+        points.append(points[-1] + rng.randint(3, 6))
+    lines = [f"p(X) :- X={p}." for p in points]
+    lines.append("p(Y) :- Y=X, p(X).")
+    for lo, hi in zip(points, points[1:]):
+        lines.append(f"false :- X>={lo + 1}, X=<{hi - 1}, p(X).")
+    return "\n".join(lines) + "\n"

@@ -19,8 +19,9 @@ its construction, renaming and printing, which the integer Row must
 reproduce exactly.
 
 The Farkas reference is interpolate's multiplier system as it was built
-over the rational rows: the solver's system over the rows' ints must
-find the same multipliers, each divided by its row's denominator.
+over the rational rows: the system interpolate hands the kernel over
+the rows' ints must find the same multipliers, each divided by its
+row's denominator, for the same pinned rows in the same order.
 
 The tree automaton section also builds a program's whole trace
 automaton (trace_fta), which only the tests use.
@@ -35,7 +36,11 @@ top polyhedron (top_analyze), subtree and context formulas, label
 mappings and equivalence, the defining conditions of a tree interpolant, and the
 tree interpolation that rebuilds every node's context from the whole
 tree, which the shipped one, building contexts incrementally, must
-reproduce label for label.  Those do call the package's solver.
+reproduce label for label, and the interpolant automaton that renames
+each node's label directly onto every clause atom, which the shipped
+one, placing each class representative's canonical label once, must
+reproduce transition for transition.  Those do call the package's
+solver.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from hornsafe.lra import (
     project,
 )
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
-from hornsafe.tree_interpolation import FeasibleTreeError, TreeInterpolant
+from hornsafe.tree_interpolation import ERROR_STATE, FeasibleTreeError, TreeInterpolant
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -569,7 +574,7 @@ class FractionRow:
 # each kernel row scaled by the lcm of its denominators.
 
 
-def fraction_farkas(constraint: LinConstraint, pinned: set[int], want_strict_budget: bool):
+def fraction_farkas(constraint: LinConstraint, pinned, want_strict_budget: bool):
     split = []
     for row in constraint.rows:
         coeffs = row.coeffs()
@@ -1092,4 +1097,57 @@ def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
     return TreeInterpolant(
         atoms=tuple(node.atom for node in tree),
         labels=tuple(labels[i] for i in range(1, n + 1)),
+    )
+
+
+def interpolant_automaton_reference(
+    program: Program, tree: AndTree, ti: TreeInterpolant
+) -> TreeAutomaton:
+    """tree_interpolation.interpolant_automaton with every label renamed
+    directly from its node's atom onto a clause atom's arguments, for
+    each head node and each body combination, where the shipped one
+    places each class representative's canonical label once."""
+    if len(tree) != len(ti):
+        raise ValueError("tree and labelling differ in shape")
+    if is_sat(ti.label(1)) is not None or any(
+        not ti.label(node.index).vars() <= set(node.atom.args) for node in tree
+    ):
+        raise ValueError("labelling is not a tree interpolant")
+
+    def state(i: int) -> str:
+        pred = ti.atom(i).pred
+        return ERROR_STATE if pred == FALSE_PRED else f"{pred}^{i}"
+
+    def renamed(i: int, args) -> LinConstraint:
+        return ti.label(i).rename(dict(zip(ti.atom(i).args, args)))
+
+    rep: dict[int, int] = {}
+    classes: dict[tuple[str, LinConstraint], int] = {}
+    for i in range(1, len(ti) + 1):
+        atom = ti.atom(i)
+        canon = ti.label(i).rename(dict(zip(atom.args, canonical_args(len(atom.args)))))
+        rep[i] = classes.setdefault((atom.pred, canon), i)
+    by_pred: dict[str, list[int]] = {}
+    for i in sorted(set(rep.values())):
+        by_pred.setdefault(ti.atom(i).pred, []).append(i)
+
+    transitions = set()
+    for clause in program:
+        body_nodes = [by_pred.get(a.pred, ()) for a in clause.body]
+        for j in by_pred.get(clause.head.pred, ()):
+            for combo in itertools.product(*body_nodes):
+                premise = clause.constraint.conjoin(
+                    *[renamed(jm, a.args) for jm, a in zip(combo, clause.body)]
+                )
+                if entails(premise, renamed(j, clause.head.args)):
+                    transitions.add((clause.cid, tuple(state(jm) for jm in combo), state(j)))
+    for node in tree:
+        step = (node.cid, tuple(state(rep[c]) for c in node.children), state(rep[node.index]))
+        if step not in transitions:
+            raise ValueError("labelling is not a tree interpolant")
+    return TreeAutomaton(
+        frozenset(state(i) for i in rep.values()),
+        frozenset({state(rep[1])}),
+        {c.cid: len(c.body) for c in program},
+        frozenset(transitions),
     )

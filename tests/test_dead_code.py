@@ -8,6 +8,11 @@ in src/; a plain name match would be too loose, since parent, size and
 name are also local variables.  Dunder methods are called by Python
 itself and are not checked.  Code read only by tests belongs in tests/.
 
+Nor may a module import a name it never reads: every name an import
+binds (`import a.b` binds a) must be loaded somewhere in that module or
+listed in its __all__.  `from __future__` imports change how the module
+compiles and are left out.
+
 The other way round, every name an export list (__all__) offers must
 exist: a stale entry breaks only a star import.
 """
@@ -79,6 +84,31 @@ def unread(modules: dict[str, ast.Module]) -> set[str]:
     } - OVERRIDES
 
 
+def unread_imports(modules: dict[str, ast.Module]) -> set[str]:
+    """module.name of every name a module imports and never reads."""
+    found = set()
+    for mod, tree in modules.items():
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found.update(f"{mod}.{name}" for name in bound if name not in read)
+    return found
+
+
 def test_every_definition_in_src_has_a_reader():
     found = unread(parse_modules(SRC))
     assert sorted(found - ALLOWED.keys()) == [], "read only by tests, or by nothing: move or delete"
@@ -108,6 +138,31 @@ def walk(node: Node):
 """
     modules = {"m": ast.parse(source), "user": ast.parse("from m import walk\n")}
     assert unread(modules) == {"m.Node.parent", "m.Node.size", "m.helper"}
+
+
+def test_every_import_in_src_is_read():
+    assert sorted(unread_imports(parse_modules(SRC))) == [], "imported but never read: drop the import"
+
+
+def test_an_import_counts_when_read_or_exported():
+    source = """
+from __future__ import annotations
+
+import functools
+import os.path
+import itertools as it
+from math import gcd, lcm
+from typing import Mapping
+
+__all__ = ["lcm"]
+
+
+def f(xs: Mapping) -> str:
+    gcd = 0
+    return os.path.join("a")
+"""
+    # an assignment to an imported name is not a read of it
+    assert unread_imports({"m": ast.parse(source)}) == {"m.functools", "m.it", "m.gcd"}
 
 
 @pytest.mark.parametrize("package", ["hornsafe", "hornsafe.lra"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from gen import random_constraint, random_row
+from gen import random_constraint, random_row, strict_vertex_constraint
 from oracles import equivalent, satisfies
 from hornsafe.chc_core import (
     FALSE,
@@ -50,6 +50,14 @@ class TestSat:
                 continue
             found += 1
             assert satisfies(c, w)
+
+    def test_witnesses_in_a_narrow_strict_corner(self):
+        # a delta step left at 1 would put these points outside
+        rng = random.Random(71)
+        for _ in range(120):
+            c = strict_vertex_constraint(rng)
+            w = is_sat(c)
+            assert w is not None and satisfies(c, w), c.pretty()
 
     def test_agrees_with_oracle(self):
         rng = random.Random(8)
@@ -490,28 +498,65 @@ class TestInterpolate:
             assert is_sat(i & phi2) is None, (phi1.pretty(), phi2.pretty())
             assert i.vars() <= (phi1.vars() & phi2.vars())
 
-    def test_multipliers_are_the_fraction_multipliers_over_den(self):
+    def test_multipliers_are_the_fraction_multipliers_over_den(self, monkeypatch):
         # a multiplier on a Row's ints is the one on the rational row
-        # divided by the Row's den; the strict budget must weigh it so
+        # divided by the Row's den; the strict budget must weigh it so.
+        # Every multiplier system interpolate hands the kernel is read
+        # back as its pins and budget: after the cancellation and sign
+        # rows come one unit equality per pinned row, in the order they
+        # were appended, then one budget row, or two for the strict one.
+        queries = []
+        real = solver.kernel.simplex_feasible
+
+        def recording(ncols, rows, witness=True):
+            result = real(ncols, rows, witness)
+            if witness:
+                queries.append((rows, result))
+            return result
+
         rng = random.Random(17)
+        cut = random.Random(170)
         found = {False: 0, True: 0}
-        strict_scaled = 0
+        strict_scaled = pinned_found = 0
         while min(found.values()) < 100:
             phi = random_constraint(rng, max_vars=3, max_rows=8)
-            split = solver._split(phi, sorted(phi.vars()))
-            dens = [den for *_, den in split]
-            pinned = set(rng.sample(range(len(split)), rng.randint(0, len(split) // 3)))
-            for strict_budget in (False, True):
-                got = solver._solve_farkas(split, pinned, strict_budget)
-                expected = oracles.fraction_farkas(phi, pinned, strict_budget)
-                assert (got is None) == (expected is None), phi.pretty()
-                if got is not None:
-                    assert [y * d for y, d in zip(got, dens)] == expected, phi.pretty()
+            k = cut.randint(1, len(phi.rows))
+            # phi's rows cut in two, and again with the complement of one
+            # of the first half's rows leading the second, a refutation
+            # that adds up to 0 < 0 and so often needs the strict budget
+            row = cut.choice(phi.rows[:k])
+            if row.rel == REL_EQ:
+                complement = Row.make(row.coeffs(), REL_LT, row.rhs)
+            else:
+                negated = {v: -c for v, c in row.coeffs().items()}
+                complement = Row.make(negated, REL_LE if row.rel == REL_LT else REL_LT, -row.rhs)
+            for second in (phi.rows[k:], (complement, *phi.rows[k:])):
+                queries.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver.kernel, "simplex_feasible", recording)
+                    try:
+                        interpolate(LinConstraint(phi.rows[:k]), LinConstraint(second))
+                    except JointlySatisfiableError:
+                        pass
+                both = LinConstraint((*phi.rows[:k], *second))
+                split = solver._split(both, sorted(both.vars()))
+                dens = [den for *_, den in split]
+                for rows, result in queries:
+                    tail = rows[len(both.vars()) + len(split) :]
+                    pinned = [coeffs.index(1) for coeffs, rel, _, _ in tail if rel == REL_EQ]
+                    strict_budget = len(tail) - len(pinned) == 2
+                    expected = oracles.fraction_farkas(both, pinned, strict_budget)
+                    assert (result is None) == (expected is None), both.pretty()
+                    if result is None:
+                        continue
+                    got = [main for main, _ in result]
+                    assert [y * d for y, d in zip(got, dens)] == expected, both.pretty()
                     found[strict_budget] += 1
+                    pinned_found += bool(pinned)
                     strict_scaled += strict_budget and any(
                         y and d > 1 and rel == REL_LT for y, d, (_, rel, _, _) in zip(got, dens, split)
                     )
-        assert strict_scaled > 10, strict_scaled
+        assert strict_scaled > 30 and pinned_found > 100, (strict_scaled, pinned_found)
 
 
 # the kernel's (main, delta coefficient) pair, printed as the solver's
@@ -568,3 +613,17 @@ class TestPinnedInterpolants:
             lines.append(interpolate(phi1, phi2).pretty())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
+
+    def test_pins_keep_their_order(self):
+        # each pinned row's unit equality joins the multiplier system in
+        # the pinned set's iteration order; appended in ascending index
+        # order instead, the kernel finds another refutation here and
+        # the interpolant is 36*V + 72*W - 47*X > -12
+        phi1 = parse_constraint(
+            "3*U + 1/3*X < -1, U - 3*V >= 5, 2*U + Y > -1, V - 4/3*X - 2*Y = 1,"
+            " 1/2*U + V - 4*W - 3*X + 3/2*Y < 1"
+        )
+        phi2 = parse_constraint(
+            "V + 2*W + 1/2*X = -6, 2*W + 2/3*X =< 3/2, 1/2*U + V - 1/2*W >= 0, 4*X >= 1, W =< 3"
+        )
+        assert interpolate(phi1, phi2).pretty() == "X < -57/49"

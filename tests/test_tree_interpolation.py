@@ -36,12 +36,14 @@ from oracles import (
     enumerate_terms,
     equivalent,
     feasible,
+    interpolant_automaton_reference,
     interpolant_mapping,
     parse_trace,
     trace_fta,
     tree_interpolant_reference,
+    tree_pretty,
 )
-from gen import fib_k_text
+from gen import counter_text, fib_k_text, split_text
 from programs import DECREMENT, FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 T = parse_trace
@@ -49,10 +51,9 @@ FIB_TRACE = T("c3(c2(c1,c1))")
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
-@functools.cache
-def corpus_labellings() -> tuple:
+def rahit_labellings(programs) -> tuple:
     """(program, tree, labelling) for every tree verify interpolates on
-    the corpus under rahit."""
+    the programs under rahit."""
     found = []
     real = driver.interpolant_automaton
 
@@ -62,9 +63,28 @@ def corpus_labellings() -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(driver, "interpolant_automaton", recording)
-        for path in sorted(CORPUS_DIR.glob("*.chc")):
-            driver.verify(parse_program(path.read_text()), engine="rahit")
+        for program in programs:
+            driver.verify(program, engine="rahit")
     return tuple(found)
+
+
+@functools.cache
+def corpus_labellings() -> tuple:
+    """The labellings rahit interpolates on the corpus."""
+    return rahit_labellings(
+        parse_program(path.read_text()) for path in sorted(CORPUS_DIR.glob("*.chc"))
+    )
+
+
+@functools.cache
+def seeded_labellings() -> tuple:
+    """The labellings rahit interpolates on seeded counters, which
+    refute one chain per round, and split programs, which refute one
+    band per round."""
+    rng = random.Random(2501)
+    texts = [counter_text(rng, rng.randint(3, 8)) for _ in range(6)]
+    texts += [split_text(rng, rng.randint(3, 6)) for _ in range(6)]
+    return rahit_labellings(parse_program(text) for text in texts)
 
 
 @functools.cache
@@ -145,14 +165,6 @@ class TestTreeInterpolant:
         ti = handwritten_fib_labels(tree)
         with pytest.raises(ValueError):
             check_tree_interpolant(tree, TreeInterpolant(ti.atoms[:2], ti.labels[:2]))
-
-    def test_instantiated_label_uses_target_variables(self):
-        prog, tree = fib_setup()
-        ti = handwritten_fib_labels(tree)
-        from hornsafe.chc_core import Variable
-
-        inst = ti.instantiated(2, (Variable("P"), Variable("Q")))
-        assert equivalent(inst, parse_constraint("P =< 3"))
 
     @pytest.mark.parametrize("text", [FIB, UNSAFE_LOOP, DECREMENT, SPLIT_RANGE])
     def test_every_shallow_infeasible_trace_interpolates(self, text):
@@ -251,6 +263,33 @@ class TestInterpolantAutomaton:
         # the unfiltered trace automaton accepts feasible traces
         prog = parse_program(UNSAFE_SIMPLE)
         assert not check_soundness(prog, trace_fta(prog), 3)
+
+
+class TestAutomatonMatchesReference:
+    """interpolant_automaton places each class representative's
+    canonical label once per argument tuple; its automaton must be the
+    reference's, which renames every node's label directly."""
+
+    @staticmethod
+    def check(cases):
+        merged = 0
+        for prog, tree, ti in cases:
+            got = interpolant_automaton(prog, tree, ti)
+            assert got == interpolant_automaton_reference(prog, tree, ti), tree_pretty(tree)
+            merged += len(got.states) < len(tree)
+        return merged
+
+    def test_rahit_labellings(self):
+        cases = corpus_labellings() + seeded_labellings()
+        assert len(cases) >= 50, len(cases)
+        self.check(cases)
+
+    def test_branching_labellings(self):
+        # nodes that share a state, so a wrong representative's label shows
+        merged = self.check(
+            [(prog, tree, tree_interpolant(tree)) for prog, tree in branching_trees()]
+        )
+        assert merged >= 20, merged
 
 
 class TestContextsMatchReference:
