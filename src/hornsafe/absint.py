@@ -21,7 +21,7 @@ builds no hull.  Dropping a row is always sound, so the identity bears
 on precision and output, never on soundness.
 
 A clause's post is the step the refinement loop repeats most, so this
-module registers it as the memo step clause_post (see lra.solver).
+module memoises it as the step clause_post (see hornsafe.run).
 body_post takes it under one polyhedron per body atom, and clause_post
 under one per predicate.  That one step serves the analysis,
 fta.model_fta, which keeps a clause whose post is not empty, and
@@ -42,8 +42,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from hornsafe.chc_core import REL_LT, Clause, LinConstraint, Program, Variable
-from hornsafe.lra import Polyhedron, eliminate, hull, memoised, widen
+from hornsafe.lra import Polyhedron, eliminate, hull, widen
 from hornsafe.model import InterpretationModel, canonical_args
+from hornsafe.run import memoised
 
 _BOTTOM = Polyhedron.bottom()
 _TOP = Polyhedron.top()

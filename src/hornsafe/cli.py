@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -166,6 +167,14 @@ def main(argv=None) -> int:
             timeout=args.timeout,
             dump_sink=dump_sink,
         )
+        if args.strict_to_nonstrict and verdict.witness and any(
+            value.denominator != 1 for value in verdict.witness.values()
+        ):
+            # the rewrite keeps the integer points only, so a counterexample
+            # through a point off them proves nothing about the input
+            verdict = dataclasses.replace(
+                verdict, status="unknown", witness=None, reason="non-integral-witness"
+            )
         try:
             print(_report(verdict), flush=True)
         except BrokenPipeError:

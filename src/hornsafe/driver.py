@@ -25,9 +25,10 @@ out of memory ends the run as unknown, with the reason
 resource:<phase>.  The replay of a genuine counterexample on the
 original program is part of the feasibility phase.
 
-verify opens a Memo of the memoised steps (see lra.solver) for
-exactly its own call, so no result crosses two calls, and reports its
-hit and miss counts in Stats.memo.
+verify opens a Run (see hornsafe.run) for exactly its own call, so no
+memoised result crosses two calls; it checks the run's deadline before
+each phase and reports the run's memo hit and miss counts in
+Stats.memo.
 """
 
 from __future__ import annotations
@@ -48,17 +49,14 @@ from hornsafe.fta import (
     model_fta,
     singleton_fta,
 )
-from hornsafe.lra import Memo, is_sat
+from hornsafe.lra import is_sat
 from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
+from hornsafe.run import STEPS, Run, Unknown, check
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 
 ENGINES = ("rahit", "rahft")
 
 DumpSink = Callable[[str, str], None]
-
-
-class _Unknown(Exception):
-    """Ends verify with the verdict unknown; args[0] is the reason."""
 
 
 @dataclass
@@ -108,19 +106,14 @@ def verify(
         raise ValueError("timeout must be a number of seconds, not NaN")
 
     stats = Stats(engine=engine)
-    deadline = None if timeout is None else time.monotonic() + timeout
-
-    def check_time():
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Unknown("timeout")
 
     def timed(phase: str, fn, *args):
-        check_time()
+        check()
         start = time.perf_counter()
         try:
             return fn(*args)
         except (NumberTooLongError, RecursionError, MemoryError):
-            raise _Unknown(f"resource:{phase}") from None
+            raise Unknown(f"resource:{phase}") from None
         finally:
             stats.times_ms[phase] = stats.times_ms.get(phase, 0.0) + (
                 time.perf_counter() - start
@@ -145,7 +138,7 @@ def verify(
 
     programs = [program]
     current = program
-    with Memo() as memo:
+    with Run(timeout) as run:
         try:
             dump("iter0.program.chc", current.pretty)
             for iteration in range(max_iter + 1):
@@ -204,7 +197,7 @@ def verify(
                 dump(f"iter{iteration + 1}.program.chc", current.pretty)
                 dump(f"iter{iteration + 1}.idmap.txt", origin_lines, current)
             raise AssertionError("unreachable")
-        except _Unknown as exc:
+        except Unknown as exc:
             return Verdict("unknown", stats, reason=exc.args[0])
         finally:
-            stats.memo = memo.counts()
+            stats.memo = {step: {"hits": run.hits[step], "misses": run.misses[step]} for step in STEPS}

@@ -3,14 +3,12 @@ convex hulls, widening, and Craig interpolation."""
 
 from hornsafe.lra.solver import (
     JointlySatisfiableError,
-    Memo,
     Polyhedron,
     eliminate,
     entails,
     hull,
     interpolate,
     is_sat,
-    memoised,
     minimise,
     project,
     widen,
@@ -18,14 +16,12 @@ from hornsafe.lra.solver import (
 
 __all__ = [
     "JointlySatisfiableError",
-    "Memo",
     "Polyhedron",
     "eliminate",
     "entails",
     "hull",
     "interpolate",
     "is_sat",
-    "memoised",
     "minimise",
     "project",
     "widen",

@@ -109,31 +109,14 @@ kernel those rows, then a unit equality per pinned row in the pinned
 set's iteration order, then its budget.  The pins' order can change
 the refutation the kernel finds, and so the interpolant.
 
-The refinement loop reanalyses a regenerated program every round, and
-its clauses carry the previous round's constraints unchanged, so some
-coarse steps repeat.  Each is a function decorated with memoised(step),
-which registers the step's table in Memo.OPS when its module is
-imported; hull is the step this module owns, the others live with
-their callers: clause_post (absint), which also decides trace
-feasibility bottom-up, and context (tree_interpolation).  While a Memo
-is current (driver.verify opens one for exactly its own call) their
-results are kept in it, one table per step keyed on its arguments;
-outside it they compute directly and keep nothing.  A LinConstraint keeps its hash, so a key made of objects
-that already exist hashes in constant time.  project, eliminate and
-Polyhedron.of are not memoised on their own: the steps that repeat
-them memoise them whole, and inside hull they do not repeat.  Nor are widen, is_sat,
-entails, minimise, interpolate and the kernel: their queries are mostly
-built afresh, and their repeats would save less than hashing the rows
-of every new query once costs.  clause_post, not is_sat, decides
-whether a trace is feasible; verify asks is_sat for a witness only to
-replay a genuine counterexample on the source program.
+hull is a memoised step: within one verify call its results are kept
+and looked up by argument (see hornsafe.run, which lists the steps and
+says why nothing else here is memoised).
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -153,6 +136,7 @@ from hornsafe.chc_core import (
     rows_too_long,
 )
 from hornsafe.lra import kernel
+from hornsafe.run import memoised
 
 _ONE = Fraction(1)
 
@@ -219,61 +203,6 @@ def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
     columns = sorted(c1.vars() | c2.vars())
     premise = _dense(c1.rows, columns)
     return all(_implied(premise, len(columns), row) for row in _dense(c2.rows, columns))
-
-
-# Memo -----------------------------------------------------------------------
-
-
-class Memo:
-    """Results of the memoised steps, one table per step keyed on its
-    arguments, with hit and miss counts.  The steps consult it only
-    while it is entered (with Memo() as m)."""
-
-    # the steps, in the order their modules registered them on import
-    OPS: list[str] = []
-
-    def __init__(self) -> None:
-        self.tables: dict[str, dict] = {op: {} for op in self.OPS}
-        self.hits = dict.fromkeys(self.OPS, 0)
-        self.misses = dict.fromkeys(self.OPS, 0)
-
-    def __enter__(self) -> "Memo":
-        self._token = _current_memo.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _current_memo.reset(self._token)
-
-    def counts(self) -> dict[str, dict[str, int]]:
-        return {op: {"hits": self.hits[op], "misses": self.misses[op]} for op in self.tables}
-
-
-_current_memo: ContextVar[Memo | None] = ContextVar("hornsafe_memo", default=None)
-
-
-def memoised(op: str):
-    """Decorator: register op as a memo step, then look each argument
-    tuple up in the current memo, if there is one, before computing."""
-    Memo.OPS.append(op)
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def lookup(*args):
-            memo = _current_memo.get()
-            if memo is None:
-                return fn(*args)
-            table = memo.tables[op]
-            out = table.get(args)
-            if out is None:
-                memo.misses[op] += 1
-                out = table[args] = fn(*args)
-            else:
-                memo.hits[op] += 1
-            return out
-
-        return lookup
-
-    return decorate
 
 
 # Projection -----------------------------------------------------------------

@@ -43,7 +43,7 @@ against every head state.
 
 Under rahit each round's spurious tree is one node deeper than the
 last and repeats its contexts, so the projection of a context onto the
-node's interface is the memo step context (see lra.solver), keyed on
+node's interface is the memo step context (see hornsafe.run), keyed on
 the context and the interface as a frozenset.
 """
 
@@ -63,8 +63,9 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import AndTree, formula
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import JointlySatisfiableError, entails, interpolate, is_sat, memoised, project
+from hornsafe.lra import JointlySatisfiableError, entails, interpolate, is_sat, project
 from hornsafe.model import canonical_args
+from hornsafe.run import memoised
 
 
 class FeasibleTreeError(ValueError):

@@ -334,6 +334,31 @@ class TestStrictToNonstrict:
         text = "p(X) :- X=1.\nfalse :- 1/2*X < 1, p(X).\n"
         assert main(["verify", chc(text), "--strict-to-nonstrict"]) == 1
 
+    HALF = "p(X) :- 2*X = 1.\nfalse :- p(X).\n"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_non_integral_witness_is_unknown(self, chc, tmp_path, capsys, engine):
+        # the program is not integer-valued, and its only counterexample
+        # passes through X = 1/2, which proves nothing over the integers
+        stats = tmp_path / "stats.json"
+        argv = ["verify", chc(self.HALF), "--engine", engine, "--stats-json", str(stats)]
+        assert main([*argv, "--strict-to-nonstrict"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("UNKNOWN\n")
+        assert "\nreason: non-integral-witness\ncounterexample: c2(c1)\n" in out
+        assert "witness:" not in out
+        payload = json.loads(stats.read_text())
+        assert (payload["verdict"], payload["reason"], payload["trace"]) == (
+            "unknown",
+            "non-integral-witness",
+            "c2(c1)",
+        )
+        assert "witness" not in payload
+        # without the flag the same point is a rational counterexample
+        assert main(argv) == 1
+        assert "\nwitness: X_n1=1/2\n" in capsys.readouterr().out
+        assert json.loads(stats.read_text())["witness"] == {"X_n1": "1/2"}
+
 
 class TestArtifacts:
     def test_stats_json(self, chc, tmp_path, capsys):
@@ -346,9 +371,9 @@ class TestArtifacts:
         assert payload["witness"]["X_n1"] == "3"
         assert payload["times_ms"]["analyze"] >= 0
 
-    def test_stats_json_memo_keys_in_registration_order(self, chc, tmp_path, capsys):
-        # each memoising module registers its step when imported, and
-        # each registrant imports the one before it
+    def test_stats_json_memo_keys_in_step_order(self, chc, tmp_path, capsys):
+        # hornsafe.run.STEPS fixes the order, whatever order the
+        # memoising modules were imported in
         out = tmp_path / "stats.json"
         main(["verify", chc(UNSAFE_LOOP), "--stats-json", str(out)])
         memo = json.loads(out.read_text())["memo"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hornsafe.driver as driver
+import hornsafe.run as run
 from hornsafe.chc_core import Program, Variable, parse_program
 from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import ENGINES, Verdict, verify
@@ -95,6 +96,32 @@ class TestLimits:
         assert v.status == "unknown"
         assert v.reason == "timeout"
         assert v.exit_code == 2
+
+    def test_deadline_is_checked_before_each_phase(self, monkeypatch):
+        # the run's clock stands still until iteration 1's analyze has
+        # returned, then reads past the deadline, so that phase is the
+        # last to run
+        now = [0.0]
+        analyses = [0]
+        real = driver.analyze
+
+        def analyze(*args):
+            model = real(*args)
+            analyses[0] += 1
+            if analyses[0] == 2:
+                now[0] = 10.5
+            return model
+
+        monkeypatch.setattr(run, "monotonic", lambda: now[0])
+        monkeypatch.setattr(driver, "analyze", analyze)
+        v = verify(parse_program(UNSAFE_LOOP), timeout=10.0)
+        assert (v.status, v.reason, v.stats.iterations) == ("unknown", "timeout", 1)
+        assert analyses[0] == 2
+        # iteration 0 ran every phase and iteration 1 only analyze
+        assert sorted(v.stats.times_ms) == sorted(
+            ["analyze", "model_fta", "counterexample", "feasibility", "remover", "difference", "clausegen"]
+        )
+        assert len(v.stats.automata) == 1
 
     def test_max_iter_zero_still_finds_direct_counterexample(self):
         v = verify(parse_program(UNSAFE_SIMPLE), max_iter=0)

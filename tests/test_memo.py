@@ -1,10 +1,15 @@
-"""The memo of clause posts, hulls and tree-interpolation contexts:
-current for exactly one verify call, invisible in what the verifier
-decides, equal to recomputation, and absent everywhere else."""
+"""The memo of clause posts, hulls and tree-interpolation contexts,
+held by a hornsafe.run.Run: current for exactly one verify call,
+invisible in what the verifier decides, equal to recomputation, and
+absent everywhere else."""
 
+import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,19 +17,19 @@ import hornsafe.driver as driver
 import hornsafe.tree_interpolation as tree_interpolation
 from hornsafe.absint import analyze, clause_post
 from hornsafe.chc_core import Atom, Clause, Row, parse_constraint, parse_program
-from hornsafe.cli import _report
+from hornsafe.cli import _report, main
 from hornsafe.driver import ENGINES, verify
-from hornsafe.lra import Memo, Polyhedron, hull, kernel, solver
-from hornsafe.lra.solver import _current_memo
+from hornsafe.lra import Polyhedron, hull, kernel, solver
 from hornsafe.model import InterpretationModel, canonical_args
+from hornsafe.run import STEPS, Run, _current_run, memoised
 from gen import VARS, random_constraint
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
 
 
 def current_entries() -> int | None:
-    """Entries in the current memo, or None when no memo is current."""
-    memo = _current_memo.get()
-    return None if memo is None else sum(len(t) for t in memo.tables.values())
+    """Entries in the current run's memo, or None when no run is current."""
+    run = _current_run.get()
+    return None if run is None else sum(len(t) for t in run.tables.values())
 
 
 @pytest.fixture
@@ -148,17 +153,17 @@ class TestScope:
         assert current_entries() is None
 
     def test_entries_made_before_verify_are_dropped(self):
-        # verify opens its own memo inside a caller's and restores the
+        # verify opens its own run inside a caller's and restores the
         # caller's on return, leaving it as it was
-        with Memo() as outer:
+        with Run() as outer:
             hull(
                 Polyhedron.of(parse_constraint("X = 0")),
                 Polyhedron.of(parse_constraint("X = 1")),
             )
-            before = outer.counts()
+            before = (dict(outer.hits), dict(outer.misses))
             v = verify(parse_program(FIB))
-            assert _current_memo.get() is outer
-        assert outer.counts() == before
+            assert _current_run.get() is outer
+        assert (outer.hits, outer.misses) == before
         assert sum(len(t) for t in outer.tables.values()) == 1
         assert v.stats.memo == verify(parse_program(FIB)).stats.memo
         assert v.stats.memo["clause_post"]["misses"] > 0
@@ -167,7 +172,7 @@ class TestScope:
 
 def test_nothing_kept_outside_verify(kernel_calls, project_calls, hull_step_calls):
     rng = random.Random(3)
-    checked = dict.fromkeys(Memo.OPS, 0)
+    checked = dict.fromkeys(STEPS, 0)
     for _ in range(60):
         steps, _ = random_steps(rng)
         for op, compute in steps.items():
@@ -184,25 +189,28 @@ def test_nothing_kept_outside_verify(kernel_calls, project_calls, hull_step_call
     assert min(checked.values()) >= 30, checked
 
 
+def test_only_the_listed_steps_are_memoised():
+    with pytest.raises(ValueError, match="widen"):
+        memoised("widen")
+
+
 def test_post_hit_builds_no_row(monkeypatch):
     program = parse_program(FIB)
     model = analyze(program)
     rows = _count_calls(monkeypatch, Row, "__init__")
-    with Memo() as memo:
+    with Run() as run:
         for clause in program:
             clause_post(clause, model.entries)
-        assert memo.misses["clause_post"] == len(program)
+        assert run.misses["clause_post"] == len(program)
         built = rows[0]
         for clause in program:
             clause_post(clause, model.entries)
-        assert memo.hits["clause_post"] == len(program)
+        assert run.hits["clause_post"] == len(program)
     assert built > 0 and rows[0] == built
 
 
-def _report_without_times(verdict) -> str:
-    return "\n".join(
-        ln for ln in _report(verdict).splitlines() if not ln.startswith("time[")
-    )
+def _without_times(report: str) -> str:
+    return "\n".join(ln for ln in report.splitlines() if not ln.startswith("time["))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -214,28 +222,59 @@ def test_back_to_back_calls_share_nothing(kernel_calls, engine, text):
     second = verify(program, engine=engine)
     assert first.stats.iterations > 0
     assert kernel_calls[0] - first_calls == first_calls > 0
-    assert _report_without_times(second) == _report_without_times(first)
+    assert _without_times(_report(second)) == _without_times(_report(first))
     assert second.stats.memo == first.stats.memo
-    assert set(first.stats.memo) == {"clause_post", "hull", "context"}
+    assert list(first.stats.memo) == ["hull", "clause_post", "context"]
     assert sum(c["hits"] for c in first.stats.memo.values()) > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_two_programs_in_one_process_match_fresh_processes(tmp_path, capsys, engine):
+    # tri_sum, then split_range, verified back to back here, each against
+    # the same program verified in a child process of its own
+    root = Path(__file__).resolve().parents[1]
+    env_path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for name in ("tri_sum", "split_range"):
+        argv = ["verify", str(root / "corpus" / f"{name}.chc"), "--engine", engine, "--stats-json"]
+        code = main([*argv, str(tmp_path / f"{name}.here.json")])
+        here = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hornsafe", *argv, str(tmp_path / f"{name}.fresh.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": env_path},
+            timeout=120,
+        )
+        assert fresh.returncode == code
+        runs.append((name, here, fresh.stdout))
+    assert current_entries() is None
+    for name, here, fresh in runs:
+        assert _without_times(here) == _without_times(fresh)
+        payloads = [json.loads((tmp_path / f"{name}.{side}.json").read_text()) for side in ("here", "fresh")]
+        for payload in payloads:
+            del payload["times_ms"]
+        assert payloads[0]["memo"] == payloads[1]["memo"]
+        assert payloads[0]["memo"]["clause_post"]["hits"] > 0
+        assert payloads[0] == payloads[1]
 
 
 def test_hits_equal_fresh_computation():
     rng = random.Random(5)
-    checked = dict.fromkeys(Memo.OPS, 0)
+    checked = dict.fromkeys(STEPS, 0)
     for _ in range(200):
         steps, (p1, p2) = random_steps(rng)
         for op, compute in steps.items():
-            with Memo() as memo:
+            with Run() as run:
                 compute()
                 cached = compute()
-            if memo.hits[op] == 0:
+            if run.hits[op] == 0:
                 # an empty or whole-space argument is answered before
                 # the table is consulted
                 assert op == "hull"
                 assert p1.empty or p2.empty or p1.is_top() or p2.is_top()
                 continue
-            assert memo.counts()[op] == {"hits": 1, "misses": 1}
+            assert (run.hits[op], run.misses[op]) == (1, 1)
             assert cached == compute()
             checked[op] += 1
     assert min(checked.values()) >= 50, checked
