@@ -29,6 +29,14 @@ verify opens a Run (see hornsafe.run) for exactly its own call, so no
 memoised result crosses two calls; it checks the run's deadline before
 each phase and reports the run's memo hit and miss counts in
 Stats.memo.
+
+The module loads only the analysis half (chc_core, lra, run, model,
+absint).  The refinement half (derivations, fta, refinement,
+tree_interpolation) is imported where a round first finds false
+reachable: a program the analysis alone proves safe never uses it, and
+compiling and running those modules was about a tenth of the time from
+interpreter start to the first verify.  A program that refines pays
+the same cost in its first round instead.
 """
 
 from __future__ import annotations
@@ -37,22 +45,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from hornsafe.absint import analyze
 from hornsafe.chc_core import NumberTooLongError, Program, Variable
-from hornsafe.derivations import and_tree, feasible, formula
-from hornsafe.fta import (
-    TraceTerm,
-    difference,
-    find_accepted,
-    model_fta,
-    singleton_fta,
-)
 from hornsafe.lra import is_sat
-from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
 from hornsafe.run import STEPS, Run, Unknown, check
-from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
+
+if TYPE_CHECKING:
+    from hornsafe.fta import TraceTerm
 
 ENGINES = ("rahit", "rahft")
 
@@ -147,6 +148,14 @@ def verify(
                 dump(f"iter{iteration}.model.txt", model.pretty, current.arities)
                 if not model.has_false:
                     return Verdict("safe", stats)
+
+                if iteration == 0:
+                    # the first refinement round loads the refinement
+                    # half; later rounds keep these names bound
+                    from hornsafe.derivations import and_tree, feasible, formula
+                    from hornsafe.fta import difference, find_accepted, model_fta, singleton_fta
+                    from hornsafe.refinement import erase_trace, generate_clauses, origin_lines
+                    from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 
                 mfta = timed("model_fta", model_fta, current, model)
                 dump(f"iter{iteration}.model_fta.txt", mfta.dump)

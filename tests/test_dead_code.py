@@ -160,9 +160,15 @@ __all__ = ["lcm"]
 def f(xs: Mapping) -> str:
     gcd = 0
     return os.path.join("a")
+
+
+def g() -> int:
+    from math import floor, isqrt
+    return isqrt(4)
 """
-    # an assignment to an imported name is not a read of it
-    assert unread_imports({"m": ast.parse(source)}) == {"m.functools", "m.it", "m.gcd"}
+    # an assignment to an imported name is not a read of it, and an
+    # import inside a function binds names as one at the top does
+    assert unread_imports({"m": ast.parse(source)}) == {"m.functools", "m.it", "m.gcd", "m.floor"}
 
 
 @pytest.mark.parametrize("package", ["hornsafe", "hornsafe.lra"])

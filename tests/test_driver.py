@@ -1,13 +1,21 @@
 """End-to-end verification loop: verdicts, stats, dumps, both engines."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hornsafe.derivations as derivations
 import hornsafe.driver as driver
+import hornsafe.fta as fta
+import hornsafe.refinement as refinement
 import hornsafe.run as run
 from hornsafe.chc_core import Program, Variable, parse_program
+from hornsafe.cli import main
 from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import ENGINES, Verdict, verify
 from hornsafe.fta import TreeAutomaton
@@ -166,7 +174,20 @@ class TestLimits:
         def exhausted(*args):
             raise error
 
-        monkeypatch.setattr(driver, name, exhausted)
+        # driver imports the refinement half when a round first finds
+        # false reachable, so each name is patched where it is defined
+        homes = {
+            "analyze": driver,
+            "model_fta": fta,
+            "find_accepted": fta,
+            "feasible": derivations,
+            "erase_trace": refinement,
+            "and_tree": derivations,
+            "singleton_fta": fta,
+            "difference": fta,
+            "generate_clauses": refinement,
+        }
+        monkeypatch.setattr(homes[name], name, exhausted)
         # split_range reaches every phase but the replay, which needs a
         # counterexample found after refinement; rahft builds a
         # derivation tree only for that replay, rahit also for its remover
@@ -255,7 +276,7 @@ class TestDumps:
             "Program.pretty": (Program, "pretty"),
             "InterpretationModel.pretty": (InterpretationModel, "pretty"),
             "TreeAutomaton.dump": (TreeAutomaton, "dump"),
-            "origin_lines": (driver, "origin_lines"),
+            "origin_lines": (refinement, "origin_lines"),
         }
         for label, (owner, name) in renderers.items():
             monkeypatch.setattr(owner, name, recording(label, getattr(owner, name)))
@@ -285,3 +306,54 @@ class TestDeterminism:
         assert a.trace == b.trace
         assert a.witness == b.witness
         assert a.stats.iterations == b.stats.iterations
+
+
+REFINEMENT_HALF = [
+    "hornsafe.derivations",
+    "hornsafe.fta",
+    "hornsafe.refinement",
+    "hornsafe.tree_interpolation",
+]
+
+# `python -m hornsafe` with its arguments, then, on stderr, the modules
+# of the refinement half that the run loaded
+LOADED_BY_A_RUN = f"""
+import runpy, sys
+try:
+    runpy.run_module("hornsafe", run_name="__main__", alter_sys=True)
+finally:
+    print(*[m for m in {REFINEMENT_HALF!r} if m in sys.modules], file=sys.stderr)
+"""
+
+
+class TestRefinementHalfLoadsOnFirstRound:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "name, code, loaded",
+        [("count_up", 0, []), ("unsafe_loop", 1, REFINEMENT_HALF)],
+        ids=["count_up", "unsafe_loop"],
+    )
+    def test_fresh_process(self, capsys, engine, name, code, loaded):
+        # count_up is SAFE at iteration 0 and never refines; unsafe_loop
+        # refines three times before its counterexample
+        root = Path(__file__).resolve().parents[1]
+        argv = ["verify", "--engine", engine, str(root / "corpus" / f"{name}.chc")]
+        env_path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", LOADED_BY_A_RUN, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": env_path},
+            timeout=120,
+        )
+        assert child.returncode == code
+        assert child.stderr.split() == loaded
+        assert main(argv) == code
+        here = capsys.readouterr().out
+        if not loaded:
+            assert "iterations: 0" in here.splitlines()
+
+        def without_times(report):
+            return [ln for ln in report.splitlines() if not ln.startswith("time[")]
+
+        assert without_times(child.stdout) == without_times(here)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hornsafe.driver as driver
+import hornsafe.fta as fta
 from hornsafe.absint import analyze
 from hornsafe.chc_core import FALSE_PRED, parse_program
 from hornsafe.driver import ENGINES, verify
@@ -453,7 +454,7 @@ class TestDifferenceMatchesReference:
         # automaton of the program it refines and its model automaton
         traced = []
         pairs = []
-        real_model_fta, real_difference = driver.model_fta, driver.difference
+        real_model_fta, real_difference = fta.model_fta, fta.difference
 
         def recording_model_fta(program, model):
             traced.append(trace_fta(program))
@@ -463,8 +464,8 @@ class TestDifferenceMatchesReference:
             pairs.append((traced[-1], a, b))
             return real_difference(a, b)
 
-        monkeypatch.setattr(driver, "model_fta", recording_model_fta)
-        monkeypatch.setattr(driver, "difference", recording_difference)
+        monkeypatch.setattr(fta, "model_fta", recording_model_fta)
+        monkeypatch.setattr(fta, "difference", recording_difference)
         verify(parse_program(path.read_text()), engine=engine)
         for full, mfta, remover in pairs:
             self.check(full, remover)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hornsafe.driver as driver
+import hornsafe.fta as fta
 import hornsafe.tree_interpolation as tree_interpolation
 from hornsafe.absint import analyze, clause_post
 from hornsafe.chc_core import Atom, Clause, Row, parse_constraint, parse_program
@@ -146,7 +147,7 @@ class TestScope:
         def failing_model_fta(*args):
             raise RuntimeError("phase failed")
 
-        monkeypatch.setattr(driver, "model_fta", failing_model_fta)
+        monkeypatch.setattr(fta, "model_fta", failing_model_fta)
         with pytest.raises(RuntimeError, match="phase failed"):
             verify(parse_program(UNSAFE_LOOP))
         assert memo_size_after_analyze[0] > 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hornsafe.driver as driver
+import hornsafe.tree_interpolation as tree_interpolation
 from hornsafe.chc_core import (
     FALSE,
     FALSE_PRED,
@@ -55,14 +56,14 @@ def rahit_labellings(programs) -> tuple:
     """(program, tree, labelling) for every tree verify interpolates on
     the programs under rahit."""
     found = []
-    real = driver.interpolant_automaton
+    real = tree_interpolation.interpolant_automaton
 
     def recording(program, tree, ti):
         found.append((program, tree, ti))
         return real(program, tree, ti)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(driver, "interpolant_automaton", recording)
+        mp.setattr(tree_interpolation, "interpolant_automaton", recording)
         for program in programs:
             driver.verify(program, engine="rahit")
     return tuple(found)
