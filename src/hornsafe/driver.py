@@ -103,6 +103,8 @@ def verify(
         raise ValueError(f"unknown engine {engine!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if widen_delay < 0:
+        raise ValueError("widen_delay must be nonnegative")
     if timeout is not None and math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, not NaN")
 

@@ -43,9 +43,19 @@ substituted into every other row (its coefficient c) as
 product is skipped when |k| is 1, and the division when the gcd is 1.
 Fourier-Motzkin then eliminates, each round, the dropped variable with
 the fewest positive-negative pairs (the first in name order on a tie),
-combining a pair as kn*p + kp*n.  Only the tightest row per direction
+combining a pair as kn*p + kp*n.  A round counts each dropped
+variable's positive and negative occurrences in one plain dict, picks
+the variable in one pass over the sorted candidates, and splits the
+table in one pass into the rows with a positive coefficient on it, the
+rows with a negative one, and the rest, which stay in the table in
+their order.  A combined row is built without the eliminated variable
+and without zero entries, and an inequality left after substitution
+loses its zero entries once, where it enters the table, so the table
+stores the dicts it is handed.  Only the tightest row per direction
 is kept: the key is the primitive coefficient vector (over its gcd),
-bounds compare by cross-multiplying and strict wins a tie.  Each
+bounds compare by cross-multiplying and strict wins a tie; the key is
+the coefficients as they are when their gcd g is 1, and a kept row is
+divided by gcd(g, rhs) only when that is not 1.  Each
 inequality row carries its history, an int bitmask of the input rows it
 was combined from; every inequality left after substitution is an input
 row with a bit of its own, a combined row has the OR of its pair's
@@ -57,10 +67,14 @@ has more than k+1 bits is skipped before it is combined.  project can
 thus leave out redundant rows that full elimination would keep; what it
 returns is still the exact projection.  The rows it returns are built
 from the ints as they are, each inequality over the denominator that
-makes its first coefficient in name order +1 or -1, and sorted by
-printed form; a printed number (the reduced fraction, which can be
-smaller than the stored ints) of more than
-chc_core.MAX_PRINTED_DIGITS digits raises NumberTooLongError.
+makes its first coefficient in name order +1 or -1.  A kept inequality
+is already in lowest terms (its coefficients' gcd has no factor in
+common with its rhs), so its Row is built directly from the names in
+order, without Row.of_ints' gcd.  The rows are sorted by printed form
+when there are two or more (a sort keys even a single row); a printed
+number (the reduced fraction, which can be smaller than the stored
+ints) of more than chc_core.MAX_PRINTED_DIGITS digits raises
+NumberTooLongError.
 
 The convex hull of two polyhedra is their closed convex hull, a sound
 over-approximation of the union: strict rows are relaxed.  When the
@@ -69,7 +83,9 @@ row's bound is num / ints[0], kept as an int pair with a positive
 denominator and compared by cross-multiplying, an upper one when
 ints[0] > 0, a lower one when ints[0] < 0, both for an equality; the
 larger upper bound is kept when both sides have one, and the smaller
-lower bound likewise, as non-strict rows sorted by printed form; when
+lower bound likewise, as non-strict rows, the upper one (x =< a)
+before the lower one (x >= b): that is their printed order, so they
+need no sort; when
 both sides are the same point p and all their rows are equalities, it
 is x = p.  These
 are the rows the lifted hull below gives.  Otherwise the hull is computed on a lifted system (Benoy, King and
@@ -116,7 +132,6 @@ says why nothing else here is memoised).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -213,17 +228,19 @@ def _dominance_insert(
 ) -> bool:
     """Keep the tightest row per direction: the table maps a primitive
     key to (coefficients, strict, rhs, g, mask), bound rhs/g along the
-    key, mask the history of the row it keeps.  Returns False when a
-    ground row is violated (unsatisfiable)."""
-    coeffs = {v: c for v, c in coeffs.items() if c}
+    key, mask the history of the row it keeps.  coeffs holds no zero
+    and may be stored as it is.  Returns False when a ground row is
+    violated (unsatisfiable)."""
     if not coeffs:
         return rhs > 0 if strict else rhs >= 0
     g = gcd(*coeffs.values())
-    key = frozenset([(v, c // g) for v, c in coeffs.items()])
+    key = frozenset(coeffs.items() if g == 1 else [(v, c // g) for v, c in coeffs.items()])
     old = table.get(key)
     if old is None or (rhs * old[3], not strict) < (old[2] * g, not old[1]):
         h = gcd(g, rhs)
-        table[key] = ({v: c // h for v, c in coeffs.items()}, strict, rhs // h, g // h, mask)
+        if h != 1:
+            coeffs, rhs, g = {v: c // h for v, c in coeffs.items()}, rhs // h, g // h
+        table[key] = (coeffs, strict, rhs, g, mask)
     return True
 
 
@@ -278,6 +295,7 @@ def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
     table: dict = {}
     for bit, (coeffs, rel, rhs, den) in enumerate(rows):
         if rel != REL_EQ:
+            coeffs = {v: c for v, c in coeffs.items() if c}
             if not _dominance_insert(table, coeffs, rel == REL_LT, rhs, 1 << bit):
                 return FALSE
             continue
@@ -292,18 +310,22 @@ def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
     # (Chernikov), so such a pair is skipped before it is combined.
     k = 0
     while True:
-        pos: Counter[Variable] = Counter()
-        neg: Counter[Variable] = Counter()
+        # [positive, negative] occurrences of each dropped variable
+        counts: dict[Variable, list[int]] = {}
         for coeffs, _, _, _, _ in table.values():
             for v, c in coeffs.items():
                 if v in drop:
-                    (pos if c > 0 else neg)[v] += 1
-        if not pos and not neg:
+                    counts.setdefault(v, [0, 0])[c < 0] += 1
+        if not counts:
             break
-        var = min(sorted(pos.keys() | neg.keys()), key=lambda v: pos[v] * neg[v])
-        upper = [row for row in table.values() if row[0].get(var, 0) > 0]
-        lower = [row for row in table.values() if row[0].get(var, 0) < 0]
-        table = {key: row for key, row in table.items() if var not in row[0]}
+        var = min(sorted(counts), key=lambda v: counts[v][0] * counts[v][1])
+        upper, lower, previous, table = [], [], table, {}
+        for key, row in previous.items():
+            c = row[0].get(var, 0)
+            if c:
+                (upper if c > 0 else lower).append(row)
+            else:
+                table[key] = row
         k += 1
         for pcs, ps, pb, _, pm in upper:
             kp = pcs[var]
@@ -312,17 +334,22 @@ def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
                 if mask.bit_count() > k + 1:
                     continue
                 kn = -ncs[var]
+                # var's entry sums to zero and leaves with every other zero
                 combined = {v: kn * c for v, c in pcs.items()}
                 for v, c in ncs.items():
-                    combined[v] = combined.get(v, 0) + kp * c
+                    combined[v] = c = combined.get(v, 0) + kp * c
+                    if not c:
+                        del combined[v]
                 if not _dominance_insert(table, combined, ps or ns, kn * pb + kp * nb, mask):
                     return FALSE
 
     for coeffs, strict, rhs, _, _ in table.values():
-        out_rows.append(Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
+        names, ints = zip(*sorted(coeffs.items()))
+        out_rows.append(Row(names, ints, REL_LT if strict else REL_LE, rhs, abs(ints[0])))
     if rows_too_long(out_rows, MAX_PRINTED_DIGITS):
         raise NumberTooLongError(f"a projection built a number longer than {MAX_PRINTED_DIGITS} digits")
-    out_rows.sort(key=lambda r: r.pretty())
+    if len(out_rows) > 1:
+        out_rows.sort(key=Row.pretty)
     return LinConstraint(tuple(out_rows))
 
 
@@ -466,7 +493,7 @@ def _interval_hull(p1: Polyhedron, p2: Polyhedron, x: Variable) -> Polyhedron:
     if lo1 is not None and lo2 is not None:
         num, den = lo1 if _below(lo1, lo2) else lo2
         rows.append(Row.of_ints({x: -den}, REL_LE, -num, den))
-    rows.sort(key=Row.pretty)
+    # "x =< a" prints before "x >= b": the rows are in printed order
     return Polyhedron(LinConstraint(tuple(rows)))
 
 

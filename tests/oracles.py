@@ -14,6 +14,11 @@ reference builds the interpreted body, conjoins it and projects it
 over Fractions; absint.body_post, which renames stored integer rows as
 it reads them, must print what it prints.
 
+The integer projection reference is lra.eliminate with the bookkeeping
+it had before the rewrite that made it cheaper: the shipped eliminate
+must return the very same rows in the same order, and refuse the same
+inputs with NumberTooLongError.
+
 The row reference is chc_core.Row as it was stored over Fractions:
 its construction, renaming and printing, which the integer Row must
 reproduce exactly.
@@ -51,9 +56,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable
 
 from hornsafe.chc_core import (
     FALSE_PRED,
+    MAX_PRINTED_DIGITS,
     REL_EQ,
     REL_LE,
     REL_LT,
@@ -62,10 +69,12 @@ from hornsafe.chc_core import (
     Clause,
     FALSE,
     LinConstraint,
+    NumberTooLongError,
     Program,
     Row,
     Variable,
     parse_program,
+    rows_too_long,
 )
 from hornsafe.derivations import AndTree, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
@@ -506,6 +515,121 @@ def hull_reference(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     for x in xs:
         rows.append(({x: _ONE, copies[0][0][x]: -_ONE, copies[1][0][x]: -_ONE}, REL_EQ, _ZERO))
     return Polyhedron(minimise(fraction_eliminate(rows, used - set(xs))))
+
+
+# Integer projection reference: lra.eliminate and its dominance table
+# as they were before their bookkeeping was rewritten (two Counters per
+# round, three passes to split the table, zero entries filtered at each
+# insert, every output row built by Row.of_ints and sorted), kept to
+# pin that the rewrite returns the very same rows in the same order.
+
+
+def _int_dominance_insert(
+    table: dict, coeffs: dict[Variable, int], strict: bool, rhs: int, mask: int
+) -> bool:
+    """Keep the tightest row per direction: the table maps a primitive
+    key to (coefficients, strict, rhs, g, mask), bound rhs/g along the
+    key, mask the history of the row it keeps.  Returns False when a
+    ground row is violated (unsatisfiable)."""
+    coeffs = {v: c for v, c in coeffs.items() if c}
+    if not coeffs:
+        return rhs > 0 if strict else rhs >= 0
+    g = gcd(*coeffs.values())
+    key = frozenset([(v, c // g) for v, c in coeffs.items()])
+    old = table.get(key)
+    if old is None or (rhs * old[3], not strict) < (old[2] * g, not old[1]):
+        h = gcd(g, rhs)
+        table[key] = ({v: c // h for v, c in coeffs.items()}, strict, rhs // h, g // h, mask)
+    return True
+
+
+def eliminate_reference(rows: list, keep: Iterable[Variable]) -> LinConstraint:
+    """project on integer rows (coefficients, relation, rhs,
+    denominator), whose dicts it consumes: eliminate every variable the
+    rows name outside keep."""
+    drop = set().union(*[coeffs for coeffs, _, _, _ in rows]) - set(keep)
+    i = 0
+    while i < len(rows):
+        ecoeffs, rel, erhs, _ = rows[i]
+        pivot = None
+        if rel == REL_EQ:
+            pivot = min([v for v, e in ecoeffs.items() if e and v in drop], default=None)
+        if pivot is None:
+            i += 1
+            continue
+        del rows[i]
+        k = ecoeffs.pop(pivot)
+        sign = 1 if k > 0 else -1
+        k *= sign
+        eitems = list(ecoeffs.items())
+        for j, (coeffs, r, rhs, den) in enumerate(rows):
+            c = coeffs.pop(pivot, 0)
+            if c:
+                c *= sign
+                if k != 1:
+                    coeffs = {v: k * e for v, e in coeffs.items()}
+                    rhs *= k
+                    den *= k
+                for v, e in eitems:
+                    coeffs[v] = coeffs.get(v, 0) - c * e
+                rhs -= c * erhs
+                g = gcd(den, rhs, *coeffs.values())
+                if g != 1:
+                    coeffs = {v: e // g for v, e in coeffs.items()}
+                    rhs //= g
+                    den //= g
+                rows[j] = (coeffs, r, rhs, den)
+
+    out_rows: list[Row] = []
+    table: dict = {}
+    for bit, (coeffs, rel, rhs, den) in enumerate(rows):
+        if rel != REL_EQ:
+            if not _int_dominance_insert(table, coeffs, rel == REL_LT, rhs, 1 << bit):
+                return FALSE
+            continue
+        row = Row.of_ints(coeffs, REL_EQ, rhs, den)
+        if row.names:
+            out_rows.append(row)
+        elif row.num != 0:
+            return FALSE
+
+    # Fourier-Motzkin; a pair's kn*p + kp*n cancels var exactly.  After
+    # round k a row built from more than k+1 input rows is redundant
+    # (Chernikov), so such a pair is skipped before it is combined.
+    k = 0
+    while True:
+        pos: Counter[Variable] = Counter()
+        neg: Counter[Variable] = Counter()
+        for coeffs, _, _, _, _ in table.values():
+            for v, c in coeffs.items():
+                if v in drop:
+                    (pos if c > 0 else neg)[v] += 1
+        if not pos and not neg:
+            break
+        var = min(sorted(pos.keys() | neg.keys()), key=lambda v: pos[v] * neg[v])
+        upper = [row for row in table.values() if row[0].get(var, 0) > 0]
+        lower = [row for row in table.values() if row[0].get(var, 0) < 0]
+        table = {key: row for key, row in table.items() if var not in row[0]}
+        k += 1
+        for pcs, ps, pb, _, pm in upper:
+            kp = pcs[var]
+            for ncs, ns, nb, _, nm in lower:
+                mask = pm | nm
+                if mask.bit_count() > k + 1:
+                    continue
+                kn = -ncs[var]
+                combined = {v: kn * c for v, c in pcs.items()}
+                for v, c in ncs.items():
+                    combined[v] = combined.get(v, 0) + kp * c
+                if not _int_dominance_insert(table, combined, ps or ns, kn * pb + kp * nb, mask):
+                    return FALSE
+
+    for coeffs, strict, rhs, _, _ in table.values():
+        out_rows.append(Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, abs(coeffs[min(coeffs)])))
+    if rows_too_long(out_rows, MAX_PRINTED_DIGITS):
+        raise NumberTooLongError(f"a projection built a number longer than {MAX_PRINTED_DIGITS} digits")
+    out_rows.sort(key=lambda r: r.pretty())
+    return LinConstraint(tuple(out_rows))
 
 
 # Row reference: a row as sorted (variable, Fraction) terms, a relation

@@ -146,6 +146,9 @@ class TestLimits:
             verify(parse_program(FIB), engine="magic")
         with pytest.raises(ValueError):
             verify(parse_program(FIB), max_iter=-1)
+        # as the CLI refuses --widen-delay -1
+        with pytest.raises(ValueError, match="widen_delay must be nonnegative"):
+            verify(parse_program(FIB), widen_delay=-5)
 
     def test_nan_timeout_rejected(self):
         # NaN compares false with every deadline, so it would never fire

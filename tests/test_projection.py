@@ -6,6 +6,11 @@ the same eliminations over Fractions, without Chernikov's rule.  On
 small systems, where the rule leaves out no row the reference keeps,
 both must print the very same result, not merely an equivalent one;
 on larger ones project must stay equivalent to the reference.
+
+oracles.eliminate_reference is eliminate with the bookkeeping it had
+before that was rewritten for speed; on every kind of system that
+reaches eliminate, both must return the very same rows in the same
+order, or both refuse the input with NumberTooLongError.
 """
 
 import random
@@ -14,9 +19,20 @@ from collections import Counter
 import pytest
 
 import oracles
-from gen import pivot_system, random_constraint, wide_system
-from hornsafe.chc_core import FALSE, REL_EQ, TRUE, parse_constraint
-from hornsafe.lra import Polyhedron, hull, project
+from gen import pivot_system, post_case, random_constraint, wide_system
+from hornsafe import absint
+from hornsafe.chc_core import (
+    FALSE,
+    MAX_PRINTED_DIGITS,
+    REL_EQ,
+    REL_LE,
+    REL_LT,
+    TRUE,
+    NumberTooLongError,
+    Variable,
+    parse_constraint,
+)
+from hornsafe.lra import Polyhedron, eliminate, hull, project, solver
 
 
 def _projected(text: str, keep: str) -> str:
@@ -121,3 +137,99 @@ def test_strict_wins_a_tie_in_direction_and_bound(text):
 )
 def test_ground_rows(text, result):
     assert _projected(text, "") == result.pretty()
+
+
+def _int_rows(constraint):
+    return [(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows]
+
+
+def _outcome(fn, rows, keep):
+    """What fn returns on a copy of the integer rows, whose dicts it
+    consumes, or NumberTooLongError when it refuses them."""
+    try:
+        return fn([(dict(coeffs), rel, rhs, den) for coeffs, rel, rhs, den in rows], keep)
+    except NumberTooLongError:
+        return NumberTooLongError
+
+
+def _recorded_systems(monkeypatch, module, build, count):
+    """The (rows, keep) that count calls of build hand to eliminate
+    through module."""
+    systems = []
+
+    def record(rows, keep):
+        keep = list(keep)
+        systems.append(([(dict(c), rel, rhs, den) for c, rel, rhs, den in rows], keep))
+        return eliminate(rows, keep)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "eliminate", record)
+        for _ in range(count):
+            build()
+    return systems
+
+
+def _long_number_system(rng):
+    """Two to four rows over X, Y, Z and W, Z and W dropped, with
+    coefficients and right-hand sides of 1, 1,200 or 2,300 digits: a
+    product of two of the longest passes MAX_PRINTED_DIGITS digits."""
+    xs = [Variable(n) for n in ("W", "X", "Y", "Z")]
+
+    def number():
+        digits = rng.choice((1, 1200, 2300))
+        return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10**digits)
+
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        coeffs = {v: number() for v in rng.sample(xs, rng.randint(1, 3))}
+        rows.append((coeffs, rng.choice((REL_LE, REL_LT, REL_EQ)), number(), rng.choice((1, 1, 7))))
+    return rows, xs[1:3]
+
+
+def test_eliminate_returns_the_parents_rows(monkeypatch):
+    rng = random.Random(28)
+    systems = []
+    for _ in range(200):
+        c, keep = wide_system(rng)
+        systems.append((_int_rows(c), keep))
+    for _ in range(300):
+        # equalities and strict rows, with between none and all kept
+        c = random_constraint(rng, max_vars=5, max_rows=8)
+        xs = sorted(c.vars())
+        systems.append((_int_rows(c), rng.sample(xs, rng.randint(0, len(xs)))))
+    for _ in range(100):
+        c, keep = pivot_system(rng)
+        systems.append((_int_rows(c), keep))
+
+    def lifted_hull():
+        p1, p2 = (Polyhedron.of(random_constraint(rng, max_vars=3, max_rows=4)) for _ in range(2))
+        if not (p1.empty or p2.empty or p1.is_top() or p2.is_top()):
+            solver._lifted_hull(p1, p2)
+
+    systems += _recorded_systems(monkeypatch, solver, lifted_hull, 200)
+    systems += _recorded_systems(monkeypatch, absint, lambda: absint.body_post(*post_case(rng)), 200)
+    # ground rows, satisfied and violated
+    for text, keep in [
+        ("X =< 0, X >= 1", ""),
+        ("X < 1, X >= 1", ""),
+        ("2*X =< 2, 3*X >= 3", ""),
+        ("X = 1, X = 2", ""),
+        ("X = 1, Y = X, 2*Y < 2", "X"),
+        ("X - X =< 0, Y =< 1", "Y"),
+    ]:
+        systems.append((_int_rows(parse_constraint(text)), keep.split()))
+    systems.append(([({}, REL_LT, 0, 1)], []))
+    systems.append(([({}, REL_EQ, 0, 3), ({Variable("X"): 0}, REL_LE, 0, 1)], []))
+    for _ in range(150):
+        systems.append(_long_number_system(rng))
+
+    kinds = Counter()
+    for rows, keep in systems:
+        want = _outcome(oracles.eliminate_reference, rows, keep)
+        got = _outcome(eliminate, rows, keep)
+        assert got == want, (rows, keep)
+        kinds["refused" if want is NumberTooLongError else "false" if want == FALSE else len(want.rows)] += 1
+    # every kind of answer occurs: refused, unsatisfiable, true, one
+    # row and several rows
+    assert kinds["refused"] >= 10 and kinds["false"] >= 50 and kinds[0] >= 50
+    assert kinds[1] >= 50 and sum(n for k, n in kinds.items() if isinstance(k, int) and k > 1) >= 200
