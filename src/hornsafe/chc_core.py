@@ -111,8 +111,8 @@ class Row:
     rational row has exactly one form, and the row is not rescaled
     otherwise: ``2*X =< 4`` stays ``2*X =< 4``.  An equality's leading
     coefficient is positive, so either spelling stores the same row.
-    ==, hash, vars, rename and pretty build no Fraction; terms, rhs
-    and coeffs() are Fraction views built on request.  A row is never
+    ==, hash, vars, rename and pretty build no Fraction; terms and rhs
+    are Fraction views built on request.  A row is never
     changed once built: memo keys hash it.  The constructor takes the
     stored form as it is; make and of_ints build it.
     """
@@ -173,9 +173,6 @@ class Row:
     @property
     def rhs(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def coeffs(self) -> dict[Variable, Fraction]:
-        return dict(self.terms)
 
     def vars(self) -> set[Variable]:
         return set(self.names)

@@ -30,7 +30,7 @@ rewrite m*(m+n).
 
 The arithmetic is fraction-free, after Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination" (Math. Comp.
-1968): no Fraction is built inside the pivot loop.
+1968): the kernel builds no Fraction.
 
 * The caller passes each row multiplied by L, the lcm of its
   denominators, and L itself, so its slack is L*s over integer
@@ -41,7 +41,8 @@ and multistep integer-preserving Gaussian elimination" (Math. Comp.
   Scaling a variable by a positive constant changes neither the sign of
   any coefficient nor which bounds are violated, so Bland's rule picks
   the very same pivots and the original columns take the very same
-  values: the witnesses are bit for bit those of a simplex over Fractions.
+  values: the witnesses, read as rationals, are those of a simplex over
+  Fractions.
 * A tableau row is a list of ints N over one positive int D, meaning
   ``D * basic = sum(N[p] * colvar[p])``.  The basic variable's value is
   kept as int numerators (main and delta) over the same D.  Nonbasic
@@ -77,18 +78,17 @@ simplex alone.
 
 The answer is None when the rows are unsatisfiable.  Otherwise it is
 the witness, a satisfying assignment for the original columns as a list
-of (main, delta_coefficient) pairs of Fractions, the only Fractions the
-kernel builds, or just True when the caller asks for no witness.
+with one int triple (main numerator, delta numerator, denominator) per
+column: the value is (main/den, delta/den), den is positive and the
+triple is not reduced; a nonbasic column reads (0, 0, 1).  Or it is
+just True when the caller asks for no witness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT
-
-_ZERO = Fraction(0)
 
 
 def simplex_feasible(ncols, rows, witness=True):
@@ -385,11 +385,4 @@ def _simplex(ncols, rows, witness):
 
     if not witness:
         return True
-    values = []
-    for j in range(ncols):
-        r = rowof[j]
-        if r < 0:
-            values.append((_ZERO, _ZERO))
-        else:
-            values.append((Fraction(num_m[r], den[r]), Fraction(num_d[r], den[r])))
-    return values
+    return [(0, 0, 1) if r < 0 else (num_m[r], num_d[r], den[r]) for r in rowof[:ncols]]

@@ -4,15 +4,15 @@ Everything is exact, and everything between parsing and printing is
 integer arithmetic.  A chc_core.Row is stored as int coefficients and
 an int right-hand side over one positive int denominator, and every
 procedure here reads and writes that form; Fractions are built only for
-the points is_sat returns and for the multipliers interpolate reads off
-the kernel.
+the points is_sat returns.
 
 Satisfiability goes through the simplex kernel in kernel.py; strict
 inequalities are handled with delta-rationals, so the kernel's witness
-assigns each variable a pair (main, delta coefficient) meaning
-main + delta * d for an arbitrarily small positive d.  is_sat fixes d
-on the kernel rows it handed over, at most 1 and small enough that
-every row still holds, and returns the point, a Fraction per variable,
+assigns each variable an int triple, a main and a delta numerator over
+one denominator, meaning main + delta * d for an arbitrarily small
+positive d.  is_sat reads the triples as Fractions, fixes d on the
+kernel rows it handed over, at most 1 and small enough that every row
+still holds, and returns the point, a Fraction per variable,
 or None when there is none; a satisfiable constraint over no variables
 gets the empty point, which is falsy.  Only is_sat and interpolate's
 Farkas LPs ask the kernel for a witness, and the simplex alone answers
@@ -104,26 +104,33 @@ negative combined right-hand side or a zero one that uses a strict row
 (Motzkin transposition guarantees one of the two exists).  The
 interpolant is the y-combination of phi1's rows alone: implied by phi1,
 inconsistent with phi2, and over shared variables only because the
-phi1-part of the cancellation equals minus the phi2-part.  The rows of
-both are placed once over one sorted column list as the kernel takes
-them, each equality split into two opposed non-strict rows; the
-multiplier system reads its per-variable rows off their columns, the
-pinning trials hand them to the kernel as they are, and the
-combination adds them up as int lists.  A multiplier on a Row's ints is
-the multiplier on the rational row divided by its denominator, a positive scaling of
-its column that leaves the kernel's pivots, and so the refutation found,
-as they are over Fractions.  Among
-refutations, phi2's multipliers are pinned to zero one at a time in row
-order.  A trial that pins a set P first checks, with one kernel call
-over the variables, whether the split rows outside P are satisfiable
-together; if they are, no refutation avoids P (Motzkin again) and the
-trial fails without solving a multiplier LP.  Only a trial that
-can succeed solves the two Farkas LPs, so the check decides which LPs
-run but never which refutation is chosen.  The multiplier system's
-cancellation and sign rows are built once per call; each LP hands the
-kernel those rows, then a unit equality per pinned row in the pinned
-set's iteration order, then its budget.  The pins' order can change
-the refutation the kernel finds, and so the interpolant.
+phi1-part of the cancellation equals minus the phi2-part.  The split
+rows are the rows of both with each equality split into two opposed
+non-strict rows.  One pass over the rows reads each Row's ints into the
+multiplier system's per-variable rows, one entry per split row, its
+budget and strict weights, and the row's kernel row over one sorted
+column list, an equality whole.  A multiplier on a Row's ints is the
+multiplier on the rational row divided by its denominator, a positive
+scaling of its column that leaves the kernel's pivots, and so the
+refutation found, as they are over Fractions.  The combination reads
+the multipliers off the kernel's witness as ints (main numerator over
+denominator) and adds up phi1's kernel rows as int lists, each times
+its multiplier and the lcm of the multipliers' reduced denominators,
+an equality times its first half's multiplier minus its second half's.
+Among refutations, phi2's multipliers are pinned to zero one at a time
+in row order.  A trial that pins a set P first checks, with one kernel
+call over the variables, whether the split rows outside P are
+satisfiable together; if they are, no refutation avoids P (Motzkin
+again) and the trial fails without solving a multiplier LP.  An
+equality neither of whose halves is in P joins that call whole, as one
+= row that the kernel's elimination substitutes out, and one with a
+half in P joins as its other half.  Only a trial that can succeed
+solves the two Farkas LPs, so the check decides which LPs run but never
+which refutation is chosen.  The multiplier system's cancellation and
+sign rows are built once per call; each LP hands the kernel those rows,
+then a unit equality per pinned row in the pinned set's iteration
+order, then its budget.  The pins' order can change the refutation the
+kernel finds, and so the interpolant.
 
 hull is a memoised step: within one verify call its results are kept
 and looked up by argument (see hornsafe.run, which lists the steps and
@@ -186,9 +193,10 @@ def is_sat(constraint: LinConstraint) -> dict[Variable, Fraction] | None:
     a row by its den leaves that ratio as it is."""
     columns = sorted(constraint.vars())
     rows = _dense(constraint.rows, columns)
-    result = kernel.simplex_feasible(len(columns), rows)
-    if result is None:
+    witness = kernel.simplex_feasible(len(columns), rows)
+    if witness is None:
         return None
+    result = [(Fraction(m, den), Fraction(dd, den)) for m, dd, den in witness]
     # only nonzero terms are multiplied: trace formulas are wide and sparse
     deltas = [(i, dd) for i, (_, dd) in enumerate(result) if dd]
     delta = _ONE
@@ -547,20 +555,6 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
 # Interpolation --------------------------------------------------------------
 
 
-def _split(constraint: LinConstraint, columns: list[Variable]) -> list:
-    """The rows over columns as the kernel takes them, each equality as
-    two opposed =< rows, so every split row takes a nonnegative Farkas
-    multiplier."""
-    out = []
-    for dense, rel, num, den in _dense(constraint.rows, columns):
-        if rel == REL_EQ:
-            out.append((dense, REL_LE, num, den))
-            out.append(([-c for c in dense], REL_LE, -num, den))
-        else:
-            out.append((dense, rel, num, den))
-    return out
-
-
 def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     """Craig interpolant for an unsatisfiable conjunction phi1 and phi2.
 
@@ -571,34 +565,53 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
     greedily zeroed in row order, biasing I towards phi1's content.
     """
     columns = sorted(phi1.vars() | phi2.vars())
-    split1 = _split(phi1, columns)
-    split = split1 + _split(phi2, columns)
+    index = {v: k for k, v in enumerate(columns)}
+    rows = phi1.rows + phi2.rows
+    m = len(rows) + [row.rel for row in rows].count(REL_EQ)
 
-    # the multiplier system, one column per split row: the variables'
-    # coefficients cancel and every multiplier is nonnegative.  A
-    # refutation adds a budget, combined rhs =< -1, or else combined
-    # rhs =< 0 with the strict rows' multipliers summing to >= 1, the
-    # second only when there is a strict row.  A column multiplies a
-    # split row's ints, den times the rational row, so its multiplier
-    # is den times smaller and the strict sum weighs it by den; scaling
-    # a column by a positive constant changes neither the kernel's
-    # pivots nor which multipliers are zero (see kernel.py).
-    m = len(split)
-    base = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
-    base += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
-    budget = [b for _, _, b, _ in split]
-    strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
+    # the multiplier system, one column per split row (an equality
+    # splits into two opposed =< rows, so every multiplier is
+    # nonnegative): the variables' coefficients cancel.  A refutation
+    # adds a budget, combined rhs =< -1, or else combined rhs =< 0 with
+    # the strict rows' multipliers summing to >= 1, the second only when
+    # there is a strict row.  A column multiplies a split row's ints,
+    # den times the rational row, so its multiplier is den times smaller
+    # and the strict sum weighs it by den; scaling a column by a
+    # positive constant changes neither the kernel's pivots nor which
+    # multipliers are zero (see kernel.py).  The same pass keeps each
+    # row's kernel row over the columns, an equality whole, with the
+    # index of its first split row.
+    cancel = [[0] * m for _ in columns]
+    budget, strict, placed = [], [], []
+    for row in rows:
+        i = len(budget)
+        eq = row.rel == REL_EQ
+        dense = [0] * len(columns)
+        for v, c in zip(row.names, row.ints):
+            k = index[v]
+            dense[k] = cancel[k][i] = c
+            if eq:
+                cancel[k][i + 1] = -c
+        budget += (row.num, -row.num) if eq else (row.num,)
+        strict += (0, 0) if eq else (-row.den if row.rel == REL_LT else 0,)
+        placed.append(((dense, row.rel, row.num, row.den), i))
+    base = [(col, REL_EQ, 0, 1) for col in cancel]
+    for i in range(m):
+        sign = [0] * m
+        sign[i] = -1
+        base.append((sign, REL_LE, 0, 1))
     budget_rows = [[(budget, REL_LE, -1, 1)]]
     if any(strict):
         budget_rows.append([(budget, REL_LE, 0, 1), (strict, REL_LE, -1, 1)])
 
-    def refute(pinned: set[int]) -> list[Fraction] | None:
-        """Multipliers of a refutation whose pinned ones are zero."""
-        pins = [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
-        for rows in budget_rows:
-            result = kernel.simplex_feasible(m, base + pins + rows)
-            if result is not None:
-                return [main for main, _ in result]
+    def refute(pinned: set[int]) -> list | None:
+        """The kernel's witness for a refutation whose pinned
+        multipliers are zero: multiplier i is y[i][0] / y[i][2]."""
+        pins = [([0] * i + [1] + [0] * (m - 1 - i), REL_EQ, 0, 1) for i in pinned]
+        for extra in budget_rows:
+            y = kernel.simplex_feasible(m, base + pins + extra)
+            if y is not None:
+                return y
         return None
 
     y = refute(set())
@@ -606,35 +619,48 @@ def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
         raise JointlySatisfiableError("constraints are jointly satisfiable")
 
     # a trial needs a refutation that avoids the rows pinned to zero,
-    # and there is none while the other rows are satisfiable together
-    n1 = len(split1)
+    # and there is none while the other rows are satisfiable together;
+    # an equality goes in whole when neither half is pinned, else as the
+    # half that is not
+    first, second = placed[: len(phi1.rows)], placed[len(phi1.rows) :]
+    n1 = second[0][1] if second else m
     pinned: set[int] = set()
     for j in range(n1, m):
-        if y[j] == 0:
+        if not y[j][0]:
             continue
         skip = pinned | {j}
-        rest = [row for i, row in enumerate(split) if i not in skip]
+        rest = [krow for krow, _ in first]
+        for krow, i in second:
+            dense, rel, num, den = krow
+            if i not in skip:
+                rest.append((dense, REL_LE, num, den) if rel == REL_EQ and i + 1 in skip else krow)
+            elif rel == REL_EQ and i + 1 not in skip:
+                rest.append(([-c for c in dense], REL_LE, -num, den))
         if kernel.simplex_feasible(len(columns), rest, False) is None:
             pinned = skip
             y = refute(skip)
 
-    # the y-combination of phi1's rows, times the lcm of y's denominators
-    scale = lcm(*[y[i].denominator for i in range(n1)])
+    # the y-combination of phi1's rows, each multiplier num/den times
+    # scale, the lcm of their reduced denominators; an equality weighs
+    # its first half's multiplier minus its second half's
+    scale = lcm(*[den // gcd(num, den) for num, _, den in y[:n1]])
+    weights = [num * scale // den for num, _, den in y[:n1]]
     combined = [0] * len(columns)
     rhs = 0
-    strict = False
-    for i in range(n1):
-        if y[i] == 0:
-            continue
-        w = y[i].numerator * (scale // y[i].denominator)
-        dense, rel, b, _ = split1[i]
-        combined = [a + w * c for a, c in zip(combined, dense)]
-        rhs += w * b
-        strict = strict or rel == REL_LT
-    if not any(combined) and (rhs > 0 if strict else rhs >= 0):
+    rel = REL_LE
+    for (dense, rowrel, b, _), i in first:
+        w = weights[i] - weights[i + 1] if rowrel == REL_EQ else weights[i]
+        if w:
+            combined = [a + w * c for a, c in zip(combined, dense)]
+            rhs += w * b
+            rel = REL_LT if rowrel == REL_LT else rel
+    if not any(combined) and (rhs > 0 if rel == REL_LT else rhs >= 0):
         return TRUE
     # over the gcd the coefficients are coprime integers; a ground row
-    # keeps its value rhs/scale
+    # keeps its value rhs/scale.  den divides every coefficient, so the
+    # Row's common factor is gcd(den, rhs), and its names are in order
     den = gcd(*combined) or scale
-    row = Row.of_ints(dict(zip(columns, combined)), REL_LT if strict else REL_LE, rhs, den)
-    return LinConstraint((row,))
+    g = gcd(den, rhs)
+    names = tuple([v for v, c in zip(columns, combined) if c])
+    ints = tuple([c // g for c in combined if c])
+    return LinConstraint((Row(names, ints, rel, rhs // g, den // g),))

@@ -49,9 +49,6 @@ class InterpretationModel:
             {p: poly for p, poly in self.entries.items() if not poly.empty},
         )
 
-    def predicates(self) -> set[str]:
-        return set(self.entries)
-
     def polyhedron(self, pred: str) -> Polyhedron:
         return self.entries.get(pred, _BOTTOM)
 

@@ -23,6 +23,12 @@ The row reference is chc_core.Row as it was stored over Fractions:
 its construction, renaming and printing, which the integer Row must
 reproduce exactly.
 
+The interpolation reference is interpolate as it was before it read the
+kernel's witness as ints and kept equalities whole in its pinning
+trials: the shipped interpolate must return the very same interpolant.
+witness_pairs reads the kernel's witness, an int triple per column, as
+the (main, delta) Fraction pairs the references compare.
+
 The Farkas reference is interpolate's multiplier system as it was built
 over the rational rows: the system interpolate hands the kernel over
 the rows' ints must find the same multipliers, each divided by its
@@ -32,6 +38,7 @@ The tree automaton section also builds a program's whole trace
 automaton (trace_fta), which only the tests use.
 
 The last section holds test-only helpers that the verifier never runs:
+a row's coefficients and a model's predicates as the tests read them,
 trace parsing, the preorder listing and trace erasure by recursion,
 bounded enumeration and the least accepted term
 found by it, trace feasibility, an exact point check that calls no
@@ -88,6 +95,7 @@ from hornsafe.lra import (
     minimise,
     project,
 )
+from hornsafe.lra.solver import _dense
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
 from hornsafe.tree_interpolation import ERROR_STATE, FeasibleTreeError, TreeInterpolant
 
@@ -222,6 +230,15 @@ def fm_satisfiable(constraint: LinConstraint) -> bool:
                 if not _insert(table, coeffs, ps or ns, rhs):
                     return False
     return True
+
+
+def witness_pairs(result):
+    """The kernel's witness, one int triple (main numerator, delta
+    numerator, denominator) per column, as (main, delta) Fraction pairs;
+    None passes through."""
+    if result is None:
+        return None
+    return [(Fraction(m, den), Fraction(d, den)) for m, d, den in result]
 
 
 # Dense simplex reference: the same bound-form simplex and Bland's rule
@@ -467,7 +484,7 @@ def fraction_eliminate(rows: list, drop: set) -> LinConstraint:
 
 def project_reference(constraint: LinConstraint, keep) -> LinConstraint:
     drop = constraint.vars() - set(keep)
-    return fraction_eliminate([(row.coeffs(), row.rel, row.rhs) for row in constraint.rows], drop)
+    return fraction_eliminate([(row_coeffs(row), row.rel, row.rhs) for row in constraint.rows], drop)
 
 
 def post_reference(clause: Clause, polys) -> Polyhedron:
@@ -694,6 +711,106 @@ class FractionRow:
         return f"{''.join(parts)} {rel} {rhs}"
 
 
+# Interpolation reference: lra.interpolate as it was before it built its
+# split rows in one pass and read the Farkas multipliers as ints, when
+# the kernel's witness was (main, delta) Fraction pairs and every pinning
+# trial handed the kernel both halves of each equality.  The shipped
+# interpolate must return the very same interpolant, or raise as it does.
+
+
+def split_reference(constraint: LinConstraint, columns: list[Variable]) -> list:
+    """The rows over columns as the kernel takes them, each equality as
+    two opposed =< rows, so every split row takes a nonnegative Farkas
+    multiplier."""
+    out = []
+    for dense, rel, num, den in _dense(constraint.rows, columns):
+        if rel == REL_EQ:
+            out.append((dense, REL_LE, num, den))
+            out.append(([-c for c in dense], REL_LE, -num, den))
+        else:
+            out.append((dense, rel, num, den))
+    return out
+
+
+def interpolate_reference(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
+    """Craig interpolant for an unsatisfiable conjunction phi1 and phi2.
+
+    The result I satisfies: phi1 entails I; I with phi2 is
+    unsatisfiable; I mentions only variables shared by phi1 and phi2.
+    Raises JointlySatisfiableError when phi1 and phi2 are satisfiable
+    together.  Among refutations, multipliers on phi2's rows are
+    greedily zeroed in row order, biasing I towards phi1's content.
+    """
+    columns = sorted(phi1.vars() | phi2.vars())
+    split1 = split_reference(phi1, columns)
+    split = split1 + split_reference(phi2, columns)
+
+    # the multiplier system, one column per split row: the variables'
+    # coefficients cancel and every multiplier is nonnegative.  A
+    # refutation adds a budget, combined rhs =< -1, or else combined
+    # rhs =< 0 with the strict rows' multipliers summing to >= 1, the
+    # second only when there is a strict row.  A column multiplies a
+    # split row's ints, den times the rational row, so its multiplier
+    # is den times smaller and the strict sum weighs it by den; scaling
+    # a column by a positive constant changes neither the kernel's
+    # pivots nor which multipliers are zero (see kernel.py).
+    m = len(split)
+    base = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
+    base += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
+    budget = [b for _, _, b, _ in split]
+    strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
+    budget_rows = [[(budget, REL_LE, -1, 1)]]
+    if any(strict):
+        budget_rows.append([(budget, REL_LE, 0, 1), (strict, REL_LE, -1, 1)])
+
+    def refute(pinned: set[int]) -> list[Fraction] | None:
+        """Multipliers of a refutation whose pinned ones are zero."""
+        pins = [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
+        for rows in budget_rows:
+            result = witness_pairs(kernel.simplex_feasible(m, base + pins + rows))
+            if result is not None:
+                return [main for main, _ in result]
+        return None
+
+    y = refute(set())
+    if y is None:
+        raise JointlySatisfiableError("constraints are jointly satisfiable")
+
+    # a trial needs a refutation that avoids the rows pinned to zero,
+    # and there is none while the other rows are satisfiable together
+    n1 = len(split1)
+    pinned: set[int] = set()
+    for j in range(n1, m):
+        if y[j] == 0:
+            continue
+        skip = pinned | {j}
+        rest = [row for i, row in enumerate(split) if i not in skip]
+        if kernel.simplex_feasible(len(columns), rest, False) is None:
+            pinned = skip
+            y = refute(skip)
+
+    # the y-combination of phi1's rows, times the lcm of y's denominators
+    scale = lcm(*[y[i].denominator for i in range(n1)])
+    combined = [0] * len(columns)
+    rhs = 0
+    strict = False
+    for i in range(n1):
+        if y[i] == 0:
+            continue
+        w = y[i].numerator * (scale // y[i].denominator)
+        dense, rel, b, _ = split1[i]
+        combined = [a + w * c for a, c in zip(combined, dense)]
+        rhs += w * b
+        strict = strict or rel == REL_LT
+    if not any(combined) and (rhs > 0 if strict else rhs >= 0):
+        return TRUE
+    # over the gcd the coefficients are coprime integers; a ground row
+    # keeps its value rhs/scale
+    den = gcd(*combined) or scale
+    row = Row.of_ints(dict(zip(columns, combined)), REL_LT if strict else REL_LE, rhs, den)
+    return LinConstraint((row,))
+
+
 # Farkas reference: the multiplier system over the Fraction split rows,
 # each kernel row scaled by the lcm of its denominators.
 
@@ -701,7 +818,7 @@ class FractionRow:
 def fraction_farkas(constraint: LinConstraint, pinned, want_strict_budget: bool):
     split = []
     for row in constraint.rows:
-        coeffs = row.coeffs()
+        coeffs = row_coeffs(row)
         if row.rel == REL_EQ:
             split.append((coeffs, False, row.rhs))
             split.append(({v: -c for v, c in coeffs.items()}, False, -row.rhs))
@@ -725,7 +842,7 @@ def fraction_farkas(constraint: LinConstraint, pinned, want_strict_budget: bool)
     for coeffs, rel, rhs in rows:
         scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
         scaled.append(([int(c * scale) for c in coeffs], rel, int(rhs * scale), scale))
-    result = kernel.simplex_feasible(m, scaled)
+    result = witness_pairs(kernel.simplex_feasible(m, scaled))
     return None if result is None else [main for main, _ in result]
 
 
@@ -889,6 +1006,16 @@ def difference_reference(a: TreeAutomaton, b: TreeAutomaton) -> TreeAutomaton:
 
 # Test-only helpers.  They run on the package's own data types and
 # solver; the verifier itself calls none of them.
+
+
+def row_coeffs(row: Row) -> dict[Variable, Fraction]:
+    """A row's coefficients as a dict of Fractions."""
+    return dict(row.terms)
+
+
+def model_predicates(model: InterpretationModel) -> set[str]:
+    """The predicates a model has an entry for."""
+    return set(model.entries)
 
 
 def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:

@@ -10,7 +10,7 @@ from hornsafe.absint import analyze, body_post, clause_post
 from hornsafe.chc_core import FALSE_PRED, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, entails
 from hornsafe.model import is_model
-from oracles import load_model
+from oracles import load_model, model_predicates
 from programs import (
     COUNT_UP,
     DECREMENT,
@@ -136,12 +136,12 @@ class TestAnalyze:
 
     def test_empty_program(self):
         m = analyze(parse_program(""))
-        assert m.predicates() == set()
+        assert model_predicates(m) == set()
 
     def test_unreachable_predicate_absent(self):
         prog = parse_program("p(Y) :- Y=X, q(X).\nr(X) :- X=0.\n")
         m = analyze(prog)
-        assert m.predicates() == {"r"}
+        assert model_predicates(m) == {"r"}
 
     def test_deterministic(self):
         for text in SAFE + UNSAFE:
@@ -164,4 +164,4 @@ class TestDescendingPass:
     def test_false_entry_never_resurrected(self):
         for text in SAFE:
             m = analyze(parse_program(text))
-            assert FALSE_PRED not in m.predicates()
+            assert FALSE_PRED not in model_predicates(m)

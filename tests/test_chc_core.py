@@ -25,7 +25,7 @@ from hornsafe.chc_core import (
     strict_to_nonstrict,
 )
 from gen import random_program_text
-from oracles import integrity_clauses
+from oracles import integrity_clauses, row_coeffs
 
 FIB = """\
 % Fibonacci with an unreachable error state.
@@ -375,4 +375,4 @@ class TestStrictToNonstrict:
     def test_non_strict_rows_unchanged(self):
         (le, eq) = self.rewritten("p(X,Y) :- 1/2*X =< 1, 2*X = 3*Y.")
         assert (le.rel, eq.rel) == (REL_LE, REL_EQ)
-        assert le.coeffs()[Variable("X")] == Fraction(1, 2)
+        assert row_coeffs(le)[Variable("X")] == Fraction(1, 2)

@@ -140,7 +140,11 @@ class TestExitCodes:
 
 class TestLongWideningDelay:
     # long delays build large hull projections, and --timeout is only
-    # checked between phases, so a wall-clock guard bounds each child
+    # checked between phases, so a wall-clock guard bounds each child.
+    # Each case's --stats-json, times_ms left out, must equal
+    # tests/golden/<program>.delay<delay>.<engine>.json: iterations,
+    # automata sizes and memo counts, which the goldens at the default
+    # delay do not pin here
     @pytest.mark.parametrize(
         "name, engine, delay",
         [
@@ -153,11 +157,12 @@ class TestLongWideningDelay:
             ("fib.chc", "rahit", 5),
         ],
     )
-    def test_decides_safe(self, name, engine, delay):
+    def test_decides_safe(self, name, engine, delay, tmp_path):
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        stats = tmp_path / "stats.json"
         done = subprocess.run(
             [sys.executable, "-m", "hornsafe", "verify", str(ROOT / "corpus" / name),
-             "--engine", engine, "--widen-delay", str(delay)],
+             "--engine", engine, "--widen-delay", str(delay), "--stats-json", str(stats)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
@@ -165,6 +170,10 @@ class TestLongWideningDelay:
         )
         assert done.returncode == 0
         assert done.stdout.startswith("SAFE\n")
+        got = json.loads(stats.read_text())
+        del got["times_ms"]
+        golden = ROOT / "tests" / "golden" / f"{Path(name).stem}.delay{delay}.{engine}.json"
+        assert got == json.loads(golden.read_text())
 
 
 def chain(links: int, safe: bool) -> str:

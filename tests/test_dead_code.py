@@ -8,6 +8,13 @@ in src/; a plain name match would be too loose, since parent, size and
 name are also local variables.  Dunder methods are called by Python
 itself and are not checked.  Code read only by tests belongs in tests/.
 
+The check matches attribute names only, not the class they are read
+on: a method counts as read when any attribute of the same name is read
+anywhere in src/.  So a method the tests alone call passes unseen while
+another class has a member of its name that src/ reads, as Row.coeffs()
+did beside chc_core._LinExpr.coeffs and InterpretationModel.predicates()
+beside Program.predicates; both were moved into tests/oracles.py.
+
 Nor may a module import a name it never reads: every name an import
 binds (`import a.b` binds a) must be loaded somewhere in that module or
 listed in its __all__.  `from __future__` imports change how the module

@@ -3,7 +3,10 @@ against the dense reference simplex.
 
 Systems are written over Fractions, as the oracles take them, and handed
 to the kernel through gen.kernel_rows, which scales each row by the lcm
-of its denominators and passes that lcm along.
+of its denominators and passes that lcm along.  The kernel's witness,
+an int triple (main numerator, delta numerator, denominator) per column,
+is read back through oracles.witness_pairs as (main, delta) Fraction
+pairs, the form the oracles give.
 
 The kernel must agree with the oracle on satisfiability and must return
 genuine witnesses: every row is checked against the delta-rational
@@ -15,12 +18,15 @@ simplex, counted through kernel._simplex, sees only what elimination
 leaves.
 """
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from oracles import witness_pairs
 from gen import (
     farkas_system,
     kernel_rows,
@@ -47,7 +53,7 @@ def _to_rows(constraint):
 
 
 def _feasible(ncols, rows):
-    return kernel.simplex_feasible(ncols, kernel_rows(rows))
+    return witness_pairs(kernel.simplex_feasible(ncols, kernel_rows(rows)))
 
 
 def _satisfies(rows, assignment) -> bool:
@@ -135,9 +141,9 @@ class TestGoldens:
         assert kernel_rows(rows) == [([-1], REL_LT, -2, 2)]
         expected = [(Fraction(2), Fraction(2))]
         assert oracles.dense_simplex_reference(1, rows) == expected
-        assert kernel.simplex_feasible(1, kernel_rows(rows)) == expected
+        assert _feasible(1, rows) == expected
         # the same integer row over scale 1 means -X < -2: X = 2 + d
-        assert kernel.simplex_feasible(1, [([-1], REL_LT, -2, 1)]) == [(Fraction(2), Fraction(1))]
+        assert witness_pairs(kernel.simplex_feasible(1, [([-1], REL_LT, -2, 1)])) == [(Fraction(2), Fraction(1))]
 
 
 # Witness identity with the dense reference --------------------------------
@@ -153,12 +159,13 @@ def _assert_identical(make, seed: int, count: int):
     for _ in range(count):
         ncols, rows = make(rng)
         expected = oracles.dense_simplex_reference(ncols, rows)
-        got = _feasible(ncols, rows)
-        assert got == expected, rows
-        if got is not None:
-            # the witness is exact rationals, never bare ints
-            assert all(type(x) is Fraction for pair in got for x in pair), got
-        outcomes.add(got is None)
+        raw = kernel.simplex_feasible(ncols, kernel_rows(rows))
+        assert witness_pairs(raw) == expected, rows
+        if raw is not None:
+            # one int triple per column over a positive denominator
+            assert len(raw) == ncols, raw
+            assert all(len(t) == 3 and all(type(x) is int for x in t) and t[2] > 0 for t in raw), raw
+        outcomes.add(raw is None)
     # each set exercises both verdicts
     assert outcomes == {True, False}
 
@@ -181,6 +188,31 @@ def test_same_witnesses_as_dense_reference_on_large_denominators():
 
 def test_same_witnesses_as_dense_reference_with_zero_rows_and_columns():
     _assert_identical(zero_row_system, 7325, 200)
+
+
+def test_a_witness_query_builds_no_fraction():
+    # the witness leaves the kernel as ints: no frame of lra.kernel
+    # calls into the fractions module, not even to build a Fraction
+    rng = random.Random(7323)
+    systems = [(ncols, kernel_rows(rows)) for ncols, rows in (farkas_system(rng) for _ in range(30))]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            caller = frame.f_back
+            if caller is not None and caller.f_code.co_filename == kernel.__file__:
+                calls.append((caller.f_code.co_name, frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        witnesses = [kernel.simplex_feasible(ncols, rows) for ncols, rows in systems]
+    finally:
+        sys.setprofile(previous)
+    assert calls == []
+    found = [w for w in witnesses if w is not None]
+    assert len(found) >= 10 and any(den > 1 for w in found for _, _, den in w)
+    assert all(type(x) is int for w in found for t in w for x in t)
 
 
 # Feasibility without a witness --------------------------------------------

@@ -1,13 +1,16 @@
+import functools
 import hashlib
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from gen import random_constraint, random_row, strict_vertex_constraint
-from oracles import equivalent, satisfies
+from gen import counter_text, random_constraint, random_row, strict_vertex_constraint
+from oracles import equivalent, row_coeffs, satisfies, witness_pairs
+from hornsafe import driver, tree_interpolation
 from hornsafe.chc_core import (
     FALSE,
     TRUE,
@@ -18,6 +21,7 @@ from hornsafe.chc_core import (
     Row,
     Variable,
     parse_constraint,
+    parse_program,
 )
 from hornsafe.lra import (
     JointlySatisfiableError,
@@ -31,6 +35,8 @@ from hornsafe.lra import (
     widen,
 )
 from hornsafe.lra import solver
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
 class TestSat:
@@ -305,7 +311,7 @@ class TestIntervalHullOracle:
 
 def _negation(row):
     """The rows whose union is the complement of row."""
-    coeffs = row.coeffs()
+    coeffs = row_coeffs(row)
     if row.rel == REL_EQ:
         return [Row.make(coeffs, "<", row.rhs), Row.make(coeffs, ">", row.rhs)]
     return [Row.make(coeffs, ">" if row.rel == REL_LE else ">=", row.rhs)]
@@ -342,7 +348,7 @@ def _implied_case(rng):
         return kind, [], query
     if kind == "free":
         premise = [random_row(rng, 2) for _ in range(rng.randint(1, 3))]
-        coeffs = {**random_row(rng, 2).coeffs(), _COLUMNS[2]: rng.choice((-1, 2))}
+        coeffs = {**row_coeffs(random_row(rng, 2)), _COLUMNS[2]: rng.choice((-1, 2))}
         query = Row.make(coeffs, rng.choice(_RELS), rng.randint(-3, 3))
         return kind, premise, query
     if kind == "rows":
@@ -353,7 +359,7 @@ def _implied_case(rng):
     # lam * p with its bound moved by -1, 0 or +1 and any relation
     q = _scaled(rng, p, positive=kind != "antiparallel")
     shift = 0 if kind == "equal bound" else rng.choice((-1, 0, 1))
-    return kind, [p], Row.make(q.coeffs(), rng.choice(_RELS), q.rhs + shift)
+    return kind, [p], Row.make(row_coeffs(q), rng.choice(_RELS), q.rhs + shift)
 
 
 def _ground_row(rng):
@@ -412,7 +418,7 @@ def _nudged(rng, p):
     """A post near p: p's rows with shifted bounds, some left out, plus a
     random row, so widening p against it keeps some of p's rows."""
     rows = [
-        Row.make(r.coeffs(), r.rel, r.rhs + rng.choice((0, 0, 1)))
+        Row.make(row_coeffs(r), r.rel, r.rhs + rng.choice((0, 0, 1)))
         for r in p.constraint.rows
         if rng.random() < 0.9
     ]
@@ -524,12 +530,7 @@ class TestInterpolate:
             # phi's rows cut in two, and again with the complement of one
             # of the first half's rows leading the second, a refutation
             # that adds up to 0 < 0 and so often needs the strict budget
-            row = cut.choice(phi.rows[:k])
-            if row.rel == REL_EQ:
-                complement = Row.make(row.coeffs(), REL_LT, row.rhs)
-            else:
-                negated = {v: -c for v, c in row.coeffs().items()}
-                complement = Row.make(negated, REL_LE if row.rel == REL_LT else REL_LT, -row.rhs)
+            complement = _complement(cut.choice(phi.rows[:k]))
             for second in (phi.rows[k:], (complement, *phi.rows[k:])):
                 queries.clear()
                 with monkeypatch.context() as patch:
@@ -539,7 +540,7 @@ class TestInterpolate:
                     except JointlySatisfiableError:
                         pass
                 both = LinConstraint((*phi.rows[:k], *second))
-                split = solver._split(both, sorted(both.vars()))
+                split = oracles.split_reference(both, sorted(both.vars()))
                 dens = [den for *_, den in split]
                 for rows, result in queries:
                     tail = rows[len(both.vars()) + len(split) :]
@@ -549,7 +550,7 @@ class TestInterpolate:
                     assert (result is None) == (expected is None), both.pretty()
                     if result is None:
                         continue
-                    got = [main for main, _ in result]
+                    got = [main for main, _ in witness_pairs(result)]
                     assert [y * d for y, d in zip(got, dens)] == expected, both.pretty()
                     found[strict_budget] += 1
                     pinned_found += bool(pinned)
@@ -557,6 +558,115 @@ class TestInterpolate:
                         y and d > 1 and rel == REL_LT for y, d, (_, rel, _, _) in zip(got, dens, split)
                     )
         assert strict_scaled > 30 and pinned_found > 100, (strict_scaled, pinned_found)
+
+
+def _complement(row):
+    """A row whose conjunction with row is unsatisfiable and refuted by
+    0 < 0: the strict complement, of one side for an equality."""
+    if row.rel == REL_EQ:
+        return Row.make(row_coeffs(row), REL_LT, row.rhs)
+    negated = {v: -c for v, c in row_coeffs(row).items()}
+    return Row.make(negated, REL_LE if row.rel == REL_LT else REL_LT, -row.rhs)
+
+
+def _random_pairs(rng):
+    for _ in range(500):
+        yield random_constraint(rng, max_vars=4, max_rows=6), random_constraint(rng, max_vars=4, max_rows=6)
+
+
+def _complement_pairs(rng):
+    """The multipliers test's cuts: phi's rows in two, and again with
+    the complement of one of the first half's rows leading the second."""
+    for _ in range(250):
+        phi = random_constraint(rng, max_vars=3, max_rows=8)
+        k = rng.randint(1, len(phi.rows))
+        second = (_complement(rng.choice(phi.rows[:k])), *phi.rows[k:])
+        yield LinConstraint(phi.rows[:k]), LinConstraint(phi.rows[k:])
+        yield LinConstraint(phi.rows[:k]), LinConstraint(second)
+
+
+def _equality_pairs(rng):
+    """Pairs with an equality on both sides, which the pinning trials
+    split when they pin one half of it."""
+    found = 0
+    while found < 300:
+        phi1 = random_constraint(rng, max_vars=3, max_rows=5)
+        phi2 = random_constraint(rng, max_vars=3, max_rows=6)
+        if all(any(row.rel == REL_EQ for row in phi.rows) for phi in (phi1, phi2)):
+            found += 1
+            yield phi1, phi2
+
+
+@functools.cache
+def _tree_interpolant_pairs() -> tuple:
+    """Every (phi1, phi2) tree_interpolant asks interpolate for while
+    rahit verifies the corpus (tri_sum among it) and seeded counters."""
+    found = []
+    real = tree_interpolation.interpolate
+
+    def recording(phi1, phi2):
+        found.append((phi1, phi2))
+        return real(phi1, phi2)
+
+    rng = random.Random(2901)
+    texts = [path.read_text() for path in sorted(CORPUS_DIR.glob("*.chc"))]
+    texts += [counter_text(rng, rng.randint(3, 8)) for _ in range(4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_interpolation, "interpolate", recording)
+        for text in texts:
+            driver.verify(parse_program(text), engine="rahit")
+    return tuple(found)
+
+
+def test_interpolate_returns_the_parents_interpolant(monkeypatch):
+    # the reference splits every equality in two for the pinning trials
+    # and reads the multipliers as Fractions; interpolate must return
+    # its interpolant, or raise as it does.  Each multiplier system is
+    # read back as in the multipliers test to count the pins and strict
+    # budgets that the inputs reach.
+    queries = []
+    real = solver.kernel.simplex_feasible
+
+    def recording(ncols, rows, witness=True):
+        result = real(ncols, rows, witness)
+        if witness and result is not None:
+            queries.append((ncols, rows))
+        return result
+
+    rng = random.Random(29)
+    cases = [
+        *(("random", pair) for pair in _random_pairs(rng)),
+        *(("complement", pair) for pair in _complement_pairs(rng)),
+        *(("equalities", pair) for pair in _equality_pairs(rng)),
+        *(("tree", pair) for pair in _tree_interpolant_pairs()),
+    ]
+    seen = Counter()
+    for kind, (phi1, phi2) in cases:
+        try:
+            expected = oracles.interpolate_reference(phi1, phi2)
+        except JointlySatisfiableError:
+            expected = None
+        queries.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(solver.kernel, "simplex_feasible", recording)
+            try:
+                got = interpolate(phi1, phi2)
+            except JointlySatisfiableError:
+                got = None
+        assert got == expected, (kind, phi1.pretty(), phi2.pretty())
+        seen[kind, "raised" if got is None else "interpolated"] += 1
+        if got is None:
+            continue
+        nvars = len(phi1.vars() | phi2.vars())
+        for ncols, rows in queries:
+            tail = rows[nvars + ncols :]
+            pins = sum(rel == REL_EQ for _, rel, _, _ in tail)
+            seen["pinned"] += pins > 0
+            seen["strict budget"] += len(tail) - pins == 2
+        seen["true or ground"] += all(not row.names for row in got.rows)
+    assert min(seen[kind, "interpolated"] for kind in ("random", "complement", "equalities", "tree")) >= 50, seen
+    assert seen["random", "raised"] >= 50 and seen["tree", "raised"] == 0, seen
+    assert min(seen["pinned"], seen["strict budget"], seen["true or ground"]) >= 30, seen
 
 
 # the kernel's (main, delta coefficient) pair, printed as the solver's
@@ -584,7 +694,7 @@ class TestPinnedOutput:
             h = hull(p1, p2)
             lines += [
                 project(c1, keep).pretty(),
-                "none" if w is None else str(list(zip(xs, map(DeltaRational._make, w)))),
+                "none" if w is None else str(list(zip(xs, map(DeltaRational._make, witness_pairs(w))))),
                 p1.pretty(),
                 p2.pretty(),
                 h.pretty(),

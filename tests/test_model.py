@@ -7,7 +7,7 @@ import pytest
 from hornsafe.chc_core import FALSE, FALSE_PRED, Variable, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, is_sat
 from hornsafe.model import InterpretationModel, canonical_args, is_model
-from oracles import equivalent, load_model
+from oracles import equivalent, load_model, model_predicates
 from programs import FIB, FIB_MODEL, UNSAFE_SIMPLE
 
 
@@ -26,7 +26,7 @@ class TestCanonicalArgs:
 class TestInterpretationModel:
     def test_empty_entries_dropped(self):
         m = InterpretationModel({"p": poly("X1>=0"), "q": Polyhedron.bottom()})
-        assert m.predicates() == {"p"}
+        assert model_predicates(m) == {"p"}
 
     def test_missing_predicate_is_bottom(self):
         m = InterpretationModel()
@@ -88,7 +88,7 @@ class TestLoadModel:
         m = InterpretationModel({"p": poly("X1 >= X2"), "q": poly("X1 < 7/2")})
         text = m.pretty({"p": 2, "q": 1})
         back = load_model(text)
-        assert back.predicates() == {"p", "q"}
+        assert model_predicates(back) == {"p", "q"}
         for pred in ("p", "q"):
             assert equivalent(
                 back.entries[pred].constraint, m.entries[pred].constraint

@@ -39,7 +39,9 @@ from oracles import (
     feasible,
     interpolant_automaton_reference,
     interpolant_mapping,
+    model_predicates,
     parse_trace,
+    row_coeffs,
     trace_fta,
     tree_interpolant_reference,
     tree_pretty,
@@ -184,14 +186,14 @@ class TestConjunctiveMapping:
     def test_fib_entry(self):
         prog, tree = fib_setup()
         m = conjunctive_mapping(tree_interpolant(tree))
-        assert m.predicates() == {"fib"}
+        assert model_predicates(m) == {"fib"}
         got = m.entries["fib"].constraint
         assert equivalent(got, parse_constraint("X1 =< 1"))
 
     def test_root_conjunction_dropped(self):
         prog, tree = fib_setup()
         m = conjunctive_mapping(tree_interpolant(tree))
-        assert FALSE_PRED not in m.predicates()
+        assert FALSE_PRED not in model_predicates(m)
         assert not m.has_false
 
     def test_mapping_refutes_the_trace(self):
@@ -344,7 +346,7 @@ def mutations(tree, ti, rng):
     for i in rng.sample(bounded, min(2, len(bounded))):
         rows = ti.label(i).rows
         k = rng.choice([k for k, r in enumerate(rows) if r.names and r.rel != REL_EQ])
-        tight = Row.make(rows[k].coeffs(), rows[k].rel, rows[k].rhs - 1)
+        tight = Row.make(row_coeffs(rows[k]), rows[k].rel, rows[k].rhs - 1)
         yield "tightened", with_label(
             i, LinConstraint(rows[:k] + (tight,) + rows[k + 1 :])
         )

@@ -30,7 +30,7 @@ import hornsafe.driver as driver
 from gen import fib_k_text, random_program_text
 from hornsafe.chc_core import REL_LT, parse_program, strict_to_nonstrict
 from hornsafe.derivations import and_tree, formula
-from oracles import enumerate_terms, feasible, satisfies, top_analyze, trace_fta
+from oracles import enumerate_terms, feasible, model_predicates, satisfies, top_analyze, trace_fta
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 ENGINES = ("rahit", "rahft", "ai-free")
@@ -82,7 +82,7 @@ def test_top_analyze_reads_reachability_only():
         "false :- X > 5, s(X).\n"
     )
     model = top_analyze(program)
-    assert model.predicates() == {"p", "s", "false"}
+    assert model_predicates(model) == {"p", "s", "false"}
     assert all(model.polyhedron(pred).is_top() for pred in model)
 
 
