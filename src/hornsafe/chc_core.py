@@ -264,9 +264,6 @@ class LinConstraint:
             rows.extend(o.rows)
         return LinConstraint(tuple(rows))
 
-    def __and__(self, other: "LinConstraint") -> "LinConstraint":
-        return self.conjoin(other)
-
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinConstraint":
         return LinConstraint(tuple(row.rename(mapping) for row in self.rows))
 
@@ -274,12 +271,6 @@ class LinConstraint:
         if not self.rows:
             return "true"
         return ", ".join(row.pretty() for row in self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def __str__(self) -> str:
         return self.pretty()

@@ -9,9 +9,10 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from hornsafe.chc_core import CHCError, parse_program, strict_to_nonstrict
-from hornsafe.driver import ENGINES, Verdict, verify
+from hornsafe.driver import ENGINES, Stats, Verdict, verify
 
 EXIT_INPUT_ERROR = 3
 
@@ -159,14 +160,22 @@ def main(argv=None) -> int:
                 handle.write(content)
 
     with stats_out:
-        verdict = verify(
-            program,
-            engine=args.engine,
-            max_iter=args.max_iter,
-            widen_delay=args.widen_delay,
-            timeout=args.timeout,
-            dump_sink=dump_sink,
-        )
+        try:
+            verdict = verify(
+                program,
+                engine=args.engine,
+                max_iter=args.max_iter,
+                widen_delay=args.widen_delay,
+                timeout=args.timeout,
+                dump_sink=dump_sink,
+            )
+        except Exception as exc:
+            # a fault inside the verifier decides nothing: it must not
+            # leave through exit code 1, which means unsafe
+            traceback.print_exc()
+            verdict = Verdict(
+                "unknown", Stats(args.engine), reason=f"internal:{type(exc).__name__}"
+            )
         if args.strict_to_nonstrict and verdict.witness and any(
             value.denominator != 1 for value in verdict.witness.values()
         ):

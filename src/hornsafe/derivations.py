@@ -4,7 +4,8 @@ A trace term picks one clause per node; the derivation tree (AND-tree)
 instantiates each clause with fresh variables, identifies every head
 tuple with the body-atom occurrence above it, and labels each node with
 the instantiated constraint.  A trace is feasible exactly when the
-conjunction of all node labels is satisfiable.
+conjunction of all node labels is satisfiable.  and_tree returns the
+tree as a plain tuple of its nodes in preorder, node i at tree[i - 1].
 
 feasible decides that without building the tree: it takes each node's
 clause post (absint.body_post) under its children's posts, from the
@@ -23,7 +24,6 @@ in either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from hornsafe.absint import body_post
 from hornsafe.chc_core import TRUE, Atom, Clause, LinConstraint, Program, Variable
@@ -45,22 +45,6 @@ class Node:
     cid: str
     constraint: LinConstraint
     children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AndTree:
-    nodes: tuple[Node, ...]
-
-    def node(self, i: int) -> Node:
-        if not 1 <= i <= len(self.nodes):
-            raise DerivationError(f"no node {i}")
-        return self.nodes[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
 
 
 def _clause(program: Program, term: TraceTerm, expected: str | None) -> Clause:
@@ -85,8 +69,9 @@ def _clause(program: Program, term: TraceTerm, expected: str | None) -> Clause:
     return clause
 
 
-def and_tree(program: Program, trace: TraceTerm) -> AndTree:
-    """Build the derivation tree for a trace.
+def and_tree(program: Program, trace: TraceTerm) -> tuple[Node, ...]:
+    """Build the derivation tree for a trace, as its nodes in preorder:
+    node i is tree[i - 1].
 
     Clause variables get a per-node suffix _n<i>, then the head tuple is
     identified with the atom inherited from the parent, so each node's
@@ -111,15 +96,13 @@ def and_tree(program: Program, trace: TraceTerm) -> AndTree:
         parts.append((atom, term.sym, clause.constraint.rename(rename)))
         bodies.append([a.rename(rename) for a in clause.body])
         children.append([])
-    return AndTree(
-        tuple(
-            Node(i, atom, cid, constraint, tuple(children[i - 1]))
-            for i, (atom, cid, constraint) in enumerate(parts, 1)
-        )
+    return tuple(
+        Node(i, atom, cid, constraint, tuple(children[i - 1]))
+        for i, (atom, cid, constraint) in enumerate(parts, 1)
     )
 
 
-def formula(tree: AndTree) -> LinConstraint:
+def formula(tree: tuple[Node, ...]) -> LinConstraint:
     return TRUE.conjoin(*[n.constraint for n in tree])
 
 

@@ -412,11 +412,6 @@ class Polyhedron:
             return False
         return entails(self.constraint, other.constraint)
 
-    def pretty(self) -> str:
-        if self.empty:
-            return "false"
-        return self.constraint.pretty()
-
 
 _BOTTOM = Polyhedron(FALSE, empty=True)
 _TOP = Polyhedron(TRUE)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from hornsafe.chc_core import (
     FALSE,
@@ -66,9 +66,6 @@ class InterpretationModel:
     @property
     def has_false(self) -> bool:
         return FALSE_PRED in self.entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.entries)
 
     def pretty(self, arities: Mapping[str, int]) -> str:
         lines = []

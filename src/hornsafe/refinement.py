@@ -7,8 +7,8 @@ back into an ordinary clause program: the new program's false-rooted
 traces are exactly the kept ones, and each generated clause remembers
 which source clause it instantiates, so counterexamples translate
 back: erase_trace renames the symbols of a trace's shape
-(TraceTerm.shape) and rebuilds it.  Constraints are copied untouched;
-only control is restructured.
+(TraceTerm.shape) to their clauses' origins and rebuilds it.
+Constraints are copied untouched; only control is restructured.
 """
 
 from __future__ import annotations
@@ -88,20 +88,15 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
     return Program(tuple(clauses))
 
 
-def origin_map(program: Program) -> dict[str, str]:
-    """Generated clause id -> source clause id, for programs produced
-    by generate_clauses."""
-    return {c.cid: c.origin for c in program if c.origin is not None}
-
-
 def origin_lines(program: Program) -> str:
     return "".join(f"{c.cid}={c.origin}\n" for c in program if c.origin is not None)
 
 
 def erase_trace(program: Program, trace: TraceTerm) -> TraceTerm:
     """Map a trace over a generated program's ids back to the ids of
-    the program it was generated from."""
-    mapping = origin_map(program)
+    the program it was generated from; a symbol with no origin is
+    kept."""
+    mapping = {c.cid: c.origin for c in program if c.origin is not None}
     return TraceTerm.from_shape(
         [(mapping.get(sym, sym), arity) for sym, arity in trace.shape()]
     )

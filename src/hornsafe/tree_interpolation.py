@@ -9,6 +9,11 @@ and lifting the labels to automaton states yields a tree automaton that
 accepts only infeasible traces: exactly the language the refinement
 loop wants to remove.
 
+tree_interpolant takes the tree as and_tree gives it, a tuple of nodes
+in preorder, and returns a tuple of labels in the same order, label i
+at labels[i - 1]; interpolant_automaton reads each label's atom from
+the tree's node at the same position.
+
 Labels are found one binary interpolation per node, bottom-up in
 reverse preorder.  The second argument handed to the interpolator is
 not the plain context formula but the current rewritten tree: clause
@@ -50,18 +55,9 @@ the context and the interface as a frozenset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from hornsafe.chc_core import (
-    FALSE,
-    FALSE_PRED,
-    Atom,
-    LinConstraint,
-    Program,
-    Row,
-    Variable,
-)
-from hornsafe.derivations import AndTree, formula
+from hornsafe.chc_core import FALSE, FALSE_PRED, LinConstraint, Program, Row, Variable
+from hornsafe.derivations import Node, formula
 from hornsafe.fta import TreeAutomaton
 from hornsafe.lra import JointlySatisfiableError, entails, interpolate, is_sat, project
 from hornsafe.model import canonical_args
@@ -72,29 +68,13 @@ class FeasibleTreeError(ValueError):
     """Tree interpolation needs an infeasible tree."""
 
 
-@dataclass(frozen=True)
-class TreeInterpolant:
-    """Node labels, positionally indexed like the source tree."""
-
-    atoms: tuple[Atom, ...]
-    labels: tuple[LinConstraint, ...]
-
-    def atom(self, i: int) -> Atom:
-        return self.atoms[i - 1]
-
-    def label(self, i: int) -> LinConstraint:
-        return self.labels[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 @memoised("context")
 def _context(second: LinConstraint, shared: frozenset[Variable]) -> LinConstraint:
     return project(second, shared)
 
 
-def tree_interpolant(tree: AndTree) -> TreeInterpolant:
+def tree_interpolant(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
+    """One label per node of an infeasible tree, in preorder."""
     n = len(tree)
     if n == 1 and is_sat(formula(tree)) is not None:
         raise FeasibleTreeError("derivation tree is feasible")
@@ -122,7 +102,7 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
             after[c] = node.children[k + 1 :] + after[node.index]
     labels = [FALSE] * (n + 1)
     for i in range(n, 1, -1):
-        node = tree.node(i)
+        node = tree[i - 1]
         first = node.constraint.conjoin(*[labels[c] for c in node.children])
         closing = [labels[j] for j in after[i]]
         second = LinConstraint(
@@ -151,9 +131,7 @@ def tree_interpolant(tree: AndTree) -> TreeInterpolant:
             if i < n:
                 raise
             raise FeasibleTreeError("derivation tree is feasible") from None
-    return TreeInterpolant(
-        atoms=tuple(node.atom for node in tree), labels=tuple(labels[1:])
-    )
+    return tuple(labels[1:])
 
 
 ERROR_STATE = "error"
@@ -164,7 +142,7 @@ def _state_name(pred: str, index: int) -> str:
 
 
 def interpolant_automaton(
-    program: Program, tree: AndTree, ti: TreeInterpolant
+    program: Program, tree: tuple[Node, ...], labels: tuple[LinConstraint, ...]
 ) -> TreeAutomaton:
     """States are the labelled tree nodes; a clause moves some nodes to
     a node exactly when the labels justify the step, so every accepted
@@ -176,10 +154,10 @@ def interpolant_automaton(
     A node's constraint is its clause's renamed injectively onto the
     node's variables, so the node's own entailment holds exactly when
     its step is one of the transitions, and is checked that way."""
-    if len(tree) != len(ti):
+    if len(tree) != len(labels):
         raise ValueError("tree and labelling differ in shape")
-    if is_sat(ti.label(1)) is not None or any(
-        not ti.label(node.index).vars() <= set(node.atom.args) for node in tree
+    if is_sat(labels[0]) is not None or any(
+        not label.vars() <= set(node.atom.args) for node, label in zip(tree, labels)
     ):
         raise ValueError("labelling is not a tree interpolant")
     # nodes whose labels coincide after renaming onto the canonical
@@ -188,18 +166,16 @@ def interpolant_automaton(
     # tree size
     rep: dict[int, int] = {}
     classes: dict[tuple[str, LinConstraint], int] = {}
-    for i in range(1, len(ti) + 1):
-        atom = ti.atom(i)
-        canon = ti.label(i).rename(
-            dict(zip(atom.args, canonical_args(len(atom.args))))
-        )
-        rep[i] = classes.setdefault((atom.pred, canon), i)
+    for node, label in zip(tree, labels):
+        atom = node.atom
+        canon = label.rename(dict(zip(atom.args, canonical_args(len(atom.args)))))
+        rep[node.index] = classes.setdefault((atom.pred, canon), node.index)
     canon_label = {i: canon for (_, canon), i in classes.items()}
-    name = {i: _state_name(ti.atom(i).pred, i) for i in canon_label}
+    name = {i: _state_name(tree[i - 1].atom.pred, i) for i in canon_label}
 
     by_pred: dict[str, list[int]] = {}
     for i in sorted(canon_label):
-        by_pred.setdefault(ti.atom(i).pred, []).append(i)
+        by_pred.setdefault(tree[i - 1].atom.pred, []).append(i)
 
     # a representative's label placed on an atom's arguments: renaming
     # is injective, so this is its node's label renamed onto them

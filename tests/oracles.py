@@ -83,7 +83,7 @@ from hornsafe.chc_core import (
     parse_program,
     rows_too_long,
 )
-from hornsafe.derivations import AndTree, and_tree, formula
+from hornsafe.derivations import Node, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
 from hornsafe.lra import (
     JointlySatisfiableError,
@@ -97,7 +97,7 @@ from hornsafe.lra import (
 )
 from hornsafe.lra.solver import _dense
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
-from hornsafe.tree_interpolation import ERROR_STATE, FeasibleTreeError, TreeInterpolant
+from hornsafe.tree_interpolation import ERROR_STATE, FeasibleTreeError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -1018,6 +1018,11 @@ def model_predicates(model: InterpretationModel) -> set[str]:
     return set(model.entries)
 
 
+def poly_pretty(poly: Polyhedron) -> str:
+    """A polyhedron's rows as its constraint prints them, or false."""
+    return "false" if poly.empty else poly.constraint.pretty()
+
+
 def equivalent(c1: LinConstraint, c2: LinConstraint) -> bool:
     return entails(c1, c2) and entails(c2, c1)
 
@@ -1216,7 +1221,7 @@ def integrity_clauses(program: Program) -> list[Clause]:
     return clauses_with_head(program, FALSE_PRED)
 
 
-def tree_pretty(tree: AndTree) -> str:
+def tree_pretty(tree: tuple[Node, ...]) -> str:
     """One line per node, indented by depth: index, atom, clause id and
     the node's constraint."""
     depths = [-1]
@@ -1229,7 +1234,7 @@ def tree_pretty(tree: AndTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_parents(tree: AndTree) -> list[int]:
+def tree_parents(tree: tuple[Node, ...]) -> list[int]:
     """Each node's parent index (0 at the root), in preorder, read off
     the children."""
     parents = [0] * len(tree)
@@ -1239,25 +1244,25 @@ def tree_parents(tree: AndTree) -> list[int]:
     return parents
 
 
-def tree_sizes(tree: AndTree) -> list[int]:
+def tree_sizes(tree: tuple[Node, ...]) -> list[int]:
     """Each node's subtree size, in preorder, summed from the children
     in reverse preorder."""
     sizes = [1] * len(tree)
-    for node in reversed(tree.nodes):
+    for node in reversed(tree):
         for c in node.children:
             sizes[node.index - 1] += sizes[c - 1]
     return sizes
 
 
-def subtree_indices(tree: AndTree, i: int) -> range:
+def subtree_indices(tree: tuple[Node, ...], i: int) -> range:
     return range(i, i + tree_sizes(tree)[i - 1])
 
 
-def subtree_formula(tree: AndTree, i: int) -> LinConstraint:
-    return TRUE.conjoin(*(tree.node(j).constraint for j in subtree_indices(tree, i)))
+def subtree_formula(tree: tuple[Node, ...], i: int) -> LinConstraint:
+    return TRUE.conjoin(*(tree[j - 1].constraint for j in subtree_indices(tree, i)))
 
 
-def context_formula(tree: AndTree, i: int) -> LinConstraint:
+def context_formula(tree: tuple[Node, ...], i: int) -> LinConstraint:
     inside = set(subtree_indices(tree, i))
     return TRUE.conjoin(
         *(n.constraint for n in tree if n.index not in inside)
@@ -1277,46 +1282,50 @@ class InterpolantMapping:
         return len(self.entries)
 
 
-def interpolant_mapping(ti: TreeInterpolant) -> InterpolantMapping:
+def interpolant_mapping(
+    tree: tuple[Node, ...], labels: tuple[LinConstraint, ...]
+) -> InterpolantMapping:
     return InterpolantMapping(
-        tuple(
-            (ti.atom(i), i, ti.label(i)) for i in range(1, len(ti) + 1)
-        )
+        tuple((node.atom, node.index, label) for node, label in zip(tree, labels))
     )
 
 
-def conjunctive_mapping(ti: TreeInterpolant) -> InterpretationModel:
+def conjunctive_mapping(
+    tree: tuple[Node, ...], labels: tuple[LinConstraint, ...]
+) -> InterpretationModel:
     """One entry per predicate: the conjunction of all its node labels,
     renamed onto the canonical tuple.  Unsatisfiable conjunctions
     (the root's in particular) yield no entry."""
     conj: dict[str, LinConstraint] = {}
-    for atom, i, label in interpolant_mapping(ti):
+    for atom, i, label in interpolant_mapping(tree, labels):
         canon = canonical_args(len(atom.args))
         renamed = label.rename(dict(zip(atom.args, canon)))
-        conj[atom.pred] = conj.get(atom.pred, TRUE) & renamed
+        conj[atom.pred] = conj.get(atom.pred, TRUE).conjoin(renamed)
     return InterpretationModel(
         {pred: Polyhedron.of(c) for pred, c in conj.items()}
     )
 
 
-def check_tree_interpolant(tree: AndTree, ti: TreeInterpolant) -> bool:
+def check_tree_interpolant(
+    tree: tuple[Node, ...], labels: tuple[LinConstraint, ...]
+) -> bool:
     """The three defining conditions, checked with the solver: false at
     the root, children's labels plus the clause constraint entail each
     node's label, and labels only use their node's atom variables."""
-    if len(tree) != len(ti):
+    if len(tree) != len(labels):
         raise ValueError("tree and labelling differ in shape")
-    if is_sat(ti.label(1)) is not None:
+    if is_sat(labels[0]) is not None:
         return False
-    for node in tree:
-        premise = node.constraint.conjoin(*[ti.label(c) for c in node.children])
-        if not entails(premise, ti.label(node.index)):
+    for node, label in zip(tree, labels):
+        premise = node.constraint.conjoin(*[labels[c - 1] for c in node.children])
+        if not entails(premise, label):
             return False
-        if not ti.label(node.index).vars() <= set(node.atom.args):
+        if not label.vars() <= set(node.atom.args):
             return False
     return True
 
 
-def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
+def tree_interpolant_reference(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
     """tree_interpolation.tree_interpolant with each node's context
     rebuilt from the tree: the constraints of the nodes before it, then
     the labels of the later nodes whose parent comes before it, and
@@ -1329,11 +1338,11 @@ def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
     sizes = tree_sizes(tree)
     labels: dict[int, LinConstraint] = {1: FALSE}
     for i in range(n, 1, -1):
-        node = tree.node(i)
+        node = tree[i - 1]
         first = node.constraint.conjoin(*[labels[c] for c in node.children])
         after = i + sizes[i - 1]
         second = TRUE.conjoin(
-            *[tree.node(j).constraint for j in range(1, i)],
+            *[tree[j - 1].constraint for j in range(1, i)],
             *[labels[j] for j in range(after, n + 1) if parents[j - 1] < i],
         )
         shared = first.vars() & second.vars()
@@ -1345,42 +1354,39 @@ def tree_interpolant_reference(tree: AndTree) -> TreeInterpolant:
             if i < n:
                 raise
             raise FeasibleTreeError("derivation tree is feasible") from None
-    return TreeInterpolant(
-        atoms=tuple(node.atom for node in tree),
-        labels=tuple(labels[i] for i in range(1, n + 1)),
-    )
+    return tuple(labels[i] for i in range(1, n + 1))
 
 
 def interpolant_automaton_reference(
-    program: Program, tree: AndTree, ti: TreeInterpolant
+    program: Program, tree: tuple[Node, ...], labels: tuple[LinConstraint, ...]
 ) -> TreeAutomaton:
     """tree_interpolation.interpolant_automaton with every label renamed
     directly from its node's atom onto a clause atom's arguments, for
     each head node and each body combination, where the shipped one
     places each class representative's canonical label once."""
-    if len(tree) != len(ti):
+    if len(tree) != len(labels):
         raise ValueError("tree and labelling differ in shape")
-    if is_sat(ti.label(1)) is not None or any(
-        not ti.label(node.index).vars() <= set(node.atom.args) for node in tree
+    if is_sat(labels[0]) is not None or any(
+        not label.vars() <= set(node.atom.args) for node, label in zip(tree, labels)
     ):
         raise ValueError("labelling is not a tree interpolant")
 
     def state(i: int) -> str:
-        pred = ti.atom(i).pred
+        pred = tree[i - 1].atom.pred
         return ERROR_STATE if pred == FALSE_PRED else f"{pred}^{i}"
 
     def renamed(i: int, args) -> LinConstraint:
-        return ti.label(i).rename(dict(zip(ti.atom(i).args, args)))
+        return labels[i - 1].rename(dict(zip(tree[i - 1].atom.args, args)))
 
     rep: dict[int, int] = {}
     classes: dict[tuple[str, LinConstraint], int] = {}
-    for i in range(1, len(ti) + 1):
-        atom = ti.atom(i)
-        canon = ti.label(i).rename(dict(zip(atom.args, canonical_args(len(atom.args)))))
+    for i in range(1, len(tree) + 1):
+        atom = tree[i - 1].atom
+        canon = labels[i - 1].rename(dict(zip(atom.args, canonical_args(len(atom.args)))))
         rep[i] = classes.setdefault((atom.pred, canon), i)
     by_pred: dict[str, list[int]] = {}
     for i in sorted(set(rep.values())):
-        by_pred.setdefault(ti.atom(i).pred, []).append(i)
+        by_pred.setdefault(tree[i - 1].atom.pred, []).append(i)
 
     transitions = set()
     for clause in program:

@@ -220,7 +220,7 @@ def test_criterion_05_tree_interpolant_validity():
 def test_criterion_06_handwritten_labelling_automaton():
     prog = parse_program(FIB)
     tree = and_tree(prog, FIB_TRACE)
-    ia = interpolant_automaton(prog, tree, handwritten_fib_labels(tree))
+    ia = interpolant_automaton(prog, tree, handwritten_fib_labels())
     assert ia.states == {"fib^2", "fib^3", "fib^4", ERROR_STATE}
     assert ia.finals == {ERROR_STATE}
     expected = {
@@ -275,8 +275,8 @@ def test_criterion_08_model_mappings_complete():
     models_seen = 0
     for prog, trace in instances:
         tree = and_tree(prog, trace)
-        ti = tree_interpolant(tree)
-        mapping = conjunctive_mapping(ti)
+        labels = tree_interpolant(tree)
+        mapping = conjunctive_mapping(tree, labels)
         if not is_model(prog, mapping):
             continue
         # the mapping must speak for every derivable predicate:
@@ -288,7 +288,7 @@ def test_criterion_08_model_mappings_complete():
         if not heads <= model_predicates(mapping):
             continue
         models_seen += 1
-        ia = interpolant_automaton(prog, tree, ti)
+        ia = interpolant_automaton(prog, tree, labels)
         for t in sorted(enumerate_terms(trace_fta(prog), 4), key=str):
             if feasible(prog, t) is None:
                 assert oracles.accepts(ia, t), str(t)
@@ -351,12 +351,12 @@ def test_criterion_10_solver_oracle_agreement():
         assert attempts < 60000, "generator starved"
         phi1 = random_constraint(rng, max_vars=4, max_rows=5)
         phi2 = random_constraint(rng, max_vars=4, max_rows=5)
-        if oracles.fm_satisfiable(phi1 & phi2):
+        if oracles.fm_satisfiable(phi1.conjoin(phi2)):
             continue
         built += 1
         i = interpolate(phi1, phi2)
         assert entails(phi1, i), (phi1.pretty(), phi2.pretty())
-        assert is_sat(i & phi2) is None, (phi1.pretty(), phi2.pretty())
+        assert is_sat(i.conjoin(phi2)) is None, (phi1.pretty(), phi2.pretty())
         assert i.vars() <= (phi1.vars() & phi2.vars())
 
 

@@ -73,7 +73,7 @@ class TestParser:
         c2 = prog.clause_by_id("c2")
         assert c2.head.pred == "fib"
         assert [a.pred for a in c2.body] == ["fib", "fib"]
-        assert len(c2.constraint) == 4
+        assert len(c2.constraint.rows) == 4
 
     def test_integrity_clause(self):
         prog = parse_program(FIB)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hornsafe import tree_interpolation
+from hornsafe.chc_core import TRUE
 from hornsafe.cli import main
 from hornsafe.driver import ENGINES
 from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
@@ -40,6 +42,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.startswith("UNKNOWN\n")
         assert "reason: iteration-limit" in out
+
+    def test_internal_error_is_unknown(self, tmp_path, capsys, monkeypatch):
+        # TRUE labels every node, so interpolant_automaton refuses the
+        # labelling with a ValueError; the verifier's fault must exit 2,
+        # not 1, which means unsafe
+        monkeypatch.setattr(tree_interpolation, "interpolate", lambda first, second: TRUE)
+        stats = tmp_path / "stats.json"
+        code = main(["verify", str(ROOT / "corpus" / "split_range.chc"), "--stats-json", str(stats)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("UNKNOWN\n")
+        assert "reason: internal:ValueError\n" in captured.out
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("ValueError: labelling is not a tree interpolant\n")
+        payload = json.loads(stats.read_text())
+        assert (payload["verdict"], payload["reason"]) == ("unknown", "internal:ValueError")
 
     def test_missing_file_is_three(self, capsys):
         assert main(["verify", "/nonexistent/q.chc"]) == 3

@@ -6,14 +6,20 @@ an import, or an attribute access (kernel.simplex_feasible).  A method
 or class field must be read by an attribute access (x.member) somewhere
 in src/; a plain name match would be too loose, since parent, size and
 name are also local variables.  Dunder methods are called by Python
-itself and are not checked.  Code read only by tests belongs in tests/.
+itself and are not checked, so a dunder only the tests use passes
+unseen: that is how LinConstraint's __and__, __iter__ and __len__ and
+InterpretationModel.__iter__ stayed in src/ until they were deleted
+(the tests call conjoin and read rows and entries instead).  Code read
+only by tests belongs in tests/.
 
 The check matches attribute names only, not the class they are read
 on: a method counts as read when any attribute of the same name is read
 anywhere in src/.  So a method the tests alone call passes unseen while
 another class has a member of its name that src/ reads, as Row.coeffs()
-did beside chc_core._LinExpr.coeffs and InterpretationModel.predicates()
-beside Program.predicates; both were moved into tests/oracles.py.
+did beside chc_core._LinExpr.coeffs, InterpretationModel.predicates()
+beside Program.predicates and Polyhedron.pretty() beside
+LinConstraint.pretty; all three were moved into tests/oracles.py (the
+last as poly_pretty).
 
 Nor may a module import a name it never reads: every name an import
 binds (`import a.b` binds a) must be loaded somewhere in that module or

@@ -7,12 +7,7 @@ import pytest
 
 from hornsafe import derivations
 from hornsafe.chc_core import TRUE, Variable, parse_program
-from hornsafe.derivations import (
-    AndTree,
-    DerivationError,
-    and_tree,
-    formula,
-)
+from hornsafe.derivations import DerivationError, Node, and_tree, formula
 from hornsafe.fta import TraceTerm
 from gen import fib_k_text, random_program_text
 from oracles import (
@@ -35,13 +30,14 @@ T = parse_trace
 FIB_TRACE = T("c3(c2(c1,c1))")
 
 
-def fib_tree() -> AndTree:
+def fib_tree() -> tuple[Node, ...]:
     return and_tree(parse_program(FIB), FIB_TRACE)
 
 
 class TestAndTree:
     def test_preorder_layout(self):
         tree = fib_tree()
+        assert type(tree) is tuple
         assert len(tree) == 4
         assert [n.index for n in tree] == [1, 2, 3, 4]
         assert [n.cid for n in tree] == ["c3", "c2", "c1", "c1"]
@@ -61,11 +57,11 @@ class TestAndTree:
     def test_head_tuple_identified_with_parent_occurrence(self):
         tree = fib_tree()
         # the root's body atom and its child node talk about one tuple
-        assert tree.node(2).atom.args == (
+        assert tree[1].atom.args == (
             Variable("A_n1"),
             Variable("B_n1"),
         )
-        assert tree.node(3).atom.args == (
+        assert tree[2].atom.args == (
             Variable("A1_n2"),
             Variable("B1_n2"),
         )
@@ -75,15 +71,8 @@ class TestAndTree:
         tree = fib_tree()
         left = subtree_formula(tree, 3).vars()
         right = subtree_formula(tree, 4).vars()
-        interface = set(tree.node(3).atom.args) | set(tree.node(4).atom.args)
+        interface = set(tree[2].atom.args) | set(tree[3].atom.args)
         assert (left & right) <= interface
-
-    def test_node_bounds_checked(self):
-        tree = fib_tree()
-        with pytest.raises(DerivationError):
-            tree.node(0)
-        with pytest.raises(DerivationError):
-            tree.node(5)
 
     def test_pretty_mentions_every_node(self):
         text = tree_pretty(fib_tree())
@@ -136,7 +125,7 @@ class TestFormulas:
         tree = fib_tree()
         assert equivalent(
             formula(tree),
-            subtree_formula(tree, 2).conjoin(tree.node(1).constraint),
+            subtree_formula(tree, 2).conjoin(tree[0].constraint),
         )
 
     def test_subtree_plus_context_is_whole(self):

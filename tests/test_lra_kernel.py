@@ -227,7 +227,7 @@ def _pinned_output_systems():
         c2 = random_constraint(rng, max_vars=4, max_rows=5)
         xs = sorted(c1.vars())
         rng.sample(xs, rng.randint(0, len(xs)))
-        yield from (c1, c2, c1 & c2)
+        yield from (c1, c2, c1.conjoin(c2))
 
 
 def _assert_same_answer(systems):

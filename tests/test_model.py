@@ -45,7 +45,7 @@ class TestInterpretationModel:
 
     def test_iteration(self):
         m = InterpretationModel({"p": poly("X1>=0"), "q": poly("X1=<0")})
-        assert set(m) == {"p", "q"}
+        assert set(m.entries) == {"p", "q"}
 
 
 class TestIsModel:

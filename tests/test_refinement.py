@@ -14,7 +14,6 @@ from hornsafe.refinement import (
     erase_trace,
     generate_clauses,
     origin_lines,
-    origin_map,
 )
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
 from oracles import determinise, enumerate_terms, feasible, parse_trace, trace_fta
@@ -135,7 +134,7 @@ class TestOriginTracking:
     def test_origin_map_covers_all_clauses(self):
         prog, aut = fib_minus("c3(c1)")
         out = generate_clauses(prog, aut)
-        om = origin_map(out)
+        om = {c.cid: c.origin for c in out}
         assert set(om.keys()) == set(out.clause_ids())
         assert set(om.values()) <= set(prog.clause_ids())
 
@@ -146,14 +145,14 @@ class TestOriginTracking:
         assert len(lines) == len(out.clauses)
         for line in lines:
             cid, _, origin = line.partition("=")
-            assert origin_map(out)[cid] == origin
+            assert {c.cid: c.origin for c in out}[cid] == origin
 
     def test_erase_trace_maps_symbols(self):
         prog, aut = fib_minus("c3(c1)")
         out = generate_clauses(prog, aut)
         t = enumerate_terms(trace_fta(out), 4).pop()
         erased = erase_trace(out, t)
-        om = origin_map(out)
+        om = {c.cid: c.origin for c in out}
 
         def check(orig: TraceTerm, mapped: TraceTerm):
             assert om[orig.sym] == mapped.sym
@@ -165,5 +164,5 @@ class TestOriginTracking:
 
     def test_source_program_has_no_origins(self):
         prog = parse_program(FIB)
-        assert origin_map(prog) == {}
+        assert {c.cid: c.origin for c in prog} == dict.fromkeys(prog.clause_ids())
         assert origin_lines(prog) == ""

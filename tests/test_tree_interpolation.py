@@ -25,7 +25,6 @@ from hornsafe.lra import is_sat
 from hornsafe.tree_interpolation import (
     ERROR_STATE,
     FeasibleTreeError,
-    TreeInterpolant,
     interpolant_automaton,
     tree_interpolant,
 )
@@ -60,9 +59,9 @@ def rahit_labellings(programs) -> tuple:
     found = []
     real = tree_interpolation.interpolant_automaton
 
-    def recording(program, tree, ti):
-        found.append((program, tree, ti))
-        return real(program, tree, ti)
+    def recording(program, tree, labels):
+        found.append((program, tree, labels))
+        return real(program, tree, labels)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_interpolation, "interpolant_automaton", recording)
@@ -111,26 +110,23 @@ def fib_setup():
     return prog, and_tree(prog, FIB_TRACE)
 
 
-def handwritten_fib_labels(tree) -> TreeInterpolant:
+def handwritten_fib_labels() -> tuple[LinConstraint, ...]:
     """A small valid labelling of the depth-3 candidate, for goldens
     that should not depend on what the interpolator happens to emit."""
     texts = {2: "A_n1 =< 3", 3: "A1_n2 =< 1", 4: ""}
-    labels = [FALSE] + [
+    return (FALSE,) + tuple(
         parse_constraint(texts[i]) if texts[i] else TRUE for i in (2, 3, 4)
-    ]
-    return TreeInterpolant(
-        atoms=tuple(n.atom for n in tree), labels=tuple(labels)
     )
 
 
 class TestTreeInterpolant:
     def test_computed_labelling_is_valid(self):
         prog, tree = fib_setup()
-        ti = tree_interpolant(tree)
-        assert len(ti) == len(tree)
-        assert ti.atoms == tuple(n.atom for n in tree)
-        assert is_sat(ti.label(1)) is None
-        assert check_tree_interpolant(tree, ti)
+        labels = tree_interpolant(tree)
+        assert type(labels) is tuple
+        assert len(labels) == len(tree)
+        assert is_sat(labels[0]) is None
+        assert check_tree_interpolant(tree, labels)
 
     def test_feasible_tree_refused(self):
         prog = parse_program(UNSAFE_SIMPLE)
@@ -152,22 +148,19 @@ class TestTreeInterpolant:
 
     def test_handwritten_labelling_passes_check(self):
         prog, tree = fib_setup()
-        assert check_tree_interpolant(tree, handwritten_fib_labels(tree))
+        assert check_tree_interpolant(tree, handwritten_fib_labels())
 
     def test_check_rejects_sloppy_labelling(self):
         prog, tree = fib_setup()
-        ti = handwritten_fib_labels(tree)
+        labels = handwritten_fib_labels()
         # weakening an inner label to true breaks the root condition
-        broken = TreeInterpolant(
-            atoms=ti.atoms, labels=(ti.labels[0], TRUE) + ti.labels[2:]
-        )
+        broken = (labels[0], TRUE) + labels[2:]
         assert not check_tree_interpolant(tree, broken)
 
     def test_check_rejects_wrong_shape(self):
         prog, tree = fib_setup()
-        ti = handwritten_fib_labels(tree)
         with pytest.raises(ValueError):
-            check_tree_interpolant(tree, TreeInterpolant(ti.atoms[:2], ti.labels[:2]))
+            check_tree_interpolant(tree, handwritten_fib_labels()[:2])
 
     @pytest.mark.parametrize("text", [FIB, UNSAFE_LOOP, DECREMENT, SPLIT_RANGE])
     def test_every_shallow_infeasible_trace_interpolates(self, text):
@@ -185,28 +178,27 @@ class TestTreeInterpolant:
 class TestConjunctiveMapping:
     def test_fib_entry(self):
         prog, tree = fib_setup()
-        m = conjunctive_mapping(tree_interpolant(tree))
+        m = conjunctive_mapping(tree, tree_interpolant(tree))
         assert model_predicates(m) == {"fib"}
         got = m.entries["fib"].constraint
         assert equivalent(got, parse_constraint("X1 =< 1"))
 
     def test_root_conjunction_dropped(self):
         prog, tree = fib_setup()
-        m = conjunctive_mapping(tree_interpolant(tree))
+        m = conjunctive_mapping(tree, tree_interpolant(tree))
         assert FALSE_PRED not in model_predicates(m)
         assert not m.has_false
 
     def test_mapping_refutes_the_trace(self):
         # filtering by the mapping must reject the interpolated trace
         prog, tree = fib_setup()
-        m = conjunctive_mapping(tree_interpolant(tree))
+        m = conjunctive_mapping(tree, tree_interpolant(tree))
         filtered = model_fta(prog, m)
         assert not accepts(filtered, FIB_TRACE)
 
     def test_mapping_entries_positional(self):
         prog, tree = fib_setup()
-        ti = tree_interpolant(tree)
-        entries = list(interpolant_mapping(ti))
+        entries = list(interpolant_mapping(tree, tree_interpolant(tree)))
         assert len(entries) == len(tree)
         assert [(a.pred, i) for a, i, _ in entries] == [
             (FALSE_PRED, 1),
@@ -219,7 +211,7 @@ class TestConjunctiveMapping:
 class TestInterpolantAutomaton:
     def test_handwritten_labelling_automaton(self):
         prog, tree = fib_setup()
-        ia = interpolant_automaton(prog, tree, handwritten_fib_labels(tree))
+        ia = interpolant_automaton(prog, tree, handwritten_fib_labels())
         assert ia.finals == {ERROR_STATE}
         assert ia.states == {"fib^2", "fib^3", "fib^4", ERROR_STATE}
         expected = {
@@ -255,12 +247,13 @@ class TestInterpolantAutomaton:
 
     def test_invalid_labelling_rejected(self):
         prog, tree = fib_setup()
-        ti = handwritten_fib_labels(tree)
-        broken = TreeInterpolant(
-            atoms=ti.atoms, labels=(ti.labels[0], TRUE) + ti.labels[2:]
-        )
+        labels = handwritten_fib_labels()
+        broken = (labels[0], TRUE) + labels[2:]
         with pytest.raises(ValueError):
             interpolant_automaton(prog, tree, broken)
+        # the labels name no atoms, so only their count ties them to the tree
+        with pytest.raises(ValueError, match="differ in shape"):
+            interpolant_automaton(prog, tree, labels[:2])
 
     def test_soundness_check_flags_overbroad_automaton(self):
         # the unfiltered trace automaton accepts feasible traces
@@ -276,9 +269,9 @@ class TestAutomatonMatchesReference:
     @staticmethod
     def check(cases):
         merged = 0
-        for prog, tree, ti in cases:
-            got = interpolant_automaton(prog, tree, ti)
-            assert got == interpolant_automaton_reference(prog, tree, ti), tree_pretty(tree)
+        for prog, tree, labels in cases:
+            got = interpolant_automaton(prog, tree, labels)
+            assert got == interpolant_automaton_reference(prog, tree, labels), tree_pretty(tree)
             merged += len(got.states) < len(tree)
         return merged
 
@@ -304,9 +297,9 @@ class TestContextsMatchReference:
     def check(tree):
         got = tree_interpolant(tree)
         want = tree_interpolant_reference(tree)
-        assert got.atoms == want.atoms
+        assert len(got) == len(want) == len(tree)
         for i in range(1, len(tree) + 1):
-            assert got.label(i) == want.label(i), i
+            assert got[i - 1] == want[i - 1], i
 
     def test_corpus_trees(self):
         labellings = corpus_labellings()
@@ -325,35 +318,34 @@ class TestContextsMatchReference:
             self.check(tree)
 
 
-def mutations(tree, ti, rng):
+def mutations(tree, labels, rng):
     """Seeded (kind, labelling) changes of a tree interpolant: an inner
     label made true, an inner label's bound tightened (which can break
     only that node's own entailment), and a label naming a variable
     from outside its atom."""
-    n = len(ti)
+    n = len(labels)
 
     def with_label(i, label):
-        labels = list(ti.labels)
-        labels[i - 1] = label
-        return TreeInterpolant(ti.atoms, tuple(labels))
+        return labels[: i - 1] + (label,) + labels[i:]
 
     inner = range(2, n + 1)
     for i in rng.sample(inner, min(2, len(inner))):
         yield "true", with_label(i, TRUE)
     bounded = [
-        i for i in inner if any(r.names and r.rel != REL_EQ for r in ti.label(i))
+        i for i in inner if any(r.names and r.rel != REL_EQ for r in labels[i - 1].rows)
     ]
     for i in rng.sample(bounded, min(2, len(bounded))):
-        rows = ti.label(i).rows
+        rows = labels[i - 1].rows
         k = rng.choice([k for k, r in enumerate(rows) if r.names and r.rel != REL_EQ])
         tight = Row.make(row_coeffs(rows[k]), rows[k].rel, rows[k].rhs - 1)
         yield "tightened", with_label(
             i, LinConstraint(rows[:k] + (tight,) + rows[k + 1 :])
         )
     i = rng.randint(1, n)
-    outside = sorted(formula(tree).vars() - set(tree.node(i).atom.args), key=str)
+    outside = sorted(formula(tree).vars() - set(tree[i - 1].atom.args), key=str)
     v = rng.choice(outside) if outside else Variable("W_outside")
-    yield "foreign", with_label(i, ti.label(i) & LinConstraint((Row.make({v: 1}, ">=", 0),)))
+    foreign = LinConstraint((Row.make({v: 1}, ">=", 0),))
+    yield "foreign", with_label(i, labels[i - 1].conjoin(foreign))
 
 
 class TestAutomatonChecksLabelling:
@@ -365,18 +357,18 @@ class TestAutomatonChecksLabelling:
     def agree(cases):
         rng = random.Random(18)
         refused = {"true": 0, "tightened": 0, "foreign": 0}
-        for prog, tree, ti in cases:
-            interpolant_automaton(prog, tree, ti)
-            for kind, changed in mutations(tree, ti, rng):
+        for prog, tree, labels in cases:
+            interpolant_automaton(prog, tree, labels)
+            for kind, changed in mutations(tree, labels, rng):
                 valid = check_tree_interpolant(tree, changed)
-                labels = (kind, [str(label) for label in changed.labels])
+                shown = (kind, [str(label) for label in changed])
                 try:
                     interpolant_automaton(prog, tree, changed)
                 except ValueError:
-                    assert not valid, labels
+                    assert not valid, shown
                     refused[kind] += 1
                 else:
-                    assert valid, labels
+                    assert valid, shown
         return refused
 
     def test_corpus_labellings(self):

@@ -83,7 +83,7 @@ def test_top_analyze_reads_reachability_only():
     )
     model = top_analyze(program)
     assert model_predicates(model) == {"p", "s", "false"}
-    assert all(model.polyhedron(pred).is_top() for pred in model)
+    assert all(model.polyhedron(pred).is_top() for pred in model.entries)
 
 
 def test_generated_programs(monkeypatch):
