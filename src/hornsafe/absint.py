@@ -54,7 +54,8 @@ def body_post(clause: Clause, polys: tuple[Polyhedron, ...]) -> Polyhedron:
     """Abstract consequence of one clause when its i-th body atom is
     interpreted by polys[i], a polyhedron over canonical arguments:
     conjoin the interpreted body atoms with the clause constraint,
-    project onto the head tuple, and rename onto canonical arguments.
+    eliminate every variable outside the head tuple, and rename onto
+    canonical arguments.
     Empty exactly when the interpreted body is unsatisfiable."""
     body = tuple(zip([atom.args for atom in clause.body], polys))
     return _post(clause.constraint, clause.head.args, body)

@@ -10,7 +10,7 @@ tree as a plain tuple of its nodes in preorder, node i at tree[i - 1].
 feasible decides that without building the tree: it takes each node's
 clause post (absint.body_post) under its children's posts, from the
 leaves up.  A post is the exact projection of its subtree's formula
-onto the node's head tuple, because project and Polyhedron.of are
+onto the node's head tuple, because eliminate and Polyhedron.of are
 exact, so the root's post is empty exactly when the formula is
 unsatisfiable.  Inside verify the posts go through the memo the
 analysis fills, where most subtrees of a spurious trace already are.

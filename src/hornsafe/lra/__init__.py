@@ -1,28 +1,23 @@
 """Exact linear rational arithmetic: satisfiability, projection,
-convex hulls, widening, and Craig interpolation."""
+convex hulls and widening; kernel.refutation refutes a conjunction with
+one multiplier per row."""
 
 from hornsafe.lra.solver import (
-    JointlySatisfiableError,
     Polyhedron,
     eliminate,
     entails,
     hull,
-    interpolate,
     is_sat,
     minimise,
-    project,
     widen,
 )
 
 __all__ = [
-    "JointlySatisfiableError",
     "Polyhedron",
     "eliminate",
     "entails",
     "hull",
-    "interpolate",
     "is_sat",
     "minimise",
-    "project",
     "widen",
 ]

@@ -21,12 +21,13 @@ The tableau holds only the nonbasic columns, as in Dutertre and de
 Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV 2006): each of
 the m rows expresses one basic variable over the n nonbasic ones, and a
 pivot swaps the leaving variable into the entering variable's column.
-The simplex calls left in this verifier have few columns and more rows
+Most simplex calls in this verifier have few columns and more rows
 (witness queries, and yes/no queries too tall for the elimination below,
 such as 2 columns and up to 90 rows, or the 3-column shadows of long
 widening delays, of up to about 300 rows), so a pivot rewrites m*n
 coefficients where a tableau that also kept the basic columns would
-rewrite m*(m+n).
+rewrite m*(m+n).  The refutation of a derivation tree has about as many
+rows as columns.
 
 The arithmetic is fraction-free, after Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination" (Math. Comp.
@@ -50,12 +51,10 @@ and multistep integer-preserving Gaussian elimination" (Math. Comp.
   so every numerator stays an integer.
 * After a pivot, each row it touched is divided by the gcd of D, N and
   its two value numerators.
-* An equality slack that leaves the basis can never enter again and its
-  value stays put, so its column is zeroed instead of kept.  A row then
-  omits that slack's constant contribution to its basic variable; the
-  values are updated by each step's change and never recomputed from
-  the row, and the gcd covers the value numerators, which keeps them
-  integral.
+* An equality slack that leaves the basis can never enter again (Bland's
+  rule skips it) and its value stays put, but its column is kept, so
+  every tableau row stays an identity among the input rows, which the
+  refutation below reads off.
 
 A caller that asks for no witness is answered by exact Fourier-Motzkin
 elimination on the rows' ints first (Imbert, "Fourier's elimination:
@@ -72,16 +71,32 @@ cross-multiplying.  When every column left would grow the system, the
 simplex decides the reduced rows, which are satisfiable exactly when the
 input is.  The yes/no queries of the analysis mostly have 1-3 columns
 and at most 9 rows, and on one seed-1 pass of each benchmark workload
-the elimination decides all but 2 of 303 (absint), 20 of 1,733
-(refine-rahit) and 20 of 1,538 (refine-rahft).  Witnesses come from the
-simplex alone.
+the elimination decides all but 2 of 303 (absint), 20 of 1,507
+(refine-rahit) and 20 of 1,538 (refine-rahft).  Witnesses and
+refutations come from the simplex alone.
 
-The answer is None when the rows are unsatisfiable.  Otherwise it is
-the witness, a satisfying assignment for the original columns as a list
-with one int triple (main numerator, delta numerator, denominator) per
-column: the value is (main/den, delta/den), den is positive and the
-triple is not reduced; a nonbasic column reads (0, 0, 1).  Or it is
-just True when the caller asks for no witness.
+The answer of simplex_feasible is None when the rows are
+unsatisfiable.  Otherwise it is the witness, a satisfying assignment
+for the original columns as a list with one int triple (main numerator,
+delta numerator, denominator) per column: the value is (main/den,
+delta/den), den is positive and the triple is not reduced; a nonbasic
+column reads (0, 0, 1).  Or it is just True when the caller asks for no
+witness.
+
+refutation asks the simplex alone, and answers None when the rows are
+satisfiable.  Otherwise it reads a Farkas certificate off the conflict,
+as Dutertre and de Moura read an explanation off it: the violated basic
+slack xi whose row ``D * xi = sum(N[p] * colvar[p])`` leaves Bland's
+rule nothing to enter.  No original column is in that row (a column is
+free, so it would be eligible), and every slack in it is an equality
+slack or sits at its bound on the side that moves xi away from its own.
+So one int multiplier per input row, D on xi's row, -N[p] on the row
+of each slack in it and 0 on every other, with every sign flipped when
+xi is below its bound (an equality slack can be), adds the rows' ints
+up to a ground row ``0 =< r`` or ``0 < r`` that fails: every column
+cancels, no inequality gets a negative multiplier, and r is negative,
+or zero with a strict row weighted.  A multiplier weighs the row's
+ints, that is the rational row times its denominator.
 """
 
 from __future__ import annotations
@@ -108,7 +123,15 @@ def simplex_feasible(ncols, rows, witness=True):
         if reduced is None or reduced is True:
             return reduced
         ncols, rows = reduced
-    return _simplex(ncols, rows, witness)
+    point, _ = _simplex(ncols, rows)
+    return True if point is not None and not witness else point
+
+
+def refutation(ncols, rows):
+    """None when the rows (as simplex_feasible takes them) are
+    satisfiable, else one int multiplier per row that refutes them;
+    see the module docstring."""
+    return _simplex(ncols, rows)[1]
 
 
 def _fourier_motzkin(ncols, rows):
@@ -239,8 +262,10 @@ def _bounds_meet(k, rows):
     return True if diff > 0 or (diff == 0 and not (hi[2] or lo[2])) else None
 
 
-def _simplex(ncols, rows, witness):
-    """The bound-form simplex on the rows; see simplex_feasible."""
+def _simplex(ncols, rows):
+    """The bound-form simplex on the rows: (witness, None) when they
+    are satisfiable, else (None, refutation); see the module
+    docstring."""
     nrows = len(rows)
     total = ncols + nrows
 
@@ -294,7 +319,15 @@ def _simplex(ncols, rows, witness):
                     xj = v
                     k = p
         if k < 0:
-            return None
+            # den * xi = sum(row[p] * colvar[p]), and every column left
+            # in the row is a slack that may not move towards xi's bound
+            sign = -1 if below else 1
+            y = [0] * nrows
+            y[xi - ncols] = sign * den[r]
+            for p in range(ncols):
+                if row[p]:
+                    y[colvar[p] - ncols] = -sign * row[p]
+            return None, y
 
         # Move xi to its violated bound (an equality slack's lower bound
         # is its upper bound) by shifting xj, then solve row r for xj,
@@ -320,10 +353,6 @@ def _simplex(ncols, rows, witness):
             prow[k] = -d
             pm = xj_m * pden - xi_m
             pd = xj_d * pden - xi_d
-        # An equality slack leaving the basis can never enter again and
-        # its value stays put, so its column is zeroed instead of kept.
-        if pinned[xi]:
-            prow[k] = 0
         g = gcd(pden, pm, pd, *prow)
         if g > 1:
             prow = [c // g for c in prow]
@@ -383,6 +412,4 @@ def _simplex(ncols, rows, witness):
         rowof[xi] = -1
         colvar[k] = xi
 
-    if not witness:
-        return True
-    return [(0, 0, 1) if r < 0 else (num_m[r], num_d[r], den[r]) for r in rowof[:ncols]]
+    return [(0, 0, 1) if r < 0 else (num_m[r], num_d[r], den[r]) for r in rowof[:ncols]], None

@@ -14,16 +14,16 @@ positive d.  is_sat reads the triples as Fractions, fixes d on the
 kernel rows it handed over, at most 1 and small enough that every row
 still holds, and returns the point, a Fraction per variable,
 or None when there is none; a satisfiable constraint over no variables
-gets the empty point, which is falsy.  Only is_sat and interpolate's
-Farkas LPs ask the kernel for a witness, and the simplex alone answers
-them; entailment, Polyhedron.of, minimise, widen and the pinning trials
-ask whether the rows are satisfiable and nothing more, which the kernel
-mostly decides by exact Fourier-Motzkin elimination on the rows' ints
-without a tableau (see kernel.py).  Entailment refutes row by row
+gets the empty point, which is falsy.  Only is_sat asks the kernel for
+a witness, and the simplex alone answers it; entailment, Polyhedron.of,
+minimise and widen ask whether the rows are satisfiable and nothing
+more, which the kernel mostly decides by exact Fourier-Motzkin
+elimination on the rows' ints without a tableau (see kernel.py).  Entailment refutes row by row
 through the kernel alone: c1 entails a row when c1 with each row of the
 row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
-entails, minimise, widen and interpolate place each Row's ints in the
-columns of the sorted variables once per call, which is the kernel's
+entails, minimise and widen place each Row's ints in the columns of the
+sorted variables once per call (_dense, which tree_interpolation also
+uses to hand a whole tree to kernel.refutation), which is the kernel's
 row as it is (its scale is the Row's denominator), and negate rows in
 that form; Polyhedron.of places the distinct rows once for both its
 satisfiability check and its minimise.
@@ -31,9 +31,9 @@ satisfiability check and its minimise.
 Projection is variable elimination (eliminate) on one list of integer
 rows: int coefficients, a relation, an int right-hand side and a
 positive int denominator, taken from each Row as it is stored, which
-keeps a kept equality's exact rational scale.  Three callers build such
-rows: project from a constraint's rows, the lifted hull below from its
-scaled copies, and absint's clause post from the clause constraint and
+keeps a kept equality's exact rational scale.  Two callers build such
+rows: the lifted hull below from its scaled copies, and absint's clause
+post from the clause constraint and
 the body polyhedra, renamed onto the atoms' arguments as it reads
 them.  eliminate drops every variable the rows name outside the ones
 to keep.  In row order, each equality on a dropped variable (pivot
@@ -63,7 +63,7 @@ masks, and the table keeps the mask of the row it keeps.  After k
 rounds a row whose history holds more than k+1 input rows is implied
 by rows with smaller histories (Chernikov 1965; Imbert, "Fourier's
 elimination: which to choose?", 1993), so a pair whose OR
-has more than k+1 bits is skipped before it is combined.  project can
+has more than k+1 bits is skipped before it is combined.  eliminate can
 thus leave out redundant rows that full elimination would keep; what it
 returns is still the exact projection.  The rows it returns are built
 from the ints as they are, each inequality over the denominator that
@@ -97,41 +97,6 @@ b*si over the Row's denominator) and handed straight to eliminate, and
 the shadow is only minimised: the hull of two nonempty polyhedra is
 never empty.
 
-Interpolation is certificate-based.  For jointly unsatisfiable phi1,
-phi2 a refutation is a nonnegative multiplier vector y over the split
-inequality rows with all variable coefficients cancelling and either a
-negative combined right-hand side or a zero one that uses a strict row
-(Motzkin transposition guarantees one of the two exists).  The
-interpolant is the y-combination of phi1's rows alone: implied by phi1,
-inconsistent with phi2, and over shared variables only because the
-phi1-part of the cancellation equals minus the phi2-part.  The split
-rows are the rows of both with each equality split into two opposed
-non-strict rows.  One pass over the rows reads each Row's ints into the
-multiplier system's per-variable rows, one entry per split row, its
-budget and strict weights, and the row's kernel row over one sorted
-column list, an equality whole.  A multiplier on a Row's ints is the
-multiplier on the rational row divided by its denominator, a positive
-scaling of its column that leaves the kernel's pivots, and so the
-refutation found, as they are over Fractions.  The combination reads
-the multipliers off the kernel's witness as ints (main numerator over
-denominator) and adds up phi1's kernel rows as int lists, each times
-its multiplier and the lcm of the multipliers' reduced denominators,
-an equality times its first half's multiplier minus its second half's.
-Among refutations, phi2's multipliers are pinned to zero one at a time
-in row order.  A trial that pins a set P first checks, with one kernel
-call over the variables, whether the split rows outside P are
-satisfiable together; if they are, no refutation avoids P (Motzkin
-again) and the trial fails without solving a multiplier LP.  An
-equality neither of whose halves is in P joins that call whole, as one
-= row that the kernel's elimination substitutes out, and one with a
-half in P joins as its other half.  Only a trial that can succeed
-solves the two Farkas LPs, so the check decides which LPs run but never
-which refutation is chosen.  The multiplier system's cancellation and
-sign rows are built once per call; each LP hands the kernel those rows,
-then a unit equality per pinned row in the pinned set's iteration
-order, then its budget.  The pins' order can change the refutation the
-kernel finds, and so the interpolant.
-
 hull is a memoised step: within one verify call its results are kept
 and looked up by argument (see hornsafe.run, which lists the steps and
 says why nothing else here is memoised).
@@ -141,7 +106,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from hornsafe.chc_core import (
@@ -161,10 +126,6 @@ from hornsafe.lra import kernel
 from hornsafe.run import memoised
 
 _ONE = Fraction(1)
-
-
-class JointlySatisfiableError(ValueError):
-    """interpolate() was handed a satisfiable conjunction."""
 
 
 # Core satisfiability --------------------------------------------------------
@@ -252,20 +213,15 @@ def _dominance_insert(
     return True
 
 
-def project(constraint: LinConstraint, keep: Iterable[Variable]) -> LinConstraint:
-    """Existentially eliminate all variables outside keep.
+def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
+    """Existentially eliminate every variable the integer rows
+    (coefficients, relation, rhs, denominator) name outside keep,
+    consuming their dicts.
 
     The result mentions only keep variables and is satisfiable exactly
-    when the input is.  Raises NumberTooLongError when a number in it
+    when the rows are.  Raises NumberTooLongError when a number in it
     has more than chc_core.MAX_PRINTED_DIGITS digits.
     """
-    return eliminate([(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows], keep)
-
-
-def eliminate(rows: list, keep: Iterable[Variable]) -> LinConstraint:
-    """project on integer rows (coefficients, relation, rhs,
-    denominator), whose dicts it consumes: eliminate every variable the
-    rows name outside keep."""
     drop = set().union(*[coeffs for coeffs, _, _, _ in rows]) - set(keep)
     i = 0
     while i < len(rows):
@@ -545,117 +501,3 @@ def widen(p1: Polyhedron, p2: Polyhedron) -> Polyhedron:
     dense = _dense(rows, columns)
     kept = (row for row, d in zip(rows, dense) if _implied(premise, len(columns), d))
     return Polyhedron(LinConstraint(tuple(kept)))
-
-
-# Interpolation --------------------------------------------------------------
-
-
-def interpolate(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
-    """Craig interpolant for an unsatisfiable conjunction phi1 and phi2.
-
-    The result I satisfies: phi1 entails I; I with phi2 is
-    unsatisfiable; I mentions only variables shared by phi1 and phi2.
-    Raises JointlySatisfiableError when phi1 and phi2 are satisfiable
-    together.  Among refutations, multipliers on phi2's rows are
-    greedily zeroed in row order, biasing I towards phi1's content.
-    """
-    columns = sorted(phi1.vars() | phi2.vars())
-    index = {v: k for k, v in enumerate(columns)}
-    rows = phi1.rows + phi2.rows
-    m = len(rows) + [row.rel for row in rows].count(REL_EQ)
-
-    # the multiplier system, one column per split row (an equality
-    # splits into two opposed =< rows, so every multiplier is
-    # nonnegative): the variables' coefficients cancel.  A refutation
-    # adds a budget, combined rhs =< -1, or else combined rhs =< 0 with
-    # the strict rows' multipliers summing to >= 1, the second only when
-    # there is a strict row.  A column multiplies a split row's ints,
-    # den times the rational row, so its multiplier is den times smaller
-    # and the strict sum weighs it by den; scaling a column by a
-    # positive constant changes neither the kernel's pivots nor which
-    # multipliers are zero (see kernel.py).  The same pass keeps each
-    # row's kernel row over the columns, an equality whole, with the
-    # index of its first split row.
-    cancel = [[0] * m for _ in columns]
-    budget, strict, placed = [], [], []
-    for row in rows:
-        i = len(budget)
-        eq = row.rel == REL_EQ
-        dense = [0] * len(columns)
-        for v, c in zip(row.names, row.ints):
-            k = index[v]
-            dense[k] = cancel[k][i] = c
-            if eq:
-                cancel[k][i + 1] = -c
-        budget += (row.num, -row.num) if eq else (row.num,)
-        strict += (0, 0) if eq else (-row.den if row.rel == REL_LT else 0,)
-        placed.append(((dense, row.rel, row.num, row.den), i))
-    base = [(col, REL_EQ, 0, 1) for col in cancel]
-    for i in range(m):
-        sign = [0] * m
-        sign[i] = -1
-        base.append((sign, REL_LE, 0, 1))
-    budget_rows = [[(budget, REL_LE, -1, 1)]]
-    if any(strict):
-        budget_rows.append([(budget, REL_LE, 0, 1), (strict, REL_LE, -1, 1)])
-
-    def refute(pinned: set[int]) -> list | None:
-        """The kernel's witness for a refutation whose pinned
-        multipliers are zero: multiplier i is y[i][0] / y[i][2]."""
-        pins = [([0] * i + [1] + [0] * (m - 1 - i), REL_EQ, 0, 1) for i in pinned]
-        for extra in budget_rows:
-            y = kernel.simplex_feasible(m, base + pins + extra)
-            if y is not None:
-                return y
-        return None
-
-    y = refute(set())
-    if y is None:
-        raise JointlySatisfiableError("constraints are jointly satisfiable")
-
-    # a trial needs a refutation that avoids the rows pinned to zero,
-    # and there is none while the other rows are satisfiable together;
-    # an equality goes in whole when neither half is pinned, else as the
-    # half that is not
-    first, second = placed[: len(phi1.rows)], placed[len(phi1.rows) :]
-    n1 = second[0][1] if second else m
-    pinned: set[int] = set()
-    for j in range(n1, m):
-        if not y[j][0]:
-            continue
-        skip = pinned | {j}
-        rest = [krow for krow, _ in first]
-        for krow, i in second:
-            dense, rel, num, den = krow
-            if i not in skip:
-                rest.append((dense, REL_LE, num, den) if rel == REL_EQ and i + 1 in skip else krow)
-            elif rel == REL_EQ and i + 1 not in skip:
-                rest.append(([-c for c in dense], REL_LE, -num, den))
-        if kernel.simplex_feasible(len(columns), rest, False) is None:
-            pinned = skip
-            y = refute(skip)
-
-    # the y-combination of phi1's rows, each multiplier num/den times
-    # scale, the lcm of their reduced denominators; an equality weighs
-    # its first half's multiplier minus its second half's
-    scale = lcm(*[den // gcd(num, den) for num, _, den in y[:n1]])
-    weights = [num * scale // den for num, _, den in y[:n1]]
-    combined = [0] * len(columns)
-    rhs = 0
-    rel = REL_LE
-    for (dense, rowrel, b, _), i in first:
-        w = weights[i] - weights[i + 1] if rowrel == REL_EQ else weights[i]
-        if w:
-            combined = [a + w * c for a, c in zip(combined, dense)]
-            rhs += w * b
-            rel = REL_LT if rowrel == REL_LT else rel
-    if not any(combined) and (rhs > 0 if rel == REL_LT else rhs >= 0):
-        return TRUE
-    # over the gcd the coefficients are coprime integers; a ground row
-    # keeps its value rhs/scale.  den divides every coefficient, so the
-    # Row's common factor is gcd(den, rhs), and its names are in order
-    den = gcd(*combined) or scale
-    g = gcd(den, rhs)
-    names = tuple([v for v, c in zip(columns, combined) if c])
-    ints = tuple([c // g for c in combined if c])
-    return LinConstraint((Row(names, ints, rel, rhs // g, den // g),))

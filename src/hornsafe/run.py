@@ -5,18 +5,17 @@ The refinement loop reanalyses a regenerated program every round, and
 its clauses carry the previous round's constraints unchanged, so some
 coarse steps repeat.  Each is a function decorated with memoised(step),
 where step is one of STEPS, fixed here in the order --stats-json prints
-their counts: hull (lra.solver), clause_post (absint), which also
-decides trace feasibility bottom-up, and context (tree_interpolation).
+their counts: hull (lra.solver) and clause_post (absint), which also
+decides trace feasibility bottom-up.
 While a Run is current (driver.verify opens one for exactly its own
 call, and restores the caller's on return) their results are kept in
 it, one table per step keyed on its arguments, with hit and miss
 counts; outside it they compute directly and keep nothing.  A
 LinConstraint keeps its hash, so a key made of objects that already
-exist hashes in constant time.  project, eliminate and Polyhedron.of
-are not memoised on their own: the steps that repeat them memoise them
-whole, and inside hull they do not repeat.  Nor are widen, is_sat,
-entails, minimise, interpolate and the kernel: their queries are mostly
-built afresh, and their repeats would save less than hashing the rows
+exist hashes in constant time.  eliminate and Polyhedron.of are not
+memoised on their own: the steps that repeat them memoise them whole,
+and inside hull they do not repeat.  Nor are widen, is_sat, entails,
+minimise and the kernel: their queries are mostly built afresh, and their repeats would save less than hashing the rows
 of every new query once costs.  clause_post, not is_sat, decides
 whether a trace is feasible; verify asks is_sat for a witness only to
 replay a genuine counterexample on the source program.
@@ -33,7 +32,7 @@ import functools
 from contextvars import ContextVar
 from time import monotonic
 
-STEPS = ("hull", "clause_post", "context")
+STEPS = ("hull", "clause_post")
 
 
 class Unknown(Exception):

@@ -14,27 +14,27 @@ in preorder, and returns a tuple of labels in the same order, label i
 at labels[i - 1]; interpolant_automaton reads each label's atom from
 the tree's node at the same position.
 
-Labels are found one binary interpolation per node, bottom-up in
-reverse preorder.  The second argument handed to the interpolator is
-not the plain context formula but the current rewritten tree: clause
-constraints for not-yet-processed nodes, computed labels for the
-maximal already-processed subtrees outside the node.  Substituting
-labels as they are found keeps every binary interpolation's
-precondition (joint unsatisfiability) true and is what makes the
-per-node conditions compose; interpolating every node against its raw
-context independently can produce labels that are only pairwise
-justified and fail the root condition.  The first interpolation, at
-the last node in preorder (a leaf), conjoins the whole tree, so it
-fails exactly on a feasible tree, which is then refused; only a
-one-node tree is checked with is_sat first.
+The labels come from one refutation of the whole tree formula
+(Gupta, Popeea and Rybalchenko, APLAS 2011; Ruemmer, Hojjat and Kuncak,
+CAV 2013).  Every node's rows go to kernel.refutation once, in
+preorder, over the tree's variables; None means the tree is feasible,
+and it is refused.  Otherwise each row has an int multiplier, and the
+rows weighted by them add up to a ground row that fails.  A node's
+label is the weighted sum of the rows of its subtree, taken in reverse
+preorder as the node's own sum plus its children's:
 
-The contexts are assembled incrementally.  The node rows are laid out
-once in preorder, so the constraints of the nodes before a node are one
-slice; the roots of the maximal subtrees after each node are found
-top-down, as its later siblings followed by its parent's; and the
-variables a context shares with the node are read off each variable's
-first node, so no context is scanned again.  Each context holds the same
-rows in the same order as one rebuilt from the whole tree.
+* a variable local to the subtree occurs in no row outside it, so its
+  coefficients cancel inside it, and the label is over the node's atom;
+* the node's constraint and its children's labels entail its label,
+  which is their weighted sum (each child's label is its sum over a
+  positive gcd);
+* the root's sum is the whole refutation, a ground row that fails.
+
+The label is that sum over the gcd of its coefficients, strict when a
+strict row of the subtree is weighted; a ground sum is TRUE when it
+holds and FALSE when it fails, so a valid refutation labels the root
+FALSE.  A corrupted one labels the root TRUE or over variables, or
+breaks a node's entailment, and interpolant_automaton refuses it.
 
 The interpolant automaton checks the labelling through its own steps:
 a node's entailment is the automaton's transition for that node, so it
@@ -45,93 +45,80 @@ on a clause atom's arguments once per argument tuple, which is its
 node's label renamed onto them since renaming is injective, and each
 premise is built once per clause and body combination and checked
 against every head state.
-
-Under rahit each round's spurious tree is one node deeper than the
-last and repeats its contexts, so the projection of a context onto the
-node's interface is the memo step context (see hornsafe.run), keyed on
-the context and the interface as a frozenset.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
-from hornsafe.chc_core import FALSE, FALSE_PRED, LinConstraint, Program, Row, Variable
-from hornsafe.derivations import Node, formula
+from hornsafe.chc_core import (
+    FALSE,
+    FALSE_PRED,
+    REL_LE,
+    REL_LT,
+    TRUE,
+    LinConstraint,
+    Program,
+    Row,
+    Variable,
+)
+from hornsafe.derivations import Node
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import JointlySatisfiableError, entails, interpolate, is_sat, project
+from hornsafe.lra import entails, is_sat, kernel
+from hornsafe.lra.solver import _dense
 from hornsafe.model import canonical_args
-from hornsafe.run import memoised
 
 
 class FeasibleTreeError(ValueError):
     """Tree interpolation needs an infeasible tree."""
 
 
-@memoised("context")
-def _context(second: LinConstraint, shared: frozenset[Variable]) -> LinConstraint:
-    return project(second, shared)
-
-
 def tree_interpolant(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
     """One label per node of an infeasible tree, in preorder."""
-    n = len(tree)
-    if n == 1 and is_sat(formula(tree)) is not None:
+    rows = [row for node in tree for row in node.constraint.rows]
+    columns = sorted(set().union(*[row.names for row in rows]))
+    y = kernel.refutation(len(columns), _dense(rows, columns))
+    if y is None:
         raise FeasibleTreeError("derivation tree is feasible")
-    # every node's rows once, in preorder, so the rows of nodes 1..i
-    # are rows[:ends[i]]; the first node whose rows name each variable,
-    # and named[i], how many variables nodes 1..i name
-    rows: list[Row] = []
-    ends = [0]
-    first_node: dict[Variable, int] = {}
-    for node in tree:
-        for row in node.constraint.rows:
-            for v in row.names:
-                first_node.setdefault(v, node.index)
-        rows.extend(node.constraint.rows)
-        ends.append(len(rows))
-    named = [0] * (n + 1)
-    for i in first_node.values():
-        named[i] += 1
-    named = list(itertools.accumulate(named))
-    # the roots of the maximal subtrees after node i's, in preorder:
-    # its later siblings, then those after its parent's
-    after: list[tuple[int, ...]] = [()] * (n + 1)
-    for node in tree:
-        for k, c in enumerate(node.children):
-            after[c] = node.children[k + 1 :] + after[node.index]
-    labels = [FALSE] * (n + 1)
-    for i in range(n, 1, -1):
-        node = tree[i - 1]
-        first = node.constraint.conjoin(*[labels[c] for c in node.children])
-        closing = [labels[j] for j in after[i]]
-        second = LinConstraint(
-            tuple(itertools.chain(rows[: ends[i - 1]], *[c.rows for c in closing]))
-        )
-        # the halves only talk through the node's interface variables,
-        # so the context can be projected onto them first; that keeps
-        # the multiplier system small on deep trees and changes neither
-        # joint infeasibility nor the admissible labels.  A variable is
-        # in the context if a node before i or a closing label names it.
-        closing_vars = set().union(*[c.vars() for c in closing])
-        shared = {
-            v for v in first.vars() if first_node.get(v, i) < i or v in closing_vars
-        }
-        context_vars = named[i - 1] + sum(
-            1 for v in closing_vars if first_node.get(v, i) >= i
-        )
-        if context_vars > len(shared):
-            second = _context(second, frozenset(shared))
-        try:
-            labels[i] = interpolate(first, second)
-        except JointlySatisfiableError:
-            # node n, the last in preorder, is a leaf: its halves conjoin
-            # the whole tree, and the projected context keeps that
-            # satisfiable exactly when the tree is feasible
-            if i < n:
-                raise
-            raise FeasibleTreeError("derivation tree is feasible") from None
-    return tuple(labels[1:])
+    # each subtree's weighted rows, summed in reverse preorder as the
+    # node's own rows plus its children's sums: (coefficients, rhs,
+    # whether a strict row is weighted)
+    sums: list = [None] * len(tree)
+    labels = [TRUE] * len(tree)
+    end = len(rows)
+    for node in reversed(tree):
+        own = node.constraint.rows
+        end -= len(own)
+        coeffs: dict[Variable, int] = {}
+        rhs = 0
+        strict = False
+        for row, w in zip(own, y[end : end + len(own)]):
+            if w:
+                for v, c in zip(row.names, row.ints):
+                    coeffs[v] = coeffs.get(v, 0) + w * c
+                rhs += w * row.num
+                strict = strict or row.rel == REL_LT
+        for child in node.children:
+            ccoeffs, crhs, cstrict = sums[child - 1]
+            for v, c in ccoeffs.items():
+                coeffs[v] = coeffs.get(v, 0) + c
+            rhs += crhs
+            strict = strict or cstrict
+        # a variable local to the subtree cancels inside it
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        sums[node.index - 1] = (coeffs, rhs, strict)
+        if not coeffs:
+            if not (rhs > 0 if strict else rhs >= 0):
+                labels[node.index - 1] = FALSE
+            continue
+        names = tuple(sorted(coeffs))
+        g = gcd(*coeffs.values())
+        h = gcd(g, rhs)
+        ints = tuple([coeffs[v] // h for v in names])
+        rel = REL_LT if strict else REL_LE
+        labels[node.index - 1] = LinConstraint((Row(names, ints, rel, rhs // h, g // h),))
+    return tuple(labels)
 
 
 ERROR_STATE = "error"

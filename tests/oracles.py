@@ -23,16 +23,8 @@ The row reference is chc_core.Row as it was stored over Fractions:
 its construction, renaming and printing, which the integer Row must
 reproduce exactly.
 
-The interpolation reference is interpolate as it was before it read the
-kernel's witness as ints and kept equalities whole in its pinning
-trials: the shipped interpolate must return the very same interpolant.
 witness_pairs reads the kernel's witness, an int triple per column, as
 the (main, delta) Fraction pairs the references compare.
-
-The Farkas reference is interpolate's multiplier system as it was built
-over the rational rows: the system interpolate hands the kernel over
-the rows' ints must find the same multipliers, each divided by its
-row's denominator, for the same pinned rows in the same order.
 
 The tree automaton section also builds a program's whole trace
 automaton (trace_fta), which only the tests use.
@@ -41,14 +33,14 @@ The last section holds test-only helpers that the verifier never runs:
 a row's coefficients and a model's predicates as the tests read them,
 trace parsing, the preorder listing and trace erasure by recursion,
 bounded enumeration and the least accepted term
-found by it, trace feasibility, an exact point check that calls no
-solver (satisfies), clause selection,
+found by it, trace feasibility, an exact point check and an exact
+refutation check that call no solver (satisfies, refutes), clause
+selection,
 model loading, an analysis that gives every derivable predicate the
 top polyhedron (top_analyze), subtree and context formulas, label
-mappings and equivalence, the defining conditions of a tree interpolant, and the
-tree interpolation that rebuilds every node's context from the whole
-tree, which the shipped one, building contexts incrementally, must
-reproduce label for label, and the interpolant automaton that renames
+mappings and equivalence, the defining conditions of a tree interpolant,
+projection of a constraint (project, through lra.eliminate), and the
+interpolant automaton that renames
 each node's label directly onto every clause atom, which the shipped
 one, placing each class representative's canonical label once, must
 reproduce transition for transition.  Those do call the package's
@@ -62,7 +54,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from hornsafe.chc_core import (
@@ -86,18 +78,15 @@ from hornsafe.chc_core import (
 from hornsafe.derivations import Node, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
 from hornsafe.lra import (
-    JointlySatisfiableError,
     Polyhedron,
+    eliminate,
     entails,
-    interpolate,
     is_sat,
     kernel,
     minimise,
-    project,
 )
-from hornsafe.lra.solver import _dense
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
-from hornsafe.tree_interpolation import ERROR_STATE, FeasibleTreeError
+from hornsafe.tree_interpolation import ERROR_STATE
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -482,6 +471,12 @@ def fraction_eliminate(rows: list, drop: set) -> LinConstraint:
     return LinConstraint(tuple(out_rows))
 
 
+def project(constraint: LinConstraint, keep) -> LinConstraint:
+    """Eliminate every variable of the constraint outside keep, with
+    the shipped lra.eliminate."""
+    return eliminate([(dict(zip(row.names, row.ints)), row.rel, row.num, row.den) for row in constraint.rows], keep)
+
+
 def project_reference(constraint: LinConstraint, keep) -> LinConstraint:
     drop = constraint.vars() - set(keep)
     return fraction_eliminate([(row_coeffs(row), row.rel, row.rhs) for row in constraint.rows], drop)
@@ -709,141 +704,6 @@ class FractionRow:
             else:
                 parts.append(f" + {_format_coeff_var(c, v)}")
         return f"{''.join(parts)} {rel} {rhs}"
-
-
-# Interpolation reference: lra.interpolate as it was before it built its
-# split rows in one pass and read the Farkas multipliers as ints, when
-# the kernel's witness was (main, delta) Fraction pairs and every pinning
-# trial handed the kernel both halves of each equality.  The shipped
-# interpolate must return the very same interpolant, or raise as it does.
-
-
-def split_reference(constraint: LinConstraint, columns: list[Variable]) -> list:
-    """The rows over columns as the kernel takes them, each equality as
-    two opposed =< rows, so every split row takes a nonnegative Farkas
-    multiplier."""
-    out = []
-    for dense, rel, num, den in _dense(constraint.rows, columns):
-        if rel == REL_EQ:
-            out.append((dense, REL_LE, num, den))
-            out.append(([-c for c in dense], REL_LE, -num, den))
-        else:
-            out.append((dense, rel, num, den))
-    return out
-
-
-def interpolate_reference(phi1: LinConstraint, phi2: LinConstraint) -> LinConstraint:
-    """Craig interpolant for an unsatisfiable conjunction phi1 and phi2.
-
-    The result I satisfies: phi1 entails I; I with phi2 is
-    unsatisfiable; I mentions only variables shared by phi1 and phi2.
-    Raises JointlySatisfiableError when phi1 and phi2 are satisfiable
-    together.  Among refutations, multipliers on phi2's rows are
-    greedily zeroed in row order, biasing I towards phi1's content.
-    """
-    columns = sorted(phi1.vars() | phi2.vars())
-    split1 = split_reference(phi1, columns)
-    split = split1 + split_reference(phi2, columns)
-
-    # the multiplier system, one column per split row: the variables'
-    # coefficients cancel and every multiplier is nonnegative.  A
-    # refutation adds a budget, combined rhs =< -1, or else combined
-    # rhs =< 0 with the strict rows' multipliers summing to >= 1, the
-    # second only when there is a strict row.  A column multiplies a
-    # split row's ints, den times the rational row, so its multiplier
-    # is den times smaller and the strict sum weighs it by den; scaling
-    # a column by a positive constant changes neither the kernel's
-    # pivots nor which multipliers are zero (see kernel.py).
-    m = len(split)
-    base = [(list(col), REL_EQ, 0, 1) for col in zip(*[dense for dense, _, _, _ in split])]
-    base += [([-(j == i) for j in range(m)], REL_LE, 0, 1) for i in range(m)]
-    budget = [b for _, _, b, _ in split]
-    strict = [-den if rel == REL_LT else 0 for _, rel, _, den in split]
-    budget_rows = [[(budget, REL_LE, -1, 1)]]
-    if any(strict):
-        budget_rows.append([(budget, REL_LE, 0, 1), (strict, REL_LE, -1, 1)])
-
-    def refute(pinned: set[int]) -> list[Fraction] | None:
-        """Multipliers of a refutation whose pinned ones are zero."""
-        pins = [([int(j == i) for j in range(m)], REL_EQ, 0, 1) for i in pinned]
-        for rows in budget_rows:
-            result = witness_pairs(kernel.simplex_feasible(m, base + pins + rows))
-            if result is not None:
-                return [main for main, _ in result]
-        return None
-
-    y = refute(set())
-    if y is None:
-        raise JointlySatisfiableError("constraints are jointly satisfiable")
-
-    # a trial needs a refutation that avoids the rows pinned to zero,
-    # and there is none while the other rows are satisfiable together
-    n1 = len(split1)
-    pinned: set[int] = set()
-    for j in range(n1, m):
-        if y[j] == 0:
-            continue
-        skip = pinned | {j}
-        rest = [row for i, row in enumerate(split) if i not in skip]
-        if kernel.simplex_feasible(len(columns), rest, False) is None:
-            pinned = skip
-            y = refute(skip)
-
-    # the y-combination of phi1's rows, times the lcm of y's denominators
-    scale = lcm(*[y[i].denominator for i in range(n1)])
-    combined = [0] * len(columns)
-    rhs = 0
-    strict = False
-    for i in range(n1):
-        if y[i] == 0:
-            continue
-        w = y[i].numerator * (scale // y[i].denominator)
-        dense, rel, b, _ = split1[i]
-        combined = [a + w * c for a, c in zip(combined, dense)]
-        rhs += w * b
-        strict = strict or rel == REL_LT
-    if not any(combined) and (rhs > 0 if strict else rhs >= 0):
-        return TRUE
-    # over the gcd the coefficients are coprime integers; a ground row
-    # keeps its value rhs/scale
-    den = gcd(*combined) or scale
-    row = Row.of_ints(dict(zip(columns, combined)), REL_LT if strict else REL_LE, rhs, den)
-    return LinConstraint((row,))
-
-
-# Farkas reference: the multiplier system over the Fraction split rows,
-# each kernel row scaled by the lcm of its denominators.
-
-
-def fraction_farkas(constraint: LinConstraint, pinned, want_strict_budget: bool):
-    split = []
-    for row in constraint.rows:
-        coeffs = row_coeffs(row)
-        if row.rel == REL_EQ:
-            split.append((coeffs, False, row.rhs))
-            split.append(({v: -c for v, c in coeffs.items()}, False, -row.rhs))
-        else:
-            split.append((coeffs, row.rel == REL_LT, row.rhs))
-    m = len(split)
-    unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
-    variables = sorted(set().union(*[cs for cs, _, _ in split]))
-    rows = [([cs.get(v, _ZERO) for cs, _, _ in split], REL_EQ, _ZERO) for v in variables]
-    rows += [([-c for c in unit[i]], REL_LE, _ZERO) for i in range(m)]
-    rows += [(unit[i], REL_EQ, _ZERO) for i in pinned]
-    budget = [b for _, _, b in split]
-    if not want_strict_budget:
-        rows.append((budget, REL_LE, -_ONE))
-    else:
-        rows.append((budget, REL_LE, _ZERO))
-        if not any(strict for _, strict, _ in split):
-            return None
-        rows.append(([-_ONE if strict else _ZERO for _, strict, _ in split], REL_LE, -_ONE))
-    scaled = []
-    for coeffs, rel, rhs in rows:
-        scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-        scaled.append(([int(c * scale) for c in coeffs], rel, int(rhs * scale), scale))
-    result = witness_pairs(kernel.simplex_feasible(m, scaled))
-    return None if result is None else [main for main, _ in result]
 
 
 # Tree automaton oracles: evaluation by direct recursion over the
@@ -1213,6 +1073,30 @@ def satisfies(constraint: LinConstraint, point) -> bool:
     return True
 
 
+def refutes(constraint: LinConstraint, y) -> bool:
+    """Do the multipliers y, one per row as kernel.refutation gives
+    them, refute the constraint?  Each weighs its row's ints, that is
+    the rational row times its den.  In Fractions, with no solver: no
+    inequality's multiplier is negative, every variable's coefficients
+    cancel, and the combined rhs is negative, or zero with a strict row
+    weighted."""
+    if len(y) != len(constraint.rows):
+        return False
+    total: dict[Variable, Fraction] = {}
+    rhs = _ZERO
+    strict = False
+    for row, w in zip(constraint.rows, y):
+        if row.rel != REL_EQ and w < 0:
+            return False
+        if not w:
+            continue
+        for v, c in row.terms:
+            total[v] = total.get(v, _ZERO) + w * row.den * c
+        rhs += w * row.den * row.rhs
+        strict = strict or row.rel == REL_LT
+    return not any(total.values()) and (rhs < 0 or (rhs == 0 and strict))
+
+
 def clauses_with_head(program: Program, pred: str) -> list[Clause]:
     return [c for c in program.clauses if c.head.pred == pred]
 
@@ -1323,38 +1207,6 @@ def check_tree_interpolant(
         if not label.vars() <= set(node.atom.args):
             return False
     return True
-
-
-def tree_interpolant_reference(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
-    """tree_interpolation.tree_interpolant with each node's context
-    rebuilt from the tree: the constraints of the nodes before it, then
-    the labels of the later nodes whose parent comes before it, and
-    projected onto the shared variables whenever the context has
-    others."""
-    n = len(tree)
-    if n == 1 and is_sat(formula(tree)) is not None:
-        raise FeasibleTreeError("derivation tree is feasible")
-    parents = tree_parents(tree)
-    sizes = tree_sizes(tree)
-    labels: dict[int, LinConstraint] = {1: FALSE}
-    for i in range(n, 1, -1):
-        node = tree[i - 1]
-        first = node.constraint.conjoin(*[labels[c] for c in node.children])
-        after = i + sizes[i - 1]
-        second = TRUE.conjoin(
-            *[tree[j - 1].constraint for j in range(1, i)],
-            *[labels[j] for j in range(after, n + 1) if parents[j - 1] < i],
-        )
-        shared = first.vars() & second.vars()
-        if not second.vars() <= shared:
-            second = project(second, frozenset(shared))
-        try:
-            labels[i] = interpolate(first, second)
-        except JointlySatisfiableError:
-            if i < n:
-                raise
-            raise FeasibleTreeError("derivation tree is feasible") from None
-    return tuple(labels[i] for i in range(1, n + 1))
 
 
 def interpolant_automaton_reference(

@@ -44,3 +44,17 @@ i(X) :- X=0.
 i(Y) :- Y=X+1, i(X).
 false :- X=3, i(X).
 """
+
+# Gopan and Reps' loop: y climbs while x =< 50, then falls, and never
+# goes below 0 before x reaches 102.  Over the integers, with strict
+# rows read as non-strict ones (--strict-to-nonstrict).
+GOPAN_REPS = """\
+p(X,Y) :- X=0, Y=0.
+p(X1,Y1) :- X=<50, Y1=Y+1, Y1>=0, X1=X+1, p(X,Y).
+p(X1,Y1) :- X>=51, Y1=Y-1, Y1>=0, X1=X+1, p(X,Y).
+false :- X>=51, Y1=Y-1, Y1<0, X=<101, p(X,Y).
+false :- X=<50, Y1=Y+1, Y1<0, p(X,Y).
+"""
+
+# the same loop, unsafe: at x = 102, y - 1 is negative
+GOPAN_REPS_UNSAFE = GOPAN_REPS.replace("X=<101", "X=<102")

@@ -38,7 +38,7 @@ from programs import (
 )
 
 from hornsafe.absint import analyze
-from hornsafe.chc_core import FALSE_PRED, parse_program
+from hornsafe.chc_core import FALSE, FALSE_PRED, REL_EQ, LinConstraint, Row, parse_constraint, parse_program
 from hornsafe.cli import main as cli_main
 from hornsafe.derivations import and_tree, formula
 from hornsafe.driver import verify
@@ -48,7 +48,8 @@ from hornsafe.fta import (
     model_fta,
     singleton_fta,
 )
-from hornsafe.lra import entails, interpolate, is_sat
+from hornsafe.lra import is_sat, kernel
+from hornsafe.lra.solver import _dense
 from hornsafe.model import is_model
 from hornsafe.refinement import erase_trace, generate_clauses
 from hornsafe.tree_interpolation import (
@@ -333,7 +334,7 @@ def test_criterion_09_automata_operation_identities():
     assert elapsed < 120.0, f"{elapsed:.1f}s"
 
 
-@criterion(10, "solver agrees with elimination oracle; interpolants valid")
+@criterion(10, "solver agrees with elimination oracle; refutations valid")
 def test_criterion_10_solver_oracle_agreement():
     rng = random.Random(10)
     disagreements = []
@@ -343,21 +344,30 @@ def test_criterion_10_solver_oracle_agreement():
             disagreements.append((i, c.pretty()))
     assert disagreements == []
 
+    # a ground conflict over no columns, each way round, and an equality
+    # that ends below its bound: X =< -1 pivots X to -1, so X = 1 is
+    # violated from below, which flips the multipliers' signs
+    cases = [FALSE, LinConstraint((Row((), (), REL_EQ, 1, 1),)), parse_constraint("X =< -1, X = 1")]
     rng = random.Random(1010)
-    built = 0
-    attempts = 0
-    while built < 500:
-        attempts += 1
-        assert attempts < 60000, "generator starved"
+    unsat = sat = 0
+    while unsat < 500:
+        assert unsat + sat < 60000, "generator starved"
         phi1 = random_constraint(rng, max_vars=4, max_rows=5)
         phi2 = random_constraint(rng, max_vars=4, max_rows=5)
-        if oracles.fm_satisfiable(phi1.conjoin(phi2)):
-            continue
-        built += 1
-        i = interpolate(phi1, phi2)
-        assert entails(phi1, i), (phi1.pretty(), phi2.pretty())
-        assert is_sat(i.conjoin(phi2)) is None, (phi1.pretty(), phi2.pretty())
-        assert i.vars() <= (phi1.vars() & phi2.vars())
+        both = phi1.conjoin(phi2)
+        if oracles.fm_satisfiable(both):
+            sat += 1
+        else:
+            unsat += 1
+        cases.append(both)
+    for c in cases:
+        columns = sorted(c.vars())
+        y = kernel.refutation(len(columns), _dense(c.rows, columns))
+        if oracles.fm_satisfiable(c):
+            assert y is None, c.pretty()
+        else:
+            assert y is not None and oracles.refutes(c, y), (c.pretty(), y)
+    assert sat >= 200, sat
 
 
 @criterion(11, "one trace generalises to three or more infeasible traces")

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hornsafe import tree_interpolation
-from hornsafe.chc_core import TRUE
 from hornsafe.cli import main
 from hornsafe.driver import ENGINES
-from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
+from hornsafe.lra import kernel
+from programs import FIB, GOPAN_REPS, GOPAN_REPS_UNSAFE, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,20 +43,29 @@ class TestExitCodes:
         assert "reason: iteration-limit" in out
 
     def test_internal_error_is_unknown(self, tmp_path, capsys, monkeypatch):
-        # TRUE labels every node, so interpolant_automaton refuses the
-        # labelling with a ValueError; the verifier's fault must exit 2,
-        # not 1, which means unsafe
-        monkeypatch.setattr(tree_interpolation, "interpolate", lambda first, second: TRUE)
-        stats = tmp_path / "stats.json"
-        code = main(["verify", str(ROOT / "corpus" / "split_range.chc"), "--stats-json", str(stats)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out.startswith("UNKNOWN\n")
-        assert "reason: internal:ValueError\n" in captured.out
-        assert captured.err.startswith("Traceback (most recent call last):\n")
-        assert captured.err.endswith("ValueError: labelling is not a tree interpolant\n")
-        payload = json.loads(stats.read_text())
-        assert (payload["verdict"], payload["reason"]) == ("unknown", "internal:ValueError")
+        # a refutation with one multiplier flipped, zeroed or doubled is
+        # no certificate, so interpolant_automaton refuses the labels it
+        # gives with a ValueError; the verifier's fault must exit 2, not
+        # 1, which means unsafe
+        real = kernel.refutation
+        for corrupt in (lambda w: -w, lambda w: 0, lambda w: 2 * w):
+
+            def corrupted(ncols, rows):
+                y = real(ncols, rows)
+                i = next(i for i, w in enumerate(y) if w)
+                return [*y[:i], corrupt(y[i]), *y[i + 1 :]]
+
+            monkeypatch.setattr(kernel, "refutation", corrupted)
+            stats = tmp_path / "stats.json"
+            code = main(["verify", str(ROOT / "corpus" / "split_range.chc"), "--stats-json", str(stats)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out.startswith("UNKNOWN\n")
+            assert "reason: internal:ValueError\n" in captured.out
+            assert captured.err.startswith("Traceback (most recent call last):\n")
+            assert captured.err.endswith("ValueError: labelling is not a tree interpolant\n")
+            payload = json.loads(stats.read_text())
+            assert (payload["verdict"], payload["reason"]) == ("unknown", "internal:ValueError")
 
     def test_missing_file_is_three(self, capsys):
         assert main(["verify", "/nonexistent/q.chc"]) == 3
@@ -242,8 +250,8 @@ class TestDeepTraces:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_long_spurious_chain_is_refined_in_linear_time(self, chc, engine):
-        # difference and the interpolation contexts visit each of the
-        # 3,000 links once; done a round per link, the difference alone
+        # difference and the tree interpolant visit each of the 3,000
+        # links once; done a round per link, the difference alone
         # takes tens of seconds
         done = self.run(chc(chain(3000, safe=True)), engine, timeout=10)
         assert done.stderr == ""
@@ -387,6 +395,29 @@ class TestStrictToNonstrict:
         assert json.loads(stats.read_text())["witness"] == {"X_n1": "1/2"}
 
 
+
+class TestGopanReps:
+    """The first pinned refinement runs with deep trees: the unsafe loop
+    is refuted after 102 rounds under both engines, each round's tree
+    one node deeper.  The labels that one refutation of the whole tree
+    gives make rahit need 3 rounds for the safe loop; per-node binary
+    interpolants made it 2."""
+
+    @pytest.mark.parametrize(
+        "text, engine, code, rounds",
+        [
+            (GOPAN_REPS, "rahit", 0, 3),
+            (GOPAN_REPS, "rahft", 0, 51),
+            (GOPAN_REPS_UNSAFE, "rahit", 1, 102),
+            (GOPAN_REPS_UNSAFE, "rahft", 1, 102),
+        ],
+        ids=["safe-rahit", "safe-rahft", "unsafe-rahit", "unsafe-rahft"],
+    )
+    def test_verdict_and_rounds(self, chc, capsys, text, engine, code, rounds):
+        argv = ["verify", chc(text), "--engine", engine, "--strict-to-nonstrict", "--max-iter", "120"]
+        assert main(argv) == code
+        assert f"\niterations: {rounds}\n" in capsys.readouterr().out
+
 class TestArtifacts:
     def test_stats_json(self, chc, tmp_path, capsys):
         out = tmp_path / "stats.json"
@@ -404,7 +435,7 @@ class TestArtifacts:
         out = tmp_path / "stats.json"
         main(["verify", chc(UNSAFE_LOOP), "--stats-json", str(out)])
         memo = json.loads(out.read_text())["memo"]
-        assert list(memo) == ["hull", "clause_post", "context"]
+        assert list(memo) == ["hull", "clause_post"]
 
     def test_dump_dir(self, chc, tmp_path, capsys):
         dump = tmp_path / "dumps"

@@ -264,14 +264,25 @@ def test_no_witness_same_answer_on_random_systems(make, seed, count):
 
 
 def _count_simplex(monkeypatch) -> list:
-    """Record the witness flag of every simplex entry."""
+    """Record the witness flag of every simplex entry: the flag of the
+    simplex_feasible call it is made from."""
     entries = []
+    flags = []
+    feasible = kernel.simplex_feasible
     simplex = kernel._simplex
 
-    def counted(ncols, rows, witness):
-        entries.append(witness)
-        return simplex(ncols, rows, witness)
+    def asked(ncols, rows, witness=True):
+        flags.append(witness)
+        try:
+            return feasible(ncols, rows, witness)
+        finally:
+            flags.pop()
 
+    def counted(ncols, rows):
+        entries.append(flags[-1])
+        return simplex(ncols, rows)
+
+    monkeypatch.setattr(kernel, "simplex_feasible", asked)
     monkeypatch.setattr(kernel, "_simplex", counted)
     return entries
 

@@ -1,16 +1,13 @@
-import functools
 import hashlib
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import oracles
-from gen import counter_text, random_constraint, random_row, strict_vertex_constraint
-from oracles import equivalent, poly_pretty, row_coeffs, satisfies, witness_pairs
-from hornsafe import driver, tree_interpolation
+from gen import random_constraint, random_row, strict_vertex_constraint
+from oracles import equivalent, poly_pretty, project, row_coeffs, satisfies, witness_pairs
 from hornsafe.chc_core import (
     FALSE,
     TRUE,
@@ -21,22 +18,16 @@ from hornsafe.chc_core import (
     Row,
     Variable,
     parse_constraint,
-    parse_program,
 )
 from hornsafe.lra import (
-    JointlySatisfiableError,
     Polyhedron,
     entails,
     hull,
-    interpolate,
     is_sat,
     minimise,
-    project,
     widen,
 )
 from hornsafe.lra import solver
-
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
 class TestSat:
@@ -467,208 +458,6 @@ class TestWidenWithoutHull:
                 old, widened = expected, True
 
 
-class TestInterpolate:
-    def test_golden_shared_bound(self):
-        phi1 = parse_constraint("A2 =< 1, A > 1, A2 = A - 2, A1 = A - 1, B = B1 + B2")
-        phi2 = parse_constraint("A > 5, B < A")
-        i = interpolate(phi1, phi2)
-        assert equivalent(i, parse_constraint("A =< 3"))
-
-    def test_jointly_satisfiable_raises(self):
-        with pytest.raises(JointlySatisfiableError):
-            interpolate(parse_constraint("X >= 0"), parse_constraint("X =< 5"))
-
-    def test_strict_only_refutations(self):
-        i = interpolate(parse_constraint("X < 2"), parse_constraint("X >= 2"))
-        assert entails(parse_constraint("X < 2"), i)
-        assert is_sat(i.conjoin(parse_constraint("X >= 2"))) is None
-
-    def test_contradiction_entirely_inside_first_argument(self):
-        i = interpolate(parse_constraint("X =< 0, X >= 1"), parse_constraint("Y = 2"))
-        assert is_sat(i) is None
-
-    def test_properties_on_random_unsat_pairs(self):
-        rng = random.Random(15)
-        built = 0
-        attempts = 0
-        while built < 150:
-            attempts += 1
-            assert attempts < 20000
-            phi1 = random_constraint(rng, max_vars=4, max_rows=5)
-            phi2 = random_constraint(rng, max_vars=4, max_rows=5)
-            if oracles.fm_satisfiable(phi1.conjoin(phi2)):
-                continue
-            built += 1
-            i = interpolate(phi1, phi2)
-            assert entails(phi1, i), (phi1.pretty(), phi2.pretty())
-            assert is_sat(i.conjoin(phi2)) is None, (phi1.pretty(), phi2.pretty())
-            assert i.vars() <= (phi1.vars() & phi2.vars())
-
-    def test_multipliers_are_the_fraction_multipliers_over_den(self, monkeypatch):
-        # a multiplier on a Row's ints is the one on the rational row
-        # divided by the Row's den; the strict budget must weigh it so.
-        # Every multiplier system interpolate hands the kernel is read
-        # back as its pins and budget: after the cancellation and sign
-        # rows come one unit equality per pinned row, in the order they
-        # were appended, then one budget row, or two for the strict one.
-        queries = []
-        real = solver.kernel.simplex_feasible
-
-        def recording(ncols, rows, witness=True):
-            result = real(ncols, rows, witness)
-            if witness:
-                queries.append((rows, result))
-            return result
-
-        rng = random.Random(17)
-        cut = random.Random(170)
-        found = {False: 0, True: 0}
-        strict_scaled = pinned_found = 0
-        while min(found.values()) < 100:
-            phi = random_constraint(rng, max_vars=3, max_rows=8)
-            k = cut.randint(1, len(phi.rows))
-            # phi's rows cut in two, and again with the complement of one
-            # of the first half's rows leading the second, a refutation
-            # that adds up to 0 < 0 and so often needs the strict budget
-            complement = _complement(cut.choice(phi.rows[:k]))
-            for second in (phi.rows[k:], (complement, *phi.rows[k:])):
-                queries.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(solver.kernel, "simplex_feasible", recording)
-                    try:
-                        interpolate(LinConstraint(phi.rows[:k]), LinConstraint(second))
-                    except JointlySatisfiableError:
-                        pass
-                both = LinConstraint((*phi.rows[:k], *second))
-                split = oracles.split_reference(both, sorted(both.vars()))
-                dens = [den for *_, den in split]
-                for rows, result in queries:
-                    tail = rows[len(both.vars()) + len(split) :]
-                    pinned = [coeffs.index(1) for coeffs, rel, _, _ in tail if rel == REL_EQ]
-                    strict_budget = len(tail) - len(pinned) == 2
-                    expected = oracles.fraction_farkas(both, pinned, strict_budget)
-                    assert (result is None) == (expected is None), both.pretty()
-                    if result is None:
-                        continue
-                    got = [main for main, _ in witness_pairs(result)]
-                    assert [y * d for y, d in zip(got, dens)] == expected, both.pretty()
-                    found[strict_budget] += 1
-                    pinned_found += bool(pinned)
-                    strict_scaled += strict_budget and any(
-                        y and d > 1 and rel == REL_LT for y, d, (_, rel, _, _) in zip(got, dens, split)
-                    )
-        assert strict_scaled > 30 and pinned_found > 100, (strict_scaled, pinned_found)
-
-
-def _complement(row):
-    """A row whose conjunction with row is unsatisfiable and refuted by
-    0 < 0: the strict complement, of one side for an equality."""
-    if row.rel == REL_EQ:
-        return Row.make(row_coeffs(row), REL_LT, row.rhs)
-    negated = {v: -c for v, c in row_coeffs(row).items()}
-    return Row.make(negated, REL_LE if row.rel == REL_LT else REL_LT, -row.rhs)
-
-
-def _random_pairs(rng):
-    for _ in range(500):
-        yield random_constraint(rng, max_vars=4, max_rows=6), random_constraint(rng, max_vars=4, max_rows=6)
-
-
-def _complement_pairs(rng):
-    """The multipliers test's cuts: phi's rows in two, and again with
-    the complement of one of the first half's rows leading the second."""
-    for _ in range(250):
-        phi = random_constraint(rng, max_vars=3, max_rows=8)
-        k = rng.randint(1, len(phi.rows))
-        second = (_complement(rng.choice(phi.rows[:k])), *phi.rows[k:])
-        yield LinConstraint(phi.rows[:k]), LinConstraint(phi.rows[k:])
-        yield LinConstraint(phi.rows[:k]), LinConstraint(second)
-
-
-def _equality_pairs(rng):
-    """Pairs with an equality on both sides, which the pinning trials
-    split when they pin one half of it."""
-    found = 0
-    while found < 300:
-        phi1 = random_constraint(rng, max_vars=3, max_rows=5)
-        phi2 = random_constraint(rng, max_vars=3, max_rows=6)
-        if all(any(row.rel == REL_EQ for row in phi.rows) for phi in (phi1, phi2)):
-            found += 1
-            yield phi1, phi2
-
-
-@functools.cache
-def _tree_interpolant_pairs() -> tuple:
-    """Every (phi1, phi2) tree_interpolant asks interpolate for while
-    rahit verifies the corpus (tri_sum among it) and seeded counters."""
-    found = []
-    real = tree_interpolation.interpolate
-
-    def recording(phi1, phi2):
-        found.append((phi1, phi2))
-        return real(phi1, phi2)
-
-    rng = random.Random(2901)
-    texts = [path.read_text() for path in sorted(CORPUS_DIR.glob("*.chc"))]
-    texts += [counter_text(rng, rng.randint(3, 8)) for _ in range(4)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_interpolation, "interpolate", recording)
-        for text in texts:
-            driver.verify(parse_program(text), engine="rahit")
-    return tuple(found)
-
-
-def test_interpolate_returns_the_parents_interpolant(monkeypatch):
-    # the reference splits every equality in two for the pinning trials
-    # and reads the multipliers as Fractions; interpolate must return
-    # its interpolant, or raise as it does.  Each multiplier system is
-    # read back as in the multipliers test to count the pins and strict
-    # budgets that the inputs reach.
-    queries = []
-    real = solver.kernel.simplex_feasible
-
-    def recording(ncols, rows, witness=True):
-        result = real(ncols, rows, witness)
-        if witness and result is not None:
-            queries.append((ncols, rows))
-        return result
-
-    rng = random.Random(29)
-    cases = [
-        *(("random", pair) for pair in _random_pairs(rng)),
-        *(("complement", pair) for pair in _complement_pairs(rng)),
-        *(("equalities", pair) for pair in _equality_pairs(rng)),
-        *(("tree", pair) for pair in _tree_interpolant_pairs()),
-    ]
-    seen = Counter()
-    for kind, (phi1, phi2) in cases:
-        try:
-            expected = oracles.interpolate_reference(phi1, phi2)
-        except JointlySatisfiableError:
-            expected = None
-        queries.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(solver.kernel, "simplex_feasible", recording)
-            try:
-                got = interpolate(phi1, phi2)
-            except JointlySatisfiableError:
-                got = None
-        assert got == expected, (kind, phi1.pretty(), phi2.pretty())
-        seen[kind, "raised" if got is None else "interpolated"] += 1
-        if got is None:
-            continue
-        nvars = len(phi1.vars() | phi2.vars())
-        for ncols, rows in queries:
-            tail = rows[nvars + ncols :]
-            pins = sum(rel == REL_EQ for _, rel, _, _ in tail)
-            seen["pinned"] += pins > 0
-            seen["strict budget"] += len(tail) - pins == 2
-        seen["true or ground"] += all(not row.names for row in got.rows)
-    assert min(seen[kind, "interpolated"] for kind in ("random", "complement", "equalities", "tree")) >= 50, seen
-    assert seen["random", "raised"] >= 50 and seen["tree", "raised"] == 0, seen
-    assert min(seen["pinned"], seen["strict budget"], seen["true or ground"]) >= 30, seen
-
-
 # the kernel's (main, delta coefficient) pair, printed as the solver's
 # witness type printed it when TestPinnedOutput.DIGEST was taken
 DeltaRational = namedtuple("DeltaRational", "main delta")
@@ -704,36 +493,3 @@ class TestPinnedOutput:
             ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
-
-
-class TestPinnedInterpolants:
-    # SHA-256 of interpolate's printed output on the unsatisfiable pairs
-    # test_properties_on_random_unsat_pairs draws, continued to 300,
-    # taken before pinning trials were screened with a primal check
-    DIGEST = "8f2e399b216980fcd3f28b9daf138a25fcd0e4814da6b05d236ca5e49992c799"
-
-    def test_printed_interpolants_on_random_unsat_pairs(self):
-        rng = random.Random(15)
-        lines = []
-        while len(lines) < 300:
-            phi1 = random_constraint(rng, max_vars=4, max_rows=5)
-            phi2 = random_constraint(rng, max_vars=4, max_rows=5)
-            if oracles.fm_satisfiable(phi1.conjoin(phi2)):
-                continue
-            lines.append(interpolate(phi1, phi2).pretty())
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.DIGEST
-
-    def test_pins_keep_their_order(self):
-        # each pinned row's unit equality joins the multiplier system in
-        # the pinned set's iteration order; appended in ascending index
-        # order instead, the kernel finds another refutation here and
-        # the interpolant is 36*V + 72*W - 47*X > -12
-        phi1 = parse_constraint(
-            "3*U + 1/3*X < -1, U - 3*V >= 5, 2*U + Y > -1, V - 4/3*X - 2*Y = 1,"
-            " 1/2*U + V - 4*W - 3*X + 3/2*Y < 1"
-        )
-        phi2 = parse_constraint(
-            "V + 2*W + 1/2*X = -6, 2*W + 2/3*X =< 3/2, 1/2*U + V - 1/2*W >= 0, 4*X >= 1, W =< 3"
-        )
-        assert interpolate(phi1, phi2).pretty() == "X < -57/49"

@@ -1,5 +1,4 @@
-"""The memo of clause posts, hulls and tree-interpolation contexts,
-held by a hornsafe.run.Run: current for exactly one verify call,
+"""The memo of clause posts and hulls, held by a hornsafe.run.Run: current for exactly one verify call,
 invisible in what the verifier decides, equal to recomputation, and
 absent everywhere else."""
 
@@ -15,7 +14,6 @@ import pytest
 
 import hornsafe.driver as driver
 import hornsafe.fta as fta
-import hornsafe.tree_interpolation as tree_interpolation
 from hornsafe.absint import analyze, clause_post
 from hornsafe.chc_core import Atom, Clause, Row, parse_constraint, parse_program
 from hornsafe.cli import _report, main
@@ -53,7 +51,7 @@ def random_steps(rng: random.Random) -> tuple[dict, tuple[Polyhedron, Polyhedron
     """One call of each memoised step on random arguments, as thunks,
     and the hull's two arguments.  The clause is p(head) :- c1, q(U,V)
     under a model giving q a random polyhedron, so its post conjoins,
-    projects and renames.  The context is c1 projected onto the head."""
+    projects and renames."""
     c1 = random_constraint(rng, max_vars=4, max_rows=5)
     c2 = random_constraint(rng, max_vars=2, max_rows=3)
     u, v = VARS[:2]
@@ -66,7 +64,6 @@ def random_steps(rng: random.Random) -> tuple[dict, tuple[Polyhedron, Polyhedron
     steps = {
         "clause_post": lambda: clause_post(clause, state),
         "hull": lambda: hull(p1, p2),
-        "context": lambda: tree_interpolation._context(c1, frozenset(head)),
     }
     return steps, (p1, p2)
 
@@ -86,11 +83,6 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 @pytest.fixture
 def kernel_calls(monkeypatch):
     return _count_calls(monkeypatch, kernel, "simplex_feasible")
-
-
-@pytest.fixture
-def project_calls(monkeypatch):
-    return _count_calls(monkeypatch, tree_interpolation, "project")
 
 
 @pytest.fixture
@@ -171,15 +163,14 @@ class TestScope:
         assert current_entries() is None
 
 
-def test_nothing_kept_outside_verify(kernel_calls, project_calls, hull_step_calls):
+def test_nothing_kept_outside_verify(kernel_calls, hull_step_calls):
     rng = random.Random(3)
     checked = dict.fromkeys(STEPS, 0)
     for _ in range(60):
         steps, _ = random_steps(rng)
         for op, compute in steps.items():
-            # a projection calls no kernel, nor does every hull, so count
-            # the projections and the hull step's body
-            calls = {"context": project_calls, "hull": hull_step_calls}.get(op, kernel_calls)
+            # not every hull calls the kernel, so count the hull step's body
+            calls = hull_step_calls if op == "hull" else kernel_calls
             start = calls[0]
             compute()
             once = calls[0] - start
@@ -225,7 +216,7 @@ def test_back_to_back_calls_share_nothing(kernel_calls, engine, text):
     assert kernel_calls[0] - first_calls == first_calls > 0
     assert _without_times(_report(second)) == _without_times(_report(first))
     assert second.stats.memo == first.stats.memo
-    assert list(first.stats.memo) == ["hull", "clause_post", "context"]
+    assert list(first.stats.memo) == ["hull", "clause_post"]
     assert sum(c["hits"] for c in first.stats.memo.values()) > 0
 
 

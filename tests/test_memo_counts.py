@@ -18,20 +18,20 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 # <program>.<engine>: {step: (hits, misses)}
 EXPECTED = {
-    "count_up.rahit": {"hull": (0, 3), "clause_post": (3, 6), "context": (0, 0)},
-    "count_up.rahft": {"hull": (0, 3), "clause_post": (3, 6), "context": (0, 0)},
-    "decrement.rahit": {"hull": (0, 1), "clause_post": (3, 3), "context": (0, 0)},
-    "decrement.rahft": {"hull": (0, 1), "clause_post": (3, 3), "context": (0, 0)},
-    "fib.rahit": {"hull": (0, 3), "clause_post": (3, 6), "context": (0, 0)},
-    "fib.rahft": {"hull": (0, 3), "clause_post": (3, 6), "context": (0, 0)},
-    "split_range.rahit": {"hull": (1, 3), "clause_post": (13, 7), "context": (0, 0)},
-    "split_range.rahft": {"hull": (60, 3), "clause_post": (1016, 8), "context": (0, 0)},
-    "tri_sum.rahit": {"hull": (0, 30), "clause_post": (299, 67), "context": (36, 9)},
-    "tri_sum.rahft": {"hull": (0, 30), "clause_post": (299, 67), "context": (0, 0)},
-    "unsafe_loop.rahit": {"hull": (0, 12), "clause_post": (55, 25), "context": (1, 2)},
-    "unsafe_loop.rahft": {"hull": (0, 12), "clause_post": (55, 25), "context": (0, 0)},
-    "unsafe_simple.rahit": {"hull": (0, 0), "clause_post": (6, 2), "context": (0, 0)},
-    "unsafe_simple.rahft": {"hull": (0, 0), "clause_post": (6, 2), "context": (0, 0)},
+    "count_up.rahit": {"hull": (0, 3), "clause_post": (3, 6)},
+    "count_up.rahft": {"hull": (0, 3), "clause_post": (3, 6)},
+    "decrement.rahit": {"hull": (0, 1), "clause_post": (3, 3)},
+    "decrement.rahft": {"hull": (0, 1), "clause_post": (3, 3)},
+    "fib.rahit": {"hull": (0, 3), "clause_post": (3, 6)},
+    "fib.rahft": {"hull": (0, 3), "clause_post": (3, 6)},
+    "split_range.rahit": {"hull": (1, 3), "clause_post": (13, 7)},
+    "split_range.rahft": {"hull": (60, 3), "clause_post": (1016, 8)},
+    "tri_sum.rahit": {"hull": (0, 30), "clause_post": (299, 67)},
+    "tri_sum.rahft": {"hull": (0, 30), "clause_post": (299, 67)},
+    "unsafe_loop.rahit": {"hull": (0, 12), "clause_post": (55, 25)},
+    "unsafe_loop.rahft": {"hull": (0, 12), "clause_post": (55, 25)},
+    "unsafe_simple.rahit": {"hull": (0, 0), "clause_post": (6, 2)},
+    "unsafe_simple.rahft": {"hull": (0, 0), "clause_post": (6, 2)},
 }
 
 

@@ -1,11 +1,12 @@
 """Integer projection against the Fraction reference.
 
-project and hull keep their rows as integers from the input to the
-final Row.  oracles.project_reference and oracles.hull_reference run
-the same eliminations over Fractions, without Chernikov's rule.  On
+eliminate and hull keep their rows as integers from the input to the
+final Row (oracles.project hands eliminate a constraint's rows).
+oracles.project_reference and oracles.hull_reference run the same
+eliminations over Fractions, without Chernikov's rule.  On
 small systems, where the rule leaves out no row the reference keeps,
 both must print the very same result, not merely an equivalent one;
-on larger ones project must stay equivalent to the reference.
+on larger ones the projection must stay equivalent to the reference.
 
 oracles.eliminate_reference is eliminate with the bookkeeping it had
 before that was rewritten for speed; on every kind of system that
@@ -20,6 +21,7 @@ import pytest
 
 import oracles
 from gen import pivot_system, post_case, random_constraint, wide_system
+from oracles import project
 from hornsafe import absint
 from hornsafe.chc_core import (
     FALSE,
@@ -32,7 +34,7 @@ from hornsafe.chc_core import (
     Variable,
     parse_constraint,
 )
-from hornsafe.lra import Polyhedron, eliminate, hull, project, solver
+from hornsafe.lra import Polyhedron, eliminate, hull, solver
 
 
 def _projected(text: str, keep: str) -> str:

@@ -27,8 +27,7 @@ from hornsafe.chc_core import (
     Variable,
     rows_too_long,
 )
-from hornsafe.lra import project
-from oracles import FractionRow
+from oracles import FractionRow, project
 
 POOL = [Variable(n) for n in ("A", "B", "X1", "X2", "X10", "Y")]
 RELS = (REL_LE, REL_LT, REL_EQ, ">=", ">")
@@ -165,7 +164,7 @@ def test_digit_bound_applies_to_printed_numbers():
     row = Row.make({x: Fraction(1, Q), y: Fraction(1, P)}, REL_EQ, 0)
     assert row.den == P * Q and row.den >= 10**MAX_PRINTED_DIGITS
     assert not rows_too_long([row], MAX_PRINTED_DIGITS)
-    # project keeps the equality as it is and must not refuse it
+    # eliminate keeps the equality as it is and must not refuse it
     (kept,) = project(LinConstraint((row,)), [x, y]).rows
     assert kept == row
     assert kept.pretty() == f"1/{Q}*X + 1/{P}*Y = 0"

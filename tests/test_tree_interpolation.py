@@ -42,7 +42,6 @@ from oracles import (
     parse_trace,
     row_coeffs,
     trace_fta,
-    tree_interpolant_reference,
     tree_pretty,
 )
 from gen import counter_text, fib_k_text, split_text
@@ -286,36 +285,6 @@ class TestAutomatonMatchesReference:
             [(prog, tree, tree_interpolant(tree)) for prog, tree in branching_trees()]
         )
         assert merged >= 20, merged
-
-
-class TestContextsMatchReference:
-    """tree_interpolant assembles each node's context from one preorder
-    list of rows; the labels must be those of the reference that
-    rebuilds every context from the whole tree."""
-
-    @staticmethod
-    def check(tree):
-        got = tree_interpolant(tree)
-        want = tree_interpolant_reference(tree)
-        assert len(got) == len(want) == len(tree)
-        for i in range(1, len(tree) + 1):
-            assert got[i - 1] == want[i - 1], i
-
-    def test_corpus_trees(self):
-        labellings = corpus_labellings()
-        assert len(labellings) >= 10
-        for _, tree, _ in labellings:
-            self.check(tree)
-
-    def test_branching_trees(self):
-        trees = branching_trees()
-        assert len(trees) >= 10
-        # a first child's context holds its later siblings' labels
-        assert sum(
-            len(node.children) > 1 for _, tree in trees for node in tree
-        ) >= 10
-        for _, tree in trees:
-            self.check(tree)
 
 
 def mutations(tree, labels, rng):
