@@ -7,12 +7,15 @@ decided from the clause posts of its subtrees (derivations.feasible),
 which the analysis has mostly computed already, so a spurious trace
 costs no derivation tree and no satisfiability call.  A feasible trace
 is a genuine counterexample: it is translated back to the original
-clause ids and replayed there, where is_sat solves its derivation
-formula for the witness.  A post too large could only send a spurious trace to
-that replay, which then ends as unknown (internal).  An infeasible
-trace is generalised to an automaton of infeasible traces, which is
-subtracted from the program's trace language; regenerating clauses for
-the remainder gives the next, strictly smaller, verification problem.
+clause ids through one map, composed round by round from the generated
+clauses' origins, and replayed there, where is_sat solves its
+derivation formula for the witness.  So verify holds only the source
+program and the current one, never the programs between them.  A post
+too large could only send a spurious trace to that replay, which then
+ends as unknown (internal).  An infeasible trace is generalised to an
+automaton of infeasible traces, which is subtracted from the program's
+trace language; regenerating clauses for the remainder gives the next,
+strictly smaller, verification problem.
 
 Two remover constructions are supported: "rahft" subtracts just the
 spurious trace, "rahit" subtracts the whole language of its
@@ -134,12 +137,11 @@ def verify(
         # derivation formula there (None if that formula is unsatisfiable)
         if feasible(current, trace) is None:
             return None, None
-        original = trace
-        for generated in reversed(programs[1:]):
-            original = erase_trace(generated, original)
+        original = erase_trace(source, trace)
         return original, is_sat(formula(and_tree(program, original)))
 
-    programs = [program]
+    # each clause id of current mapped to its source clause id
+    source: dict[str, str] = {}
     current = program
     with Run(timeout) as run:
         try:
@@ -204,7 +206,7 @@ def verify(
                 sizes["difference_states"] = len(kept.states)
                 sizes["difference_transitions"] = len(kept.transitions)
                 current = timed("clausegen", generate_clauses, current, kept)
-                programs.append(current)
+                source = {c.cid: source.get(c.origin, c.origin) for c in current}
                 dump(f"iter{iteration + 1}.program.chc", current.pretty)
                 dump(f"iter{iteration + 1}.idmap.txt", origin_lines, current)
             raise AssertionError("unreachable")

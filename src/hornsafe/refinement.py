@@ -5,13 +5,19 @@ subset of its traces.  Pairing every predicate with the automaton
 states its derivations can reach turns that trace-level restriction
 back into an ordinary clause program: the new program's false-rooted
 traces are exactly the kept ones, and each generated clause remembers
-which source clause it instantiates, so counterexamples translate
-back: erase_trace renames the symbols of a trace's shape
-(TraceTerm.shape) to their clauses' origins and rebuilds it.
-Constraints are copied untouched; only control is restructured.
+which source clause it instantiates.  Composing those origins round
+after round gives one map from the current program's ids to the source
+program's, and erase_trace renames the symbols of a trace's shape
+(TraceTerm.shape) through it and rebuilds the trace, so no earlier
+program need be kept to translate a counterexample back.  Generated
+predicate names are interned: each grows by a state suffix every round,
+and the atoms that name one predicate share one string.  Constraints
+are copied untouched; only control is restructured.
 """
 
 from __future__ import annotations
+
+import sys
 
 from hornsafe.chc_core import FALSE_PRED, Atom, Clause, Program
 from hornsafe.fta import TraceTerm, TreeAutomaton
@@ -41,7 +47,7 @@ def generate_clauses(program: Program, automaton: TreeAutomaton) -> Program:
     def indexed(pred: str, state: str, final: bool) -> str:
         if pred == FALSE_PRED and final:
             return FALSE_PRED
-        return f"{pred}__{tokens[state]}"
+        return sys.intern(f"{pred}__{tokens[state]}")
 
     order = {cid: i for i, cid in enumerate(program.clause_ids())}
     transitions = sorted(
@@ -92,11 +98,10 @@ def origin_lines(program: Program) -> str:
     return "".join(f"{c.cid}={c.origin}\n" for c in program if c.origin is not None)
 
 
-def erase_trace(program: Program, trace: TraceTerm) -> TraceTerm:
-    """Map a trace over a generated program's ids back to the ids of
-    the program it was generated from; a symbol with no origin is
-    kept."""
-    mapping = {c.cid: c.origin for c in program if c.origin is not None}
+def erase_trace(source: dict[str, str], trace: TraceTerm) -> TraceTerm:
+    """Rename a trace's clause ids through source, a map from a
+    generated program's ids to those of the program it descends from;
+    a symbol the map lacks is kept."""
     return TraceTerm.from_shape(
-        [(mapping.get(sym, sym), arity) for sym, arity in trace.shape()]
+        [(source.get(sym, sym), arity) for sym, arity in trace.shape()]
     )

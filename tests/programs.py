@@ -58,3 +58,14 @@ false :- X=<50, Y1=Y+1, Y1<0, p(X,Y).
 
 # the same loop, unsafe: at x = 102, y - 1 is negative
 GOPAN_REPS_UNSAFE = GOPAN_REPS.replace("X=<101", "X=<102")
+
+
+def doubling(bound: int) -> str:
+    """p holds of every sum of ones, each sum built by one two-atom
+    clause, so the program is unsafe for every bound; the counterexample
+    found is the balanced tree with bound leaves."""
+    return f"""\
+p(X) :- X=1.
+p(Z) :- p(X), p(Y), Z=X+Y.
+false :- p(X), X>={bound}.
+"""

@@ -388,8 +388,9 @@ def test_criterion_12_regeneration_preserves_language():
         for engine, limit in (("rahit", 8), ("rahft", 4)):
             for current, kept, out in refinement_steps(text, engine, limit):
                 total += 1
+                source = {c.cid: c.origin for c in out}
                 erased = {
-                    erase_trace(out, t)
+                    erase_trace(source, t)
                     for t in enumerate_terms(trace_fta(out), 4)
                 }
                 want = enumerate_terms(kept, 4) & enumerate_terms(

@@ -11,7 +11,7 @@ import pytest
 from hornsafe.cli import main
 from hornsafe.driver import ENGINES
 from hornsafe.lra import kernel
-from programs import FIB, GOPAN_REPS, GOPAN_REPS_UNSAFE, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE
+from programs import FIB, GOPAN_REPS, GOPAN_REPS_UNSAFE, SPLIT_RANGE, UNSAFE_LOOP, UNSAFE_SIMPLE, doubling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -417,6 +417,36 @@ class TestGopanReps:
         argv = ["verify", chc(text), "--engine", engine, "--strict-to-nonstrict", "--max-iter", "120"]
         assert main(argv) == code
         assert f"\niterations: {rounds}\n" in capsys.readouterr().out
+
+
+class TestDoubling:
+    """The doubling program refines through its two-atom clause from
+    the first round to the last, and its counterexamples share
+    subterms: each is the balanced tree with bound leaves."""
+
+    @staticmethod
+    def balanced(leaves: int) -> str:
+        if leaves == 1:
+            return "c1"
+        half = TestDoubling.balanced(leaves // 2)
+        return f"c2({half},{half})"
+
+    @pytest.mark.parametrize(
+        "bound, engine, rounds, extra",
+        [
+            (4, "rahit", 3, []),
+            (4, "rahft", 4, []),
+            (8, "rahit", 10, []),
+            (8, "rahft", 25, ["--max-iter", "30"]),
+        ],
+        ids=["4-rahit", "4-rahft", "8-rahit", "8-rahft"],
+    )
+    def test_verdict_rounds_and_counterexample(self, chc, capsys, bound, engine, rounds, extra):
+        assert main(["verify", chc(doubling(bound)), "--engine", engine, *extra]) == 1
+        out = capsys.readouterr().out
+        assert f"\niterations: {rounds}\n" in out
+        assert f"\ncounterexample: c3({self.balanced(bound)})\n" in out
+
 
 class TestArtifacts:
     def test_stats_json(self, chc, tmp_path, capsys):

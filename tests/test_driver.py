@@ -1,9 +1,11 @@
 """End-to-end verification loop: verdicts, stats, dumps, both engines."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +202,32 @@ class TestLimits:
         v = verify(parse_program(text), engine=engine)
         assert (v.status, v.reason) == ("unknown", f"resource:{phase}")
         assert v.exit_code == 2
+
+
+class TestMemory:
+    def test_no_generated_program_outlives_the_next_round(self, monkeypatch):
+        # a counterexample goes back to the source ids through one
+        # composed map, so verify drops each program once it has the next
+        programs = []
+        real = refinement.generate_clauses
+
+        def recording(program, automaton):
+            out = real(program, automaton)
+            programs.append(weakref.ref(out))
+            return out
+
+        live = []
+
+        def sink(name, text):
+            if name.endswith(".program.chc"):
+                gc.collect()
+                live.append(sum(ref() is not None for ref in programs))
+
+        monkeypatch.setattr(refinement, "generate_clauses", recording)
+        v = verify(parse_program(SPLIT_RANGE), engine="rahft", max_iter=10, dump_sink=sink)
+        assert (v.status, v.stats.iterations) == ("unknown", 10)
+        assert len(live) == 11
+        assert max(live) <= 2
 
 
 class TestStats:

@@ -174,9 +174,10 @@ class TestTraceTerm:
         rng = random.Random(35)
         # the generated ids and one that is not a clause of out
         symbols = [c.cid for c in out] + ["c99"]
+        source = {c.cid: c.origin for c in out}
         for _ in range(60):
             t = random_trace_term(rng, symbols, nodes=rng.randint(1, 14))
-            erased = erase_trace(out, t)
+            erased = erase_trace(source, t)
             assert erased == erase_trace_reference(out, t)
             assert erased.pretty() == erase_trace_reference(out, t).pretty()
 
@@ -193,7 +194,8 @@ class TestTraceTerm:
         out = self.generated()
         cid = next(c.cid for c in out if c.cid != c.origin)
         origin = out.clause_by_id(cid).origin
-        erased = erase_trace(out, TraceTerm.from_shape(((cid, 1),) * 5000 + (("c9", 0),)))
+        source = {c.cid: c.origin for c in out}
+        erased = erase_trace(source, TraceTerm.from_shape(((cid, 1),) * 5000 + (("c9", 0),)))
         assert erased.shape() == ((origin, 1),) * 5000 + (("c9", 0),)
 
 

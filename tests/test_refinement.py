@@ -2,8 +2,10 @@
 
 import pytest
 
+import hornsafe.refinement as refinement
 from hornsafe.chc_core import FALSE_PRED, _collect_arities, parse_program
 from hornsafe.derivations import and_tree
+from hornsafe.driver import verify
 from hornsafe.fta import (
     TraceTerm,
     difference,
@@ -16,8 +18,15 @@ from hornsafe.refinement import (
     origin_lines,
 )
 from hornsafe.tree_interpolation import interpolant_automaton, tree_interpolant
-from oracles import determinise, enumerate_terms, feasible, parse_trace, trace_fta
-from programs import FIB, SPLIT_RANGE, UNSAFE_LOOP
+from oracles import (
+    determinise,
+    enumerate_terms,
+    erase_trace_reference,
+    feasible,
+    parse_trace,
+    trace_fta,
+)
+from programs import FIB, GOPAN_REPS, SPLIT_RANGE, UNSAFE_LOOP, doubling
 
 T = parse_trace
 
@@ -110,7 +119,8 @@ class TestGenerateClauses:
         # erased traces of the product are the kept traces of the source
         prog, aut = fib_minus(removed)
         out = generate_clauses(prog, aut)
-        got = {erase_trace(out, t) for t in enumerate_terms(trace_fta(out), 4)}
+        source = {c.cid: c.origin for c in out}
+        got = {erase_trace(source, t) for t in enumerate_terms(trace_fta(out), 4)}
         want = enumerate_terms(trace_fta(parse_program(FIB)), 4) - {T(removed)}
         assert got == want
 
@@ -123,7 +133,8 @@ class TestGenerateClauses:
         ia = interpolant_automaton(prog, tree, tree_interpolant(tree))
         kept = determinise(difference(trace_fta(prog), ia))
         out = generate_clauses(prog, kept)
-        erased = {erase_trace(out, t) for t in enumerate_terms(trace_fta(out), 5)}
+        source = {c.cid: c.origin for c in out}
+        erased = {erase_trace(source, t) for t in enumerate_terms(trace_fta(out), 5)}
         assert spurious not in erased
         real = T("c3(c2(c2(c2(c1))))")
         assert real in erased
@@ -151,8 +162,8 @@ class TestOriginTracking:
         prog, aut = fib_minus("c3(c1)")
         out = generate_clauses(prog, aut)
         t = enumerate_terms(trace_fta(out), 4).pop()
-        erased = erase_trace(out, t)
         om = {c.cid: c.origin for c in out}
+        erased = erase_trace(om, t)
 
         def check(orig: TraceTerm, mapped: TraceTerm):
             assert om[orig.sym] == mapped.sym
@@ -166,3 +177,44 @@ class TestOriginTracking:
         prog = parse_program(FIB)
         assert {c.cid: c.origin for c in prog} == dict.fromkeys(prog.clause_ids())
         assert origin_lines(prog) == ""
+
+    @pytest.mark.parametrize("text", [FIB, GOPAN_REPS], ids=["fib", "gopan_reps"])
+    def test_erase_through_composed_map(self, text):
+        # three rounds, each removing the first trace of the last
+        # program; the map is composed as verify composes it
+        programs = [parse_program(text)]
+        source = {}
+        for _ in range(3):
+            current = programs[-1]
+            removed = min(enumerate_terms(trace_fta(current), 4), key=str)
+            kept = determinise(difference(trace_fta(current), singleton_fta(removed)))
+            programs.append(generate_clauses(current, kept))
+            source = {c.cid: source.get(c.origin, c.origin) for c in programs[-1]}
+        assert set(source.values()) <= set(programs[0].clause_ids())
+        traces = enumerate_terms(trace_fta(programs[-1]), 4)
+        assert traces
+        for t in traces:
+            folded = t
+            for generated in reversed(programs[1:]):
+                folded = erase_trace_reference(generated, folded)
+            assert erase_trace(source, t) == folded
+
+
+def test_generated_predicate_names_are_shared(monkeypatch):
+    # each round's names extend the last round's by a state suffix; the
+    # atoms that name one predicate hold one string, not a copy each
+    programs = []
+    real = refinement.generate_clauses
+
+    def recording(program, automaton):
+        programs.append(real(program, automaton))
+        return programs[-1]
+
+    monkeypatch.setattr(refinement, "generate_clauses", recording)
+    v = verify(parse_program(doubling(8)), engine="rahit", max_iter=30)
+    assert v.status == "unsafe"
+    last = programs[-1]
+    assert len(last.clauses) == 123
+    atoms = [a for c in last for a in (c.head, *c.body)]
+    names = {a.pred for a in atoms}
+    assert len({id(a.pred) for a in atoms}) == len(names)
