@@ -114,8 +114,9 @@ def feasible(program: Program, trace: TraceTerm) -> Polyhedron | None:
     The nodes of the trace's preorder listing are checked in order, as
     and_tree checks them; then, in reverse preorder, each node's post
     is taken under its children's posts, which are all final by then.
-    A subterm object that occurs twice is checked and read at each of
-    its occurrences.  The first empty post ends the walk."""
+    A node is a preorder position, as in fta.singleton_fta, so a subterm
+    object that occurs twice is checked and read at each occurrence.
+    The first empty post ends the walk."""
     listing = trace.preorder()
     clauses: list[Clause] = []
     for term, parent, slot in listing:

@@ -169,15 +169,15 @@ class TreeAutomaton:
 
 
 def singleton_fta(term: TraceTerm) -> TreeAutomaton:
-    """Recognises exactly the given term.  One state per node, numbered
-    e1, e2, ... in preorder with the root first.  A subterm object that
-    occurs twice is read through the state of its last occurrence."""
+    """Recognises exactly the given term.  The node at preorder position
+    i, the root being 1, is state e{i} and reads its children's
+    positions, so e{i} accepts exactly the subterm at position i,
+    whatever subterm objects the term shares."""
     listing = term.preorder()
-    names = {id(t): f"e{i}" for i, (t, _, _) in enumerate(listing, 1)}
     # per node, the states its children are read in, in slot order
     reads: list[list[str]] = [[] for _ in listing]
-    for t, parent, _ in listing[1:]:
-        reads[parent].append(names[id(t)])
+    for i, (_, parent, _) in enumerate(listing[1:], 2):
+        reads[parent].append(f"e{i}")
     alphabet: dict[str, int] = {}
     transitions = set()
     for i, ((t, _, _), args) in enumerate(zip(listing, reads), 1):
@@ -293,53 +293,45 @@ def find_accepted(a: TreeAutomaton) -> TraceTerm | None:
     """A minimal-depth accepted term, or None when the language is
     empty.  Each state's least term is built from the least terms of
     the states its transition reads; ties fall to the symbol listed
-    first in a.alphabet, then to the leftmost smaller subterm, then to
-    the first such transition in a.transitions, so the choice is
-    reproducible.  The automata verify searches are model_fta
+    first in a.alphabet, then to the leftmost smaller subterm, so the
+    choice is reproducible.  The automata verify searches are model_fta
     automata, whose alphabet lists the clause ids c1, c2, ... in
     program order, so there the first listed symbol is the one with the
-    smallest clause-id number."""
-    users: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for sym, args, target in a.transitions:
-        for q in set(args):
-            users.setdefault(q, []).append((args, target))
+    smallest clause-id number.
 
-    # least depth per state; a state whose depth falls re-examines the
-    # transitions that read it
-    depth: dict[str, int] = {}
-    work = deque((args, target) for _, args, target in a.transitions if not args)
-    while work:
-        args, target = work.popleft()
-        if all(q in depth for q in args):
-            d = 1 + max((depth[q] for q in args), default=0)
-            if d < depth.get(target, d + 1):
-                depth[target] = d
-                work.extend(users.get(target, ()))
+    States are settled one depth at a time, the nullary transitions
+    first, and the search ends at the first depth that settles a final
+    state: Knuth's generalisation of Dijkstra's algorithm to superior
+    functions (IPL 6(1), 1977), with unit weights.  Equal keys mean
+    equal terms, so which transition builds a term does not matter."""
+    # each transition under every distinct state it reads
+    users: dict[str, list[Transition]] = {}
+    for tr in a.transitions:
+        for q in set(tr[1]):
+            users.setdefault(q, []).append(tr)
 
     rank = {sym: i for i, sym in enumerate(a.alphabet)}
-    # state -> (its least term, the term's tie-break key).  A transition
-    # that reaches its target's least depth reads only states of smaller
-    # depth, so visiting transitions by their target's depth finds every
-    # state it reads already final.
+    # settled state -> (its least term, the term's tie-break key)
     best: dict[str, tuple[TraceTerm, tuple]] = {}
-    for sym, args, target in sorted(
-        (tr for tr in a.transitions if all(q in depth for q in tr[1])),
-        key=lambda tr: depth[tr[2]],
-    ):
-        if 1 + max((depth[q] for q in args), default=0) == depth[target]:
-            key = (rank[sym], tuple([best[q][1] for q in args]))
-            if target not in best or _precedes(key, best[target][1]):
-                best[target] = (TraceTerm(sym, tuple([best[q][0] for q in args])), key)
-
-    least = None
-    for q in a.finals:
-        if q in depth and (
-            least is None
-            or depth[q] < depth[least]
-            or depth[q] == depth[least] and _precedes(best[q][1], best[least][1])
-        ):
-            least = q
-    return None if least is None else best[least][0]
+    layer = [tr for tr in a.transitions if not tr[1]]
+    while layer:
+        # the transitions that read a state settled at the depth before;
+        # those that read only settled states reach this depth
+        found: dict[str, tuple[TraceTerm, tuple]] = {}
+        for sym, args, target in layer:
+            if target not in best and all(q in best for q in args):
+                key = (rank[sym], tuple([best[q][1] for q in args]))
+                if target not in found or _precedes(key, found[target][1]):
+                    found[target] = (TraceTerm(sym, tuple([best[q][0] for q in args])), key)
+        best.update(found)
+        least = None
+        for q in found.keys() & a.finals:
+            if least is None or _precedes(found[q][1], found[least][1]):
+                least = q
+        if least is not None:
+            return found[least][0]
+        layer = [tr for q in found for tr in users.get(q, ())]
+    return None
 
 
 def _precedes(key: tuple, other: tuple) -> bool:
@@ -347,8 +339,6 @@ def _precedes(key: tuple, other: tuple) -> bool:
     another, as nested tuples would, but in a loop: a key is as deep as
     its term.  Equal ranks name one symbol, and so one arity, so the
     comparison is that of the keys' preorder rank sequences."""
-    if key[0] != other[0]:
-        return key[0] < other[0]
     stack = [(key, other)]
     while stack:
         k, o = stack.pop()

@@ -28,6 +28,7 @@ import pytest
 
 from hornsafe.cli import main
 from hornsafe.driver import ENGINES
+import programs
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -83,6 +84,25 @@ def test_dump_files_match_digests(path, engine):
     prefix = f"{path.stem}.{engine}/"
     pinned = {k: v for k, v in pinned_digests().items() if k.startswith(prefix)}
     assert run(path, engine)[1] == pinned
+
+
+# tests/programs.py keeps these texts inline; each must be its corpus
+# file with the `%` comment lines removed
+TWINS = {
+    "count_up": programs.COUNT_UP,
+    "decrement": programs.DECREMENT,
+    "doubling": programs.doubling(4),
+    "fib": programs.FIB,
+    "split_range": programs.SPLIT_RANGE,
+    "unsafe_loop": programs.UNSAFE_LOOP,
+    "unsafe_simple": programs.UNSAFE_SIMPLE,
+}
+
+
+@pytest.mark.parametrize("stem", TWINS)
+def test_program_text_mirrors_corpus(stem):
+    lines = (CORPUS / f"{stem}.chc").read_text().splitlines(keepends=True)
+    assert "".join(ln for ln in lines if not ln.startswith("%")) == TWINS[stem]
 
 
 if __name__ == "__main__":

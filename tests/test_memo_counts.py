@@ -20,6 +20,8 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 EXPECTED = {
     "count_up.rahit": {"hull": (0, 3), "clause_post": (3, 6)},
     "count_up.rahft": {"hull": (0, 3), "clause_post": (3, 6)},
+    "doubling.rahit": {"hull": (5, 27), "clause_post": (103, 43)},
+    "doubling.rahft": {"hull": (15, 27), "clause_post": (186, 52)},
     "decrement.rahit": {"hull": (0, 1), "clause_post": (3, 3)},
     "decrement.rahft": {"hull": (0, 1), "clause_post": (3, 3)},
     "fib.rahit": {"hull": (0, 3), "clause_post": (3, 6)},

@@ -39,6 +39,7 @@ ENGINES = ("rahit", "rahft", "ai-free")
 TABLE = {
     "count_up": (("safe", 0), ("safe", 0), ("safe", 1)),
     "decrement": (("safe", 0), ("safe", 0), ("safe", 1)),
+    "doubling": (("unsafe", 3), ("unsafe", 4), ("unsafe", 3)),
     "fib": (("safe", 0), ("safe", 0), ("unknown", 20)),
     "split_range": (("safe", 1), ("unknown", 20), ("safe", 2)),
     "tri_sum": (("safe", 10), ("safe", 10), ("safe", 12)),
