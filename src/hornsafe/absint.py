@@ -39,6 +39,7 @@ empty body polyhedron makes the post bottom before any elimination.
 
 from __future__ import annotations
 
+import heapq
 from typing import Mapping
 
 from hornsafe.chc_core import REL_LT, Clause, LinConstraint, Program, Variable
@@ -97,10 +98,13 @@ def _post(constraint: LinConstraint, head_args: tuple[Variable, ...], body: tupl
 def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
     """Over-approximate the least model.
 
-    Worklist iteration over clauses in source order; an entry that
-    keeps growing is widened once its join count passes widen_delay,
-    which bounds every chain because widening can only keep rows the
-    previous entry already had.
+    Worklist iteration over clauses in source order: the smallest
+    pending clause index is popped from a heap, and the pending set
+    keeps each index on the heap at most once, so each pop costs a log
+    of the clause count rather than a scan of the pending clauses.  An
+    entry that keeps growing is widened once its join count passes
+    widen_delay, which bounds every chain because widening can only
+    keep rows the previous entry already had.
     """
     clauses = list(program)
     dependents: dict[str, list[int]] = {}
@@ -111,8 +115,9 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
     state: dict[str, Polyhedron] = {}
     joins: dict[str, int] = {}
     pending = set(range(len(clauses)))
-    while pending:
-        i = min(pending)
+    heap = list(range(len(clauses)))
+    while heap:
+        i = heapq.heappop(heap)
         pending.discard(i)
         clause = clauses[i]
         pred = clause.head.pred
@@ -129,7 +134,10 @@ def analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
             state[pred] = widen(Polyhedron(closed), post)
         else:
             state[pred] = hull(old, post)
-        pending.update(dependents.get(pred, ()))
+        for j in dependents.get(pred, ()):
+            if j not in pending:
+                pending.add(j)
+                heapq.heappush(heap, j)
 
     # one descending pass: posts under a pre-fixpoint stay inside it,
     # and their join is itself a pre-fixpoint again

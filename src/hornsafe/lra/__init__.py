@@ -1,5 +1,5 @@
 """Exact linear rational arithmetic: satisfiability, projection,
-convex hulls and widening; kernel.refutation refutes a conjunction with
+convex hulls and widening; refutation refutes a conjunction of rows with
 one multiplier per row."""
 
 from hornsafe.lra.solver import (
@@ -9,6 +9,7 @@ from hornsafe.lra.solver import (
     hull,
     is_sat,
     minimise,
+    refutation,
     widen,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "hull",
     "is_sat",
     "minimise",
+    "refutation",
     "widen",
 ]

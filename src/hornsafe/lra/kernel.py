@@ -66,14 +66,17 @@ scaled to cancel it, and a combined row is strict if either parent is;
 a step is taken only when its pos*neg combined rows do not outnumber
 the pos+neg rows they replace, so the system never grows, and of those
 steps the one that removes most rows.  A ground row is decided where it
-is made, and the last column by its tightest bounds, compared by
-cross-multiplying.  When every column left would grow the system, the
-simplex decides the reduced rows, which are satisfiable exactly when the
-input is.  The yes/no queries of the analysis mostly have 1-3 columns
-and at most 9 rows, and on one seed-1 pass of each benchmark workload
-the elimination decides all but 2 of 303 (absint), 20 of 1,507
-(refine-rahit) and 20 of 1,538 (refine-rahft).  Witnesses and
-refutations come from the simplex alone.
+is made, and then dropped.  The last live column is eliminated like any
+other, whatever its growth: every row it combines is ground, so none is
+kept, and one variable has a value exactly when each of its lower
+bounds meets each upper one.  When every column left, of two or more,
+would grow the system, the simplex decides the reduced rows, which are
+satisfiable exactly when the input is.  The yes/no queries of the
+analysis mostly have 1-3 columns and at most 9 rows, and on one seed-1
+pass of each benchmark workload the elimination decides all but 2 of
+303 (absint), 20 of 1,507 (refine-rahit) and 20 of 1,538
+(refine-rahft).  Witnesses and refutations come from the simplex
+alone.
 
 The answer of simplex_feasible is None when the rows are
 unsatisfiable.  Otherwise it is the witness, a satisfying assignment
@@ -142,7 +145,8 @@ def _fourier_motzkin(ncols, rows):
     eliminated column.  A row it makes has scale 1, since a strict row's
     scale weighs only the delta bound, which no yes/no answer depends
     on.  A ground row (all coefficients 0) is decided where it is made
-    and then dropped."""
+    and then dropped; on the last live column every combined row is
+    ground, so its coefficients are never built."""
     eqs = []
     ineqs = []
     for row in rows:
@@ -182,7 +186,8 @@ def _fourier_motzkin(ncols, rows):
     # Inequalities: each step eliminates the column whose pos*neg
     # combined rows outnumber the pos+neg rows they replace the least
     # (the first such column on a tie), and only when they do not
-    # outnumber them.  A pair kp > 0, kn < 0 on the column combines as
+    # outnumber them or it is the last live column, whose combined rows
+    # are all ground.  A pair kp > 0, kn < 0 on the column combines as
     # -kn*p + kp*n, strict if either row is.
     while True:
         live = 0
@@ -203,14 +208,13 @@ def _fourier_motzkin(ncols, rows):
                     break
             if pos or neg:
                 live += 1
-                last = j
                 growth = pos * neg - pos - neg
                 if best is None or growth < best:
                     best = growth
                     k = j
-        if live < 2:
-            return _bounds_meet(last, ineqs) if live else True
-        if best > 0:
+        if not live:
+            return True
+        if best > 0 and live > 1:
             return ncols, ineqs
         upper = []
         lower = []
@@ -222,13 +226,18 @@ def _fourier_motzkin(ncols, rows):
             kp = pcs[k]
             for ncs, nrel, nb, _ in lower:
                 kn = -ncs[k]
-                cs = [kn * x + kp * y for x, y in zip(pcs, ncs)]
                 rel = REL_LT if prel == REL_LT or nrel == REL_LT else REL_LE
                 rhs = kn * pb + kp * nb
-                if any(cs):
-                    rest.append((cs, rel, rhs, 1))
-                elif _ground_fails(rel, rhs):
+                if live > 1:
+                    cs = [kn * x + kp * y for x, y in zip(pcs, ncs)]
+                    if any(cs):
+                        rest.append((cs, rel, rhs, 1))
+                        continue
+                if _ground_fails(rel, rhs):
                     return None
+        if live == 1:
+            # every pair of the last column's bounds meets
+            return True
         ineqs = rest
 
 
@@ -236,30 +245,6 @@ def _ground_fails(rel, rhs):
     """Does the ground row ``0 rel rhs`` fail?  An inequality fails when
     rhs < 1 if strict, rhs < 0 if not."""
     return rhs != 0 if rel == REL_EQ else rhs < (rel == REL_LT)
-
-
-def _bounds_meet(k, rows):
-    """Do the inequality rows, which mention column k alone, leave k a
-    value?  The tightest upper bound b/a (a > 0) and the tightest lower
-    one are compared by cross-multiplying; on a tie the strict bound is
-    the tighter, and a tie of two bounds meets unless one is strict."""
-    hi = lo = None
-    for cs, rel, rhs, _ in rows:
-        a = cs[k]
-        strict = rel == REL_LT
-        if a > 0:
-            # an upper bound: k =< rhs/a, or k < rhs/a
-            if hi is None or rhs * hi[1] < hi[0] * a or (strict and rhs * hi[1] == hi[0] * a):
-                hi = (rhs, a, strict)
-        else:
-            # a lower bound: k >= -rhs/-a, or k > -rhs/-a
-            b, a = -rhs, -a
-            if lo is None or b * lo[1] > lo[0] * a or (strict and b * lo[1] == lo[0] * a):
-                lo = (b, a, strict)
-    if hi is None or lo is None:
-        return True
-    diff = hi[0] * lo[1] - lo[0] * hi[1]
-    return True if diff > 0 or (diff == 0 and not (hi[2] or lo[2])) else None
 
 
 def _simplex(ncols, rows):

@@ -22,11 +22,13 @@ elimination on the rows' ints without a tableau (see kernel.py).  Entailment ref
 through the kernel alone: c1 entails a row when c1 with each row of the
 row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
 entails, minimise and widen place each Row's ints in the columns of the
-sorted variables once per call (_dense, which tree_interpolation also
-uses to hand a whole tree to kernel.refutation), which is the kernel's
-row as it is (its scale is the Row's denominator), and negate rows in
-that form; Polyhedron.of places the distinct rows once for both its
-satisfiability check and its minimise.
+sorted variables once per call (_dense), which is the kernel's row as
+it is (its scale is the Row's denominator), and negate rows in that
+form; Polyhedron.of places the distinct rows once for both its
+satisfiability check and its minimise.  refutation places a list of
+Rows the same way and hands them to kernel.refutation, which weighs
+each row with one int multiplier; tree_interpolation refutes a whole
+derivation tree through it.
 
 Projection is variable elimination (eliminate) on one list of integer
 rows: int coefficients, a relation, an int right-hand side and a
@@ -107,7 +109,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from hornsafe.chc_core import (
     MAX_PRINTED_DIGITS,
@@ -168,6 +170,14 @@ def is_sat(constraint: LinConstraint) -> dict[Variable, Fraction] | None:
             if margin > 0:
                 delta = min(delta, margin / (2 * d))
     return {v: m + dd * delta for v, (m, dd) in zip(columns, result)}
+
+
+def refutation(rows: Sequence[Row]) -> list[int] | None:
+    """None when the conjunction of rows is satisfiable, else one int
+    multiplier per row, in order, that weighs the rows' ints into a
+    ground row that fails (see kernel.py)."""
+    columns = sorted(set().union(*[row.names for row in rows]))
+    return kernel.refutation(len(columns), _dense(rows, columns))
 
 
 def _implied(premise: list, ncols: int, row: tuple) -> bool:

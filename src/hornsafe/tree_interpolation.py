@@ -16,12 +16,12 @@ the tree's node at the same position.
 
 The labels come from one refutation of the whole tree formula
 (Gupta, Popeea and Rybalchenko, APLAS 2011; Ruemmer, Hojjat and Kuncak,
-CAV 2013).  Every node's rows go to kernel.refutation once, in
-preorder, over the tree's variables; None means the tree is feasible,
-and it is refused.  Otherwise each row has an int multiplier, and the
-rows weighted by them add up to a ground row that fails.  A node's
-label is the weighted sum of the rows of its subtree, taken in reverse
-preorder as the node's own sum plus its children's:
+CAV 2013).  Every node's rows go to lra.refutation once, in preorder;
+None means the tree is feasible, and it is refused.  Otherwise each row
+has an int multiplier, and the rows weighted by them add up to a ground
+row that fails.  A node's label is the weighted sum of the rows of its
+subtree, taken in reverse preorder as the node's own sum plus its
+children's:
 
 * a variable local to the subtree occurs in no row outside it, so its
   coefficients cancel inside it, and the label is over the node's atom;
@@ -30,11 +30,12 @@ preorder as the node's own sum plus its children's:
   positive gcd);
 * the root's sum is the whole refutation, a ground row that fails.
 
-The label is that sum over the gcd of its coefficients, strict when a
-strict row of the subtree is weighted; a ground sum is TRUE when it
-holds and FALSE when it fails, so a valid refutation labels the root
-FALSE.  A corrupted one labels the root TRUE or over variables, or
-breaks a node's entailment, and interpolant_automaton refuses it.
+The label is that sum over the gcd of its coefficients (Row.of_ints
+with that gcd as the denominator), strict when a strict row of the
+subtree is weighted; a ground sum is TRUE when it holds and FALSE when
+it fails, so a valid refutation labels the root FALSE.  A corrupted one
+labels the root TRUE or over variables, or breaks a node's entailment,
+and interpolant_automaton refuses it.
 
 The interpolant automaton checks the labelling through its own steps:
 a node's entailment is the automaton's transition for that node, so it
@@ -65,8 +66,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import Node
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import entails, is_sat, kernel
-from hornsafe.lra.solver import _dense
+from hornsafe.lra import entails, is_sat, refutation
 from hornsafe.model import canonical_args
 
 
@@ -77,8 +77,7 @@ class FeasibleTreeError(ValueError):
 def tree_interpolant(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
     """One label per node of an infeasible tree, in preorder."""
     rows = [row for node in tree for row in node.constraint.rows]
-    columns = sorted(set().union(*[row.names for row in rows]))
-    y = kernel.refutation(len(columns), _dense(rows, columns))
+    y = refutation(rows)
     if y is None:
         raise FeasibleTreeError("derivation tree is feasible")
     # each subtree's weighted rows, summed in reverse preorder as the
@@ -112,12 +111,8 @@ def tree_interpolant(tree: tuple[Node, ...]) -> tuple[LinConstraint, ...]:
             if not (rhs > 0 if strict else rhs >= 0):
                 labels[node.index - 1] = FALSE
             continue
-        names = tuple(sorted(coeffs))
-        g = gcd(*coeffs.values())
-        h = gcd(g, rhs)
-        ints = tuple([coeffs[v] // h for v in names])
-        rel = REL_LT if strict else REL_LE
-        labels[node.index - 1] = LinConstraint((Row(names, ints, rel, rhs // h, g // h),))
+        row = Row.of_ints(coeffs, REL_LT if strict else REL_LE, rhs, gcd(*coeffs.values()))
+        labels[node.index - 1] = LinConstraint((row,))
     return tuple(labels)
 
 

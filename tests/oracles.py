@@ -37,8 +37,10 @@ found by it, trace feasibility, an exact point check and an exact
 refutation check that call no solver (satisfies, refutes), clause
 selection,
 model loading, an analysis that gives every derivable predicate the
-top polyhedron (top_analyze), subtree and context formulas, label
-mappings and equivalence, the defining conditions of a tree interpolant,
+top polyhedron (top_analyze), the order in which absint.analyze's
+worklist asks for clause posts, by the min(pending) scan it had before
+it kept a heap (analyze_order_reference), subtree and context
+formulas, label mappings and equivalence, the defining conditions of a tree interpolant,
 projection of a constraint (project, through lra.eliminate), and the
 interpolant automaton that renames
 each node's label directly onto every clause atom, which the shipped
@@ -75,15 +77,18 @@ from hornsafe.chc_core import (
     parse_program,
     rows_too_long,
 )
+from hornsafe.absint import clause_post
 from hornsafe.derivations import Node, and_tree, formula
 from hornsafe.fta import AutomatonError, TraceTerm, TreeAutomaton
 from hornsafe.lra import (
     Polyhedron,
     eliminate,
     entails,
+    hull,
     is_sat,
     kernel,
     minimise,
+    widen,
 )
 from hornsafe.model import InterpretationModel, canonical_args, instantiate
 from hornsafe.tree_interpolation import ERROR_STATE
@@ -1052,6 +1057,42 @@ def top_analyze(program: Program, widen_delay: int = 3) -> InterpretationModel:
                 derived.add(clause.head.pred)
                 grew = True
     return InterpretationModel({pred: Polyhedron.top() for pred in derived})
+
+
+def analyze_order_reference(program: Program, widen_delay: int = 3) -> list[int]:
+    """The clause indices in the order absint.analyze calls clause_post
+    on them: its ascending worklist, each step taking the smallest
+    pending index by a scan of the pending set, then one descending
+    pass in source order."""
+    clauses = list(program)
+    dependents: dict[str, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for atom in clause.body:
+            dependents.setdefault(atom.pred, []).append(i)
+    state: dict[str, Polyhedron] = {}
+    joins: dict[str, int] = {}
+    order = []
+    pending = set(range(len(clauses)))
+    while pending:
+        i = min(pending)
+        pending.discard(i)
+        order.append(i)
+        clause = clauses[i]
+        pred = clause.head.pred
+        post = clause_post(clause, state)
+        if post.empty:
+            continue
+        old = state.get(pred, Polyhedron.bottom())
+        if post.entails_poly(old):
+            continue
+        joins[pred] = joins.get(pred, 0) + 1
+        if joins[pred] > widen_delay and not old.empty:
+            closed = LinConstraint(tuple([row for row in old.constraint.rows if row.rel != REL_LT]))
+            state[pred] = widen(Polyhedron(closed), post)
+        else:
+            state[pred] = hull(old, post)
+        pending.update(dependents.get(pred, ()))
+    return order + list(range(len(clauses)))
 
 
 def feasible(program: Program, trace: TraceTerm) -> dict[Variable, Fraction] | None:

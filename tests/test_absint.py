@@ -5,7 +5,8 @@ import random
 import pytest
 
 import oracles
-from gen import post_case
+from gen import fib_k_text, post_case, random_program_text, split_text
+from hornsafe import absint, driver
 from hornsafe.absint import analyze, body_post, clause_post
 from hornsafe.chc_core import FALSE_PRED, parse_constraint, parse_program
 from hornsafe.lra import Polyhedron, entails
@@ -19,6 +20,7 @@ from programs import (
     SPLIT_RANGE,
     UNSAFE_LOOP,
     UNSAFE_SIMPLE,
+    doubling,
 )
 
 SAFE = [FIB, DECREMENT, COUNT_UP]
@@ -151,6 +153,56 @@ class TestAnalyze:
             assert a.entries.keys() == b.entries.keys()
             for pred in a.entries:
                 assert a.entries[pred].constraint == b.entries[pred].constraint
+
+
+class TestWorklistOrder:
+    """The heap pops the smallest pending clause index, as the scan of
+    the pending set it replaced did, so the posts come in the same
+    order and every entry, widening point and memo count stays."""
+
+    @staticmethod
+    def _post_order(monkeypatch, program, widen_delay):
+        index = {id(clause): i for i, clause in enumerate(program)}
+        order = []
+        real = absint.clause_post
+
+        def recording(clause, entries):
+            order.append(index[id(clause)])
+            return real(clause, entries)
+
+        monkeypatch.setattr(absint, "clause_post", recording)
+        analyze(program, widen_delay)
+        monkeypatch.undo()
+        return order
+
+    @pytest.mark.parametrize("widen_delay", [0, 3])
+    def test_same_order_as_the_scan_on_generated_programs(self, monkeypatch, widen_delay):
+        rng = random.Random(3401)
+        texts = [random_program_text(rng) for _ in range(30)]
+        texts += [fib_k_text(rng, k) for k in (2, 3)] + [split_text(rng, 3)]
+        for text in texts:
+            program = parse_program(text)
+            order = self._post_order(monkeypatch, program, widen_delay)
+            assert order == oracles.analyze_order_reference(program, widen_delay), text
+
+    def test_same_order_as_the_scan_on_a_grown_program(self, monkeypatch):
+        # the doubling program's last refined program, whose two-atom
+        # clause has become one clause per pair of automaton states
+        programs = []
+        real = driver.analyze
+
+        def recording(program, widen_delay):
+            programs.append(program)
+            return real(program, widen_delay)
+
+        monkeypatch.setattr(driver, "analyze", recording)
+        v = driver.verify(parse_program(doubling(8)), engine="rahit", max_iter=30)
+        monkeypatch.undo()
+        assert v.status == "unsafe"
+        program = programs[-1]
+        assert len(list(program)) > 100
+        order = self._post_order(monkeypatch, program, 3)
+        assert order == oracles.analyze_order_reference(program)
 
 
 class TestDescendingPass:

@@ -48,8 +48,7 @@ from hornsafe.fta import (
     model_fta,
     singleton_fta,
 )
-from hornsafe.lra import is_sat, kernel
-from hornsafe.lra.solver import _dense
+from hornsafe.lra import is_sat, refutation
 from hornsafe.model import is_model
 from hornsafe.refinement import erase_trace, generate_clauses
 from hornsafe.tree_interpolation import (
@@ -361,8 +360,7 @@ def test_criterion_10_solver_oracle_agreement():
             unsat += 1
         cases.append(both)
     for c in cases:
-        columns = sorted(c.vars())
-        y = kernel.refutation(len(columns), _dense(c.rows, columns))
+        y = refutation(c.rows)
         if oracles.fm_satisfiable(c):
             assert y is None, c.pretty()
         else:

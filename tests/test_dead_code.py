@@ -28,6 +28,13 @@ compiles and are left out.
 
 The other way round, every name an export list (__all__) offers must
 exist: a stale entry breaks only a star import.
+
+A _-prefixed module-level name belongs to its module: no other module
+under src/hornsafe/ may import it or read it as an attribute of the
+module (`from hornsafe.lra.solver import _dense`, `kernel._simplex`).
+A module that needs it asks for a public name instead, as
+tree_interpolation calls lra.refutation rather than placing a tree's
+rows in the kernel's columns itself.
 """
 
 import ast
@@ -182,6 +189,103 @@ def g() -> int:
     # an assignment to an imported name is not a read of it, and an
     # import inside a function binds names as one at the top does
     assert unread_imports({"m": ast.parse(source)}) == {"m.functools", "m.it", "m.gcd", "m.floor"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    """The names of an attribute chain a.b.c rooted at a Name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return parts[::-1]
+
+
+def private_reads(modules: dict[str, ast.Module], package: str = "hornsafe") -> set[str]:
+    """'module: other.name' for every _-prefixed name a module imports
+    from, or reads as an attribute of, another module of the package;
+    modules are keyed as parse_modules keys them."""
+    dotted = {}
+    for mod in modules:
+        parts = mod.split(".")
+        dotted[mod] = ".".join([package, *parts[:-1]] if parts[-1] == "__init__" else [package, *parts])
+    names = set(dotted.values())
+    found = set()
+    for mod, tree in modules.items():
+        own = dotted[mod]
+        base = own if mod.endswith("__init__") else own.rpartition(".")[0]
+        # name bound by an import -> the module of the package it is
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    head = base.rsplit(".", node.level - 1)[0] if node.level > 1 else base
+                    source = f"{head}.{source}" if source else head
+                for alias in node.names:
+                    if _private(alias.name) and source in names and source != own:
+                        found.add(f"{mod}: {source}.{alias.name}")
+                    if f"{source}.{alias.name}" in names:
+                        bound[alias.asname or alias.name] = f"{source}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        root = alias.name.partition(".")[0]
+                        bound[root] = root
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                continue
+            chain = _dotted(node.value)
+            if chain is None or chain[0] not in bound:
+                continue
+            target = ".".join([bound[chain[0]], *chain[1:]])
+            if target in names and target != own:
+                found.add(f"{mod}: {target}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = private_reads(parse_modules(SRC))
+    assert sorted(found) == [], "a _-prefixed name read outside its module: give it a public name"
+
+
+def test_private_reads_through_imports_and_attributes():
+    modules = {
+        "a": ast.parse("def _f(): pass\ndef _g(): pass\ndef _h(): pass\n_f()\n"),
+        "pkg.__init__": ast.parse("from .inner import _j\n"),
+        "pkg.inner": ast.parse("def _j(): pass\n"),
+        "b": ast.parse(
+            """
+from hornsafe.a import _f
+from hornsafe import a
+import hornsafe.a
+import hornsafe.pkg.inner as inner
+
+
+class C:
+    _q = 0
+
+
+def use(c: C):
+    return a._g, hornsafe.a._h, inner._j, c._q, C._q, a.__name__
+"""
+        ),
+    }
+    assert private_reads(modules) == {
+        "b: hornsafe.a._f",
+        "b: hornsafe.a._g",
+        "b: hornsafe.a._h",
+        "b: hornsafe.pkg.inner._j",
+        "pkg.__init__: hornsafe.pkg.inner._j",
+    }
 
 
 @pytest.mark.parametrize("package", ["hornsafe", "hornsafe.lra"])

@@ -36,7 +36,7 @@ from gen import (
     tall_narrow_system,
     zero_row_system,
 )
-from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT
+from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, parse_constraint
 from hornsafe.lra import kernel
 
 
@@ -314,6 +314,54 @@ def test_elimination_decides_small_systems(monkeypatch, ncols, rows, expected):
     assert entries == []
     full = kernel.simplex_feasible(ncols, rows)
     assert (full is None) == (expected is None)
+
+
+_THIRTY_EACH = ", ".join([f"X =< {k}" for k in range(10, 40)] + [f"X >= {k}" for k in range(-20, 10)])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("X =< 3, X >= 3", True),
+        ("X =< 3, X > 3", False),
+        ("X =< 1, 2*X < 5, X < 0", True),
+        ("X >= 1, -X =< -7, X > 4", True),
+        # bounds 5/2, 7/3 and 8/3 compared across coefficients 2 and 3
+        ("2*X =< 5, 3*X >= 7", True),
+        ("2*X =< 5, 3*X > 8", False),
+        ("2*X =< 5, 6*X >= 15", True),
+        ("2*X < 5, 6*X >= 15", False),
+        (_THIRTY_EACH, True),
+        (_THIRTY_EACH + ", X > 10", False),
+        # the equalities leave Z = 2 - X, so X < 1
+        ("X + Y = 3, Y - Z = 1, X =< 2, Z > 1", True),
+        ("X + Y = 3, Y - Z = 1, X >= 1, Z > 1", False),
+    ],
+    ids=[
+        "equal_bounds",
+        "equal_bounds_one_strict",
+        "upper_only",
+        "lower_only",
+        "scaled",
+        "scaled_apart",
+        "scaled_tie",
+        "scaled_tie_strict",
+        "thirty_each",
+        "thirty_each_crossed",
+        "equalities",
+        "equalities_crossed",
+    ],
+)
+def test_one_column_is_decided_by_pairing_its_bounds(monkeypatch, text, expected):
+    # every upper bound is paired with every lower bound, whatever the
+    # count of pairs, so no one-column system reaches the simplex
+    entries = _count_simplex(monkeypatch)
+    constraint = parse_constraint(text)
+    assert oracles.fm_satisfiable(constraint) is expected
+    ncols, rows = _to_rows(constraint)
+    answer = kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+    assert answer is (True if expected else None)
+    assert entries == []
 
 
 def test_elimination_answers_as_the_witness_path_does(monkeypatch):
