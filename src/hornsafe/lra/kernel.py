@@ -1,4 +1,5 @@
-"""Feasibility kernel for conjunctions of linear rows.
+"""Feasibility kernel for conjunctions of linear rows: a yes/no answer,
+or a satisfying point or a refutation.
 
 Algorithm: general simplex in bound form over delta-rationals.  Each
 input row ``a . x  rel  b`` gets a slack variable s with the tableau
@@ -56,39 +57,37 @@ and multistep integer-preserving Gaussian elimination" (Math. Comp.
   every tableau row stays an identity among the input rows, which the
   refutation below reads off.
 
-A caller that asks for no witness is answered by exact Fourier-Motzkin
-elimination on the rows' ints first (Imbert, "Fourier's elimination:
-which to choose?", 1993), and builds no tableau when it decides.  An
-equality substitutes out its first column with a nonzero coefficient,
-which removes a row.  An inequality step on a column combines each row
-with a positive coefficient there with each row with a negative one,
-scaled to cancel it, and a combined row is strict if either parent is;
-a step is taken only when its pos*neg combined rows do not outnumber
-the pos+neg rows they replace, so the system never grows, and of those
-steps the one that removes most rows.  A ground row is decided where it
-is made, and then dropped.  The last live column is eliminated like any
-other, whatever its growth: every row it combines is ground, so none is
-kept, and one variable has a value exactly when each of its lower
-bounds meets each upper one.  When every column left, of two or more,
-would grow the system, the simplex decides the reduced rows, which are
+The kernel has one entry per question.  simplex_feasible answers
+yes/no, True or None, by exact Fourier-Motzkin elimination on the rows'
+ints first (Imbert, "Fourier's elimination: which to choose?", 1993),
+and builds no tableau when that decides.  An equality substitutes out
+its first column with a nonzero coefficient, which removes a row.  An
+inequality step on a column combines each row with a positive
+coefficient there with each row with a negative one, scaled to cancel
+it, and a combined row is strict if either parent is; a step is taken
+only when its pos*neg combined rows do not outnumber the pos+neg rows
+they replace, so the system never grows, and of those steps the one
+that removes most rows.  A ground row is decided where it is made, and
+then dropped.  The last live column is eliminated like any other,
+whatever its growth: every row it combines is ground, so none is kept,
+and one variable has a value exactly when each of its lower bounds
+meets each upper one.  When every column left, of two or more, would
+grow the system, the simplex decides the reduced rows, which are
 satisfiable exactly when the input is.  The yes/no queries of the
 analysis mostly have 1-3 columns and at most 9 rows, and on one seed-1
 pass of each benchmark workload the elimination decides all but 2 of
 303 (absint), 20 of 1,507 (refine-rahit) and 20 of 1,538
-(refine-rahft).  Witnesses and refutations come from the simplex
-alone.
+(refine-rahft).
 
-The answer of simplex_feasible is None when the rows are
-unsatisfiable.  Otherwise it is the witness, a satisfying assignment
-for the original columns as a list with one int triple (main numerator,
-delta numerator, denominator) per column: the value is (main/den,
-delta/den), den is positive and the triple is not reduced; a nonbasic
-column reads (0, 0, 1).  Or it is just True when the caller asks for no
-witness.
+solve asks the simplex alone and answers (witness, None) when the rows
+are satisfiable, else (None, refutation).  The witness is a satisfying
+assignment for the original columns as a list with one int triple
+(main numerator, delta numerator, denominator) per column: the value is
+(main/den, delta/den), den is positive and the triple is not reduced; a
+nonbasic column reads (0, 0, 1).
 
-refutation asks the simplex alone, and answers None when the rows are
-satisfiable.  Otherwise it reads a Farkas certificate off the conflict,
-as Dutertre and de Moura read an explanation off it: the violated basic
+The refutation is a Farkas certificate read off the conflict, as
+Dutertre and de Moura read an explanation off it: the violated basic
 slack xi whose row ``D * xi = sum(N[p] * colvar[p])`` leaves Bland's
 rule nothing to enter.  No original column is in that row (a column is
 free, so it would be eligible), and every slack in it is an equality
@@ -109,32 +108,30 @@ from math import gcd
 from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT
 
 
-def simplex_feasible(ncols, rows, witness=True):
-    """Decide satisfiability of dense rows over ncols columns: None
-    when unsatisfiable, else the witness, or True if witness is false.
+def simplex_feasible(ncols, rows):
+    """Decide satisfiability of dense rows over ncols columns: True
+    when they are satisfiable, None when not.
 
     rows: sequence of (coeffs, rel, rhs, scale), the row
     ``coeffs/scale . x  rel  rhs/scale`` with coeffs a length-ncols
     sequence of int, rel one of chc_core's REL_LE / REL_LT / REL_EQ,
     rhs an int and scale a positive int: the row's own denominator
     (chc_core.Row.den), or the lcm of the denominators of a row written
-    over Fractions.  Without a witness, _fourier_motzkin answers first,
-    and the simplex decides only what it leaves.
+    over Fractions.  _fourier_motzkin answers first, and the simplex
+    decides only what it leaves.
     """
-    if not witness:
-        reduced = _fourier_motzkin(ncols, rows)
-        if reduced is None or reduced is True:
-            return reduced
-        ncols, rows = reduced
-    point, _ = _simplex(ncols, rows)
-    return True if point is not None and not witness else point
+    reduced = _fourier_motzkin(ncols, rows)
+    if reduced is None or reduced is True:
+        return reduced
+    ncols, rows = reduced
+    return None if _simplex(ncols, rows)[0] is None else True
 
 
-def refutation(ncols, rows):
-    """None when the rows (as simplex_feasible takes them) are
-    satisfiable, else one int multiplier per row that refutes them;
+def solve(ncols, rows):
+    """The simplex alone on the rows, as simplex_feasible takes them:
+    (witness, None) when they are satisfiable, else (None, refutation);
     see the module docstring."""
-    return _simplex(ncols, rows)[1]
+    return _simplex(ncols, rows)
 
 
 def _fourier_motzkin(ncols, rows):

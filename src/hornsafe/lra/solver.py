@@ -6,29 +6,30 @@ an int right-hand side over one positive int denominator, and every
 procedure here reads and writes that form; Fractions are built only for
 the points is_sat returns.
 
-Satisfiability goes through the simplex kernel in kernel.py; strict
-inequalities are handled with delta-rationals, so the kernel's witness
-assigns each variable an int triple, a main and a delta numerator over
-one denominator, meaning main + delta * d for an arbitrarily small
-positive d.  is_sat reads the triples as Fractions, fixes d on the
-kernel rows it handed over, at most 1 and small enough that every row
-still holds, and returns the point, a Fraction per variable,
-or None when there is none; a satisfiable constraint over no variables
-gets the empty point, which is falsy.  Only is_sat asks the kernel for
-a witness, and the simplex alone answers it; entailment, Polyhedron.of,
-minimise and widen ask whether the rows are satisfiable and nothing
-more, which the kernel mostly decides by exact Fourier-Motzkin
-elimination on the rows' ints without a tableau (see kernel.py).  Entailment refutes row by row
-through the kernel alone: c1 entails a row when c1 with each row of the
-row's negation is unsatisfiable, whatever the premise's shape.  is_sat,
-entails, minimise and widen place each Row's ints in the columns of the
-sorted variables once per call (_dense), which is the kernel's row as
-it is (its scale is the Row's denominator), and negate rows in that
-form; Polyhedron.of places the distinct rows once for both its
-satisfiability check and its minimise.  refutation places a list of
-Rows the same way and hands them to kernel.refutation, which weighs
-each row with one int multiplier; tree_interpolation refutes a whole
-derivation tree through it.
+Satisfiability goes through the kernel in kernel.py, which has one
+entry per question.  Entailment, Polyhedron.of, minimise and widen ask
+kernel.simplex_feasible whether rows are satisfiable and nothing more,
+which it mostly decides by exact Fourier-Motzkin elimination on the
+rows' ints without a tableau.  is_sat and refutation ask kernel.solve,
+the simplex alone, which gives a witness or a refutation.  Strict
+inequalities are handled with delta-rationals, so the witness assigns
+each variable an int triple, a main and a delta numerator over one
+denominator, meaning main + delta * d for an arbitrarily small positive
+d.  is_sat reads the triples as Fractions, fixes d on the kernel rows it
+handed over, at most 1 and small enough that every row still holds,
+and returns the point, a Fraction per variable, or None when there is
+none; a satisfiable constraint over no variables gets the empty point,
+which is falsy.  refutation returns solve's int multipliers, one per
+row, or None when the rows are satisfiable; tree_interpolation refutes
+a whole derivation tree through it, and checks that its root label is
+unsatisfiable through it too.  Entailment refutes row by row through
+the kernel alone: c1 entails a row when c1 with each row of the row's
+negation is unsatisfiable, whatever the premise's shape.  is_sat,
+refutation, entails, minimise and widen place each Row's ints in the
+columns of the sorted variables once per call (_dense), which is the
+kernel's row as it is (its scale is the Row's denominator), and negate
+rows in that form; Polyhedron.of places the distinct rows once for both
+its satisfiability check and its minimise.
 
 Projection is variable elimination (eliminate) on one list of integer
 rows: int coefficients, a relation, an int right-hand side and a
@@ -156,7 +157,7 @@ def is_sat(constraint: LinConstraint) -> dict[Variable, Fraction] | None:
     a row by its den leaves that ratio as it is."""
     columns = sorted(constraint.vars())
     rows = _dense(constraint.rows, columns)
-    witness = kernel.simplex_feasible(len(columns), rows)
+    witness, _ = kernel.solve(len(columns), rows)
     if witness is None:
         return None
     result = [(Fraction(m, den), Fraction(dd, den)) for m, dd, den in witness]
@@ -177,7 +178,7 @@ def refutation(rows: Sequence[Row]) -> list[int] | None:
     multiplier per row, in order, that weighs the rows' ints into a
     ground row that fails (see kernel.py)."""
     columns = sorted(set().union(*[row.names for row in rows]))
-    return kernel.refutation(len(columns), _dense(rows, columns))
+    return kernel.solve(len(columns), _dense(rows, columns))[1]
 
 
 def _implied(premise: list, ncols: int, row: tuple) -> bool:
@@ -189,7 +190,7 @@ def _implied(premise: list, ncols: int, row: tuple) -> bool:
         negation = [(dense, REL_LT, rhs, scale), (neg, REL_LT, -rhs, scale)]
     else:
         negation = [(neg, REL_LE if rel == REL_LT else REL_LT, -rhs, scale)]
-    return all(kernel.simplex_feasible(ncols, [*premise, n], False) is None for n in negation)
+    return all(kernel.simplex_feasible(ncols, [*premise, n]) is None for n in negation)
 
 
 def entails(c1: LinConstraint, c2: LinConstraint) -> bool:
@@ -351,12 +352,12 @@ class Polyhedron:
 
     @staticmethod
     def of(constraint: LinConstraint) -> "Polyhedron":
-        # one dense form for the satisfiability check (no witness) and
-        # minimise's row-by-row loop
+        # one dense form for the satisfiability check and minimise's
+        # row-by-row loop
         rows = list(dict.fromkeys(constraint.rows))
         columns = sorted(constraint.vars())
         dense = _dense(rows, columns)
-        if kernel.simplex_feasible(len(columns), dense, False) is None:
+        if kernel.simplex_feasible(len(columns), dense) is None:
             return _BOTTOM
         return Polyhedron(_minimised(rows, len(columns), dense))
 

@@ -37,9 +37,11 @@ it fails, so a valid refutation labels the root FALSE.  A corrupted one
 labels the root TRUE or over variables, or breaks a node's entailment,
 and interpolant_automaton refuses it.
 
-The interpolant automaton checks the labelling through its own steps:
-a node's entailment is the automaton's transition for that node, so it
-holds exactly when that transition was built.  Nodes whose labels
+The interpolant automaton checks the labelling through its own steps.
+The root label must be unsatisfiable, which lra.refutation of its rows
+decides (None means satisfiable), and a node's entailment is the
+automaton's transition for that node, so it holds exactly when that
+transition was built.  Nodes whose labels
 coincide on the canonical tuple share one state, named after the
 first of them.  Each such representative's canonical label is placed
 on a clause atom's arguments once per argument tuple, which is its
@@ -66,7 +68,7 @@ from hornsafe.chc_core import (
 )
 from hornsafe.derivations import Node
 from hornsafe.fta import TreeAutomaton
-from hornsafe.lra import entails, is_sat, refutation
+from hornsafe.lra import entails, refutation
 from hornsafe.model import canonical_args
 
 
@@ -138,7 +140,8 @@ def interpolant_automaton(
     its step is one of the transitions, and is checked that way."""
     if len(tree) != len(labels):
         raise ValueError("tree and labelling differ in shape")
-    if is_sat(labels[0]) is not None or any(
+    # a satisfiable root label has no refutation
+    if refutation(labels[0].rows) is None or any(
         not label.vars() <= set(node.atom.args) for node, label in zip(tree, labels)
     ):
         raise ValueError("labelling is not a tree interpolant")

@@ -302,7 +302,7 @@ def zero_row_system(rng: random.Random):
 
 
 def kernel_rows(rows):
-    """Fraction rows (coeffs, rel, rhs) as kernel.simplex_feasible takes
+    """Fraction rows (coeffs, rel, rhs) as the kernel's entries take
     them: each row times L, the lcm of its denominators, as (integer
     coeffs, rel, integer rhs, L)."""
     out = []

@@ -86,7 +86,6 @@ from hornsafe.lra import (
     entails,
     hull,
     is_sat,
-    kernel,
     minimise,
     widen,
 )
@@ -236,7 +235,7 @@ def witness_pairs(result):
 
 
 # Dense simplex reference: the same bound-form simplex and Bland's rule
-# as kernel.simplex_feasible, on a tableau that keeps every variable as a
+# as kernel.solve, on a tableau that keeps every variable as a
 # column, m x (m+n).  Both pick the same pivots, so their witnesses must
 # be identical, not merely both valid.
 
@@ -1115,7 +1114,7 @@ def satisfies(constraint: LinConstraint, point) -> bool:
 
 
 def refutes(constraint: LinConstraint, y) -> bool:
-    """Do the multipliers y, one per row as kernel.refutation gives
+    """Do the multipliers y, one per row as kernel.solve gives
     them, refute the constraint?  Each weighs its row's ints, that is
     the rational row times its den.  In Fractions, with no solver: no
     inequality's multiplier is negative, every variable's coefficients

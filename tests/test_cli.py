@@ -47,15 +47,17 @@ class TestExitCodes:
         # no certificate, so interpolant_automaton refuses the labels it
         # gives with a ValueError; the verifier's fault must exit 2, not
         # 1, which means unsafe
-        real = kernel.refutation
+        real = kernel.solve
         for corrupt in (lambda w: -w, lambda w: 0, lambda w: 2 * w):
 
             def corrupted(ncols, rows):
-                y = real(ncols, rows)
+                witness, y = real(ncols, rows)
+                if y is None:
+                    return witness, y
                 i = next(i for i, w in enumerate(y) if w)
-                return [*y[:i], corrupt(y[i]), *y[i + 1 :]]
+                return None, [*y[:i], corrupt(y[i]), *y[i + 1 :]]
 
-            monkeypatch.setattr(kernel, "refutation", corrupted)
+            monkeypatch.setattr(kernel, "solve", corrupted)
             stats = tmp_path / "stats.json"
             code = main(["verify", str(ROOT / "corpus" / "split_range.chc"), "--stats-json", str(stats)])
             assert code == 2

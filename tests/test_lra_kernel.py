@@ -11,11 +11,12 @@ pairs, the form the oracles give.
 The kernel must agree with the oracle on satisfiability and must return
 genuine witnesses: every row is checked against the delta-rational
 assignment.  Against the dense reference, which pivots by the same rule
-on the full m x (m+n) tableau, it must return the very same witnesses.
-Asked for no witness, it must give the same answer, as True or None;
-that answer comes mostly from Fourier-Motzkin elimination, and the
-simplex, counted through kernel._simplex, sees only what elimination
-leaves.
+on the full m x (m+n) tableau, kernel.solve must return the very same
+witnesses.  kernel.simplex_feasible must give the same answer, as True
+or None; that answer comes mostly from Fourier-Motzkin elimination, and
+the simplex, counted through kernel._simplex, sees only what
+elimination leaves.  Every refutation solve returns must pass
+oracles.refutes.
 """
 
 import fractions
@@ -36,8 +37,8 @@ from gen import (
     tall_narrow_system,
     zero_row_system,
 )
-from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, parse_constraint
-from hornsafe.lra import kernel
+from hornsafe.chc_core import REL_EQ, REL_LE, REL_LT, LinConstraint, Row, Variable, parse_constraint
+from hornsafe.lra import kernel, solver
 
 
 def _to_rows(constraint):
@@ -53,7 +54,7 @@ def _to_rows(constraint):
 
 
 def _feasible(ncols, rows):
-    return witness_pairs(kernel.simplex_feasible(ncols, kernel_rows(rows)))
+    return witness_pairs(kernel.solve(ncols, kernel_rows(rows))[0])
 
 
 def _satisfies(rows, assignment) -> bool:
@@ -131,7 +132,8 @@ class TestGoldens:
             ([-1, 1], REL_EQ, 1, 1),
         ]
         before = [(list(c), rel, b, scale) for c, rel, b, scale in rows]
-        assert kernel.simplex_feasible(2, rows) is not None
+        assert kernel.solve(2, rows)[0] is not None
+        assert kernel.simplex_feasible(2, rows) is True
         assert rows == before
 
     def test_strict_row_keeps_its_scale_in_the_delta_bound(self):
@@ -143,7 +145,7 @@ class TestGoldens:
         assert oracles.dense_simplex_reference(1, rows) == expected
         assert _feasible(1, rows) == expected
         # the same integer row over scale 1 means -X < -2: X = 2 + d
-        assert witness_pairs(kernel.simplex_feasible(1, [([-1], REL_LT, -2, 1)])) == [(Fraction(2), Fraction(1))]
+        assert witness_pairs(kernel.solve(1, [([-1], REL_LT, -2, 1)])[0]) == [(Fraction(2), Fraction(1))]
 
 
 # Witness identity with the dense reference --------------------------------
@@ -159,7 +161,7 @@ def _assert_identical(make, seed: int, count: int):
     for _ in range(count):
         ncols, rows = make(rng)
         expected = oracles.dense_simplex_reference(ncols, rows)
-        raw = kernel.simplex_feasible(ncols, kernel_rows(rows))
+        raw, _ = kernel.solve(ncols, kernel_rows(rows))
         assert witness_pairs(raw) == expected, rows
         if raw is not None:
             # one int triple per column over a positive denominator
@@ -206,7 +208,7 @@ def test_a_witness_query_builds_no_fraction():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        witnesses = [kernel.simplex_feasible(ncols, rows) for ncols, rows in systems]
+        witnesses = [kernel.solve(ncols, rows)[0] for ncols, rows in systems]
     finally:
         sys.setprofile(previous)
     assert calls == []
@@ -215,7 +217,7 @@ def test_a_witness_query_builds_no_fraction():
     assert all(type(x) is int for w in found for t in w for x in t)
 
 
-# Feasibility without a witness --------------------------------------------
+# Feasibility by simplex_feasible -------------------------------------------
 
 
 def _pinned_output_systems():
@@ -234,7 +236,7 @@ def _assert_same_answer(systems):
     outcomes = set()
     for ncols, rows in systems:
         full = _feasible(ncols, rows)
-        bare = kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+        bare = kernel.simplex_feasible(ncols, kernel_rows(rows))
         assert bare is (None if full is None else True), rows
         outcomes.add(full is None)
     assert outcomes == {True, False}
@@ -264,25 +266,30 @@ def test_no_witness_same_answer_on_random_systems(make, seed, count):
 
 
 def _count_simplex(monkeypatch) -> list:
-    """Record the witness flag of every simplex entry: the flag of the
-    simplex_feasible call it is made from."""
+    """Record every simplex entry by the kernel entry it is made from,
+    "simplex_feasible" or "solve"."""
     entries = []
-    flags = []
-    feasible = kernel.simplex_feasible
+    callers = []
     simplex = kernel._simplex
 
-    def asked(ncols, rows, witness=True):
-        flags.append(witness)
-        try:
-            return feasible(ncols, rows, witness)
-        finally:
-            flags.pop()
+    def entry(name):
+        real = getattr(kernel, name)
+
+        def asked(ncols, rows):
+            callers.append(name)
+            try:
+                return real(ncols, rows)
+            finally:
+                callers.pop()
+
+        monkeypatch.setattr(kernel, name, asked)
 
     def counted(ncols, rows):
-        entries.append(flags[-1])
+        entries.append(callers[-1])
         return simplex(ncols, rows)
 
-    monkeypatch.setattr(kernel, "simplex_feasible", asked)
+    entry("simplex_feasible")
+    entry("solve")
     monkeypatch.setattr(kernel, "_simplex", counted)
     return entries
 
@@ -310,9 +317,9 @@ def _count_simplex(monkeypatch) -> list:
 )
 def test_elimination_decides_small_systems(monkeypatch, ncols, rows, expected):
     entries = _count_simplex(monkeypatch)
-    assert kernel.simplex_feasible(ncols, rows, False) is expected
+    assert kernel.simplex_feasible(ncols, rows) is expected
     assert entries == []
-    full = kernel.simplex_feasible(ncols, rows)
+    full, _ = kernel.solve(ncols, rows)
     assert (full is None) == (expected is None)
 
 
@@ -359,7 +366,7 @@ def test_one_column_is_decided_by_pairing_its_bounds(monkeypatch, text, expected
     constraint = parse_constraint(text)
     assert oracles.fm_satisfiable(constraint) is expected
     ncols, rows = _to_rows(constraint)
-    answer = kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+    answer = kernel.simplex_feasible(ncols, kernel_rows(rows))
     assert answer is (True if expected else None)
     assert entries == []
 
@@ -372,15 +379,15 @@ def test_elimination_answers_as_the_witness_path_does(monkeypatch):
     for _ in range(2000):
         ncols, rows = narrow_system(rng)
         krows = kernel_rows(rows)
-        full = kernel.simplex_feasible(ncols, krows)
-        bare = kernel.simplex_feasible(ncols, krows, False)
+        full, _ = kernel.solve(ncols, krows)
+        bare = kernel.simplex_feasible(ncols, krows)
         bare_queries += 1
         assert bare is (None if full is None else True), rows
         outcomes.add(full is None)
     assert outcomes == {True, False}
     # every witness query enters the simplex; most yes/no ones do not
-    assert entries.count(True) == bare_queries
-    assert 0 < entries.count(False) < bare_queries // 10
+    assert entries.count("solve") == bare_queries
+    assert 0 < entries.count("simplex_feasible") < bare_queries // 10
 
 
 def test_tall_narrow_systems_reach_the_simplex(monkeypatch):
@@ -392,6 +399,48 @@ def test_tall_narrow_systems_reach_the_simplex(monkeypatch):
         # an equality substitutes one of the two columns out, and the
         # last one is decided by its bounds
         tall += all(rel != REL_EQ for _, rel, _ in rows)
-        kernel.simplex_feasible(ncols, kernel_rows(rows), False)
+        kernel.simplex_feasible(ncols, kernel_rows(rows))
     assert tall > 40
-    assert entries == [False] * tall
+    assert entries == ["simplex_feasible"] * tall
+
+
+def _as_constraint(rows):
+    """Fraction rows (coeffs, rel, rhs) over columns X00, X01, ... as a
+    LinConstraint, its sorted variables and its rows in the kernel's
+    form, as lra.refutation places them."""
+    ncols = max((len(coeffs) for coeffs, _, _ in rows), default=0)
+    xs = [Variable(f"X{i:02d}") for i in range(ncols)]
+    constraint = LinConstraint(tuple(Row.make(dict(zip(xs, coeffs)), rel, rhs) for coeffs, rel, rhs in rows))
+    columns = sorted(constraint.vars())
+    return constraint, len(columns), solver._dense(constraint.rows, columns)
+
+
+@pytest.mark.parametrize(
+    "make, seed, count",
+    [
+        (narrow_system, 7331, 400),
+        (tall_narrow_system, 7332, 60),
+        (farkas_system, 7333, 30),
+        (large_denominator_system, 7334, 60),
+        (zero_row_system, 7335, 200),
+    ],
+    ids=["narrow", "tall_narrow", "farkas", "large_denominators", "zero_rows"],
+)
+def test_the_two_entries_agree_and_refutations_refute(monkeypatch, make, seed, count):
+    entries = _count_simplex(monkeypatch)
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(count):
+        constraint, ncols, rows = _as_constraint(make(rng)[1])
+        answer = kernel.simplex_feasible(ncols, rows)
+        assert answer is True or answer is None, answer
+        witness, y = kernel.solve(ncols, rows)
+        assert answer is (None if witness is None else True), constraint.pretty()
+        assert (witness is None) != (y is None)
+        if y is not None:
+            assert oracles.refutes(constraint, y), constraint.pretty()
+        outcomes.add(answer)
+    assert outcomes == {True, None}
+    if make is tall_narrow_system:
+        # these yes/no queries are too tall for elimination alone
+        assert "simplex_feasible" in entries

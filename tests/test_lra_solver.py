@@ -369,9 +369,9 @@ class TestImpliedOracle:
         entries = []
         simplex = solver.kernel._simplex
 
-        def counted(ncols, rows, witness):
+        def counted(ncols, rows):
             entries.append(kind)
-            return simplex(ncols, rows, witness)
+            return simplex(ncols, rows)
 
         monkeypatch.setattr(solver.kernel, "_simplex", counted)
         rng = random.Random(21)
@@ -478,7 +478,7 @@ class TestPinnedOutput:
             c2 = random_constraint(rng, max_vars=4, max_rows=5)
             xs = sorted(c1.vars())
             keep = rng.sample(xs, rng.randint(0, len(xs)))
-            w = solver.kernel.simplex_feasible(len(xs), solver._dense(c1.rows, xs))
+            w, _ = solver.kernel.solve(len(xs), solver._dense(c1.rows, xs))
             p1, p2 = Polyhedron.of(c1), Polyhedron.of(c2)
             h = hull(p1, p2)
             lines += [

@@ -12,6 +12,7 @@ from hornsafe.chc_core import (
     FALSE,
     FALSE_PRED,
     REL_EQ,
+    REL_LE,
     TRUE,
     LinConstraint,
     Row,
@@ -253,6 +254,20 @@ class TestInterpolantAutomaton:
         # the labels name no atoms, so only their count ties them to the tree
         with pytest.raises(ValueError, match="differ in shape"):
             interpolant_automaton(prog, tree, labels[:2])
+
+    def test_root_label_must_be_unsatisfiable(self):
+        # the root check refutes the root label's rows: any failing
+        # ground row passes as FALSE does, and a holding one is refused
+        prog = parse_program((CORPUS_DIR / "unsafe_loop.chc").read_text())
+        tree = and_tree(prog, T("c3(c2(c1))"))
+        labels = tree_interpolant(tree)
+        assert labels[0] == FALSE
+        ia = interpolant_automaton(prog, tree, labels)
+        unsat = LinConstraint((Row.make({}, REL_LE, -2),))
+        assert interpolant_automaton(prog, tree, (unsat, *labels[1:])) == ia
+        sat = LinConstraint((Row.make({}, REL_LE, 1),))
+        with pytest.raises(ValueError, match="not a tree interpolant"):
+            interpolant_automaton(prog, tree, (sat, *labels[1:]))
 
     def test_soundness_check_flags_overbroad_automaton(self):
         # the unfiltered trace automaton accepts feasible traces
